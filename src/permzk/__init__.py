@@ -17,7 +17,6 @@ from .engine import (
     StabilizerChain,
     build_chain,
     centralizer_in_sym,
-    conjugate_set,
     enumerate_elements,
     group_equal,
     random_generating_tuple,
@@ -36,7 +35,6 @@ __all__ = [
     "BudgetExceeded",
     "build_chain",
     "group_equal",
-    "conjugate_set",
     "enumerate_elements",
     "random_generating_tuple",
     "centralizer_in_sym",

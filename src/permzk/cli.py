@@ -15,12 +15,10 @@ import random
 import sys
 from typing import Optional
 
-from . import element as ec
 from . import nonconjugacy as nc
 from . import simulator as sim
 from .conjugacy import (
     DEFAULT_SEARCH_CAP,
-    GroupConjInstance,
     GuessingProver,
     HonestProver,
     InstanceContext,
@@ -63,19 +61,14 @@ def _emit(lines, out_path: Optional[str]) -> None:
             fh.write(text)
 
 
-def _write_text(text: str, out_path: Optional[str]) -> None:
-    sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text)
+def _context(inst, cap: int) -> InstanceContext:
+    if isinstance(inst, ElemConjInstance):
+        return ElementContext(inst, cap)
+    return InstanceContext(inst, cap)
 
 
 def cmd_decide(args) -> int:
-    inst = load_instance(args.instance)
-    if isinstance(inst, GroupConjInstance):
-        ctx = InstanceContext(inst, args.cap)
-    else:
-        ctx = ElementContext(inst, args.cap)
+    ctx = _context(load_instance(args.instance), args.cap)
     if ctx.is_yes():
         _emit(["answer=yes", f"witness={format_perm(ctx.witness())}"], args.out)
         return EXIT_ACCEPT
@@ -100,9 +93,6 @@ def _composed_runner(ctx, params, prover_name, program, protocol, parallel):
             raise InstanceError(f"unknown non-conjugacy prover {prover_name!r}")
         responder = nc.STANDARD_RESPONDERS[prover_name]()
         return lambda rng: nc.run_composed(ctx, params, responder, rng, parallel)
-    if protocol == "elem-conj":
-        prover = ec.HonestElemProver(ctx) if prover_name == "honest" else ec.GuessingElemProver(ctx)
-        return lambda rng: ec.run_composed(ctx, params, prover, program, rng, parallel)
     prover = HonestProver(ctx, params) if prover_name == "honest" else GuessingProver(ctx, params)
     return lambda rng: run_composed(ctx, params, prover, program, rng, parallel)
 
@@ -118,14 +108,9 @@ def cmd_prove(args) -> int:
         if args.prover == "honest":
             args.prover = "brute"
     else:
-        if protocol == "elem-conj":
-            ctx = ElementContext(inst, args.cap)
-            params = ec.params_for(inst, t=args.rounds if args.rounds is not None else 1)
-        else:
-            ctx = InstanceContext(inst, args.cap)
-            params = ProtocolParams.for_instance(
-                inst, args.k, args.rounds if args.rounds is not None else 1
-            )
+        ctx = _context(inst, args.cap)
+        # An element commitment is one permutation whatever k says.
+        params = ProtocolParams.for_instance(inst, args.k, args.rounds if args.rounds is not None else 1)
         parallel = args.compose == "par"
         if args.prover not in ("honest", "guess"):
             raise InstanceError(f"unknown prover {args.prover!r} for {protocol}")
@@ -146,7 +131,7 @@ def cmd_prove(args) -> int:
         return EXIT_ACCEPT
 
     outcome = runner(rng)
-    _write_text(outcome.transcript(), args.out)
+    _emit(outcome.transcript().splitlines(), args.out)
     return EXIT_ACCEPT if outcome.accepted else EXIT_REJECT
 
 
@@ -174,17 +159,10 @@ def cmd_simulate(args) -> int:
     rng = random.Random(_seed_of(args))
     tape_seed = args.tape_seed if args.tape_seed is not None else rng.getrandbits(64)
     program = STANDARD_VERIFIERS[args.verifier]()
+    ctx = _context(inst, args.cap)
 
-    if isinstance(inst, ElemConjInstance):
-        ctx = ElementContext(inst, args.cap)
-        report = ec.compare_element_view_distributions(ctx, program, tape_seed=tape_seed)
-        bij = ec.verify_element_bijection(ctx, program, tape_seed, cap=args.cap)
-        _emit(_report_lines(report, bij), args.out)
-        ok = bij and report["laws_equal"] and report["uniform_on_consistent"]
-        return EXIT_ACCEPT if ok else EXIT_REJECT
-
-    ctx = InstanceContext(inst, args.cap)
-    if args.exact:
+    # Element instances are always exact: their view space has |<U>| points.
+    if args.exact or isinstance(inst, ElemConjInstance):
         k = args.k if args.k is not None else 2
         report = sim.compare_view_distributions(
             ctx, program, tape_seed=tape_seed, k=k, exact=True

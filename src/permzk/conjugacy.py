@@ -12,8 +12,8 @@ conjugated by w.
 
 from __future__ import annotations
 
+import itertools
 import random
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,15 +23,15 @@ from .engine import (
     StabilizerChain,
     build_chain,
     enumerate_elements,
+    generating_tuples,
     group_profile,
     random_generating_tuple,
 )
 from .framework import (
     PROVER,
     VERIFIER,
-    Message,
     RandomTape,
-    SessionOutcome,
+    SessionRecord,
     VerifierProgram,
     View,
     bit_payload,
@@ -104,12 +104,20 @@ def find_group_conjugator(
 
 class InstanceContext:
     """Chains, enumerations, and the resolved witness for one instance,
-    shared by every session that runs on it."""
+    shared by every session that runs on it.
+
+    The methods from find_witness() down describe the protocol: how a
+    commitment is read and checked, and how the prover's randomness (a base
+    commitment for a side, then a mask from <U>) turns into a commitment.
+    The session driver and the simulator run on these alone, so a subclass
+    that overrides them runs the same protocol on another commitment shape.
+    """
 
     def __init__(self, instance: GroupConjInstance, search_cap: int = DEFAULT_SEARCH_CAP):
         self.instance = instance
         self.search_cap = search_cap
         self._chains: dict = {}
+        self._bases: dict = {}
         self._u_elements = None
         self._witness = instance.witness
         self._searched = instance.witness is not None
@@ -151,9 +159,7 @@ class InstanceContext:
 
     def _resolve(self):
         if not self._searched:
-            self._witness = find_group_conjugator(
-                self.instance.a0, self.instance.a1, self.instance.u, self.search_cap
-            )
+            self._witness = self.find_witness()
             self._searched = True
 
     def is_yes(self) -> bool:
@@ -166,25 +172,73 @@ class InstanceContext:
             raise ValueError("no conjugating element in <U>: not a yes-instance")
         return self._witness
 
+    def find_witness(self) -> Optional[Permutation]:
+        inst = self.instance
+        return find_group_conjugator(inst.a0, inst.a1, inst.u, self.search_cap)
+
+    def read_commit(self, payload, k: int) -> Optional[tuple]:
+        return coerce_commit(self.degree, k, payload)
+
+    def accepts(self, commit, challenge, response) -> bool:
+        return response_accepted(self, commit, challenge, response)
+
+    def sample_base(self, side: int, k: int, rng):
+        """A uniform generating k-tuple of the side's group and the number
+        of rejection-sampling attempts it took."""
+        gt = random_generating_tuple(self.instance.side(side), k, rng, chain=self.side_chain(side))
+        return gt.perms, gt.attempts
+
+    def bases(self, side: int, k: int) -> tuple:
+        """Every value sample_base(side, k) can return, each equally likely;
+        refused when there is none, since then no commitment exists."""
+        key = (side, k)
+        if key not in self._bases:
+            tuples = generating_tuples(self.instance.side(side), k, self.search_cap, chain=self.side_chain(side))
+            if not tuples:
+                raise BudgetExceeded(f"side {side} has no generating {k}-tuple: the prover cannot commit")
+            self._bases[key] = tuples
+        return self._bases[key]
+
+    def mask(self, base, w: Permutation):
+        return tuple(x.conjugated_by(w) for x in base)
+
+    def candidate_commits(self, k: int):
+        """Every well-formed commitment that some response could make
+        acceptable: k-tuples over the conjugates of either side's elements
+        by <U>."""
+        u_elems = self.u_elements()
+        elems = sorted(
+            {
+                x.conjugated_by(w)
+                for side in (0, 1)
+                for x in enumerate_elements(self.side_chain(side), self.search_cap)
+                for w in u_elems
+            }
+        )
+        if len(elems) ** k * len(u_elems) > self.search_cap:
+            raise BudgetExceeded(
+                f"{len(elems)}^{k} x {len(u_elems)} candidate views exceed cap {self.search_cap}"
+            )
+        return itertools.product(elems, repeat=k)
+
 
 def _coerce_perm(item, degree: int) -> Optional[Permutation]:
     """Accept a Permutation of the right degree, or raw wire data (text or
-    an integer sequence) that parses into one; anything else is ill-typed."""
+    a sequence of integers, bools excluded) that parses into one; anything
+    else is ill-typed."""
     if isinstance(item, Permutation):
         return item if item.degree == degree else None
     if isinstance(item, str):
-        try:
-            p = Permutation(item.split())
-        except ValueError:
-            return None
-        return p if p.degree == degree else None
-    if isinstance(item, (list, tuple)) and all(isinstance(i, int) for i in item):
-        try:
-            p = Permutation(item)
-        except ValueError:
-            return None
-        return p if p.degree == degree else None
-    return None
+        item = item.split()
+    elif not isinstance(item, (list, tuple)) or not all(
+        isinstance(i, int) and not isinstance(i, bool) for i in item
+    ):
+        return None
+    try:
+        p = Permutation(item)
+    except ValueError:
+        return None
+    return p if p.degree == degree else None
 
 
 def coerce_commit(degree: int, k: int, payload) -> Optional[tuple]:
@@ -201,22 +255,19 @@ def coerce_commit(degree: int, k: int, payload) -> Optional[tuple]:
     return tuple(out)
 
 
-def commit_payload_ok(degree: int, k: int, payload) -> bool:
-    return coerce_commit(degree, k, payload) is not None
-
-
 def response_accepted(ctx: InstanceContext, commit: tuple, challenge, response) -> bool:
     """The verifier's final checks: the response is a permutation in <U>
-    and the committed tuple generates the challenged group conjugated by it."""
+    and the committed tuple generates the challenged group conjugated by it.
+    Containment is tested before the tuple's chain is built, so a response
+    that fails it costs no chain."""
     w = _coerce_perm(response, ctx.degree)
     if w is None or not ctx.chain_u.contains(w):
         return False
     side_chain = ctx.side_chain(challenge_bit(challenge))
-    tuple_chain = build_chain(GeneratingSet(ctx.degree, commit))
-    if tuple_chain.order() != side_chain.order():
-        return False
     w_inv = w.inverse()
-    return all(side_chain.contains(x.conjugated_by(w_inv)) for x in commit)
+    if not all(side_chain.contains(x.conjugated_by(w_inv)) for x in commit):
+        return False
+    return build_chain(GeneratingSet(ctx.degree, commit)).order() == side_chain.order()
 
 
 class HonestProver:
@@ -230,9 +281,8 @@ class HonestProver:
     def commit(self, rng):
         ctx = self.ctx
         mask = ctx.chain_u.random_element(rng)
-        gt = random_generating_tuple(ctx.instance.a1, self.params.k, rng, chain=ctx.chain_a1)
-        payload = tuple(x.conjugated_by(mask) for x in gt.perms)
-        return (mask, gt.attempts), payload
+        base, attempts = ctx.sample_base(1, self.params.k, rng)
+        return (mask, attempts), ctx.mask(base, mask)
 
     def respond(self, state, challenge) -> Permutation:
         mask = state[0]
@@ -252,11 +302,8 @@ class GuessingProver:
         ctx = self.ctx
         side = rng.randrange(2)
         mask = ctx.chain_u.random_element(rng)
-        gt = random_generating_tuple(
-            ctx.instance.side(side), self.params.k, rng, chain=ctx.side_chain(side)
-        )
-        payload = tuple(x.conjugated_by(mask) for x in gt.perms)
-        return (mask, gt.attempts), payload
+        base, attempts = ctx.sample_base(side, self.params.k, rng)
+        return (mask, attempts), ctx.mask(base, mask)
 
     def respond(self, state, challenge) -> Permutation:
         return state[0]
@@ -264,58 +311,27 @@ class GuessingProver:
 
 def session(ctx: InstanceContext, params: ProtocolParams, prover, program: VerifierProgram, rng_p, tape_v: RandomTape):
     """One atomic session as a generator; ill-typed prover messages abort
-    with a rejecting outcome."""
-    messages = []
-    round_ns = []
-    last = time.perf_counter_ns()
-
-    def mark():
-        nonlocal last
-        now = time.perf_counter_ns()
-        round_ns.append(now - last)
-        last = now
-
-    def outcome(accepted, extra=None):
-        counters = {"round_ns": tuple(round_ns)}
-        if extra:
-            counters.update(extra)
-        return SessionOutcome(accepted, View(tape_v.prefix(), tuple(messages)), counters)
-
+    with a rejecting outcome.  The prover's state is (mask, attempts)."""
+    record = SessionRecord(tape_v)
     state, payload = prover.commit(rng_p)
-    mark()
-    msg = Message(PROVER, payload)
-    messages.append(msg)
-    yield msg
-    commit = coerce_commit(ctx.degree, params.k, payload)
+    yield record.send(PROVER, payload)
+    commit = ctx.read_commit(payload, params.k)
     if commit is None:
-        return outcome(False)
+        return record.outcome(False)
 
     challenge = program.challenge(ctx.instance, tape_v, payload)
-    mark()
-    msg = Message(VERIFIER, challenge)
-    messages.append(msg)
-    yield msg
+    yield record.send(VERIFIER, challenge)
 
     response = prover.respond(state, challenge)
-    mark()
-    msg = Message(PROVER, response)
-    messages.append(msg)
-    yield msg
+    yield record.send(PROVER, response)
 
-    accepted = response_accepted(ctx, commit, challenge, response)
-    mark()
-    return outcome(accepted, {"tuple_attempts": state[1]})
-
-
-def make_session_factory(ctx, params, prover, program):
-    return lambda rng_p, tape_v: session(ctx, params, prover, program, rng_p, tape_v)
+    return record.outcome(ctx.accepts(commit, challenge, response), tuple_attempts=state[1])
 
 
 def run_composed(ctx, params, prover, program, rng: random.Random, parallel: bool = False):
     """Compose params.t sessions; accept iff all of them accept."""
-    factory = make_session_factory(ctx, params, prover, program)
     runner = run_parallel if parallel else run_sequential
-    return runner(factory, params.t, rng)
+    return runner(lambda rng_p, tape_v: session(ctx, params, prover, program, rng_p, tape_v), params.t, rng)
 
 
 def replay_verdict(ctx: InstanceContext, params: ProtocolParams, view: View) -> bool:
@@ -324,12 +340,12 @@ def replay_verdict(ctx: InstanceContext, params: ProtocolParams, view: View) -> 
     msgs = view.messages
     if len(msgs) < 3:
         return False
-    commit = coerce_commit(ctx.degree, params.k, msgs[0].payload)
+    commit = ctx.read_commit(msgs[0].payload, params.k)
     if commit is None:
         return False
     tape = RandomTape(view.r_prefix.seed)
     challenge = bit_payload(tape.bit())
-    return response_accepted(ctx, commit, challenge, msgs[2].payload)
+    return ctx.accepts(commit, challenge, msgs[2].payload)
 
 
 def extract_witness(response_0: Permutation, response_1: Permutation) -> Permutation:

@@ -4,47 +4,30 @@ coset intersection with a centralizer.
 
 The protocol is the group-conjugacy protocol with the commitment shrunk to
 one permutation: mask a1 by a random u in <U>, reveal u or v*u on demand.
-No generating-tuple sampling is involved, so the simulator's restart loop
-needs exactly one sample per attempt.
+ElementContext says only how that commitment is drawn, masked, read and
+checked; the group-conjugacy session driver, provers and simulator run on
+it unchanged.  No generating-tuple sampling is involved, so the simulator's
+restart loop needs exactly one sample per attempt.
 """
 
 from __future__ import annotations
 
-import random
-import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .engine import (
-    BudgetExceeded,
-    GeneratingSet,
-    StabilizerChain,
-    build_chain,
-    centralizer_in_sym,
-    enumerate_elements,
+from . import simulator
+from .engine import BudgetExceeded, GeneratingSet, build_chain, centralizer_in_sym, enumerate_elements
+from .framework import VerifierProgram, challenge_bit
+from .conjugacy import (
+    DEFAULT_SEARCH_CAP,
+    GuessingProver,
+    HonestProver,
+    InstanceContext,
+    ProtocolParams,
+    _coerce_perm,
+    run_composed,
 )
-from .framework import (
-    PROVER,
-    VERIFIER,
-    Message,
-    RandomTape,
-    SessionOutcome,
-    VerifierProgram,
-    View,
-    challenge_bit,
-    run_parallel,
-    run_sequential,
-)
-from .conjugacy import DEFAULT_SEARCH_CAP, ProtocolParams, _coerce_perm
 from .perm import Permutation, conjugator_in_sym
-from .simulator import (
-    DEFAULT_MAX_RESTARTS,
-    SimulatedView,
-    SimulateResult,
-    simulate_with_rewinding,
-    total_variation,
-)
 
 
 @dataclass(frozen=True)
@@ -106,48 +89,32 @@ def find_elem_conjugator(
     return None
 
 
-class ElementContext:
-    """Cached chain and witness resolution for one element instance."""
+class ElementContext(InstanceContext):
+    """The element protocol's commitment: the base for a side is that
+    side's permutation itself, drawn with no randomness, and masking is
+    conjugation."""
 
-    def __init__(self, instance: ElemConjInstance, search_cap: int = DEFAULT_SEARCH_CAP):
-        self.instance = instance
-        self.search_cap = search_cap
-        self._chain_u: Optional[StabilizerChain] = None
-        self._u_elements = None
-        self._witness = instance.witness
-        self._searched = instance.witness is not None
+    def find_witness(self) -> Optional[Permutation]:
+        inst = self.instance
+        return find_elem_conjugator(inst.a0, inst.a1, inst.u, self.search_cap)
 
-    @property
-    def degree(self) -> int:
-        return self.instance.degree
+    def read_commit(self, payload, k: int) -> Optional[Permutation]:
+        return _coerce_perm(payload, self.degree)
 
-    @property
-    def chain_u(self) -> StabilizerChain:
-        if self._chain_u is None:
-            self._chain_u = build_chain(self.instance.u)
-        return self._chain_u
+    def accepts(self, commit, challenge, response) -> bool:
+        return response_accepted(self, commit, challenge, response)
 
-    def u_elements(self) -> tuple:
-        if self._u_elements is None:
-            self._u_elements = enumerate_elements(self.chain_u, self.search_cap)
-        return self._u_elements
+    def sample_base(self, side: int, k: int, rng):
+        return self.instance.side(side), 1
 
-    def _resolve(self):
-        if not self._searched:
-            self._witness = find_elem_conjugator(
-                self.instance.a0, self.instance.a1, self.instance.u, self.search_cap
-            )
-            self._searched = True
+    def bases(self, side: int, k: int) -> tuple:
+        return (self.instance.side(side),)
 
-    def is_yes(self) -> bool:
-        self._resolve()
-        return self._witness is not None
+    def mask(self, base, w: Permutation) -> Permutation:
+        return base.conjugated_by(w)
 
-    def witness(self) -> Permutation:
-        self._resolve()
-        if self._witness is None:
-            raise ValueError("no conjugating element in <U>: not a yes-instance")
-        return self._witness
+    def candidate_commits(self, k: int):
+        return sorted({self.instance.side(side).conjugated_by(w) for side in (0, 1) for w in self.u_elements()})
 
 
 def params_for(instance, k: int = 1, t: int = 1) -> ProtocolParams:
@@ -165,84 +132,26 @@ def response_accepted(ctx: ElementContext, commit: Permutation, challenge, respo
     return commit == ctx.instance.side(challenge_bit(challenge)).conjugated_by(w)
 
 
-class HonestElemProver:
+class HonestElemProver(HonestProver):
+    """The group-conjugacy honest prover, with the element params."""
+
     def __init__(self, ctx: ElementContext):
-        self.ctx = ctx
-        self._v = ctx.witness()
+        super().__init__(ctx, params_for(ctx.instance))
 
-    def commit(self, rng):
-        mask = self.ctx.chain_u.random_element(rng)
-        return (mask,), self.ctx.instance.a1.conjugated_by(mask)
-
-    def respond(self, state, challenge) -> Permutation:
-        mask = state[0]
-        return mask if challenge_bit(challenge) else self._v * mask
+    # Bound here too: bench/tracer.py patches each class's own __dict__.
+    commit = HonestProver.commit
+    respond = HonestProver.respond
 
 
-class GuessingElemProver:
+class GuessingElemProver(GuessingProver):
     """Witness-free cheater: commit on a guessed side, reveal the mask."""
 
     def __init__(self, ctx: ElementContext):
-        self.ctx = ctx
+        super().__init__(ctx, params_for(ctx.instance))
 
-    def commit(self, rng):
-        side = rng.randrange(2)
-        mask = self.ctx.chain_u.random_element(rng)
-        return (mask,), self.ctx.instance.side(side).conjugated_by(mask)
-
-    def respond(self, state, challenge) -> Permutation:
-        return state[0]
-
-
-def session(ctx: ElementContext, params: ProtocolParams, prover, program: VerifierProgram, rng_p, tape_v: RandomTape):
-    """One atomic session; an ill-typed commitment aborts with a reject."""
-    messages = []
-    round_ns = []
-    last = time.perf_counter_ns()
-
-    def mark():
-        nonlocal last
-        now = time.perf_counter_ns()
-        round_ns.append(now - last)
-        last = now
-
-    def outcome(accepted):
-        return SessionOutcome(
-            accepted, View(tape_v.prefix(), tuple(messages)), {"round_ns": tuple(round_ns)}
-        )
-
-    state, payload = prover.commit(rng_p)
-    mark()
-    msg = Message(PROVER, payload)
-    messages.append(msg)
-    yield msg
-    commit = _coerce_perm(payload, ctx.degree)
-    if commit is None:
-        return outcome(False)
-
-    challenge = program.challenge(ctx.instance, tape_v, payload)
-    mark()
-    msg = Message(VERIFIER, challenge)
-    messages.append(msg)
-    yield msg
-
-    response = prover.respond(state, challenge)
-    mark()
-    msg = Message(PROVER, response)
-    messages.append(msg)
-    yield msg
-
-    return outcome(response_accepted(ctx, commit, challenge, response))
-
-
-def make_session_factory(ctx, params, prover, program):
-    return lambda rng_p, tape_v: session(ctx, params, prover, program, rng_p, tape_v)
-
-
-def run_composed(ctx, params, prover, program, rng: random.Random, parallel: bool = False):
-    factory = make_session_factory(ctx, params, prover, program)
-    runner = run_parallel if parallel else run_sequential
-    return runner(factory, params.t, rng)
+    # Bound here too: bench/tracer.py patches each class's own __dict__.
+    commit = GuessingProver.commit
+    respond = GuessingProver.respond
 
 
 # -- reductions against coset intersection --------------------------------
@@ -288,172 +197,14 @@ def centralizer_coset_oracle(inst: CosetIntersectionInstance, cap: int = DEFAULT
     return any(chain_u.contains(c * y_inv) for c in enumerate_elements(chain_c, cap))
 
 
-def elements_conjugate_in(
-    a0: Permutation, a1: Permutation, u: GeneratingSet, cap: int = DEFAULT_SEARCH_CAP
-) -> bool:
-    return find_elem_conjugator(a0, a1, u, cap) is not None
+# -- zero-knowledge checks ----------------------------------------------------
 
 
-# -- simulator specialization ----------------------------------------------
+def verify_element_bijection(ctx: ElementContext, program: VerifierProgram, tape_seed: int, *, witness=None) -> bool:
+    return simulator.verify_view_bijection(ctx, program, tape_seed, 1, witness=witness)
 
 
-def _element_commit_sampler(ctx: ElementContext):
-    def sample(side: int, mask, rng):
-        return ctx.instance.side(side).conjugated_by(mask), 1
-
-    return sample
-
-
-def simulate_element(
-    ctx: ElementContext,
-    program: VerifierProgram,
-    rng: random.Random,
-    *,
-    tape_seed: Optional[int] = None,
-    max_restarts: int = DEFAULT_MAX_RESTARTS,
-    record_attempts: bool = False,
-) -> SimulateResult:
-    return simulate_with_rewinding(
-        ctx.instance,
-        ctx.chain_u,
-        _element_commit_sampler(ctx),
-        program,
-        rng,
-        tape_seed,
-        max_restarts,
-        record_attempts,
-    )
-
-
-def element_view_from_randomness(
-    ctx: ElementContext,
-    program: VerifierProgram,
-    tape_seed: int,
-    mask,
-    *,
-    witness=None,
-) -> SimulatedView:
-    """Honest-prover view as a function of the prover's one random draw."""
-    v = witness if witness is not None else ctx.witness()
-    commit = ctx.instance.a1.conjugated_by(mask)
-    tape = RandomTape(tape_seed)
-    challenge = program.challenge(ctx.instance, tape, commit)
-    response = mask if challenge_bit(challenge) else v * mask
-    return SimulatedView(tape.prefix(), commit, challenge, response)
-
-
-def randomness_of_element_view(ctx: ElementContext, view: SimulatedView, *, witness=None):
-    v = witness if witness is not None else ctx.witness()
-    return view.response if challenge_bit(view.challenge) else v.inverse() * view.response
-
-
-def real_element_view(
-    ctx: ElementContext,
-    program: VerifierProgram,
-    rng: random.Random,
-    *,
-    tape_seed: Optional[int] = None,
-) -> SimulatedView:
-    if tape_seed is None:
-        tape_seed = rng.getrandbits(64)
-    mask = ctx.chain_u.random_element(rng)
-    return element_view_from_randomness(ctx, program, tape_seed, mask)
-
-
-def enumerate_consistent_element_views(
-    ctx: ElementContext,
-    program: VerifierProgram,
-    tape_seed: int,
-    cap: int = DEFAULT_SEARCH_CAP,
-) -> tuple:
-    """Every accepting view for this tape, straight from the definition."""
-    views = []
-    seen = set()
-    for w in ctx.u_elements():
-        for side in (0, 1):
-            commit = ctx.instance.side(side).conjugated_by(w)
-            tape = RandomTape(tape_seed)
-            challenge = program.challenge(ctx.instance, tape, commit)
-            if challenge_bit(challenge) != side:
-                continue
-            view = SimulatedView(tape.prefix(), commit, challenge, w)
-            if view not in seen:
-                seen.add(view)
-                views.append(view)
-    return tuple(views)
-
-
-def verify_element_bijection(
-    ctx: ElementContext,
-    program: VerifierProgram,
-    tape_seed: int,
-    *,
-    witness=None,
-    cap: int = DEFAULT_SEARCH_CAP,
-) -> bool:
-    v = witness if witness is not None else ctx.witness()
-    images = []
-    for mask in ctx.u_elements():
-        view = element_view_from_randomness(ctx, program, tape_seed, mask, witness=v)
-        if randomness_of_element_view(ctx, view, witness=v) != mask:
-            return False
-        images.append(view)
-    if len(set(images)) != len(images):
-        return False
-    consistent = set(enumerate_consistent_element_views(ctx, program, tape_seed, cap))
-    return set(images) == consistent
-
-
-def exact_element_real_law(
-    ctx: ElementContext, program: VerifierProgram, tape_seed: int
-) -> dict:
-    elems = ctx.u_elements()
-    weight = Fraction(1, len(elems))
-    law: dict = {}
-    for mask in elems:
-        view = element_view_from_randomness(ctx, program, tape_seed, mask)
-        law[view] = law.get(view, Fraction(0)) + weight
-    return law
-
-
-def exact_element_sim_law(
-    ctx: ElementContext, program: VerifierProgram, tape_seed: int
-) -> dict:
-    elems = ctx.u_elements()
-    weight = Fraction(1, 2 * len(elems))
-    mass: dict = {}
-    total = Fraction(0)
-    for side in (0, 1):
-        for mask in elems:
-            commit = ctx.instance.side(side).conjugated_by(mask)
-            tape = RandomTape(tape_seed)
-            challenge = program.challenge(ctx.instance, tape, commit)
-            if challenge_bit(challenge) != side:
-                continue
-            view = SimulatedView(tape.prefix(), commit, challenge, mask)
-            mass[view] = mass.get(view, Fraction(0)) + weight
-            total += weight
-    if total == 0:
-        raise BudgetExceeded("the verifier program defeats every side guess on this tape")
-    return {view: p / total for view, p in mass.items()}
-
-
-def compare_element_view_distributions(
-    ctx: ElementContext, program: VerifierProgram, *, tape_seed: int
-) -> dict:
+def compare_element_view_distributions(ctx: ElementContext, program: VerifierProgram, *, tape_seed: int) -> dict:
     """Exact-only comparison; the whole view space is |<U>| big, so there is
     nothing to sample."""
-    if not ctx.is_yes():
-        raise ValueError("zero-knowledge comparison applies to yes-instances only")
-    law_r = exact_element_real_law(ctx, program, tape_seed)
-    law_s = exact_element_sim_law(ctx, program, tape_seed)
-    consistent = enumerate_consistent_element_views(ctx, program, tape_seed)
-    uniform = Fraction(1, len(consistent))
-    return {
-        "mode": "exact",
-        "domain": len(consistent),
-        "laws_equal": law_r == law_s,
-        "uniform_on_consistent": all(law_r.get(v) == uniform for v in consistent)
-        and len(law_r) == len(consistent),
-        "tv_distance_upper": float(total_variation(law_r, law_s)),
-    }
+    return simulator.compare_view_distributions(ctx, program, tape_seed=tape_seed, k=1, exact=True)

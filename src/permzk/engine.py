@@ -58,11 +58,6 @@ class GeneratingSet:
         return GeneratingSet(self.degree, tuple(g.conjugated_by(v) for g in self.gens))
 
 
-def conjugate_set(a: GeneratingSet, v: Permutation) -> GeneratingSet:
-    """Elementwise conjugation; generates the conjugate group."""
-    return a.conjugated_by(v)
-
-
 def format_generating_set(a: GeneratingSet) -> str:
     return ";".join(format_perm(g) for g in a.gens)
 

@@ -252,14 +252,30 @@ def run_parallel(make_session, t: int, rng: random.Random) -> CompositeOutcome:
     return CompositeOutcome(accepted, ordered, tuple(events))
 
 
-class RoundTimer:
-    """Wall-clock counters for the per-round work inside a session."""
+class SessionRecord:
+    """The messages of one session and the wall-clock time of each round:
+    send() closes a round with its message, outcome() closes the verdict
+    round, so round_ns always has one entry more than the view has
+    messages."""
 
-    def __init__(self):
+    def __init__(self, tape_v: RandomTape):
+        self.tape_v = tape_v
+        self.messages = []
         self.round_ns = []
         self._last = time.perf_counter_ns()
 
-    def mark(self):
+    def _mark(self):
         now = time.perf_counter_ns()
         self.round_ns.append(now - self._last)
         self._last = now
+
+    def send(self, sender: str, payload) -> Message:
+        self._mark()
+        msg = Message(sender, payload)
+        self.messages.append(msg)
+        return msg
+
+    def outcome(self, accepted: bool, **counters) -> SessionOutcome:
+        self._mark()
+        view = View(self.tape_v.prefix(), tuple(self.messages))
+        return SessionOutcome(accepted, view, {"round_ns": tuple(self.round_ns), **counters})

@@ -14,7 +14,6 @@ probability one half per session.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -22,10 +21,8 @@ from .engine import GeneratingSet, build_chain, group_profile
 from .framework import (
     PROVER,
     VERIFIER,
-    Message,
     RandomTape,
-    SessionOutcome,
-    View,
+    SessionRecord,
     bit_payload,
     challenge_bit,
     run_parallel,
@@ -66,6 +63,15 @@ def challenge_matched(side: int, response) -> bool:
     return isinstance(response, bytes) and challenge_bit(response) == side
 
 
+def _conjugators(ctx: InstanceContext, chain_p, side: int):
+    """Elements v of <U>, in enumeration order, that conjugate the side's
+    generators into the payload's group <chain_p>."""
+    gens = ctx.instance.side(side).canonical().gens
+    for v in ctx.u_elements():
+        if all(chain_p.contains(g.conjugated_by(v)) for g in gens):
+            yield v
+
+
 def matched_sides(ctx: InstanceContext, payload: tuple) -> tuple:
     """Sides whose group is conjugate to <payload> by some element of <U>,
     decided by brute force over <U>.  The containment is tested on the
@@ -80,11 +86,8 @@ def matched_sides(ctx: InstanceContext, payload: tuple) -> tuple:
             continue
         if profile_p is not None and ctx.side_profile(side) not in (None, profile_p):
             continue
-        gens = ctx.instance.side(side).canonical().gens
-        for v in ctx.u_elements():
-            if all(chain_p.contains(g.conjugated_by(v)) for g in gens):
-                out.append(side)
-                break
+        if next(_conjugators(ctx, chain_p, side), None) is not None:
+            out.append(side)
     return tuple(out)
 
 
@@ -120,12 +123,8 @@ def majority_responder() -> ResponderProgram:
         scores = [0, 0]
         chain_p = build_chain(GeneratingSet(ctx.degree, payload))
         for side in (0, 1):
-            if ctx.side_chain(side).order() != chain_p.order():
-                continue
-            gens = ctx.instance.side(side).canonical().gens
-            for v in ctx.u_elements():
-                if all(chain_p.contains(g.conjugated_by(v)) for g in gens):
-                    scores[side] += 1
+            if ctx.side_chain(side).order() == chain_p.order():
+                scores[side] = sum(1 for _ in _conjugators(ctx, chain_p, side))
         return bit_payload(1 if scores[1] > scores[0] else 0)
 
     return ResponderProgram("majority", respond)
@@ -141,44 +140,18 @@ STANDARD_RESPONDERS = {
 
 def session(ctx: InstanceContext, params: ProtocolParams, responder: ResponderProgram, rng_p, tape_v: RandomTape):
     """One atomic session: verifier challenge, prover side claim."""
-    messages = []
-    round_ns = []
-    last = time.perf_counter_ns()
-
-    def mark():
-        nonlocal last
-        now = time.perf_counter_ns()
-        round_ns.append(now - last)
-        last = now
-
+    record = SessionRecord(tape_v)
     challenge = draw_challenge(ctx, params.k, tape_v)
-    mark()
-    msg = Message(VERIFIER, challenge.payload)
-    messages.append(msg)
-    yield msg
+    yield record.send(VERIFIER, challenge.payload)
 
     reply = responder.respond(ctx, challenge.payload, rng_p)
-    mark()
-    msg = Message(PROVER, reply)
-    messages.append(msg)
-    yield msg
+    yield record.send(PROVER, reply)
 
-    accepted = challenge_matched(challenge.side, reply)
-    mark()
-    return SessionOutcome(
-        accepted,
-        View(tape_v.prefix(), tuple(messages)),
-        {"round_ns": tuple(round_ns), "side": challenge.side},
-    )
-
-
-def make_session_factory(ctx, params, responder):
-    return lambda rng_p, tape_v: session(ctx, params, responder, rng_p, tape_v)
+    return record.outcome(challenge_matched(challenge.side, reply), side=challenge.side)
 
 
 def run_composed(ctx, params, responder, rng: random.Random, parallel: bool = True):
     """Compose params.t sessions, bundled round by round unless asked
     otherwise; accept iff all sessions accept."""
-    factory = make_session_factory(ctx, params, responder)
     runner = run_parallel if parallel else run_sequential
-    return runner(factory, params.t, rng)
+    return runner(lambda rng_p, tape_v: session(ctx, params, responder, rng_p, tape_v), params.t, rng)

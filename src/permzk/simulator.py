@@ -1,7 +1,10 @@
-"""Black-box simulator for the conjugacy protocol, plus the machinery that
-checks its output distribution: an explicit bijection between honest-prover
-randomness and consistent views, exact view laws by enumeration on tiny
-instances, and two-sample statistical comparison at larger sizes.
+"""Black-box simulator for the three-round conjugacy protocol, plus the
+machinery that checks its output distribution: an explicit bijection between
+honest-prover randomness and consistent views, exact view laws by
+enumeration on tiny instances, and two-sample statistical comparison at
+larger sizes.  Everything here runs on the context's protocol methods, so it
+serves group instances (InstanceContext) and element instances
+(ElementContext) alike; exact checks stay within the context's search_cap.
 
 The simulator guesses the challenge side, commits accordingly, replays the
 verifier program on the same tape, and restarts from scratch (fresh
@@ -10,34 +13,26 @@ commitment randomness, same tape) until the guess matches.
 
 from __future__ import annotations
 
-import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .engine import (
-    BudgetExceeded,
-    GeneratingSet,
-    build_chain,
-    enumerate_elements,
-    generating_tuples,
-    random_generating_tuple,
-)
+from .engine import BudgetExceeded
 from .framework import RandomTape, TapePrefix, VerifierProgram, challenge_bit
 from .conjugacy import InstanceContext, TUPLE_LENGTH_FACTOR
 
 DEFAULT_MAX_RESTARTS = 10 * 64
-DEFAULT_EXACT_CAP = 20_000
 
 
 @dataclass(frozen=True)
 class SimulatedView:
     """Same shape for simulated and real views: consumed tape prefix,
-    commitment tuple, challenge bytes, revealed permutation."""
+    commitment, challenge bytes, revealed permutation."""
 
     r_prefix: TapePrefix
-    commit: tuple
+    commit: object
     challenge: bytes
     response: object
 
@@ -46,7 +41,7 @@ class SimulatedView:
 class AttemptRecord:
     mask: object
     side: int
-    commit: tuple
+    commit: object
     challenge: bytes
     tape_draws: int
 
@@ -59,30 +54,31 @@ class SimulateResult:
     attempts_log: tuple = ()
 
 
-def simulate_with_rewinding(
-    instance,
-    chain_u,
-    sample_commit,
+def simulate(
+    ctx: InstanceContext,
     program: VerifierProgram,
     rng: random.Random,
+    *,
+    k: Optional[int] = None,
     tape_seed: Optional[int] = None,
     max_restarts: int = DEFAULT_MAX_RESTARTS,
     record_attempts: bool = False,
 ) -> SimulateResult:
-    """The rewinding loop shared by the group and element simulators.
-    sample_commit(side, mask, rng) -> (payload, attempts) must draw a fresh
-    commitment for the chosen side, already conjugated by mask."""
+    """Simulate one session view without the witness: per attempt draw a
+    mask, a side guess and a base commitment for that side, in this order."""
+    k = k if k is not None else TUPLE_LENGTH_FACTOR * ctx.degree
     if tape_seed is None:
         tape_seed = rng.getrandbits(64)
     total_attempts = 0
     log = []
     for restart in range(1, max_restarts + 1):
-        mask = chain_u.random_element(rng)
+        mask = ctx.chain_u.random_element(rng)
         side = rng.randrange(2)
-        commit, attempts = sample_commit(side, mask, rng)
+        base, attempts = ctx.sample_base(side, k, rng)
+        commit = ctx.mask(base, mask)
         total_attempts += attempts
         tape = RandomTape(tape_seed)
-        challenge = program.challenge(instance, tape, commit)
+        challenge = program.challenge(ctx.instance, tape, commit)
         if record_attempts:
             log.append(AttemptRecord(mask, side, commit, challenge, tape.consumed))
         if challenge_bit(challenge) == side:
@@ -94,53 +90,21 @@ def simulate_with_rewinding(
     )
 
 
-def _group_commit_sampler(ctx: InstanceContext, k: int):
-    def sample(side: int, mask, rng):
-        gt = random_generating_tuple(ctx.instance.side(side), k, rng, chain=ctx.side_chain(side))
-        return tuple(x.conjugated_by(mask) for x in gt.perms), gt.attempts
-
-    return sample
-
-
-def simulate(
-    ctx: InstanceContext,
-    program: VerifierProgram,
-    rng: random.Random,
-    *,
-    k: Optional[int] = None,
-    tape_seed: Optional[int] = None,
-    max_restarts: int = DEFAULT_MAX_RESTARTS,
-    record_attempts: bool = False,
-) -> SimulateResult:
-    """Simulate one session view without the witness."""
-    k = k if k is not None else TUPLE_LENGTH_FACTOR * ctx.degree
-    return simulate_with_rewinding(
-        ctx.instance,
-        ctx.chain_u,
-        _group_commit_sampler(ctx, k),
-        program,
-        rng,
-        tape_seed,
-        max_restarts,
-        record_attempts,
-    )
-
-
 def view_from_randomness(
     ctx: InstanceContext,
     program: VerifierProgram,
     tape_seed: int,
-    base_tuple: tuple,
+    base,
     mask,
     *,
     witness=None,
 ) -> SimulatedView:
     """The honest-prover view as a function of the prover's randomness: a
-    generating tuple of <A1> and a mask from <U>.  This is exactly the map
-    the real protocol computes, so real_view() samples its inputs and then
-    calls it."""
+    base commitment for <A1> (a generating tuple, or a1 itself) and a mask
+    from <U>.  This is exactly the map the real protocol computes, so
+    real_view() samples its inputs and then calls it."""
     v = witness if witness is not None else ctx.witness()
-    commit = tuple(x.conjugated_by(mask) for x in base_tuple)
+    commit = ctx.mask(base, mask)
     tape = RandomTape(tape_seed)
     challenge = program.challenge(ctx.instance, tape, commit)
     response = mask if challenge_bit(challenge) else v * mask
@@ -149,12 +113,10 @@ def view_from_randomness(
 
 def randomness_of_view(ctx: InstanceContext, view: SimulatedView, *, witness=None):
     """Inverse of view_from_randomness on consistent views: recover the
-    generating tuple of <A1> and the mask."""
+    base commitment and the mask."""
     v = witness if witness is not None else ctx.witness()
     mask = view.response if challenge_bit(view.challenge) else v.inverse() * view.response
-    mask_inv = mask.inverse()
-    base_tuple = tuple(x.conjugated_by(mask_inv) for x in view.commit)
-    return base_tuple, mask
+    return ctx.mask(view.commit, mask.inverse()), mask
 
 
 def real_view(
@@ -171,8 +133,8 @@ def real_view(
     if tape_seed is None:
         tape_seed = rng.getrandbits(64)
     mask = ctx.chain_u.random_element(rng)
-    gt = random_generating_tuple(ctx.instance.a1, k, rng, chain=ctx.chain_a1)
-    return view_from_randomness(ctx, program, tape_seed, gt.perms, mask)
+    base, _ = ctx.sample_base(1, k, rng)
+    return view_from_randomness(ctx, program, tape_seed, base, mask)
 
 
 def enumerate_consistent_views(
@@ -180,37 +142,21 @@ def enumerate_consistent_views(
     program: VerifierProgram,
     tape_seed: int,
     k: int,
-    cap: int = DEFAULT_EXACT_CAP,
 ) -> tuple:
     """Every view (commit, challenge, response) that the honest verifier
     accepts and whose challenge the program actually emits on this tape:
-    response in <U>, challenge = program(commit), commit generating the
-    challenged group conjugated by the response.  Enumerated directly from
-    the definition, not through the prover or the simulator."""
-    u_elems = enumerate_elements(ctx.chain_u, cap)
-    candidates = set()
-    for side in (0, 1):
-        for x in enumerate_elements(ctx.side_chain(side), cap):
-            for w in u_elems:
-                candidates.add(x.conjugated_by(w))
-    elems = sorted(candidates)
-    if len(elems) ** k * len(u_elems) > cap:
-        raise BudgetExceeded(
-            f"{len(elems)}^{k} x {len(u_elems)} candidate views exceed cap {cap}"
-        )
+    for each candidate commitment, challenge = program(commit) and every
+    response w in <U> that the verifier's predicate accepts.  Enumerated
+    directly from the definition, not through the prover or the simulator."""
+    u_elems = ctx.u_elements()
     views = []
-    for tup in itertools.product(elems, repeat=k):
+    for commit in ctx.candidate_commits(k):
         tape = RandomTape(tape_seed)
-        challenge = program.challenge(ctx.instance, tape, tup)
+        challenge = program.challenge(ctx.instance, tape, commit)
         prefix = tape.prefix()
-        side_chain = ctx.side_chain(challenge_bit(challenge))
-        tuple_order = build_chain(GeneratingSet(ctx.degree, tup)).order()
-        if tuple_order != side_chain.order():
-            continue
         for w in u_elems:
-            w_inv = w.inverse()
-            if all(side_chain.contains(x.conjugated_by(w_inv)) for x in tup):
-                views.append(SimulatedView(prefix, tup, challenge, w))
+            if ctx.accepts(commit, challenge, w):
+                views.append(SimulatedView(prefix, commit, challenge, w))
     return tuple(views)
 
 
@@ -221,17 +167,14 @@ def verify_view_bijection(
     k: int,
     *,
     witness=None,
-    cap: int = DEFAULT_EXACT_CAP,
 ) -> bool:
     """Check that the honest-view map is a bijection from prover randomness
-    (generating tuples of <A1> crossed with <U>) onto the consistent-view
+    (base commitments for <A1> crossed with <U>) onto the consistent-view
     set, with randomness_of_view as its inverse."""
     v = witness if witness is not None else ctx.witness()
-    u_elems = enumerate_elements(ctx.chain_u, cap)
-    tuples1 = generating_tuples(ctx.instance.a1, k, cap, chain=ctx.chain_a1)
     images = []
-    for base in tuples1:
-        for mask in u_elems:
+    for base in ctx.bases(1, k):
+        for mask in ctx.u_elements():
             view = view_from_randomness(ctx, program, tape_seed, base, mask, witness=v)
             back = randomness_of_view(ctx, view, witness=v)
             if back != (base, mask):
@@ -239,7 +182,7 @@ def verify_view_bijection(
             images.append(view)
     if len(set(images)) != len(images):
         return False
-    consistent = set(enumerate_consistent_views(ctx, program, tape_seed, k, cap))
+    consistent = set(enumerate_consistent_views(ctx, program, tape_seed, k))
     return set(images) == consistent
 
 
@@ -248,14 +191,13 @@ def exact_real_law(
     program: VerifierProgram,
     tape_seed: int,
     k: int,
-    cap: int = DEFAULT_EXACT_CAP,
 ) -> dict:
     """Exact law of the honest-prover view for a fixed verifier tape."""
-    u_elems = enumerate_elements(ctx.chain_u, cap)
-    tuples1 = generating_tuples(ctx.instance.a1, k, cap, chain=ctx.chain_a1)
-    weight = Fraction(1, len(u_elems) * len(tuples1))
+    u_elems = ctx.u_elements()
+    bases = ctx.bases(1, k)
+    weight = Fraction(1, len(u_elems) * len(bases))
     law: dict = {}
-    for base in tuples1:
+    for base in bases:
         for mask in u_elems:
             view = view_from_randomness(ctx, program, tape_seed, base, mask)
             law[view] = law.get(view, Fraction(0)) + weight
@@ -267,22 +209,18 @@ def exact_sim_law(
     program: VerifierProgram,
     tape_seed: int,
     k: int,
-    cap: int = DEFAULT_EXACT_CAP,
 ) -> dict:
     """Exact law of the simulator's output for a fixed verifier tape: the
     per-attempt draw conditioned on the side guess matching the challenge."""
-    u_elems = enumerate_elements(ctx.chain_u, cap)
-    side_tuples = {
-        side: generating_tuples(ctx.instance.side(side), k, cap, chain=ctx.side_chain(side))
-        for side in (0, 1)
-    }
+    u_elems = ctx.u_elements()
     mass: dict = {}
     total = Fraction(0)
     for side in (0, 1):
-        weight = Fraction(1, 2 * len(u_elems) * len(side_tuples[side]))
-        for base in side_tuples[side]:
+        bases = ctx.bases(side, k)
+        weight = Fraction(1, 2 * len(u_elems) * len(bases))
+        for base in bases:
             for mask in u_elems:
-                commit = tuple(x.conjugated_by(mask) for x in base)
+                commit = ctx.mask(base, mask)
                 tape = RandomTape(tape_seed)
                 challenge = program.challenge(ctx.instance, tape, commit)
                 if challenge_bit(challenge) != side:
@@ -320,7 +258,6 @@ def compare_view_distributions(
     samples: int = 5000,
     rng: Optional[random.Random] = None,
     buckets: int = 8,
-    cap: int = DEFAULT_EXACT_CAP,
     max_restarts: int = DEFAULT_MAX_RESTARTS,
 ) -> dict:
     """Compare real and simulated view distributions for one fixed verifier
@@ -332,9 +269,9 @@ def compare_view_distributions(
         raise ValueError("zero-knowledge comparison applies to yes-instances only")
     k = k if k is not None else TUPLE_LENGTH_FACTOR * ctx.degree
     if exact:
-        law_r = exact_real_law(ctx, program, tape_seed, k, cap)
-        law_s = exact_sim_law(ctx, program, tape_seed, k, cap)
-        consistent = enumerate_consistent_views(ctx, program, tape_seed, k, cap)
+        law_r = exact_real_law(ctx, program, tape_seed, k)
+        law_s = exact_sim_law(ctx, program, tape_seed, k)
+        consistent = enumerate_consistent_views(ctx, program, tape_seed, k)
         uniform = Fraction(1, len(consistent))
         tv = total_variation(law_r, law_s)
         return {
@@ -350,28 +287,19 @@ def compare_view_distributions(
 
     if rng is None:
         rng = random.Random(0)
-    sim_counts: dict = {}
+
+    def cell(view: SimulatedView) -> tuple:
+        return challenge_bit(view.challenge), view.response, bucket_of_commit(view.commit, buckets)
+
+    sim_counts = Counter()
     restarts = 0
     attempts = 0
     for _ in range(samples):
         res = simulate(ctx, program, rng, k=k, tape_seed=tape_seed, max_restarts=max_restarts)
         restarts += res.restarts
         attempts += res.sample_attempts
-        key = (
-            challenge_bit(res.view.challenge),
-            res.view.response,
-            bucket_of_commit(res.view.commit, buckets),
-        )
-        sim_counts[key] = sim_counts.get(key, 0) + 1
-    real_counts: dict = {}
-    for _ in range(samples):
-        view = real_view(ctx, program, rng, k=k, tape_seed=tape_seed)
-        key = (
-            challenge_bit(view.challenge),
-            view.response,
-            bucket_of_commit(view.commit, buckets),
-        )
-        real_counts[key] = real_counts.get(key, 0) + 1
+        sim_counts[cell(res.view)] += 1
+    real_counts = Counter(cell(real_view(ctx, program, rng, k=k, tape_seed=tape_seed)) for _ in range(samples))
     keys = sorted(set(sim_counts) | set(real_counts), key=repr)
     table = [
         [sim_counts.get(key, 0) for key in keys],

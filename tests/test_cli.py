@@ -250,3 +250,23 @@ def test_reruns_are_byte_identical_in_subprocess():
     b = subprocess.run(cmd, capture_output=True, text=True)
     assert a.returncode == b.returncode == EXIT_ACCEPT
     assert a.stdout == b.stdout != ""
+
+
+def test_simulate_exact_without_generating_tuples_is_a_clean_error(capsys):
+    # no single permutation generates S_3, so at k=1 the honest prover has
+    # no commitment and the exact laws do not exist
+    code, out, err = run_main(
+        capsys, "simulate", "--instance", "fixtures/embed_s3.txt", "--exact", "--k", "1"
+    )
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_simulate_exact_respects_cap(capsys):
+    code, out, err = run_main(
+        capsys, "simulate", "--instance", TINY, "--exact", "--k", "2", "--cap", "5"
+    )
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error:") and "cap 5" in err

@@ -11,10 +11,8 @@ from permzk.conjugacy import (
     InstanceContext,
     ProtocolParams,
     coerce_commit,
-    commit_payload_ok,
     extract_witness,
     find_group_conjugator,
-    make_session_factory,
     replay_verdict,
     response_accepted,
     run_composed,
@@ -134,8 +132,8 @@ def test_coerce_commit_paths():
     assert coerce_commit(3, 2, (ok[0], None)) is None
     assert coerce_commit(3, 2, b"12") is None
     assert coerce_commit(3, 2, ([1, 2, "3"], ok[1])) is None
-    assert commit_payload_ok(3, 2, ok)
-    assert not commit_payload_ok(3, 2, ())
+    assert coerce_commit(3, 2, ok) is not None
+    assert coerce_commit(3, 2, ()) is None
 
 
 def test_response_accepted_checks_membership_and_generation():
@@ -156,8 +154,7 @@ def test_response_accepted_checks_membership_and_generation():
 
 
 def run_once(ctx, params, prover, program, seed):
-    factory = make_session_factory(ctx, params, prover, program)
-    return run_session(factory(random.Random(seed), RandomTape(seed + 1)))
+    return run_session(session(ctx, params, prover, program, random.Random(seed), RandomTape(seed + 1)))
 
 
 @pytest.mark.parametrize("path", [TINY, Q2_GROUPS, S4_PAIR])

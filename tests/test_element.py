@@ -15,23 +15,15 @@ from permzk.element import (
     centralizer_coset_oracle,
     compare_element_view_distributions,
     coset_intersects,
-    element_view_from_randomness,
-    elements_conjugate_in,
-    enumerate_consistent_element_views,
-    exact_element_real_law,
-    exact_element_sim_law,
     find_elem_conjugator,
-    make_session_factory,
     params_for,
-    randomness_of_element_view,
-    real_element_view,
     reduce_coset_to_element,
     reduce_element_to_coset,
     response_accepted,
     run_composed,
-    simulate_element,
     verify_element_bijection,
 )
+from permzk.conjugacy import session
 from permzk.engine import BudgetExceeded, GeneratingSet, build_chain, parse_generating_set, symmetric_group
 from permzk.framework import (
     RandomTape,
@@ -43,6 +35,15 @@ from permzk.framework import (
 )
 from permzk.instances import load_instance
 from permzk.perm import Permutation
+from permzk.simulator import (
+    enumerate_consistent_views,
+    exact_real_law,
+    exact_sim_law,
+    randomness_of_view,
+    real_view,
+    simulate,
+    view_from_randomness,
+)
 
 EC_YES = "fixtures/ec_yes_m3.txt"
 Q2_ELEMENTS = "fixtures/q2_elements.txt"
@@ -150,8 +151,7 @@ class BrokenProver:
 
 def test_ill_typed_commit_rejects():
     ctx = ctx_of(EC_YES)
-    factory = make_session_factory(ctx, params_for(ctx.instance), BrokenProver(), honest_verifier())
-    out = run_session(factory(random.Random(0), RandomTape(0)))
+    out = run_session(session(ctx, params_for(ctx.instance), BrokenProver(), honest_verifier(), random.Random(0), RandomTape(0)))
     assert not out.accepted
     assert len(out.view.messages) == 1
 
@@ -207,7 +207,7 @@ def test_reduction_round_trips_preserve_answers():
         # bias toward matching cycle types so the reduction mostly applies
         a1 = a0.conjugated_by(random_perm(rng, m)) if rng.random() < 0.7 else random_perm(rng, m)
         ec = ElemConjInstance(m, a0, a1, u)
-        answer = elements_conjugate_in(a0, a1, u)
+        answer = find_elem_conjugator(a0, a1, u) is not None
         cci = reduce_element_to_coset(ec)
         if cci is None:
             assert not answer
@@ -216,7 +216,7 @@ def test_reduction_round_trips_preserve_answers():
         assert centralizer_coset_oracle(cci) == answer
         # and back: the reduced element instance has the same answer
         back = reduce_coset_to_element(cci)
-        assert elements_conjugate_in(back.a0, back.a1, back.u) == answer
+        assert (find_elem_conjugator(back.a0, back.a1, back.u) is not None) == answer
         checked += 1
     assert checked >= 30
 
@@ -260,27 +260,27 @@ def test_q2_element_commit_families_are_disjoint():
 def test_simulate_element_budget_exceeded():
     ctx = ctx_of(Q2_ELEMENTS)
     with pytest.raises(BudgetExceeded, match="restart cap"):
-        simulate_element(ctx, element_side_detector(ctx), random.Random(0), max_restarts=40)
+        simulate(ctx, element_side_detector(ctx), random.Random(0), max_restarts=40)
     with pytest.raises(BudgetExceeded, match="defeats every side guess"):
-        exact_element_sim_law(ctx, element_side_detector(ctx), 0)
+        exact_sim_law(ctx, element_side_detector(ctx), 0, 1)
 
 
 def test_simulate_element_views_are_consistent():
     ctx = ctx_of(EC_YES)
     program = honest_verifier()
-    consistent = set(enumerate_consistent_element_views(ctx, program, 19))
+    consistent = set(enumerate_consistent_views(ctx, program, 19, 1))
     rng = random.Random(5)
     for _ in range(10):
-        assert simulate_element(ctx, program, rng, tape_seed=19).view in consistent
-        assert real_element_view(ctx, program, rng, tape_seed=19) in consistent
+        assert simulate(ctx, program, rng, tape_seed=19).view in consistent
+        assert real_view(ctx, program, rng, tape_seed=19) in consistent
 
 
 def test_element_randomness_round_trip():
     ctx = ctx_of(EC_YES)
     for program in (honest_verifier(), parity_verifier()):
         for mask in ctx.u_elements():
-            view = element_view_from_randomness(ctx, program, 3, mask)
-            assert randomness_of_element_view(ctx, view) == mask
+            view = view_from_randomness(ctx, program, 3, ctx.instance.a1, mask)
+            assert randomness_of_view(ctx, view) == (ctx.instance.a1, mask)
 
 
 @pytest.mark.parametrize("maker", [honest_verifier, lambda: constant_verifier(0), lambda: constant_verifier(1), parity_verifier])
@@ -289,8 +289,8 @@ def test_element_bijection_and_exact_laws(maker):
     for tape_seed in (0, 1, 2):
         program = maker()
         assert verify_element_bijection(ctx, program, tape_seed)
-        law_r = exact_element_real_law(ctx, program, tape_seed)
-        law_s = exact_element_sim_law(ctx, program, tape_seed)
+        law_r = exact_real_law(ctx, program, tape_seed, 1)
+        law_s = exact_sim_law(ctx, program, tape_seed, 1)
         assert law_r == law_s
         # the view space has exactly |<U>| members, all equally likely
         assert len(law_r) == len(ctx.u_elements())
@@ -321,6 +321,6 @@ def test_simulator_success_probability_is_exactly_half():
         n = 400
         rng = random.Random(55)
         for _ in range(n):
-            res = simulate_element(ctx, program, rng, tape_seed=4)
+            res = simulate(ctx, program, rng, tape_seed=4)
             wins += res.restarts == 1
         assert abs(wins / n - 0.5) < 0.08, program.name

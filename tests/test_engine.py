@@ -17,7 +17,6 @@ from permzk.engine import (
     build_chain,
     centralizer_in_sym,
     centralizer_order_in_sym,
-    conjugate_set,
     enumerate_elements,
     format_generating_set,
     generating_tuples,
@@ -53,7 +52,7 @@ def test_canonical_drops_identities_and_duplicates():
 def test_conjugate_set_is_elementwise():
     a = gset(3, "2 1 3")
     v = Permutation([2, 3, 1])
-    assert conjugate_set(a, v).gens == (Permutation([2, 1, 3]).conjugated_by(v),)
+    assert a.conjugated_by(v).gens == (Permutation([2, 1, 3]).conjugated_by(v),)
 
 
 def test_format_parse_round_trip():

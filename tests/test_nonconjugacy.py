@@ -16,7 +16,6 @@ from permzk.nonconjugacy import (
     constant_responder,
     draw_challenge,
     majority_responder,
-    make_session_factory,
     matched_sides,
     params_for,
     run_composed,
@@ -133,8 +132,7 @@ def test_responder_registry():
 def test_session_shape_and_counters():
     ctx = ctx_of(NO_M4)
     params = params_for(ctx.instance)
-    factory = make_session_factory(ctx, params, brute_force_responder())
-    out = run_session(factory(random.Random(0), RandomTape(0)))
+    out = run_session(session(ctx, params, brute_force_responder(), random.Random(0), RandomTape(0)))
     assert [m.sender for m in out.view.messages] == ["V", "P"]
     assert out.counters["side"] in (0, 1)
     assert len(out.counters["round_ns"]) == 3

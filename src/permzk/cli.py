@@ -26,7 +26,7 @@ from .conjugacy import (
     run_composed,
 )
 from .element import ElemConjInstance, ElementContext
-from .engine import BudgetExceeded, GeneratingSet, build_chain
+from .engine import BudgetExceeded, GeneratingSet, build_chain, generates
 from .framework import STANDARD_VERIFIERS
 from .instances import InstanceError, load_group_file, load_instance
 from .perm import format_perm
@@ -36,6 +36,9 @@ EXIT_REJECT = 1
 EXIT_ERROR = 2
 
 ENV_SEED = "PERMZK_SEED"
+
+# Counts that divide a rate or size a tuple: below 1 they crash or pass vacuously.
+POSITIVE_COUNTS = {"prove": ("trials",), "stats-genlemma": ("trials", "k"), "simulate": ("samples",)}
 
 
 def _seed_of(args) -> int:
@@ -201,8 +204,7 @@ def cmd_stats_genlemma(args) -> int:
     hits = 0
     for _ in range(args.trials):
         perms = tuple(chain.random_element(rng) for _ in range(args.k))
-        if build_chain(GeneratingSet(gset.degree, perms)).order() == target:
-            hits += 1
+        hits += generates(GeneratingSet(gset.degree, perms), target)
     frequency = hits / args.trials
     bound = genlemma_bound(gset.degree, args.k)
     passed = bound is None or frequency > bound
@@ -272,8 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "prove" and args.trials < 1:
-        parser.error("--trials must be at least 1")
+    for name in POSITIVE_COUNTS.get(args.command, ()):
+        if getattr(args, name) < 1:
+            parser.error(f"--{name} must be at least 1")
     try:
         return args.func(args)
     except (InstanceError, BudgetExceeded, OSError, ValueError) as exc:

@@ -23,6 +23,7 @@ from .engine import (
     StabilizerChain,
     build_chain,
     enumerate_elements,
+    generates,
     generating_tuples,
     group_profile,
     random_generating_tuple,
@@ -78,28 +79,6 @@ class ProtocolParams:
     @classmethod
     def for_instance(cls, instance, k: Optional[int] = None, t: int = 1) -> "ProtocolParams":
         return cls(k if k is not None else TUPLE_LENGTH_FACTOR * instance.degree, t)
-
-
-def find_group_conjugator(
-    a0: GeneratingSet,
-    a1: GeneratingSet,
-    u: GeneratingSet,
-    cap: int = DEFAULT_SEARCH_CAP,
-) -> Optional[Permutation]:
-    """Brute-force search of <U> for a conjugator taking <A0> to <A1>,
-    first match in enumeration order; None if no element works."""
-    chain_u = build_chain(u)
-    if chain_u.order() > cap:
-        raise BudgetExceeded(f"prover budget exceeded: |<U>| = {chain_u.order()} > cap {cap}")
-    chain0 = build_chain(a0)
-    chain1 = build_chain(a1)
-    if chain0.order() != chain1.order():
-        return None
-    gens0 = a0.canonical().gens
-    for v in enumerate_elements(chain_u, cap):
-        if all(chain1.contains(g.conjugated_by(v)) for g in gens0):
-            return v
-    return None
 
 
 class InstanceContext:
@@ -172,9 +151,27 @@ class InstanceContext:
             raise ValueError("no conjugating element in <U>: not a yes-instance")
         return self._witness
 
+    def _check_search_budget(self):
+        """A witness search scans <U>: refuse it when |<U>| is over the cap."""
+        order = self.chain_u.order()
+        if order > self.search_cap:
+            raise BudgetExceeded(f"prover budget exceeded: |<U>| = {order} > cap {self.search_cap}")
+
+    def conjugators(self, side: int, chain: StabilizerChain):
+        """Elements v of <U>, in enumeration order, that conjugate the side's
+        generators into the group of chain."""
+        gens = self.instance.side(side).canonical().gens
+        for v in self.u_elements():
+            if all(chain.contains(g.conjugated_by(v)) for g in gens):
+                yield v
+
     def find_witness(self) -> Optional[Permutation]:
-        inst = self.instance
-        return find_group_conjugator(inst.a0, inst.a1, inst.u, self.search_cap)
+        """First v in <U>, in enumeration order, with <A0>^v = <A1>; None
+        when no element works."""
+        self._check_search_budget()
+        if self.chain_a0.order() != self.chain_a1.order():
+            return None
+        return next(self.conjugators(0, self.chain_a1), None)
 
     def read_commit(self, payload, k: int) -> Optional[tuple]:
         return coerce_commit(self.degree, k, payload)
@@ -185,7 +182,7 @@ class InstanceContext:
     def sample_base(self, side: int, k: int, rng):
         """A uniform generating k-tuple of the side's group and the number
         of rejection-sampling attempts it took."""
-        gt = random_generating_tuple(self.instance.side(side), k, rng, chain=self.side_chain(side))
+        gt = random_generating_tuple(self.side_chain(side), k, rng)
         return gt.perms, gt.attempts
 
     def bases(self, side: int, k: int) -> tuple:
@@ -193,7 +190,7 @@ class InstanceContext:
         refused when there is none, since then no commitment exists."""
         key = (side, k)
         if key not in self._bases:
-            tuples = generating_tuples(self.instance.side(side), k, self.search_cap, chain=self.side_chain(side))
+            tuples = generating_tuples(self.side_chain(side), k, self.search_cap)
             if not tuples:
                 raise BudgetExceeded(f"side {side} has no generating {k}-tuple: the prover cannot commit")
             self._bases[key] = tuples
@@ -267,7 +264,7 @@ def response_accepted(ctx: InstanceContext, commit: tuple, challenge, response) 
     w_inv = w.inverse()
     if not all(side_chain.contains(x.conjugated_by(w_inv)) for x in commit):
         return False
-    return build_chain(GeneratingSet(ctx.degree, commit)).order() == side_chain.order()
+    return generates(GeneratingSet(ctx.degree, commit), side_chain.order())
 
 
 class HonestProver:

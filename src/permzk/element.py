@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import simulator
-from .engine import BudgetExceeded, GeneratingSet, build_chain, centralizer_in_sym, enumerate_elements
+from .engine import GeneratingSet, build_chain, centralizer_in_sym, enumerate_elements
 from .framework import VerifierProgram, challenge_bit
 from .conjugacy import (
     DEFAULT_SEARCH_CAP,
@@ -70,33 +70,19 @@ class CosetIntersectionInstance:
             raise ValueError(f"U degree {self.u.degree} does not match instance degree {self.degree}")
 
 
-def find_elem_conjugator(
-    a0: Permutation,
-    a1: Permutation,
-    u: GeneratingSet,
-    cap: int = DEFAULT_SEARCH_CAP,
-) -> Optional[Permutation]:
-    """First v in <U> (enumeration order, identity first) conjugating a0 to
-    a1; None when no element works."""
-    if a0.cycle_type() != a1.cycle_type():
-        return None
-    chain_u = build_chain(u)
-    if chain_u.order() > cap:
-        raise BudgetExceeded(f"prover budget exceeded: |<U>| = {chain_u.order()} > cap {cap}")
-    for v in enumerate_elements(chain_u, cap):
-        if a0.conjugated_by(v) == a1:
-            return v
-    return None
-
-
 class ElementContext(InstanceContext):
     """The element protocol's commitment: the base for a side is that
     side's permutation itself, drawn with no randomness, and masking is
     conjugation."""
 
     def find_witness(self) -> Optional[Permutation]:
+        """First v in <U> (enumeration order, identity first) conjugating a0
+        to a1; None when no element works."""
         inst = self.instance
-        return find_elem_conjugator(inst.a0, inst.a1, inst.u, self.search_cap)
+        if inst.a0.cycle_type() != inst.a1.cycle_type():
+            return None
+        self._check_search_budget()
+        return next((v for v in self.u_elements() if inst.a0.conjugated_by(v) == inst.a1), None)
 
     def read_commit(self, payload, k: int) -> Optional[Permutation]:
         return _coerce_perm(payload, self.degree)

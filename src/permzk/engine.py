@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .perm import Permutation, format_perm, parse_perm
 
@@ -222,12 +222,18 @@ def group_equal(x: GeneratingSet, y: GeneratingSet, *, chain_x: Optional[Stabili
     )
 
 
+def generates(gens: GeneratingSet, order: int) -> bool:
+    """Whether gens generates a group of the given order.  Callers pass the
+    order of a group known to contain gens, so True means gens generates
+    that group."""
+    return build_chain(gens).order() == order
+
+
 @dataclass(frozen=True)
 class GeneratingTuple:
     """A k-tuple of group elements that generates the whole target group."""
 
     perms: tuple
-    target: GeneratingSet
     attempts: int = 1
 
     @property
@@ -236,27 +242,20 @@ class GeneratingTuple:
 
 
 def random_generating_tuple(
-    a: GeneratingSet,
+    chain: StabilizerChain,
     k: int,
     rng,
     max_attempts: int = DEFAULT_TUPLE_ATTEMPTS,
-    chain: Optional[StabilizerChain] = None,
 ) -> GeneratingTuple:
-    """Rejection-sample a uniform element of the set of k-tuples over <a>
-    that generate <a>.  For the trivial group the all-identity tuple is the
-    unique such tuple."""
+    """Rejection-sample a uniform element of the set of k-tuples over the
+    chain's group that generate it.  For the trivial group the first draw,
+    the all-identity tuple, is the unique such tuple."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if chain is None:
-        chain = build_chain(a)
-    target_order = chain.order()
-    if target_order == 1:
-        ident = Permutation.identity(a.degree)
-        return GeneratingTuple((ident,) * k, a, 1)
     for attempt in range(1, max_attempts + 1):
         perms = tuple(chain.random_element(rng) for _ in range(k))
-        if build_chain(GeneratingSet(a.degree, perms)).order() == target_order:
-            return GeneratingTuple(perms, a, attempt)
+        if generates(GeneratingSet(chain.degree, perms), chain.order()):
+            return GeneratingTuple(perms, attempt)
     raise BudgetExceeded(
         f"no generating {k}-tuple found in {max_attempts} attempts; k may be too small for this group"
     )
@@ -289,25 +288,14 @@ def enumerate_elements(chain: StabilizerChain, cap: int = DEFAULT_ENUM_CAP) -> t
     return tuple(out)
 
 
-def generating_tuples(
-    a: GeneratingSet,
-    k: int,
-    cap: int = 4096,
-    chain: Optional[StabilizerChain] = None,
-) -> tuple:
-    """Every k-tuple over <a> that generates <a>, deterministic order.
-    Exhaustive, so only usable when order**k stays within cap."""
-    if chain is None:
-        chain = build_chain(a)
+def generating_tuples(chain: StabilizerChain, k: int, cap: int = 4096) -> tuple:
+    """Every k-tuple over the chain's group that generates it, deterministic
+    order.  Exhaustive, so only usable when order**k stays within cap."""
     elems = enumerate_elements(chain, cap)
     if len(elems) ** k > cap:
         raise BudgetExceeded(f"{len(elems)}^{k} candidate tuples exceed cap {cap}")
-    target_order = chain.order()
-    out = []
-    for tup in itertools.product(elems, repeat=k):
-        if build_chain(GeneratingSet(a.degree, tup)).order() == target_order:
-            out.append(tup)
-    return tuple(out)
+    candidates = itertools.product(elems, repeat=k)
+    return tuple(tup for tup in candidates if generates(GeneratingSet(chain.degree, tup), len(elems)))
 
 
 def group_profile(chain: StabilizerChain, cap: int = DEFAULT_ENUM_CAP) -> Optional[tuple]:

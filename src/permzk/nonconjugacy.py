@@ -63,15 +63,6 @@ def challenge_matched(side: int, response) -> bool:
     return isinstance(response, bytes) and challenge_bit(response) == side
 
 
-def _conjugators(ctx: InstanceContext, chain_p, side: int):
-    """Elements v of <U>, in enumeration order, that conjugate the side's
-    generators into the payload's group <chain_p>."""
-    gens = ctx.instance.side(side).canonical().gens
-    for v in ctx.u_elements():
-        if all(chain_p.contains(g.conjugated_by(v)) for g in gens):
-            yield v
-
-
 def matched_sides(ctx: InstanceContext, payload: tuple) -> tuple:
     """Sides whose group is conjugate to <payload> by some element of <U>,
     decided by brute force over <U>.  The containment is tested on the
@@ -86,7 +77,7 @@ def matched_sides(ctx: InstanceContext, payload: tuple) -> tuple:
             continue
         if profile_p is not None and ctx.side_profile(side) not in (None, profile_p):
             continue
-        if next(_conjugators(ctx, chain_p, side), None) is not None:
+        if next(ctx.conjugators(side, chain_p), None) is not None:
             out.append(side)
     return tuple(out)
 
@@ -124,7 +115,7 @@ def majority_responder() -> ResponderProgram:
         chain_p = build_chain(GeneratingSet(ctx.degree, payload))
         for side in (0, 1):
             if ctx.side_chain(side).order() == chain_p.order():
-                scores[side] = sum(1 for _ in _conjugators(ctx, chain_p, side))
+                scores[side] = sum(1 for _ in ctx.conjugators(side, chain_p))
         return bit_payload(1 if scores[1] > scores[0] else 0)
 
     return ResponderProgram("majority", respond)

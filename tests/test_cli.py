@@ -270,3 +270,69 @@ def test_simulate_exact_respects_cap(capsys):
     assert code == EXIT_ERROR
     assert out == ""
     assert err.startswith("error:") and "cap 5" in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("stats-genlemma", "--group", "fixtures/group_c3.txt", "--k", "12", "--trials", "0"), "--trials"),
+        (("stats-genlemma", "--group", "fixtures/group_c3.txt", "--k", "0", "--trials", "20"), "--k"),
+        (("simulate", "--instance", TINY, "--k", "3", "--samples", "0"), "--samples"),
+        (("simulate", "--instance", TINY, "--k", "3", "--samples", "-3"), "--samples"),
+    ],
+)
+def test_counts_below_one_are_usage_errors(capsys, argv, flag):
+    # --trials 0 and --samples 0/-3 used to end in a ZeroDivisionError
+    # traceback, --k 0 in a vacuous verdict=PASS
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_ERROR
+    assert captured.out == ""
+    assert f"{flag} must be at least 1" in captured.err
+
+
+# Every example command in the README, with its exact stdout and exit code.
+README_GOLDEN = [
+    (
+        "decide --instance fixtures/q2_groups.txt",
+        "answer=yes\nwitness=4 6 5 1 3 2\n",
+        EXIT_ACCEPT,
+    ),
+    ("decide --instance fixtures/q2_elements.txt", "answer=no\n", EXIT_REJECT),
+    (
+        "prove --instance fixtures/tiny_cyclic.txt --seed 7",
+        "s1.r1 P 2 3 1;3 1 2;3 1 2;2 3 1;1 2 3;3 1 2;3 1 2;3 1 2;1 2 3;3 1 2;3 1 2;1 2 3\n"
+        "s1.r2 V 0\n"
+        "s1.r3 P 3 1 2\n"
+        "ACCEPT\n",
+        EXIT_ACCEPT,
+    ),
+    (
+        "prove --instance fixtures/no_m4.txt --protocol non-conj --trials 50 --seed 3",
+        "trials=50\naccepted=50\nrate=1.000000\n",
+        EXIT_ACCEPT,
+    ),
+    (
+        "simulate --instance fixtures/q2_groups.txt --exact --k 2 --tape-seed 4",
+        "mode=exact\ndomain=16\nlaws_equal=True\nuniform_on_consistent=True\ntv_distance_upper=0\nbijection=OK\n",
+        EXIT_ACCEPT,
+    ),
+    (
+        "simulate --instance fixtures/tiny_cyclic.txt --k 3 --samples 300 --seed 6 --tape-seed 1",
+        "mode=stat\nsamples=300\ncells=12\nrestarts_mean=1.81333\nattempts_per_restart=1.04779\n"
+        "chi2_p=0.136744\ntv_distance_upper=0.143333\n",
+        EXIT_ACCEPT,
+    ),
+    (
+        "stats-genlemma --group fixtures/group_c3.txt --k 12 --trials 200 --seed 2",
+        "group_order=3\nk=12\ntrials=200\nfrequency=1.000000\nbound=0.5\nverdict=PASS\n",
+        EXIT_ACCEPT,
+    ),
+]
+
+
+@pytest.mark.parametrize("command,stdout,code", README_GOLDEN, ids=[c for c, _, _ in README_GOLDEN])
+def test_readme_commands_golden(capsys, monkeypatch, command, stdout, code):
+    monkeypatch.delenv("PERMZK_SEED", raising=False)
+    assert run_main(capsys, *command.split()) == (code, stdout, "")

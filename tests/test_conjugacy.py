@@ -5,6 +5,7 @@ import random
 import pytest
 
 from permzk.conjugacy import (
+    DEFAULT_SEARCH_CAP,
     GroupConjInstance,
     GuessingProver,
     HonestProver,
@@ -12,7 +13,6 @@ from permzk.conjugacy import (
     ProtocolParams,
     coerce_commit,
     extract_witness,
-    find_group_conjugator,
     replay_verdict,
     response_accepted,
     run_composed,
@@ -35,6 +35,10 @@ def gset(degree, *texts):
 
 def ctx_of(path):
     return InstanceContext(load_instance(path))
+
+
+def find_witness(a0, a1, u, cap=DEFAULT_SEARCH_CAP):
+    return InstanceContext(GroupConjInstance(a0.degree, a0, a1, u), cap).find_witness()
 
 
 TINY = "fixtures/tiny_cyclic.txt"
@@ -70,7 +74,7 @@ def test_find_group_conjugator_first_match():
     a1 = gset(3, "1 3 2")
     u = gset(3, "2 3 1", "2 1 3")  # S_3
     chain_u = build_chain(u)
-    v = find_group_conjugator(a0, a1, u)
+    v = find_witness(a0, a1, u)
     assert v is not None
     assert group_equal(a0.conjugated_by(v), a1)
     from permzk.engine import enumerate_elements
@@ -85,18 +89,18 @@ def test_find_group_conjugator_first_match():
 
 def test_find_group_conjugator_none_cases():
     # order mismatch short-circuits
-    assert find_group_conjugator(gset(3, "2 3 1"), gset(3, "2 1 3"), gset(3, "2 3 1", "2 1 3")) is None
+    assert find_witness(gset(3, "2 3 1"), gset(3, "2 1 3"), gset(3, "2 3 1", "2 1 3")) is None
     # conjugate in S_4 but not via <U>
     a0 = gset(4, "2 1 3 4")
     a1 = gset(4, "1 2 4 3")
-    assert find_group_conjugator(a0, a1, gset(4, "")) is None
+    assert find_witness(a0, a1, gset(4, "")) is None
 
 
 def test_find_group_conjugator_budget():
     a = gset(5, "2 1 3 4 5")
     u = gset(5, "2 3 4 5 1", "2 1 3 4 5")  # S_5, order 120
     with pytest.raises(BudgetExceeded, match="prover budget"):
-        find_group_conjugator(a, a, u, cap=100)
+        find_witness(a, a, u, cap=100)
 
 
 def test_context_resolves_witness():

@@ -15,7 +15,6 @@ from permzk.element import (
     centralizer_coset_oracle,
     compare_element_view_distributions,
     coset_intersects,
-    find_elem_conjugator,
     params_for,
     reduce_coset_to_element,
     reduce_element_to_coset,
@@ -23,7 +22,7 @@ from permzk.element import (
     run_composed,
     verify_element_bijection,
 )
-from permzk.conjugacy import session
+from permzk.conjugacy import DEFAULT_SEARCH_CAP, session
 from permzk.engine import BudgetExceeded, GeneratingSet, build_chain, parse_generating_set, symmetric_group
 from permzk.framework import (
     RandomTape,
@@ -61,6 +60,10 @@ def ctx_of(path):
     return ElementContext(load_instance(path))
 
 
+def find_witness(a0, a1, u, cap=DEFAULT_SEARCH_CAP):
+    return ElementContext(ElemConjInstance(a0.degree, a0, a1, u), cap).find_witness()
+
+
 def test_instance_validation():
     with pytest.raises(ValueError, match="a1 degree"):
         ElemConjInstance(3, perm("2 1 3"), perm("2 1 3 4"), gset(3, ""))
@@ -72,7 +75,7 @@ def test_instance_validation():
 
 def test_find_elem_conjugator_basic():
     # (1 2) and (1 3) are swapped by (2 3)
-    v = find_elem_conjugator(perm("2 1 3"), perm("3 2 1"), gset(3, "1 3 2"))
+    v = find_witness(perm("2 1 3"), perm("3 2 1"), gset(3, "1 3 2"))
     assert v == perm("1 3 2")
     assert perm("2 1 3").conjugated_by(v) == perm("3 2 1")
 
@@ -80,17 +83,17 @@ def test_find_elem_conjugator_basic():
 def test_find_elem_conjugator_identity_first():
     # equal elements: the identity is the first match in enumeration order
     a = perm("2 3 1")
-    assert find_elem_conjugator(a, a, symmetric_group(3)) == Permutation.identity(3)
+    assert find_witness(a, a, symmetric_group(3)) == Permutation.identity(3)
 
 
 def test_find_elem_conjugator_cycle_type_gate():
-    assert find_elem_conjugator(perm("2 1 3"), perm("2 3 1"), symmetric_group(3)) is None
+    assert find_witness(perm("2 1 3"), perm("2 3 1"), symmetric_group(3)) is None
 
 
 def test_find_elem_conjugator_no_and_budget():
-    assert find_elem_conjugator(perm("2 1 3"), perm("3 2 1"), gset(3, "")) is None
+    assert find_witness(perm("2 1 3"), perm("3 2 1"), gset(3, "")) is None
     with pytest.raises(BudgetExceeded, match="prover budget"):
-        find_elem_conjugator(perm("2 1 3 4 5"), perm("2 1 3 4 5"), symmetric_group(5), cap=100)
+        find_witness(perm("2 1 3 4 5"), perm("2 1 3 4 5"), symmetric_group(5), cap=100)
 
 
 def test_context_witness_resolution():
@@ -207,7 +210,7 @@ def test_reduction_round_trips_preserve_answers():
         # bias toward matching cycle types so the reduction mostly applies
         a1 = a0.conjugated_by(random_perm(rng, m)) if rng.random() < 0.7 else random_perm(rng, m)
         ec = ElemConjInstance(m, a0, a1, u)
-        answer = find_elem_conjugator(a0, a1, u) is not None
+        answer = ElementContext(ec).is_yes()
         cci = reduce_element_to_coset(ec)
         if cci is None:
             assert not answer
@@ -216,7 +219,7 @@ def test_reduction_round_trips_preserve_answers():
         assert centralizer_coset_oracle(cci) == answer
         # and back: the reduced element instance has the same answer
         back = reduce_coset_to_element(cci)
-        assert (find_elem_conjugator(back.a0, back.a1, back.u) is not None) == answer
+        assert ElementContext(back).is_yes() == answer
         checked += 1
     assert checked >= 30
 

@@ -9,6 +9,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from permzk.engine import (
@@ -19,6 +20,7 @@ from permzk.engine import (
     centralizer_order_in_sym,
     enumerate_elements,
     format_generating_set,
+    generates,
     generating_tuples,
     group_equal,
     group_profile,
@@ -148,7 +150,7 @@ def test_random_element_covers_s4():
 
 
 def test_random_generating_tuple_trivial_group():
-    gt = random_generating_tuple(gset(4, ""), 3, random.Random(0))
+    gt = random_generating_tuple(build_chain(gset(4, "")), 3, random.Random(0))
     assert gt.attempts == 1
     assert all(p.is_identity() for p in gt.perms)
 
@@ -157,7 +159,7 @@ def test_random_generating_tuple_generates():
     a = gset(4, "2 1 3 4", "2 3 4 1")
     rng = random.Random(3)
     for _ in range(20):
-        gt = random_generating_tuple(a, 16, rng)
+        gt = random_generating_tuple(build_chain(a), 16, rng)
         assert build_chain(GeneratingSet(4, gt.perms)).order() == 24
         assert gt.k == 16
 
@@ -165,12 +167,12 @@ def test_random_generating_tuple_generates():
 def test_random_generating_tuple_budget():
     # k=1 from S_4 can only generate a cyclic subgroup
     with pytest.raises(BudgetExceeded):
-        random_generating_tuple(gset(4, "2 1 3 4", "2 3 4 1"), 1, random.Random(0), max_attempts=8)
+        random_generating_tuple(build_chain(gset(4, "2 1 3 4", "2 3 4 1")), 1, random.Random(0), max_attempts=8)
 
 
 def test_random_generating_tuple_uniform_on_c3_pairs():
     # G(C_3, 2) has 8 members: every pair except (identity, identity)
-    a = gset(3, "2 3 1")
+    a = build_chain(gset(3, "2 3 1"))
     tuples = generating_tuples(a, 2)
     assert len(tuples) == 8
     rng = random.Random(11)
@@ -183,7 +185,34 @@ def test_random_generating_tuple_uniform_on_c3_pairs():
 def test_generating_tuples_klein_four():
     # two distinct involutions are needed: 3*3 - 3 = 6 ordered pairs
     a = gset(4, "2 1 4 3", "3 4 1 2")
-    assert len(generating_tuples(a, 2, cap=100)) == 6
+    assert len(generating_tuples(build_chain(a), 2, cap=100)) == 6
+
+
+@st.composite
+def group_and_tuple(draw):
+    """A group of degree at most 6 given by one to three random generators,
+    and a seeded tuple of 1 to 4 uniform elements drawn from it."""
+    m = draw(st.integers(1, 6))
+    perm = st.permutations(range(1, m + 1)).map(Permutation)
+    chain = build_chain(GeneratingSet(m, tuple(draw(st.lists(perm, min_size=1, max_size=3)))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return chain, draw(st.integers(1, 4)), rng
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(group_and_tuple())
+def test_generates_agrees_with_bfs_closure(case):
+    chain, k, rng = case
+    n = chain.order()
+    gens = GeneratingSet(chain.degree, tuple(chain.random_element(rng) for _ in range(k)))
+    # enumerate_elements closes the source generators breadth-first, never
+    # reading the tuple's chain transversals
+    assert generates(gens, n) == (len(enumerate_elements(build_chain(gens))) == n)
+    try:
+        gt = random_generating_tuple(chain, k, rng)
+    except BudgetExceeded:
+        return  # k elements cannot generate this group
+    assert generates(GeneratingSet(chain.degree, gt.perms), n)
 
 
 def test_enumerate_elements_counts_and_cap():

@@ -122,6 +122,31 @@ def test_matched_sides_agrees_with_direct_definition():
         assert matched_sides(ctx, ch.payload) == slow
 
 
+# On TINY both sides are one group, so a generating batch is a tie with
+# positive scores and the answer is always 0.
+@pytest.mark.parametrize("path,seen", [(NO_M4, {b"0", b"1"}), (NO_M6, {b"0", b"1"}), (TINY, {b"0"})])
+def test_majority_responder_matches_direct_count(path, seen):
+    # oracle: score each side by the v in <U> with <payload>^(v^-1) equal to
+    # the side's group, on the nose; ties go to 0
+    ctx = ctx_of(path)
+    replies = set()
+    for k in (1, 2, 8 * ctx.degree):
+        for seed in range(4):
+            payload = draw_challenge(ctx, k, RandomTape(seed)).payload
+            gset_p = GeneratingSet(ctx.degree, payload)
+            scores = [
+                sum(
+                    group_equal(gset_p.conjugated_by(v.inverse()), ctx.instance.side(side))
+                    for v in ctx.u_elements()
+                )
+                for side in (0, 1)
+            ]
+            reply = majority_responder().respond(ctx, payload, random.Random(0))
+            assert reply == (b"1" if scores[1] > scores[0] else b"0")
+            replies.add(reply)
+    assert replies == seen
+
+
 def test_responder_registry():
     assert set(STANDARD_RESPONDERS) == {"brute", "const0", "const1", "majority"}
     for name, make in STANDARD_RESPONDERS.items():

@@ -1,10 +1,11 @@
 """What the protocols share: reading wire payloads and the session record."""
 
 import random
+import sys
 
 import pytest
 
-from permzk import conjugacy, nonconjugacy
+from permzk import conjugacy, engine, nonconjugacy
 from permzk.conjugacy import HonestProver, InstanceContext, ProtocolParams, _coerce_perm
 from permzk.element import ElementContext, HonestElemProver, params_for
 from permzk.framework import RandomTape, honest_verifier, run_session
@@ -12,6 +13,7 @@ from permzk.instances import load_instance
 from permzk.perm import Permutation
 
 TINY = "fixtures/tiny_cyclic.txt"
+Q2_GROUPS = "fixtures/q2_groups.txt"
 EC_YES = "fixtures/ec_yes_m3.txt"
 NO_M4 = "fixtures/no_m4.txt"
 
@@ -22,6 +24,45 @@ def group_ctx():
 
 def element_ctx():
     return ElementContext(load_instance(EC_YES))
+
+
+def count_build_chain(monkeypatch) -> list:
+    """Route build_chain through a counter in every permzk module that binds
+    it (the modules import it by name); returns the list of calls."""
+    calls = []
+    original = engine.build_chain
+
+    def counted(gset):
+        calls.append(gset)
+        return original(gset)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "permzk" and getattr(module, "build_chain", None) is original:
+            monkeypatch.setattr(module, "build_chain", counted)
+    return calls
+
+
+@pytest.mark.parametrize("path", [Q2_GROUPS, TINY])
+def test_witness_search_runs_on_cached_chains(path, monkeypatch):
+    ctx = InstanceContext(load_instance(path))
+    assert all(chain.order() for chain in (ctx.chain_u, ctx.chain_a0, ctx.chain_a1))
+    calls = count_build_chain(monkeypatch)
+    assert ctx.is_yes()
+    assert calls == []
+
+
+def test_element_witness_search_runs_on_cached_chain(monkeypatch):
+    ctx = element_ctx()
+    assert ctx.chain_u.order()
+    calls = count_build_chain(monkeypatch)
+    assert ctx.is_yes()
+    assert calls == []
+
+
+def test_build_chain_counter_sees_calls(monkeypatch):
+    calls = count_build_chain(monkeypatch)
+    assert InstanceContext(load_instance(TINY)).chain_u.order() == 3
+    assert len(calls) == 1
 
 
 def test_coerce_perm_rejects_bools():

@@ -126,7 +126,7 @@ def test_randomness_round_trip():
     program = honest_verifier()
     rng = random.Random(6)
     u_elems = enumerate_elements(ctx.chain_u)
-    tuples1 = generating_tuples(ctx.instance.a1, 2)
+    tuples1 = generating_tuples(ctx.chain_a1, 2)
     for _ in range(25):
         base = tuples1[rng.randrange(len(tuples1))]
         mask = u_elems[rng.randrange(len(u_elems))]

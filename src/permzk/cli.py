@@ -64,14 +64,16 @@ def _emit(lines, out_path: Optional[str]) -> None:
             fh.write(text)
 
 
-def _context(inst, cap: int) -> InstanceContext:
+def _context(args) -> InstanceContext:
+    """Load the instance and build its context, which checks the witness."""
+    inst = load_instance(args.instance)
     if isinstance(inst, ElemConjInstance):
-        return ElementContext(inst, cap)
-    return InstanceContext(inst, cap)
+        return ElementContext(inst, args.cap)
+    return InstanceContext(inst, args.cap)
 
 
 def cmd_decide(args) -> int:
-    ctx = _context(load_instance(args.instance), args.cap)
+    ctx = _context(args)
     if ctx.is_yes():
         _emit(["answer=yes", f"witness={format_perm(ctx.witness())}"], args.out)
         return EXIT_ACCEPT
@@ -101,17 +103,16 @@ def _composed_runner(ctx, params, prover_name, program, protocol, parallel):
 
 
 def cmd_prove(args) -> int:
-    inst = load_instance(args.instance)
+    ctx = _context(args)
+    inst = ctx.instance
     protocol = _protocol_of(args, inst)
     if protocol == "non-conj":
-        ctx = InstanceContext(inst, args.cap)
         t = args.rounds if args.rounds is not None else nc.DEFAULT_SESSIONS
         params = nc.params_for(inst, args.k, t)
         parallel = args.compose != "seq"
         if args.prover == "honest":
             args.prover = "brute"
     else:
-        ctx = _context(inst, args.cap)
         # An element commitment is one permutation whatever k says.
         params = ProtocolParams.for_instance(inst, args.k, args.rounds if args.rounds is not None else 1)
         parallel = args.compose == "par"
@@ -158,14 +159,13 @@ def _report_lines(report: dict, bijection: Optional[bool]) -> list:
 
 
 def cmd_simulate(args) -> int:
-    inst = load_instance(args.instance)
+    ctx = _context(args)
     rng = random.Random(_seed_of(args))
     tape_seed = args.tape_seed if args.tape_seed is not None else rng.getrandbits(64)
     program = STANDARD_VERIFIERS[args.verifier]()
-    ctx = _context(inst, args.cap)
 
     # Element instances are always exact: their view space has |<U>| points.
-    if args.exact or isinstance(inst, ElemConjInstance):
+    if args.exact or isinstance(ctx, ElementContext):
         k = args.k if args.k is not None else 2
         report = sim.compare_view_distributions(
             ctx, program, tape_seed=tape_seed, k=k, exact=True

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .engine import (
@@ -83,7 +84,8 @@ class ProtocolParams:
 
 class InstanceContext:
     """Chains, enumerations, and the resolved witness for one instance,
-    shared by every session that runs on it.
+    shared by every session that runs on it.  Building one checks a declared
+    witness on those chains: ValueError when it does not certify the instance.
 
     The methods from find_witness() down describe the protocol: how a
     commitment is read and checked, and how the prover's randomness (a base
@@ -95,58 +97,55 @@ class InstanceContext:
     def __init__(self, instance: GroupConjInstance, search_cap: int = DEFAULT_SEARCH_CAP):
         self.instance = instance
         self.search_cap = search_cap
-        self._chains: dict = {}
         self._bases: dict = {}
-        self._u_elements = None
-        self._witness = instance.witness
-        self._searched = instance.witness is not None
+        self._profiles: dict = {}
+        v = instance.witness
+        if v is not None:
+            if not self.chain_u.contains(v):
+                raise ValueError("witness is not an element of <U>")
+            if not self.conjugates(v):
+                raise ValueError("witness does not conjugate side 0 onto side 1")
 
     @property
     def degree(self) -> int:
         return self.instance.degree
 
-    def _chain(self, key: str, gset: GeneratingSet) -> StabilizerChain:
-        if key not in self._chains:
-            self._chains[key] = build_chain(gset)
-        return self._chains[key]
-
-    @property
+    @cached_property
     def chain_a0(self) -> StabilizerChain:
-        return self._chain("a0", self.instance.a0)
+        return build_chain(self.instance.a0)
 
-    @property
+    @cached_property
     def chain_a1(self) -> StabilizerChain:
-        return self._chain("a1", self.instance.a1)
+        return build_chain(self.instance.a1)
 
-    @property
+    @cached_property
     def chain_u(self) -> StabilizerChain:
-        return self._chain("u", self.instance.u)
+        return build_chain(self.instance.u)
 
     def side_chain(self, bit: int) -> StabilizerChain:
         return self.chain_a1 if bit else self.chain_a0
 
+    @cached_property
+    def _u_elements(self) -> tuple:
+        return enumerate_elements(self.chain_u, self.search_cap)
+
     def u_elements(self) -> tuple:
-        if self._u_elements is None:
-            self._u_elements = enumerate_elements(self.chain_u, self.search_cap)
         return self._u_elements
 
     def side_profile(self, bit: int) -> Optional[tuple]:
-        key = f"profile{bit}"
-        if key not in self._chains:
-            self._chains[key] = group_profile(self.side_chain(bit), self.search_cap)
-        return self._chains[key]
+        if bit not in self._profiles:
+            self._profiles[bit] = group_profile(self.side_chain(bit), self.search_cap)
+        return self._profiles[bit]
 
-    def _resolve(self):
-        if not self._searched:
-            self._witness = self.find_witness()
-            self._searched = True
+    @cached_property
+    def _witness(self) -> Optional[Permutation]:
+        v = self.instance.witness
+        return v if v is not None else self.find_witness()
 
     def is_yes(self) -> bool:
-        self._resolve()
         return self._witness is not None
 
     def witness(self) -> Permutation:
-        self._resolve()
         if self._witness is None:
             raise ValueError("no conjugating element in <U>: not a yes-instance")
         return self._witness
@@ -156,6 +155,13 @@ class InstanceContext:
         order = self.chain_u.order()
         if order > self.search_cap:
             raise BudgetExceeded(f"prover budget exceeded: |<U>| = {order} > cap {self.search_cap}")
+
+    def conjugates(self, v: Permutation) -> bool:
+        """Whether <A0>^v = <A1>: equal orders and A0's generators, conjugated
+        by v, in <A1>."""
+        gens = self.instance.a0.canonical().gens
+        same_order = self.chain_a0.order() == self.chain_a1.order()
+        return same_order and all(self.chain_a1.contains(g.conjugated_by(v)) for g in gens)
 
     def conjugators(self, side: int, chain: StabilizerChain):
         """Elements v of <U>, in enumeration order, that conjugate the side's

@@ -75,6 +75,9 @@ class ElementContext(InstanceContext):
     side's permutation itself, drawn with no randomness, and masking is
     conjugation."""
 
+    def conjugates(self, v: Permutation) -> bool:
+        return self.instance.a0.conjugated_by(v) == self.instance.a1
+
     def find_witness(self) -> Optional[Permutation]:
         """First v in <U> (enumeration order, identity first) conjugating a0
         to a1; None when no element works."""
@@ -82,7 +85,7 @@ class ElementContext(InstanceContext):
         if inst.a0.cycle_type() != inst.a1.cycle_type():
             return None
         self._check_search_budget()
-        return next((v for v in self.u_elements() if inst.a0.conjugated_by(v) == inst.a1), None)
+        return next(filter(self.conjugates, self.u_elements()), None)
 
     def read_commit(self, payload, k: int) -> Optional[Permutation]:
         return _coerce_perm(payload, self.degree)

@@ -107,9 +107,6 @@ class StabilizerChain:
         """Base points, 1-based, in chain order."""
         return tuple(l.base + 1 for l in self._levels)
 
-    def strong_generators(self) -> tuple:
-        return tuple(g for l in self._levels for g in l.placed)
-
     def strip(self, y: Permutation) -> Permutation:
         """Sift y through the transversals; the residue is the identity
         exactly when y belongs to the group."""
@@ -211,12 +208,11 @@ def build_chain(a: GeneratingSet) -> StabilizerChain:
     return chain
 
 
-def group_equal(x: GeneratingSet, y: GeneratingSet, *, chain_x: Optional[StabilizerChain] = None, chain_y: Optional[StabilizerChain] = None) -> bool:
+def group_equal(x: GeneratingSet, y: GeneratingSet) -> bool:
     """Whether the two sets generate the same subgroup."""
     if x.degree != y.degree:
         raise ValueError(f"degree mismatch: {x.degree} vs {y.degree}")
-    cx = chain_x if chain_x is not None else build_chain(x)
-    cy = chain_y if chain_y is not None else build_chain(y)
+    cx, cy = build_chain(x), build_chain(y)
     return all(cx.contains(g) for g in y.canonical().gens) and all(
         cy.contains(g) for g in x.canonical().gens
     )
@@ -291,6 +287,8 @@ def enumerate_elements(chain: StabilizerChain, cap: int = DEFAULT_ENUM_CAP) -> t
 def generating_tuples(chain: StabilizerChain, k: int, cap: int = 4096) -> tuple:
     """Every k-tuple over the chain's group that generates it, deterministic
     order.  Exhaustive, so only usable when order**k stays within cap."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     elems = enumerate_elements(chain, cap)
     if len(elems) ** k > cap:
         raise BudgetExceeded(f"{len(elems)}^{k} candidate tuples exceed cap {cap}")

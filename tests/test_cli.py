@@ -272,6 +272,42 @@ def test_simulate_exact_respects_cap(capsys):
     assert err.startswith("error:") and "cap 5" in err
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_simulate_exact_refuses_k_below_one_like_the_sampler(capsys, k):
+    # the exact path used to blame the instance (k=0) or leak an itertools
+    # message (k=-1); both paths now give the sampler's refusal
+    expected = (EXIT_ERROR, "", "error: k must be at least 1\n")
+    assert run_main(capsys, "simulate", "--instance", TINY, "--k", k) == expected
+    assert run_main(capsys, "simulate", "--instance", TINY, "--exact", "--k", k) == expected
+
+
+BAD_WITNESS = {
+    # (2 3) is not in <(1 2 3)>
+    "group": ("degree: 3\nA0: 2 3 1\nA1: 3 1 2\nU: 2 3 1\nwitness: 1 3 2\n", "witness is not an element of <U>"),
+    # (2 3) is in <U> but fixes (1 2) instead of moving it to (1 3)
+    "element": ("degree: 3\na0: 2 1 3\na1: 2 1 3\nU: 1 3 2\nwitness: 1 3 2\n", "witness does not conjugate side 0 onto side 1"),
+}
+BAD_WITNESS_COMMANDS = [
+    ("decide",),
+    ("prove",),
+    ("prove", "--protocol", "non-conj"),
+    ("prove", "--protocol", "elem-conj"),
+    ("prove", "--protocol", "group-conj"),
+    ("simulate",),
+]
+
+
+@pytest.mark.parametrize("variant", sorted(BAD_WITNESS))
+@pytest.mark.parametrize("command", BAD_WITNESS_COMMANDS, ids=" ".join)
+def test_bad_witness_fails_first_on_every_command(tmp_path, capsys, variant, command):
+    # the witness error comes before any protocol check, even for a
+    # protocol that does not fit the instance
+    text, message = BAD_WITNESS[variant]
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert run_main(capsys, command[0], "--instance", str(path), *command[1:]) == (EXIT_ERROR, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv,flag",
     [

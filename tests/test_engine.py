@@ -188,6 +188,16 @@ def test_generating_tuples_klein_four():
     assert len(generating_tuples(build_chain(a), 2, cap=100)) == 6
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_generating_tuples_refuse_k_below_one(k):
+    # the sampler's refusal: the empty tuple is no commitment, and a negative
+    # length is no tuple at all
+    chain = build_chain(gset(3, "2 3 1"))
+    for call in (lambda: generating_tuples(chain, k), lambda: random_generating_tuple(chain, k, None)):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            call()
+
+
 @st.composite
 def group_and_tuple(draw):
     """A group of degree at most 6 given by one to three random generators,

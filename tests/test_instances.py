@@ -4,8 +4,8 @@ import glob
 
 import pytest
 
-from permzk.conjugacy import GroupConjInstance
-from permzk.element import ElemConjInstance
+from permzk.conjugacy import GroupConjInstance, InstanceContext
+from permzk.element import ElemConjInstance, ElementContext
 from permzk.instances import (
     InstanceError,
     dump_instance,
@@ -105,17 +105,26 @@ def test_parse_errors(text, fragment):
 
 
 def test_witness_must_lie_in_u():
-    text = GROUP_TEXT + "witness: 1 3 2\n"
-    with pytest.raises(InstanceError, match="not an element of <U>"):
-        parse_instance_text(text)
+    # the parser reads text only; the context checks the witness
+    inst = parse_instance_text(GROUP_TEXT + "witness: 1 3 2\n")
+    with pytest.raises(ValueError, match="not an element of <U>"):
+        InstanceContext(inst)
 
 
 def test_witness_must_conjugate():
     # (2 3) is in <U> for this element instance but conjugates (1 2) to
     # (1 3), not to the claimed a1
-    text = "degree: 3\na0: 2 1 3\na1: 2 1 3\nU: 1 3 2\nwitness: 1 3 2\n"
-    with pytest.raises(InstanceError, match="does not conjugate"):
-        parse_instance_text(text)
+    inst = parse_instance_text("degree: 3\na0: 2 1 3\na1: 2 1 3\nU: 1 3 2\nwitness: 1 3 2\n")
+    with pytest.raises(ValueError, match="does not conjugate"):
+        ElementContext(inst)
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob("fixtures/*.txt")))
+def test_parsing_builds_no_chain(path, build_chain_calls):
+    parse = parse_group_text if "group_" in path else parse_instance_text
+    with open(path, encoding="ascii") as fh:
+        parse(fh.read())
+    assert build_chain_calls == []
 
 
 def test_valid_witness_accepted_without_search():

@@ -1,21 +1,24 @@
-"""What the protocols share: reading wire payloads and the session record."""
+"""What the protocols share: the context's witness check and chain cache,
+reading wire payloads, the session record, and golden session digests."""
 
+import hashlib
 import random
-import sys
 
 import pytest
 
-from permzk import conjugacy, engine, nonconjugacy
-from permzk.conjugacy import HonestProver, InstanceContext, ProtocolParams, _coerce_perm
-from permzk.element import ElementContext, HonestElemProver, params_for
+from permzk import conjugacy, nonconjugacy
+from permzk.conjugacy import GroupConjInstance, GuessingProver, HonestProver, InstanceContext, ProtocolParams, _coerce_perm
+from permzk.element import ElemConjInstance, ElementContext, HonestElemProver, params_for
+from permzk.engine import GeneratingSet
 from permzk.framework import RandomTape, honest_verifier, run_session
 from permzk.instances import load_instance
-from permzk.perm import Permutation
+from permzk.perm import Permutation, parse_perm
 
 TINY = "fixtures/tiny_cyclic.txt"
 Q2_GROUPS = "fixtures/q2_groups.txt"
 EC_YES = "fixtures/ec_yes_m3.txt"
 NO_M4 = "fixtures/no_m4.txt"
+S4_PAIR = "fixtures/s4_pair.txt"
 
 
 def group_ctx():
@@ -26,43 +29,63 @@ def element_ctx():
     return ElementContext(load_instance(EC_YES))
 
 
-def count_build_chain(monkeypatch) -> list:
-    """Route build_chain through a counter in every permzk module that binds
-    it (the modules import it by name); returns the list of calls."""
-    calls = []
-    original = engine.build_chain
-
-    def counted(gset):
-        calls.append(gset)
-        return original(gset)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "permzk" and getattr(module, "build_chain", None) is original:
-            monkeypatch.setattr(module, "build_chain", counted)
-    return calls
-
-
 @pytest.mark.parametrize("path", [Q2_GROUPS, TINY])
-def test_witness_search_runs_on_cached_chains(path, monkeypatch):
+def test_witness_search_runs_on_cached_chains(path, build_chain_calls):
     ctx = InstanceContext(load_instance(path))
     assert all(chain.order() for chain in (ctx.chain_u, ctx.chain_a0, ctx.chain_a1))
-    calls = count_build_chain(monkeypatch)
+    build_chain_calls.clear()
     assert ctx.is_yes()
-    assert calls == []
+    assert build_chain_calls == []
 
 
-def test_element_witness_search_runs_on_cached_chain(monkeypatch):
+def test_element_witness_search_runs_on_cached_chain(build_chain_calls):
     ctx = element_ctx()
     assert ctx.chain_u.order()
-    calls = count_build_chain(monkeypatch)
+    build_chain_calls.clear()
     assert ctx.is_yes()
-    assert calls == []
+    assert build_chain_calls == []
 
 
-def test_build_chain_counter_sees_calls(monkeypatch):
-    calls = count_build_chain(monkeypatch)
+def test_build_chain_counter_sees_calls(build_chain_calls):
     assert InstanceContext(load_instance(TINY)).chain_u.order() == 3
-    assert len(calls) == 1
+    assert len(build_chain_calls) == 1
+
+
+def test_declared_witness_costs_one_chain_per_group(build_chain_calls):
+    # the context checks the witness on the chains it keeps: loading,
+    # checking and one honest run build each instance chain once; every
+    # other call is on a commitment tuple
+    inst = load_instance(S4_PAIR)
+    assert inst.witness is not None
+    ctx = InstanceContext(inst)
+    params = ProtocolParams.for_instance(inst)
+    assert conjugacy.run_composed(ctx, params, HonestProver(ctx, params), honest_verifier(), random.Random(0)).accepted
+    for gset in (inst.u, inst.a0, inst.a1):
+        assert sum(call is gset for call in build_chain_calls) == 1
+
+
+def test_element_declared_witness_builds_only_u(build_chain_calls):
+    u = GeneratingSet(3, (parse_perm("1 3 2"),))
+    inst = ElemConjInstance(3, parse_perm("2 1 3"), parse_perm("3 2 1"), u, parse_perm("1 3 2"))
+    ctx = ElementContext(inst)
+    assert ctx.witness() == inst.witness
+    assert len(build_chain_calls) == 1 and build_chain_calls[0] is inst.u
+
+
+def test_context_refuses_a_wrong_declared_witness_built_in_code():
+    # an instance built in code gets the check an instance file gets; the
+    # other refusal of each context class is in tests/test_instances.py
+    def gset(text):
+        return GeneratingSet(3, (parse_perm(text),))
+
+    # (1 2) is in <U> and fixes <(1 2)> rather than mapping it to <(2 3)>
+    group = GroupConjInstance(3, gset("2 1 3"), gset("1 3 2"), gset("2 1 3"), parse_perm("2 1 3"))
+    with pytest.raises(ValueError, match="witness does not conjugate side 0 onto side 1"):
+        InstanceContext(group)
+    # (2 3) maps (1 2) to (1 3) but is not in <(1 2 3)>
+    element = ElemConjInstance(3, parse_perm("2 1 3"), parse_perm("3 2 1"), gset("2 3 1"), parse_perm("1 3 2"))
+    with pytest.raises(ValueError, match="witness is not an element of <U>"):
+        ElementContext(element)
 
 
 def test_coerce_perm_rejects_bools():
@@ -141,3 +164,44 @@ def test_session_record_times_every_message_and_the_verdict(name):
         assert out.accepted
     if name == "element":
         assert out.counters["tuple_attempts"] == 1
+
+
+def group_runner(path, prover_class):
+    ctx = InstanceContext(load_instance(path))
+    params = ProtocolParams.for_instance(ctx.instance)
+    prover = prover_class(ctx, params)
+    return lambda rng: conjugacy.run_composed(ctx, params, prover, honest_verifier(), rng)
+
+
+def element_runner():
+    ctx = element_ctx()
+    return lambda rng: conjugacy.run_composed(ctx, params_for(ctx.instance), HonestElemProver(ctx), honest_verifier(), rng)
+
+
+def non_conj_runner():
+    ctx = InstanceContext(load_instance(NO_M4))
+    params = nonconjugacy.params_for(ctx.instance)
+    responder = nonconjugacy.brute_force_responder()
+    return lambda rng: nonconjugacy.run_composed(ctx, params, responder, rng)
+
+
+# sha256 over the rendered transcripts of 100 composed runs drawn from one
+# seeded rng: any change to a draw, its order or the rendering moves these.
+GOLDEN_DIGESTS = [
+    ("group-conj-tiny-honest", lambda: group_runner(TINY, HonestProver), 11, "4e200ce345252362baa8b72c6bc3b891007aed9a95d990d0db17ea9cd8aa2192"),
+    ("group-conj-tiny-guess", lambda: group_runner(TINY, GuessingProver), 12, "2f51eaa082d2f4d49f329e22d7ecefc17f1c0a0f3eebc112b856b6faaf107c88"),
+    ("group-conj-q2-honest", lambda: group_runner(Q2_GROUPS, HonestProver), 13, "203c989b8dd11b27276f9308ffb85085fa62a11ec48d8c488d67819125d6fe7b"),
+    ("group-conj-q2-guess", lambda: group_runner(Q2_GROUPS, GuessingProver), 14, "ac6ebb058a5893f25b867c478aa89895da2f69bfd726e0591f4df2e4252b9485"),
+    ("elem-conj-ec-yes-honest", element_runner, 15, "0f7ffbd32549f937d6b74e5330c871d304fd550583355df7524c002ca1525cff"),
+    ("non-conj-no-m4-brute", non_conj_runner, 16, "778719a0efb26858e1e94559a9f3f0a43cabd23b4fb4923352f870fd3fcf7df4"),
+]
+
+
+@pytest.mark.parametrize("make_runner,seed,digest", [g[1:] for g in GOLDEN_DIGESTS], ids=[g[0] for g in GOLDEN_DIGESTS])
+def test_composed_session_digests(make_runner, seed, digest):
+    run = make_runner()
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(100):
+        h.update(run(rng).transcript().encode("ascii"))
+    assert h.hexdigest() == digest

@@ -94,9 +94,13 @@ class ElementContext(InstanceContext):
         return response_accepted(self, commit, challenge, response)
 
     def sample_base(self, side: int, k: int, rng):
-        return self.instance.side(side), 1
+        return self.bases(side, k)[0], 1
 
     def bases(self, side: int, k: int) -> tuple:
+        """The commitment is one permutation whatever k is, but k < 1 is
+        refused as the group protocol refuses it."""
+        if k < 1:
+            raise ValueError("k must be at least 1")
         return (self.instance.side(side),)
 
     def mask(self, base, w: Permutation) -> Permutation:

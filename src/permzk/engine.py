@@ -6,6 +6,13 @@ base point is the smallest point moved by the offending residue, and orbits
 are grown breadth-first.  The construction is complete once every Schreier
 generator of every level sifts to the identity, which makes membership,
 order, and the transversal factorization exact.
+
+The generation test generates(gens, order) runs the same sifting but stops
+as soon as the product of the transversal sizes reaches order.  That is
+exact under one precondition: gens lie in a group of that order.  Its four
+callers establish it: random_generating_tuple and generating_tuples draw the
+tuple from the target group, conjugacy.response_accepted checks containment
+first, and cli.cmd_stats_genlemma samples from the target's chain.
 """
 
 from __future__ import annotations
@@ -100,7 +107,7 @@ class StabilizerChain:
 
     def order(self) -> int:
         if self._order is None:
-            self._order = math.prod(len(l.transversal) for l in self._levels) if self._levels else 1
+            self._order = self._product()
         return self._order
 
     def base_points(self) -> tuple:
@@ -130,6 +137,9 @@ class StabilizerChain:
         return acc
 
     # -- construction -----------------------------------------------------
+
+    def _product(self) -> int:
+        return math.prod(len(l.transversal) for l in self._levels)
 
     def _strip(self, y: Permutation):
         for idx, lvl in enumerate(self._levels):
@@ -178,9 +188,11 @@ class StabilizerChain:
             self._rebuild_orbit(i)
         return True
 
-    def _close(self):
-        # Repeat full passes until no Schreier generator leaves a residue;
-        # each placement strictly grows the transversal product, so this ends.
+    def _close(self, target: int = 0) -> bool:
+        """Repeat full passes until no Schreier generator leaves a residue;
+        each placement strictly grows the transversal product, so this ends.
+        Stops early and returns True once a placement brings the product to
+        target, which never happens for the default 0."""
         changed = True
         while changed:
             changed = False
@@ -193,9 +205,12 @@ class StabilizerChain:
                     for g in gens:
                         s = tp * g * lvl.inv[g._img[p]]
                         if not s.is_identity() and self._ingest(s):
+                            if self._product() == target:
+                                return True
                             changed = True
                 idx += 1
         self._order = None
+        return False
 
 
 def build_chain(a: GeneratingSet) -> StabilizerChain:
@@ -219,10 +234,21 @@ def group_equal(x: GeneratingSet, y: GeneratingSet) -> bool:
 
 
 def generates(gens: GeneratingSet, order: int) -> bool:
-    """Whether gens generates a group of the given order.  Callers pass the
-    order of a group known to contain gens, so True means gens generates
-    that group."""
-    return build_chain(gens).order() == order
+    """Whether gens generates a group of the given order.
+
+    Precondition: gens lie in a group G of that order, so True means gens
+    generate G.  Every caller meets it: random_generating_tuple,
+    generating_tuples, conjugacy.response_accepted (which checks containment
+    first) and cli.cmd_stats_genlemma.  The test sifts gens as build_chain does and stops as soon as
+    the product of the transversal sizes equals order, after a placement
+    during ingestion or while closing.  This is exact, not Monte Carlo: each
+    level's orbit is an orbit of a subgroup of the matching stabilizer in
+    H = <gens>, so the product never exceeds |H|, and |H| <= |G|."""
+    chain = StabilizerChain(gens.degree, gens.canonical())
+    for g in chain.source.gens:
+        if chain._ingest(g) and chain._product() == order:
+            return True
+    return chain._close(order) or chain.order() == order
 
 
 @dataclass(frozen=True)

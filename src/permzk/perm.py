@@ -7,6 +7,7 @@ acts first, so (a * b)(i) = b(a(i)).  With that convention the conjugate
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional, Sequence
 
 
@@ -68,10 +69,14 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if not isinstance(other, Permutation):
             return NotImplemented
-        if len(self._img) != len(other._img):
-            raise ValueError(f"degree mismatch: {len(self._img)} vs {len(other._img)}")
-        o = other._img
-        return Permutation._raw(tuple(o[j] for j in self._img))
+        img = self._img
+        if len(img) != len(other._img):
+            raise ValueError(f"degree mismatch: {len(img)} vs {len(other._img)}")
+        if len(img) == 1:
+            # itemgetter with one index returns a scalar, not a tuple; the
+            # only permutation of degree 1 is the identity.
+            return other
+        return Permutation._raw(itemgetter(*img)(other._img))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self._img)

@@ -281,6 +281,14 @@ def test_simulate_exact_refuses_k_below_one_like_the_sampler(capsys, k):
     assert run_main(capsys, "simulate", "--instance", TINY, "--exact", "--k", k) == expected
 
 
+@pytest.mark.parametrize("k", ["0", "-5"])
+def test_simulate_element_refuses_k_below_one(capsys, k):
+    # an element commitment is one permutation whatever k is, but k < 1 is
+    # refused as on the group path instead of ignored
+    expected = (EXIT_ERROR, "", "error: k must be at least 1\n")
+    assert run_main(capsys, "simulate", "--instance", EC_YES, "--k", k) == expected
+
+
 BAD_WITNESS = {
     # (2 3) is not in <(1 2 3)>
     "group": ("degree: 3\nA0: 2 3 1\nA1: 3 1 2\nU: 2 3 1\nwitness: 1 3 2\n", "witness is not an element of <U>"),

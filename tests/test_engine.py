@@ -15,6 +15,7 @@ from scipy import stats
 from permzk.engine import (
     BudgetExceeded,
     GeneratingSet,
+    StabilizerChain,
     build_chain,
     centralizer_in_sym,
     centralizer_order_in_sym,
@@ -223,6 +224,70 @@ def test_generates_agrees_with_bfs_closure(case):
     except BudgetExceeded:
         return  # k elements cannot generate this group
     assert generates(GeneratingSet(chain.degree, gt.perms), n)
+
+
+def alternating_group(m):
+    # for even m, A_m = <(1 2 3), (2 3 ... m)>
+    return GeneratingSet(m, (Permutation.from_cycles(m, (1, 2, 3)), Permutation.from_cycles(m, tuple(range(2, m + 1)))))
+
+
+@pytest.mark.parametrize("m", [8, 12, 16])
+def test_generates_early_exit_at_symmetric_order(m):
+    # the transposition and the m-cycle both land on the first level, so the
+    # product reaches m! only inside _close; A_m stops at m!/2 and fails
+    assert build_chain(alternating_group(m)).order() == math.factorial(m) // 2
+    assert not generates(alternating_group(m), math.factorial(m))
+    assert generates(symmetric_group(m), math.factorial(m))
+
+
+def block_perm(*block_cycles):
+    """The permutation of 16 points moving the four blocks {1..4}, {5..8},
+    ... as whole blocks along the given cycles of block numbers 1-4."""
+    return Permutation.from_cycles(
+        16, *(tuple(4 * (b - 1) + i for b in cyc) for cyc in block_cycles for i in range(1, 5))
+    )
+
+
+S4_ON_BLOCK_1 = (Permutation.from_cycles(16, (1, 2)), Permutation.from_cycles(16, (1, 2, 3, 4)))
+S4_WR_S4 = GeneratingSet(16, S4_ON_BLOCK_1 + (block_perm((1, 2)), block_perm((1, 2, 3, 4))))
+# the index-2 subgroup S_4 wr A_4: the blocks move by even permutations only
+S4_WR_A4 = GeneratingSet(16, S4_ON_BLOCK_1 + (block_perm((1, 2, 3)), block_perm((2, 3, 4))))
+
+
+def wreath_tuples(source, count, seed):
+    chain = build_chain(source)
+    rng = random.Random(seed)
+    return [GeneratingSet(16, tuple(chain.random_element(rng) for _ in range(64))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("source,seed", [(S4_WR_S4, 5), (S4_WR_A4, 6)], ids=["S4wrS4", "S4wrA4"])
+def test_generates_early_exit_matches_full_chain_on_64_tuples(source, seed):
+    n = build_chain(S4_WR_S4).order()
+    assert n == 24**5 and build_chain(S4_WR_A4).order() == n // 2
+    for gens in wreath_tuples(source, 50, seed):
+        assert generates(gens, n) == (build_chain(gens).order() == n)
+
+
+def test_generates_skips_close_when_ingestion_reaches_the_order(monkeypatch):
+    n = build_chain(S4_WR_S4).order()
+    full, short = wreath_tuples(S4_WR_S4, 10, 7), wreath_tuples(S4_WR_A4, 1, 7)[0]
+    closes = []
+    close = StabilizerChain._close
+
+    def recorded(self, *args):
+        stopped_early = close(self, *args)
+        closes.append((args, stopped_early))
+        return stopped_early
+
+    monkeypatch.setattr(StabilizerChain, "_close", recorded)
+    # (1 2) then (1 2 3) already place transversals of sizes 3 and 2
+    assert generates(gset(3, "2 1 3", "2 3 1"), 6)
+    assert all(generates(gens, n) for gens in full)
+    assert closes == []
+    # S_8 reaches 8! while closing and stops there; S_4 wr A4 closes in full
+    assert generates(symmetric_group(8), math.factorial(8))
+    assert not generates(short, n)
+    assert closes == [((math.factorial(8),), True), ((n,), False)]
 
 
 def test_enumerate_elements_counts_and_cap():

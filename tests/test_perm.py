@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from permzk.perm import Permutation, conjugator_in_sym, format_perm, parse_perm
 
@@ -142,3 +143,42 @@ def test_conjugator_in_sym_deterministic():
     a0 = Permutation([2, 1, 4, 3, 5])
     a1 = Permutation([1, 3, 2, 5, 4])
     assert conjugator_in_sym(a0, a1) == conjugator_in_sym(a0, a1)
+
+
+@st.composite
+def same_degree(draw, count):
+    """count permutations of one degree in 1..12."""
+    m = draw(st.integers(1, 12))
+    return tuple(draw(st.permutations(range(1, m + 1)).map(Permutation)) for _ in range(count))
+
+
+E1 = Permutation([1])
+S2 = (Permutation([2, 1]), Permutation([1, 2]))
+LAWS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@LAWS
+@given(same_degree(3))
+@example((E1, E1, E1))
+@example((S2[0], S2[0], S2[1]))
+@example((S2[0], S2[1], S2[0]))
+def test_composition_laws(perms):
+    a, b, c = perms
+    m = a.degree
+    # pure-Python reference: the left factor acts first
+    reference = tuple(b.images[a.images[i] - 1] for i in range(m))
+    assert (a * b).images == reference
+    assert all((a * b)(i) == b(a(i)) for i in range(1, m + 1))
+    assert (a * b) * c == a * (b * c)
+    assert (a * a.inverse()).is_identity() and (a * a.inverse()).degree == m
+    assert a.conjugated_by(b) == b.inverse() * a * b
+
+
+@LAWS
+@given(st.integers(1, 12), st.integers(1, 12))
+@example(1, 2)
+@example(2, 1)
+def test_composition_degree_mismatch_raises(m, n):
+    assume(m != n)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        Permutation.identity(m) * Permutation.identity(n)

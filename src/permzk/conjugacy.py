@@ -16,6 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional
 
 from .engine import (
@@ -41,7 +42,7 @@ from .framework import (
     run_parallel,
     run_sequential,
 )
-from .perm import Permutation
+from .perm import Permutation, invert_images
 
 TUPLE_LENGTH_FACTOR = 4
 DEFAULT_SEARCH_CAP = 10_000
@@ -163,12 +164,23 @@ class InstanceContext:
         same_order = self.chain_a0.order() == self.chain_a1.order()
         return same_order and all(self.chain_a1.contains(g.conjugated_by(v)) for g in gens)
 
+    @cached_property
+    def _u_inverse_getters(self) -> tuple:
+        return tuple(itemgetter(*invert_images(v._img)) for v in self.u_elements())
+
     def conjugators(self, side: int, chain: StabilizerChain):
         """Elements v of <U>, in enumeration order, that conjugate the side's
         generators into the group of chain."""
-        gens = self.instance.side(side).canonical().gens
-        for v in self.u_elements():
-            if all(chain.contains(g.conjugated_by(v)) for g in gens):
+        # g^v = v^-1 * g * v in two itemgetter calls on raw images; at
+        # degree 1, where one index would give a scalar, gens is empty
+        gens = [g._img for g in self.instance.side(side).canonical().gens]
+        raw = Permutation._raw
+        for v, before in zip(self.u_elements(), self._u_inverse_getters):
+            vi = v._img
+            for g in gens:
+                if not chain.contains(raw(itemgetter(*before(g))(vi))):
+                    break
+            else:
                 yield v
 
     def find_witness(self) -> Optional[Permutation]:

@@ -5,7 +5,15 @@ Chains are built deterministically: generators are sifted in order, each new
 base point is the smallest point moved by the offending residue, and orbits
 are grown breadth-first.  The construction is complete once every Schreier
 generator of every level sifts to the identity, which makes membership,
-order, and the transversal factorization exact.
+order, and the transversal factorization exact (Sims's method; Seress,
+Permutation Group Algorithms, 2003, ch. 4).
+
+Inside a chain everything is a raw 0-based image tuple, composed with
+operator.itemgetter: one sift loop (_strip) serves contains, strip,
+ingestion and closing, and a Permutation is made only at the public
+boundary.  A level inverts a transversal representative the first time a
+sift reads it, not when its orbit is rebuilt.  conjugated(v) maps a finished
+chain to the chain of G^v, which samples the same stream conjugated by v.
 
 The generation test generates(gens, order) runs the same sifting but stops
 as soon as the product of the transversal sizes reaches order.  That is
@@ -20,9 +28,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
-from .perm import Permutation, format_perm, parse_perm
+from .perm import Permutation, format_perm, identity_images, invert_images, parse_perm
 
 DEFAULT_ENUM_CAP = 10_000
 DEFAULT_TUPLE_ATTEMPTS = 64
@@ -51,18 +60,26 @@ class GeneratingSet:
             if g.degree != self.degree:
                 raise ValueError(f"degree mismatch: {g.degree} vs {self.degree}")
 
+    @classmethod
+    def _unchecked(cls, degree: int, gens: tuple) -> "GeneratingSet":
+        """For a tuple of permutations of this degree that the engine built
+        itself: skips the checks of public construction."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "degree", degree)
+        object.__setattr__(out, "gens", gens)
+        return out
+
     def canonical(self) -> "GeneratingSet":
-        seen = set()
+        seen = {identity_images(self.degree)}
         out = []
         for g in self.gens:
-            if g.is_identity() or g in seen:
-                continue
-            seen.add(g)
-            out.append(g)
-        return GeneratingSet(self.degree, tuple(out))
+            if g._img not in seen:
+                seen.add(g._img)
+                out.append(g)
+        return GeneratingSet._unchecked(self.degree, tuple(out))
 
     def conjugated_by(self, v: Permutation) -> "GeneratingSet":
-        return GeneratingSet(self.degree, tuple(g.conjugated_by(v) for g in self.gens))
+        return GeneratingSet._unchecked(self.degree, tuple(g.conjugated_by(v) for g in self.gens))
 
 
 def format_generating_set(a: GeneratingSet) -> str:
@@ -83,6 +100,10 @@ def parse_generating_set(text: str, degree: int) -> GeneratingSet:
 
 
 class _Level:
+    """One level of a chain, in raw 0-based image tuples.  inv holds the
+    inverses of transversal representatives; a sift fills it in the first
+    time it reads a point, and a rebuild of the orbit empties it."""
+
     __slots__ = ("base", "placed", "transversal", "points", "inv")
 
     def __init__(self, base: int):
@@ -92,6 +113,12 @@ class _Level:
         self.points = ()
         self.inv = {}
 
+    def inverse(self, p: int) -> tuple:
+        inv = self.inv.get(p)
+        if inv is None:
+            inv = self.inv[p] = invert_images(self.transversal[p])
+        return inv
+
 
 class StabilizerChain:
     """Base, strong generators, and transversals for one generating set.
@@ -100,6 +127,7 @@ class StabilizerChain:
     def __init__(self, degree: int, source: GeneratingSet):
         self.degree = degree
         self.source = source
+        self._ident = identity_images(degree)
         self._levels: list = []
         self._order: Optional[int] = None
 
@@ -117,38 +145,65 @@ class StabilizerChain:
     def strip(self, y: Permutation) -> Permutation:
         """Sift y through the transversals; the residue is the identity
         exactly when y belongs to the group."""
-        if y.degree != self.degree:
+        if len(y._img) != self.degree:
             raise ValueError(f"degree mismatch: {y.degree} vs {self.degree}")
-        return self._strip(y)[0]
+        return Permutation._raw(self._strip(y._img)[0])
 
     def contains(self, y: Permutation) -> bool:
-        if y.degree != self.degree:
+        if len(y._img) != self.degree:
             raise ValueError(f"degree mismatch: {y.degree} vs {self.degree}")
-        return self._strip(y)[0].is_identity()
+        return self._strip(y._img)[0] == self._ident
 
     def random_element(self, rng) -> Permutation:
         """Exactly uniform over the group: one uniform transversal
         representative per level, composed deepest first."""
-        acc = Permutation.identity(self.degree)
+        acc = None
         for lvl in self._levels:
             pts = lvl.points
             rep = lvl.transversal[pts[rng.randrange(len(pts))]]
-            acc = rep * acc
-        return acc
+            acc = rep if acc is None else itemgetter(*rep)(acc)
+        return Permutation._raw(self._ident if acc is None else acc)
+
+    def conjugated(self, v: Permutation) -> "StabilizerChain":
+        """The chain of G^v, for G this chain's group: base and orbit points
+        mapped by v, every representative conjugated by v.  Conjugation is a
+        homomorphism, so on one stream its random_element draws are this
+        chain's draws conjugated by v."""
+        if len(v._img) != self.degree:
+            raise ValueError(f"degree mismatch: {v.degree} vs {self.degree}")
+        vi = v._img
+        before = itemgetter(*invert_images(vi))
+
+        def conj(t: tuple) -> tuple:
+            # v^-1 * t * v in two itemgetter calls; a chain of degree 1,
+            # where one index would give a scalar, has no levels to call it
+            return itemgetter(*before(t))(vi)
+
+        out = StabilizerChain(self.degree, self.source.conjugated_by(v))
+        for lvl in self._levels:
+            new = _Level(vi[lvl.base])
+            new.placed = [conj(g) for g in lvl.placed]
+            new.transversal = {vi[p]: conj(t) for p, t in lvl.transversal.items()}
+            new.points = tuple(new.transversal)
+            out._levels.append(new)
+        out._order = self._order
+        return out
 
     # -- construction -----------------------------------------------------
 
     def _product(self) -> int:
         return math.prod(len(l.transversal) for l in self._levels)
 
-    def _strip(self, y: Permutation):
+    def _strip(self, y: tuple):
+        """Sift raw images y: the residue and the index of the level whose
+        orbit it left, or the number of levels when it passed them all."""
         for idx, lvl in enumerate(self._levels):
-            j = y._img[lvl.base]
+            j = y[lvl.base]
             if j == lvl.base:
                 continue
             if j not in lvl.transversal:
                 return y, idx
-            y = y * lvl.inv[j]
+            y = itemgetter(*y)(lvl.inverse(j))
         return y, len(self._levels)
 
     def _gens_from(self, idx: int) -> list:
@@ -160,28 +215,28 @@ class StabilizerChain:
     def _rebuild_orbit(self, idx: int):
         lvl = self._levels[idx]
         gens = self._gens_from(idx)
-        trans = {lvl.base: Permutation.identity(self.degree)}
+        trans = {lvl.base: self._ident}
         frontier = [lvl.base]
         while frontier:
             nxt = []
             for p in frontier:
-                tp = trans[p]
+                then = itemgetter(*trans[p])
                 for g in gens:
-                    q = g._img[p]
+                    q = g[p]
                     if q not in trans:
-                        trans[q] = tp * g
+                        trans[q] = then(g)
                         nxt.append(q)
             frontier = nxt
         lvl.transversal = trans
         lvl.points = tuple(trans)
-        lvl.inv = {p: t.inverse() for p, t in trans.items()}
+        lvl.inv = {}
 
-    def _ingest(self, g: Permutation) -> bool:
+    def _ingest(self, g: tuple) -> bool:
         residue, idx = self._strip(g)
-        if residue.is_identity():
+        if residue == self._ident:
             return False
         if idx == len(self._levels):
-            base = min(i for i in range(self.degree) if residue._img[i] != i)
+            base = next(i for i, j in enumerate(residue) if i != j)
             self._levels.append(_Level(base))
         self._levels[idx].placed.append(residue)
         for i in range(idx + 1):
@@ -193,6 +248,7 @@ class StabilizerChain:
         each placement strictly grows the transversal product, so this ends.
         Stops early and returns True once a placement brings the product to
         target, which never happens for the default 0."""
+        ident = self._ident
         changed = True
         while changed:
             changed = False
@@ -201,10 +257,10 @@ class StabilizerChain:
                 lvl = self._levels[idx]
                 gens = self._gens_from(idx)
                 for p in lvl.points:
-                    tp = lvl.transversal[p]
+                    then = itemgetter(*lvl.transversal[p])
                     for g in gens:
-                        s = tp * g * lvl.inv[g._img[p]]
-                        if not s.is_identity() and self._ingest(s):
+                        s = itemgetter(*then(g))(lvl.inverse(g[p]))
+                        if s != ident and self._ingest(s):
                             if self._product() == target:
                                 return True
                             changed = True
@@ -218,7 +274,7 @@ def build_chain(a: GeneratingSet) -> StabilizerChain:
     canon = a.canonical()
     chain = StabilizerChain(a.degree, canon)
     for g in canon.gens:
-        chain._ingest(g)
+        chain._ingest(g._img)
     chain._close()
     return chain
 
@@ -246,7 +302,7 @@ def generates(gens: GeneratingSet, order: int) -> bool:
     H = <gens>, so the product never exceeds |H|, and |H| <= |G|."""
     chain = StabilizerChain(gens.degree, gens.canonical())
     for g in chain.source.gens:
-        if chain._ingest(g) and chain._product() == order:
+        if chain._ingest(g._img) and chain._product() == order:
             return True
     return chain._close(order) or chain.order() == order
 
@@ -276,7 +332,7 @@ def random_generating_tuple(
         raise ValueError("k must be at least 1")
     for attempt in range(1, max_attempts + 1):
         perms = tuple(chain.random_element(rng) for _ in range(k))
-        if generates(GeneratingSet(chain.degree, perms), chain.order()):
+        if generates(GeneratingSet._unchecked(chain.degree, perms), chain.order()):
             return GeneratingTuple(perms, attempt)
     raise BudgetExceeded(
         f"no generating {k}-tuple found in {max_attempts} attempts; k may be too small for this group"
@@ -289,16 +345,19 @@ def enumerate_elements(chain: StabilizerChain, cap: int = DEFAULT_ENUM_CAP) -> t
     transversal structure, so it doubles as an oracle for contains/order."""
     if chain.order() > cap:
         raise BudgetExceeded(f"group order {chain.order()} exceeds cap {cap}")
-    gens = chain.source.gens
-    ident = Permutation.identity(chain.degree)
+    # Identities add nothing to the closure; skipping them keeps degree 1,
+    # where itemgetter with one index returns a scalar, off the raw path.
+    gens = [g._img for g in chain.source.gens if not g.is_identity()]
+    ident = identity_images(chain.degree)
     seen = {ident}
     out = [ident]
     frontier = [ident]
     while frontier:
         layer = []
         for x in frontier:
+            then = itemgetter(*x)
             for g in gens:
-                y = x * g
+                y = then(g)
                 if y not in seen:
                     seen.add(y)
                     layer.append(y)
@@ -307,7 +366,7 @@ def enumerate_elements(chain: StabilizerChain, cap: int = DEFAULT_ENUM_CAP) -> t
             raise BudgetExceeded(f"closure exceeded cap {cap}")
         out.extend(layer)
         frontier = layer
-    return tuple(out)
+    return tuple(map(Permutation._raw, out))
 
 
 def generating_tuples(chain: StabilizerChain, k: int, cap: int = 4096) -> tuple:
@@ -319,7 +378,7 @@ def generating_tuples(chain: StabilizerChain, k: int, cap: int = 4096) -> tuple:
     if len(elems) ** k > cap:
         raise BudgetExceeded(f"{len(elems)}^{k} candidate tuples exceed cap {cap}")
     candidates = itertools.product(elems, repeat=k)
-    return tuple(tup for tup in candidates if generates(GeneratingSet(chain.degree, tup), len(elems)))
+    return tuple(tup for tup in candidates if generates(GeneratingSet._unchecked(chain.degree, tup), len(elems)))
 
 
 def group_profile(chain: StabilizerChain, cap: int = DEFAULT_ENUM_CAP) -> Optional[tuple]:

@@ -51,11 +51,13 @@ class NonConjChallenge:
 def draw_challenge(ctx: InstanceContext, k: int, tape: RandomTape) -> NonConjChallenge:
     """The honest verifier's secret draw: a side bit, a mask from <U>, and
     k independent uniform elements of the chosen group, all conjugated by
-    the mask.  The batch is not conditioned on generating anything."""
+    the mask.  They are drawn from the masked group's chain, which gives
+    the same elements on the same tape.  The batch is not conditioned on
+    generating anything."""
     side = tape.bit()
     mask = ctx.chain_u.random_element(tape)
-    chain = ctx.side_chain(side)
-    payload = tuple(chain.random_element(tape).conjugated_by(mask) for _ in range(k))
+    chain = ctx.side_chain(side).conjugated(mask)
+    payload = tuple(chain.random_element(tape) for _ in range(k))
     return NonConjChallenge(side, mask, payload)
 
 

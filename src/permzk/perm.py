@@ -7,8 +7,23 @@ acts first, so (a * b)(i) = b(a(i)).  With that convention the conjugate
 
 from __future__ import annotations
 
+from functools import cache
 from operator import itemgetter
 from typing import Optional, Sequence
+
+
+@cache
+def identity_images(degree: int) -> tuple:
+    """The identity's raw 0-based images, one shared tuple per degree."""
+    return tuple(range(degree))
+
+
+def invert_images(img: tuple) -> tuple:
+    """Raw images of the inverse permutation."""
+    inv = [0] * len(img)
+    for i, j in enumerate(img):
+        inv[j] = i
+    return tuple(inv)
 
 
 class Permutation:
@@ -35,7 +50,7 @@ class Permutation:
     def identity(cls, degree: int) -> "Permutation":
         if degree < 1:
             raise ValueError("degree must be at least 1")
-        return cls._raw(tuple(range(degree)))
+        return cls._raw(identity_images(degree))
 
     @classmethod
     def from_cycles(cls, degree: int, *cycles: Sequence[int]) -> "Permutation":
@@ -79,10 +94,7 @@ class Permutation:
         return Permutation._raw(itemgetter(*img)(other._img))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self._img)
-        for i, j in enumerate(self._img):
-            inv[j] = i
-        return Permutation._raw(tuple(inv))
+        return Permutation._raw(invert_images(self._img))
 
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
@@ -107,7 +119,7 @@ class Permutation:
         return Permutation._raw(tuple(out))
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self._img))
+        return self._img == identity_images(len(self._img))
 
     def cycles(self, include_fixed: bool = False) -> tuple:
         """Disjoint cycles, 1-based, each starting at its smallest point,

@@ -6,6 +6,8 @@ import pytest
 
 from permzk import engine
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
 
 @pytest.fixture(autouse=True, scope="session")
 def _run_from_repo_root():
@@ -29,3 +31,12 @@ def build_chain_calls(monkeypatch) -> list:
         if name.split(".")[0] == "permzk" and getattr(module, "build_chain", None) is original:
             monkeypatch.setattr(module, "build_chain", counted)
     return calls
+
+
+@pytest.fixture
+def child_env() -> dict:
+    """Environment for a child `python -m permzk.cli`: pytest's pythonpath
+    setting reaches only this process, so src goes first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env

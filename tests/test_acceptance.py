@@ -372,11 +372,11 @@ RERUN_COMMANDS = (
 )
 
 
-def test_criterion_10_cli_reruns_byte_identical():
+def test_criterion_10_cli_reruns_byte_identical(child_env):
     for argv in RERUN_COMMANDS:
         cmd = [sys.executable, "-m", "permzk.cli", *argv]
-        first = subprocess.run(cmd, capture_output=True)
-        second = subprocess.run(cmd, capture_output=True)
+        first = subprocess.run(cmd, capture_output=True, env=child_env)
+        second = subprocess.run(cmd, capture_output=True, env=child_env)
         assert first.returncode == second.returncode, argv
         assert first.stdout == second.stdout, argv
         assert first.stdout, argv

@@ -241,13 +241,13 @@ def test_seed_changes_transcript(capsys):
     assert out_a != out_b
 
 
-def test_reruns_are_byte_identical_in_subprocess():
+def test_reruns_are_byte_identical_in_subprocess(child_env):
     cmd = [
         sys.executable, "-m", "permzk.cli",
         "prove", "--instance", TINY, "--trials", "5", "--seed", "11",
     ]
-    a = subprocess.run(cmd, capture_output=True, text=True)
-    b = subprocess.run(cmd, capture_output=True, text=True)
+    a = subprocess.run(cmd, capture_output=True, text=True, env=child_env)
+    b = subprocess.run(cmd, capture_output=True, text=True, env=child_env)
     assert a.returncode == b.returncode == EXIT_ACCEPT
     assert a.stdout == b.stdout != ""
 

@@ -4,8 +4,10 @@ The chain implementation is checked against breadth-first closure, which
 never looks at transversals, and against textbook group orders.
 """
 
+import hashlib
 import itertools
 import math
+import pathlib
 import random
 
 import pytest
@@ -29,6 +31,7 @@ from permzk.engine import (
     random_generating_tuple,
     symmetric_group,
 )
+from permzk.instances import load_group_file, load_instance
 from permzk.perm import Permutation
 
 ALPHA = 1e-3
@@ -226,6 +229,56 @@ def test_generates_agrees_with_bfs_closure(case):
     assert generates(GeneratingSet(chain.degree, gt.perms), n)
 
 
+@st.composite
+def group_and_conjugator(draw):
+    """A group of degree at most 5 given by up to three random generators,
+    a conjugating permutation, and a stream seed."""
+    m = draw(st.integers(1, 5))
+    perm = st.permutations(range(1, m + 1)).map(Permutation)
+    chain = build_chain(GeneratingSet(m, tuple(draw(st.lists(perm, max_size=3)))))
+    return chain, draw(perm), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(group_and_conjugator())
+def test_conjugated_chain_is_the_chain_of_the_conjugated_group(case):
+    chain, v, seed = case
+    conj = chain.conjugated(v)
+    members = {x.conjugated_by(v) for x in enumerate_elements(chain)}
+    assert conj.order() == len(members) == build_chain(chain.source.conjugated_by(v)).order()
+    # every permutation of the degree: the members and all non-members
+    for images in itertools.permutations(range(1, chain.degree + 1)):
+        y = Permutation(images)
+        assert conj.contains(y) == (y in members)
+    rng_conj, rng_chain = random.Random(seed), random.Random(seed)
+    for _ in range(10):
+        assert conj.random_element(rng_conj) == chain.random_element(rng_chain).conjugated_by(v)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_raw_paths_at_degree_1_and_2(m):
+    # itemgetter with one index returns a scalar, so the two smallest
+    # degrees get every raw path on the trivial and the full group
+    everything = [Permutation(p) for p in itertools.permutations(range(1, m + 1))]
+    for gens in ((), tuple(everything)):
+        chain = build_chain(GeneratingSet(m, gens))
+        members = set(enumerate_elements(chain))
+        assert chain.order() == len(members) == (1 if not gens else len(everything))
+        for y in everything:
+            assert chain.contains(y) == (y in members)
+            residue = chain.strip(y)
+            assert residue.degree == m and residue.is_identity() == (y in members)
+        draws = [chain.random_element(random.Random(seed)) for seed in range(20)]
+        assert set(draws) == members
+        for v in everything:
+            conj = chain.conjugated(v)
+            assert conj.order() == chain.order()
+            assert all(conj.contains(y) == (y.conjugated_by(v.inverse()) in members) for y in everything)
+            rng_conj, rng_chain = random.Random(7), random.Random(7)
+            for _ in range(5):
+                assert conj.random_element(rng_conj) == chain.random_element(rng_chain).conjugated_by(v)
+
+
 def alternating_group(m):
     # for even m, A_m = <(1 2 3), (2 3 ... m)>
     return GeneratingSet(m, (Permutation.from_cycles(m, (1, 2, 3)), Permutation.from_cycles(m, tuple(range(2, m + 1)))))
@@ -347,3 +400,37 @@ def test_centralizer_in_sym_brute_force():
         ]
         assert len(brute) == chain.order()
         assert all(chain.contains(p) for p in brute)
+
+
+def golden_chains():
+    """Every fixture's groups, symmetric and alternating groups, the two
+    wreath products and chains on 64-tuples drawn from them."""
+    for path in sorted(pathlib.Path("fixtures").glob("*.txt")):
+        try:
+            inst = load_instance(path)
+        except ValueError:
+            yield build_chain(load_group_file(path))
+            continue
+        for gens in (inst.a0, inst.a1, inst.u):
+            if isinstance(gens, GeneratingSet):
+                yield build_chain(gens)
+    for m in range(1, 9):
+        yield build_chain(symmetric_group(m))
+    for m in (4, 6, 8):
+        yield build_chain(alternating_group(m))
+    for source, seed in ((S4_WR_S4, 5), (S4_WR_A4, 6)):
+        yield build_chain(source)
+        for gens in wreath_tuples(source, 3, seed):
+            yield build_chain(gens)
+
+
+def test_chain_structure_digest():
+    # the base points, orbit order and representatives of every level fix
+    # what random_element draws; pinned on the Permutation-based engine
+    # that the raw-image one replaced, whose representatives were inverted
+    # when each orbit was rebuilt rather than when a sift first read them
+    h = hashlib.sha256()
+    for chain in golden_chains():
+        levels = [(lvl.base, lvl.points, [lvl.transversal[p] for p in lvl.points]) for lvl in chain._levels]
+        h.update(repr(levels).encode("ascii"))
+    assert h.hexdigest() == "a27cecd5f542caf2131672d07651c7837be780fe7fbdddb9ddbd526f9ba68146"

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from permzk.conjugacy import InstanceContext
-from permzk.engine import build_chain, enumerate_elements, group_equal, GeneratingSet
+from permzk.engine import StabilizerChain, build_chain, enumerate_elements, group_equal, GeneratingSet
 from permzk.framework import RandomTape, run_session
 from permzk.instances import load_instance
 from permzk.nonconjugacy import (
@@ -124,6 +124,33 @@ def test_matched_sides_agrees_with_direct_definition():
 
 # On TINY both sides are one group, so a generating batch is a tie with
 # positive scores and the answer is always 0.
+# StabilizerChain.contains calls that matched_sides makes on the challenges
+# draw_challenge(ctx, 8m, RandomTape(seed)) for seeds 0-9, counted on the
+# Permutation-based engine that the raw-image one replaced
+SCAN_CONTAINS = {
+    NO_M4: [4, 10, 1, 1, 6, 4, 10, 1, 3, 3],
+    NO_M6: [21, 11, 1, 12, 6, 180, 19, 102, 13, 56],
+}
+
+
+@pytest.mark.parametrize("path", sorted(SCAN_CONTAINS))
+def test_matched_sides_makes_the_same_contains_calls(path, monkeypatch):
+    ctx = ctx_of(path)
+    counts = []
+    contains = StabilizerChain.contains
+
+    def counted(self, y):
+        counts[-1] += 1
+        return contains(self, y)
+
+    challenges = [draw_challenge(ctx, 8 * ctx.degree, RandomTape(seed)) for seed in range(10)]
+    monkeypatch.setattr(StabilizerChain, "contains", counted)
+    for ch in challenges:
+        counts.append(0)
+        assert matched_sides(ctx, ch.payload) == (ch.side,)
+    assert counts == SCAN_CONTAINS[path]
+
+
 @pytest.mark.parametrize("path,seen", [(NO_M4, {b"0", b"1"}), (NO_M6, {b"0", b"1"}), (TINY, {b"0"})])
 def test_majority_responder_matches_direct_count(path, seen):
     # oracle: score each side by the v in <U> with <payload>^(v^-1) equal to

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from permzk import conjugacy, nonconjugacy
+from permzk import conjugacy, element, nonconjugacy
 from permzk.conjugacy import GroupConjInstance, GuessingProver, HonestProver, InstanceContext, ProtocolParams, _coerce_perm
 from permzk.element import ElemConjInstance, ElementContext, HonestElemProver, params_for
 from permzk.engine import GeneratingSet
@@ -205,3 +205,57 @@ def test_composed_session_digests(make_runner, seed, digest):
     for _ in range(100):
         h.update(run(rng).transcript().encode("ascii"))
     assert h.hexdigest() == digest
+
+
+def small_degree_runs(m):
+    """Group, element and non-conjugacy runs at degree m = 1 or 2, where
+    itemgetter with one index would return a scalar: the group generated
+    by the reversal, trivial at degree 1 and <(1 2)> at degree 2.  The non-conjugacy instance sets that
+    group against the trivial one inside it."""
+    a = Permutation(range(m, 0, -1))
+    gens = GeneratingSet(m, (a,))
+    group = InstanceContext(GroupConjInstance(m, gens, gens, gens))
+    elem = ElementContext(ElemConjInstance(m, a, a, gens))
+    no = InstanceContext(GroupConjInstance(m, gens, GeneratingSet(m), gens))
+    group_params = ProtocolParams.for_instance(group.instance, t=2)
+    return {
+        "group": lambda rng: conjugacy.run_composed(
+            group, group_params, HonestProver(group, group_params), honest_verifier(), rng
+        ),
+        "element": lambda rng: element.run_composed(
+            elem, params_for(elem.instance, t=2), HonestElemProver(elem), honest_verifier(), rng
+        ),
+        "non-conj": lambda rng: nonconjugacy.run_composed(
+            no, nonconjugacy.params_for(no.instance), nonconjugacy.brute_force_responder(), rng
+        ),
+    }, group
+
+
+# sha256 over the transcripts of 20 runs of each kind, from one seeded rng;
+# computed on the Permutation-based engine that the raw-image one replaced
+SMALL_DEGREE_DIGESTS = {
+    1: "6b9e33286dad745b77db90874a7d85b2c9b87cc062674447e98f41fc10bfdbf3",
+    2: "e32b82e3dbb6257ffc185d46ccca9d53fca60db595e89ca1c6e75cd496016e33",
+}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_sessions_at_degree_1_and_2(m):
+    runs, group = small_degree_runs(m)
+    u = group.u_elements()
+    assert len(u) == m
+    assert list(group.conjugators(0, group.chain_a1)) == list(u)
+    assert group.witness().is_identity()
+    rng = random.Random(m)
+    h = hashlib.sha256()
+    for name in ("group", "element", "non-conj"):
+        for _ in range(20):
+            out = runs[name](rng)
+            # at degree 1 both sides are trivial and the responder's answer 0
+            # is right only when every session drew side 0
+            if name != "non-conj" or m == 2:
+                assert out.accepted, name
+            else:
+                assert out.accepted == all(o.counters["side"] == 0 for o in out.outcomes)
+            h.update(out.transcript().encode("ascii"))
+    assert h.hexdigest() == SMALL_DEGREE_DIGESTS[m]

@@ -9,10 +9,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permzk.conjugacy import InstanceContext, ProtocolParams
+from permzk.element import ElemConjInstance, ElementContext
 from permzk.engine import BudgetExceeded, enumerate_elements, generating_tuples
 from permzk.framework import (
+    STANDARD_VERIFIERS,
     RandomTape,
     VerifierProgram,
     bit_payload,
@@ -132,6 +135,45 @@ def test_randomness_round_trip():
         mask = u_elems[rng.randrange(len(u_elems))]
         view = view_from_randomness(ctx, program, 13, base, mask)
         assert randomness_of_view(ctx, view) == (base, mask)
+
+
+# every yes-instance fixture; k = 2 and 3 have generating tuples on all
+YES_FIXTURES = (
+    "fixtures/tiny_cyclic.txt",
+    "fixtures/q2_groups.txt",
+    "fixtures/s4_pair.txt",
+    "fixtures/trans_pair.txt",
+    "fixtures/embed_s3.txt",
+    "fixtures/ec_yes_m3.txt",
+)
+YES_CONTEXTS = {}
+
+
+def yes_context(path):
+    if path not in YES_CONTEXTS:
+        inst = load_instance(path)
+        YES_CONTEXTS[path] = (ElementContext if isinstance(inst, ElemConjInstance) else InstanceContext)(inst)
+    return YES_CONTEXTS[path]
+
+
+@st.composite
+def prover_randomness(draw):
+    """A yes-instance fixture, a verifier program and tape, and one value of
+    the honest prover's randomness: a base for side 1 and a mask."""
+    ctx = yes_context(draw(st.sampled_from(YES_FIXTURES)))
+    k = draw(st.integers(2, 3))
+    program = STANDARD_VERIFIERS[draw(st.sampled_from(sorted(STANDARD_VERIFIERS)))]()
+    base = draw(st.sampled_from(ctx.bases(1, k)))
+    mask = draw(st.sampled_from(ctx.u_elements()))
+    return ctx, program, draw(st.integers(0, 2**32)), base, mask
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(prover_randomness())
+def test_randomness_of_view_inverts_view_from_randomness(case):
+    ctx, program, tape_seed, base, mask = case
+    view = view_from_randomness(ctx, program, tape_seed, base, mask)
+    assert randomness_of_view(ctx, view) == (base, mask)
 
 
 def test_view_from_randomness_matches_real_protocol():

@@ -16,7 +16,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Optional
 
 from .engine import (
@@ -42,7 +41,7 @@ from .framework import (
     run_parallel,
     run_sequential,
 )
-from .perm import Permutation, invert_images
+from .perm import Permutation, conjugation
 
 TUPLE_LENGTH_FACTOR = 4
 DEFAULT_SEARCH_CAP = 10_000
@@ -165,20 +164,17 @@ class InstanceContext:
         return same_order and all(self.chain_a1.contains(g.conjugated_by(v)) for g in gens)
 
     @cached_property
-    def _u_inverse_getters(self) -> tuple:
-        return tuple(itemgetter(*invert_images(v._img)) for v in self.u_elements())
+    def _u_conjugations(self) -> tuple:
+        return tuple(conjugation(v._img) for v in self.u_elements())
 
     def conjugators(self, side: int, chain: StabilizerChain):
         """Elements v of <U>, in enumeration order, that conjugate the side's
         generators into the group of chain."""
-        # g^v = v^-1 * g * v in two itemgetter calls on raw images; at
-        # degree 1, where one index would give a scalar, gens is empty
         gens = [g._img for g in self.instance.side(side).canonical().gens]
         raw = Permutation._raw
-        for v, before in zip(self.u_elements(), self._u_inverse_getters):
-            vi = v._img
+        for v, conj in zip(self.u_elements(), self._u_conjugations):
             for g in gens:
-                if not chain.contains(raw(itemgetter(*before(g))(vi))):
+                if not chain.contains(raw(conj(g))):
                     break
             else:
                 yield v

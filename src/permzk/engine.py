@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
-from .perm import Permutation, format_perm, identity_images, invert_images, parse_perm
+from .perm import Permutation, conjugation, format_perm, identity_images, invert_images, parse_perm
 
 DEFAULT_ENUM_CAP = 10_000
 DEFAULT_TUPLE_ATTEMPTS = 64
@@ -60,15 +60,6 @@ class GeneratingSet:
             if g.degree != self.degree:
                 raise ValueError(f"degree mismatch: {g.degree} vs {self.degree}")
 
-    @classmethod
-    def _unchecked(cls, degree: int, gens: tuple) -> "GeneratingSet":
-        """For a tuple of permutations of this degree that the engine built
-        itself: skips the checks of public construction."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "degree", degree)
-        object.__setattr__(out, "gens", gens)
-        return out
-
     def canonical(self) -> "GeneratingSet":
         seen = {identity_images(self.degree)}
         out = []
@@ -76,10 +67,10 @@ class GeneratingSet:
             if g._img not in seen:
                 seen.add(g._img)
                 out.append(g)
-        return GeneratingSet._unchecked(self.degree, tuple(out))
+        return GeneratingSet(self.degree, tuple(out))
 
     def conjugated_by(self, v: Permutation) -> "GeneratingSet":
-        return GeneratingSet._unchecked(self.degree, tuple(g.conjugated_by(v) for g in self.gens))
+        return GeneratingSet(self.degree, tuple(g.conjugated_by(v) for g in self.gens))
 
 
 def format_generating_set(a: GeneratingSet) -> str:
@@ -166,26 +157,27 @@ class StabilizerChain:
 
     def conjugated(self, v: Permutation) -> "StabilizerChain":
         """The chain of G^v, for G this chain's group: base and orbit points
-        mapped by v, every representative conjugated by v.  Conjugation is a
+        mapped by v, every strong generator and representative conjugated by
+        v; its source is the conjugated strong generators.  Conjugation is a
         homomorphism, so on one stream its random_element draws are this
-        chain's draws conjugated by v."""
+        chain's draws conjugated by v.  Building it costs one raw
+        conjugation per representative and strong generator, about what
+        conjugated_by costs on a third to a half as many draws, so it pays
+        when more draws than that are taken from it."""
         if len(v._img) != self.degree:
             raise ValueError(f"degree mismatch: {v.degree} vs {self.degree}")
         vi = v._img
-        before = itemgetter(*invert_images(vi))
-
-        def conj(t: tuple) -> tuple:
-            # v^-1 * t * v in two itemgetter calls; a chain of degree 1,
-            # where one index would give a scalar, has no levels to call it
-            return itemgetter(*before(t))(vi)
-
-        out = StabilizerChain(self.degree, self.source.conjugated_by(v))
+        conj = conjugation(vi)
+        levels = []
         for lvl in self._levels:
             new = _Level(vi[lvl.base])
             new.placed = [conj(g) for g in lvl.placed]
             new.transversal = {vi[p]: conj(t) for p, t in lvl.transversal.items()}
             new.points = tuple(new.transversal)
-            out._levels.append(new)
+            levels.append(new)
+        strong = tuple(Permutation._raw(g) for lvl in levels for g in lvl.placed)
+        out = StabilizerChain(self.degree, GeneratingSet(self.degree, strong))
+        out._levels = levels
         out._order = self._order
         return out
 
@@ -332,7 +324,7 @@ def random_generating_tuple(
         raise ValueError("k must be at least 1")
     for attempt in range(1, max_attempts + 1):
         perms = tuple(chain.random_element(rng) for _ in range(k))
-        if generates(GeneratingSet._unchecked(chain.degree, perms), chain.order()):
+        if generates(GeneratingSet(chain.degree, perms), chain.order()):
             return GeneratingTuple(perms, attempt)
     raise BudgetExceeded(
         f"no generating {k}-tuple found in {max_attempts} attempts; k may be too small for this group"
@@ -378,7 +370,7 @@ def generating_tuples(chain: StabilizerChain, k: int, cap: int = 4096) -> tuple:
     if len(elems) ** k > cap:
         raise BudgetExceeded(f"{len(elems)}^{k} candidate tuples exceed cap {cap}")
     candidates = itertools.product(elems, repeat=k)
-    return tuple(tup for tup in candidates if generates(GeneratingSet._unchecked(chain.degree, tup), len(elems)))
+    return tuple(tup for tup in candidates if generates(GeneratingSet(chain.degree, tup), len(elems)))
 
 
 def group_profile(chain: StabilizerChain, cap: int = DEFAULT_ENUM_CAP) -> Optional[tuple]:

@@ -26,6 +26,17 @@ def invert_images(img: tuple) -> tuple:
     return tuple(inv)
 
 
+def conjugation(vi: tuple):
+    """The map sending raw images t to those of v^-1 * t * v, for v with raw
+    images vi: two itemgetter calls per conjugate."""
+    if len(vi) == 1:
+        # itemgetter with one index returns a scalar; the only permutation
+        # of degree 1 is the identity, which every conjugation fixes.
+        return lambda t: t
+    before = itemgetter(*invert_images(vi))
+    return lambda t: itemgetter(*before(t))(vi)
+
+
 class Permutation:
     """An immutable bijection of {1, ..., m} stored in one-line image form."""
 

@@ -246,6 +246,8 @@ def test_conjugated_chain_is_the_chain_of_the_conjugated_group(case):
     conj = chain.conjugated(v)
     members = {x.conjugated_by(v) for x in enumerate_elements(chain)}
     assert conj.order() == len(members) == build_chain(chain.source.conjugated_by(v)).order()
+    # its source, the conjugated strong generators, generates G^v
+    assert set(enumerate_elements(conj)) == members
     # every permutation of the degree: the members and all non-members
     for images in itertools.permutations(range(1, chain.degree + 1)):
         y = Permutation(images)

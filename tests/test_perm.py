@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from permzk.perm import Permutation, conjugator_in_sym, format_perm, parse_perm
+from permzk.perm import Permutation, conjugation, conjugator_in_sym, format_perm, invert_images, parse_perm
 
 
 def all_of_sym(m):
@@ -172,6 +172,9 @@ def test_composition_laws(perms):
     assert (a * b) * c == a * (b * c)
     assert (a * a.inverse()).is_identity() and (a * a.inverse()).degree == m
     assert a.conjugated_by(b) == b.inverse() * a * b
+    # the raw helpers the chains use, on 0-based image tuples
+    assert invert_images(a._img) == a.inverse()._img
+    assert conjugation(b._img)(a._img) == a.conjugated_by(b)._img
 
 
 @LAWS

@@ -41,7 +41,7 @@ from .framework import (
     run_parallel,
     run_sequential,
 )
-from .perm import Permutation, conjugation
+from .perm import Permutation, conjugation, invert_images
 
 TUPLE_LENGTH_FACTOR = 4
 DEFAULT_SEARCH_CAP = 10_000
@@ -99,6 +99,7 @@ class InstanceContext:
         self.search_cap = search_cap
         self._bases: dict = {}
         self._profiles: dict = {}
+        self._masks: dict = {}
         v = instance.witness
         if v is not None:
             if not self.chain_u.contains(v):
@@ -211,24 +212,73 @@ class InstanceContext:
         return self._bases[key]
 
     def mask(self, base, w: Permutation):
-        return tuple(x.conjugated_by(w) for x in base)
+        conj = conjugation(w._img)
+        raw = Permutation._raw
+        return tuple(raw(conj(x._img)) for x in base)
+
+    def side_members(self, side: int) -> tuple:
+        """The elements that a commitment's entries for this side are
+        conjugates of: here every element of the side's group."""
+        return enumerate_elements(self.side_chain(side), self.search_cap)
+
+    def side_masks(self, side: int) -> dict:
+        """Raw images of every conjugate g^w, for g in side_members(side)
+        and w in <U>, mapped to a bitmask over the indices of u_elements():
+        bit i is set iff the conjugate lies in the side conjugated by the
+        i-th element."""
+        if side not in self._masks:
+            conjs = self._u_conjugations
+            members = [g._img for g in self.side_members(side)]
+            masks: dict = {}
+            for i, conj in enumerate(conjs):
+                bit = 1 << i
+                for g in members:
+                    x = conj(g)
+                    masks[x] = masks.get(x, 0) | bit
+            self._masks[side] = masks
+        return self._masks[side]
+
+    def _responses(self, bits: int) -> list:
+        """The elements of <U> whose bits are set, in enumeration order."""
+        u_elems = self.u_elements()
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(u_elems[low.bit_length() - 1])
+            bits ^= low
+        return out
+
+    def accepted_responses(self, commit: tuple, challenge) -> list:
+        """Every w in <U>, in enumeration order, with accepts(commit,
+        challenge, w): the AND of the entries' masks leaves the w with the
+        commitment inside the side conjugated by w, a group of the side's
+        order, and one generation test, which does not depend on w, decides
+        them all."""
+        side = challenge_bit(challenge)
+        masks = self.side_masks(side)
+        bits = (1 << len(self.u_elements())) - 1
+        for x in commit:
+            bits &= masks.get(x._img, 0)
+            if not bits:
+                return []
+        if not generates(GeneratingSet(self.degree, commit), self.side_chain(side).order()):
+            return []
+        return self._responses(bits)
+
+    def _conjugates_of_sides(self) -> list:
+        """Every conjugate of either side's members by <U>, sorted."""
+        images = self.side_masks(0).keys() | self.side_masks(1).keys()
+        return list(map(Permutation._raw, sorted(images)))
 
     def candidate_commits(self, k: int):
         """Every well-formed commitment that some response could make
         acceptable: k-tuples over the conjugates of either side's elements
         by <U>."""
-        u_elems = self.u_elements()
-        elems = sorted(
-            {
-                x.conjugated_by(w)
-                for side in (0, 1)
-                for x in enumerate_elements(self.side_chain(side), self.search_cap)
-                for w in u_elems
-            }
-        )
-        if len(elems) ** k * len(u_elems) > self.search_cap:
+        elems = self._conjugates_of_sides()
+        u_count = len(self.u_elements())
+        if len(elems) ** k * u_count > self.search_cap:
             raise BudgetExceeded(
-                f"{len(elems)}^{k} x {len(u_elems)} candidate views exceed cap {self.search_cap}"
+                f"{len(elems)}^{k} x {u_count} candidate views exceed cap {self.search_cap}"
             )
         return itertools.product(elems, repeat=k)
 
@@ -275,8 +325,9 @@ def response_accepted(ctx: InstanceContext, commit: tuple, challenge, response) 
     if w is None or not ctx.chain_u.contains(w):
         return False
     side_chain = ctx.side_chain(challenge_bit(challenge))
-    w_inv = w.inverse()
-    if not all(side_chain.contains(x.conjugated_by(w_inv)) for x in commit):
+    conj = conjugation(invert_images(w._img))
+    raw = Permutation._raw
+    if not all(side_chain.contains(raw(conj(x._img))) for x in commit):
         return False
     return generates(GeneratingSet(ctx.degree, commit), side_chain.order())
 

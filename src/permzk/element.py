@@ -106,8 +106,16 @@ class ElementContext(InstanceContext):
     def mask(self, base, w: Permutation) -> Permutation:
         return base.conjugated_by(w)
 
+    def side_members(self, side: int) -> tuple:
+        return (self.instance.side(side),)
+
+    def accepted_responses(self, commit: Permutation, challenge) -> list:
+        """The commitment is one permutation and there is no generation
+        test: its mask alone names the accepted responses."""
+        return self._responses(self.side_masks(challenge_bit(challenge)).get(commit._img, 0))
+
     def candidate_commits(self, k: int):
-        return sorted({self.instance.side(side).conjugated_by(w) for side in (0, 1) for w in self.u_elements()})
+        return self._conjugates_of_sides()
 
 
 def params_for(instance, k: int = 1, t: int = 1) -> ProtocolParams:

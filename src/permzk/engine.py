@@ -17,10 +17,12 @@ chain to the chain of G^v, which samples the same stream conjugated by v.
 
 The generation test generates(gens, order) runs the same sifting but stops
 as soon as the product of the transversal sizes reaches order.  That is
-exact under one precondition: gens lie in a group of that order.  Its four
+exact under one precondition: gens lie in a group of that order.  Its five
 callers establish it: random_generating_tuple and generating_tuples draw the
 tuple from the target group, conjugacy.response_accepted checks containment
-first, and cli.cmd_stats_genlemma samples from the target's chain.
+first, InstanceContext.accepted_responses runs it only when the AND of the
+entries' masks puts the tuple inside side^w, a group of that order, and
+cli.cmd_stats_genlemma samples from the target's chain.
 """
 
 from __future__ import annotations
@@ -287,11 +289,13 @@ def generates(gens: GeneratingSet, order: int) -> bool:
     Precondition: gens lie in a group G of that order, so True means gens
     generate G.  Every caller meets it: random_generating_tuple,
     generating_tuples, conjugacy.response_accepted (which checks containment
-    first) and cli.cmd_stats_genlemma.  The test sifts gens as build_chain does and stops as soon as
-    the product of the transversal sizes equals order, after a placement
-    during ingestion or while closing.  This is exact, not Monte Carlo: each
-    level's orbit is an orbit of a subgroup of the matching stabilizer in
-    H = <gens>, so the product never exceeds |H|, and |H| <= |G|."""
+    first), InstanceContext.accepted_responses (whose mask AND puts gens
+    inside side^w) and cli.cmd_stats_genlemma.  The test sifts gens as
+    build_chain does and stops as soon as the product of the transversal
+    sizes equals order, after a placement during ingestion or while closing.
+    This is exact, not Monte Carlo: each level's orbit is an orbit of a
+    subgroup of the matching stabilizer in H = <gens>, so the product never
+    exceeds |H|, and |H| <= |G|."""
     chain = StabilizerChain(gens.degree, gens.canonical())
     for g in chain.source.gens:
         if chain._ingest(g._img) and chain._product() == order:

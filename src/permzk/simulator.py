@@ -5,6 +5,10 @@ enumeration on tiny instances, and two-sample statistical comparison at
 larger sizes.  Everything here runs on the context's protocol methods, so it
 serves group instances (InstanceContext) and element instances
 (ElementContext) alike; exact checks stay within the context's search_cap.
+The consistent-view oracle asks the verifier's conditions through
+ctx.accepted_responses, which answers for every response in <U> at once
+from precomputed membership bitmasks and agrees with ctx.accepts, the
+live verifier's predicate, response by response.
 
 The simulator guesses the challenge side, commits accordingly, replays the
 verifier program on the same tape, and restarts from scratch (fresh
@@ -146,17 +150,17 @@ def enumerate_consistent_views(
     """Every view (commit, challenge, response) that the honest verifier
     accepts and whose challenge the program actually emits on this tape:
     for each candidate commitment, challenge = program(commit) and every
-    response w in <U> that the verifier's predicate accepts.  Enumerated
-    directly from the definition, not through the prover or the simulator."""
-    u_elems = ctx.u_elements()
+    response w that ctx.accepted_responses returns, which are the w in <U>
+    that the verifier's predicate accepts, in enumeration order.
+    Enumerated directly from the definition, not through the prover or the
+    simulator."""
     views = []
     for commit in ctx.candidate_commits(k):
         tape = RandomTape(tape_seed)
         challenge = program.challenge(ctx.instance, tape, commit)
         prefix = tape.prefix()
-        for w in u_elems:
-            if ctx.accepts(commit, challenge, w):
-                views.append(SimulatedView(prefix, commit, challenge, w))
+        for w in ctx.accepted_responses(commit, challenge):
+            views.append(SimulatedView(prefix, commit, challenge, w))
     return tuple(views)
 
 

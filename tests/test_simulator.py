@@ -1,10 +1,13 @@
 """Rewinding simulator and its perfect zero-knowledge guarantees.
 
 The exact-mode checks rely on enumerate_consistent_views, which builds the
-consistent-view set straight from the verifier's acceptance predicate and
-knows nothing about the prover or the simulator.
+consistent-view set from the verifier's conditions alone and knows nothing
+about the prover or the simulator: ctx.accepted_responses answers for every
+response at once, and it is checked here against ctx.accepts, the live
+verifier's predicate, one response at a time.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -202,6 +205,56 @@ def test_bijection_detects_corrupt_witness():
     assert verify_view_bijection(ctx, constant_verifier(0), 0, k=2)
     bad = Permutation.identity(6)
     assert not verify_view_bijection(ctx, constant_verifier(0), 0, k=2, witness=bad)
+
+
+# (fixture, k) of the consistent-view oracle's tests; the element fixture's
+# commitment is one permutation whatever k is
+ORACLE_FAMILIES = (
+    ("tiny_cyclic", 2),
+    ("tiny_cyclic", 3),
+    ("q2_groups", 2),
+    ("q2_groups", 3),
+    ("embed_s3", 2),
+    ("ec_yes_m3", 1),
+)
+
+# sha256 over repr(enumerate_consistent_views(ctx, program, tape_seed, k)) for
+# the programs of STANDARD_VERIFIERS in sorted order, tape seeds 0-2 each,
+# taken from the per-response oracle that called ctx.accepts for every
+# (candidate commitment, w in <U>) pair
+GOLDEN_VIEW_SETS = {
+    ("tiny_cyclic", 2): (288, "7761c7668e0c3abb9a46aa2c457482f4ed2fa3cd7c439b140be0764109416ab2"),
+    ("tiny_cyclic", 3): (936, "a6a8fa72ece955f409c04f7ccd9b91fd310d338fa859f88494d008ff55f136e4"),
+    ("q2_groups", 2): (192, "9c8dcba739925b918dc34f070e1b6fca5b83729f55fe82dfd65b8912c08e623f"),
+    ("q2_groups", 3): (624, "6a129a384ded545e5d9cb0334b4dcc3f37fff9965dec28d6d0eb56d46300648e"),
+    ("embed_s3", 2): (1080, "a50ebe7c7c79e967ade2adbb8b531e4f2760e250b13db6bda79cb195c5c1d638"),
+    ("ec_yes_m3", 1): (24, "9e207ad458d3f21753376d9af42170f6b7c83c30e0015e12e8600db71ae6a0fc"),
+}
+
+
+@pytest.mark.parametrize("fixture, k", ORACLE_FAMILIES)
+def test_accepted_responses_agree_with_accepts(fixture, k):
+    ctx = yes_context(f"fixtures/{fixture}.txt")
+    accepted = 0
+    for commit in ctx.candidate_commits(k):
+        for challenge in (bit_payload(0), bit_payload(1)):
+            expected = [w for w in ctx.u_elements() if ctx.accepts(commit, challenge, w)]
+            assert ctx.accepted_responses(commit, challenge) == expected
+            accepted += len(expected)
+    assert accepted > 0
+
+
+@pytest.mark.parametrize("fixture, k", ORACLE_FAMILIES)
+def test_consistent_view_sets_match_golden_digests(fixture, k):
+    ctx = yes_context(f"fixtures/{fixture}.txt")
+    digest = hashlib.sha256()
+    count = 0
+    for name in sorted(STANDARD_VERIFIERS):
+        for tape_seed in range(3):
+            views = enumerate_consistent_views(ctx, STANDARD_VERIFIERS[name](), tape_seed, k)
+            count += len(views)
+            digest.update(repr(views).encode())
+    assert (count, digest.hexdigest()) == GOLDEN_VIEW_SETS[fixture, k]
 
 
 def test_exact_laws_match_and_are_uniform():

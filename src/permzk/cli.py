@@ -13,6 +13,7 @@ import argparse
 import os
 import random
 import sys
+from functools import partial
 from typing import Optional
 
 from . import nonconjugacy as nc
@@ -92,16 +93,6 @@ def _protocol_of(args, inst) -> str:
     return "elem-conj" if isinstance(inst, ElemConjInstance) else "group-conj"
 
 
-def _composed_runner(ctx, params, prover_name, program, protocol, parallel):
-    if protocol == "non-conj":
-        if prover_name not in nc.STANDARD_RESPONDERS:
-            raise InstanceError(f"unknown non-conjugacy prover {prover_name!r}")
-        responder = nc.STANDARD_RESPONDERS[prover_name]()
-        return lambda rng: nc.run_composed(ctx, params, responder, rng, parallel)
-    prover = HonestProver(ctx, params) if prover_name == "honest" else GuessingProver(ctx, params)
-    return lambda rng: run_composed(ctx, params, prover, program, rng, parallel)
-
-
 def cmd_prove(args) -> int:
     ctx = _context(args)
     inst = ctx.instance
@@ -109,17 +100,19 @@ def cmd_prove(args) -> int:
     if protocol == "non-conj":
         t = args.rounds if args.rounds is not None else nc.DEFAULT_SESSIONS
         params = nc.params_for(inst, args.k, t)
-        parallel = args.compose != "seq"
-        if args.prover == "honest":
-            args.prover = "brute"
+        name = "brute" if args.prover == "honest" else args.prover
+        if name not in nc.STANDARD_RESPONDERS:
+            raise InstanceError(f"unknown non-conjugacy prover {name!r}")
+        responder = nc.STANDARD_RESPONDERS[name]()
+        runner = partial(nc.run_composed, ctx, params, responder, parallel=args.compose != "seq")
     else:
         # An element commitment is one permutation whatever k says.
         params = ProtocolParams.for_instance(inst, args.k, args.rounds if args.rounds is not None else 1)
-        parallel = args.compose == "par"
         if args.prover not in ("honest", "guess"):
             raise InstanceError(f"unknown prover {args.prover!r} for {protocol}")
-    program = STANDARD_VERIFIERS[args.verifier]()
-    runner = _composed_runner(ctx, params, args.prover, program, protocol, parallel)
+        prover = (HonestProver if args.prover == "honest" else GuessingProver)(ctx, params)
+        program = STANDARD_VERIFIERS[args.verifier]()
+        runner = partial(run_composed, ctx, params, prover, program, parallel=args.compose == "par")
     rng = random.Random(_seed_of(args))
 
     if args.trials > 1:
@@ -281,6 +274,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InstanceError, BudgetExceeded, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:
+        # The parser accepts any declared degree without allocating per point;
+        # a huge one fails only once a permutation of that degree is built.
+        print("error: out of memory; the instance is too large for this machine", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -201,8 +201,8 @@ def centralizer_coset_oracle(inst: CosetIntersectionInstance, cap: int = DEFAULT
 # -- zero-knowledge checks ----------------------------------------------------
 
 
-def verify_element_bijection(ctx: ElementContext, program: VerifierProgram, tape_seed: int, *, witness=None) -> bool:
-    return simulator.verify_view_bijection(ctx, program, tape_seed, 1, witness=witness)
+def verify_element_bijection(ctx: ElementContext, program: VerifierProgram, tape_seed: int) -> bool:
+    return simulator.verify_view_bijection(ctx, program, tape_seed, 1)
 
 
 def compare_element_view_distributions(ctx: ElementContext, program: VerifierProgram, *, tape_seed: int) -> dict:

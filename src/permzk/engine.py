@@ -315,23 +315,18 @@ class GeneratingTuple:
         return len(self.perms)
 
 
-def random_generating_tuple(
-    chain: StabilizerChain,
-    k: int,
-    rng,
-    max_attempts: int = DEFAULT_TUPLE_ATTEMPTS,
-) -> GeneratingTuple:
+def random_generating_tuple(chain: StabilizerChain, k: int, rng) -> GeneratingTuple:
     """Rejection-sample a uniform element of the set of k-tuples over the
     chain's group that generate it.  For the trivial group the first draw,
     the all-identity tuple, is the unique such tuple."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, DEFAULT_TUPLE_ATTEMPTS + 1):
         perms = tuple(chain.random_element(rng) for _ in range(k))
         if generates(GeneratingSet(chain.degree, perms), chain.order()):
             return GeneratingTuple(perms, attempt)
     raise BudgetExceeded(
-        f"no generating {k}-tuple found in {max_attempts} attempts; k may be too small for this group"
+        f"no generating {k}-tuple found in {DEFAULT_TUPLE_ATTEMPTS} attempts; k may be too small for this group"
     )
 
 

@@ -199,57 +199,43 @@ def _spawn(rng: random.Random):
     return rng_p, tape_v
 
 
-def run_sequential(make_session, t: int, rng: random.Random) -> CompositeOutcome:
-    """t independent sessions one after another; accept iff all accept.
-    make_session(rng_p, tape_v) must return a session generator."""
+def _run_batches(make_session, t: int, rng: random.Random, batch: int) -> CompositeOutcome:
+    """Drive t sessions in batches of `batch`, advancing the sessions of a
+    batch in lockstep, one message each per round.  A batch spawns its
+    streams from rng when it starts, so a run that raises part-way has drawn
+    only for the batches it began."""
     if t < 1:
         raise ValueError("t must be at least 1")
     events = []
-    outcomes = []
-    for s_idx in range(t):
-        rng_p, tape_v = _spawn(rng)
-        gen = make_session(rng_p, tape_v)
+    outcomes = [None] * t
+    for first in range(0, t, batch):
+        alive = [(s_idx, make_session(*_spawn(rng))) for s_idx in range(first, min(first + batch, t))]
         r_idx = 0
-        while True:
-            try:
-                msg = next(gen)
-            except StopIteration as stop:
-                outcomes.append(stop.value)
-                break
-            events.append((s_idx, r_idx, msg))
+        while alive:
+            still = []
+            for s_idx, gen in alive:
+                try:
+                    msg = next(gen)
+                except StopIteration as stop:
+                    outcomes[s_idx] = stop.value
+                    continue
+                events.append((s_idx, r_idx, msg))
+                still.append((s_idx, gen))
+            alive = still
             r_idx += 1
-    accepted = all(o.accepted for o in outcomes)
-    return CompositeOutcome(accepted, tuple(outcomes), tuple(events))
+    return CompositeOutcome(all(o.accepted for o in outcomes), tuple(outcomes), tuple(events))
+
+
+def run_sequential(make_session, t: int, rng: random.Random) -> CompositeOutcome:
+    """t independent sessions one after another; accept iff all accept.
+    make_session(rng_p, tape_v) must return a session generator."""
+    return _run_batches(make_session, t, rng, 1)
 
 
 def run_parallel(make_session, t: int, rng: random.Random) -> CompositeOutcome:
     """t independent sessions advanced in lockstep, messages bundled round by
     round; accept iff all accept."""
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    gens = []
-    for _ in range(t):
-        rng_p, tape_v = _spawn(rng)
-        gens.append(make_session(rng_p, tape_v))
-    outcomes: dict = {}
-    events = []
-    alive = list(range(t))
-    r_idx = 0
-    while alive:
-        still = []
-        for s_idx in alive:
-            try:
-                msg = next(gens[s_idx])
-            except StopIteration as stop:
-                outcomes[s_idx] = stop.value
-                continue
-            events.append((s_idx, r_idx, msg))
-            still.append(s_idx)
-        alive = still
-        r_idx += 1
-    ordered = tuple(outcomes[i] for i in range(t))
-    accepted = all(o.accepted for o in ordered)
-    return CompositeOutcome(accepted, ordered, tuple(events))
+    return _run_batches(make_session, t, rng, t)
 
 
 class SessionRecord:

@@ -107,18 +107,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation._raw(invert_images(self._img))
 
-    def __pow__(self, n: int) -> "Permutation":
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = Permutation.identity(len(self._img))
-        step = self
-        while n:
-            if n & 1:
-                acc = acc * step
-            step = step * step
-            n >>= 1
-        return acc
-
     def conjugated_by(self, v: "Permutation") -> "Permutation":
         """v^-1 * self * v, the permutation sending v(i) to v(self(i))."""
         if len(self._img) != len(v._img):

@@ -65,7 +65,6 @@ def simulate(
     *,
     k: Optional[int] = None,
     tape_seed: Optional[int] = None,
-    max_restarts: int = DEFAULT_MAX_RESTARTS,
     record_attempts: bool = False,
 ) -> SimulateResult:
     """Simulate one session view without the witness: per attempt draw a
@@ -75,7 +74,7 @@ def simulate(
         tape_seed = rng.getrandbits(64)
     total_attempts = 0
     log = []
-    for restart in range(1, max_restarts + 1):
+    for restart in range(1, DEFAULT_MAX_RESTARTS + 1):
         mask = ctx.chain_u.random_element(rng)
         side = rng.randrange(2)
         base, attempts = ctx.sample_base(side, k, rng)
@@ -89,7 +88,7 @@ def simulate(
             view = SimulatedView(tape.prefix(), commit, challenge, mask)
             return SimulateResult(view, restart, total_attempts, tuple(log))
     raise BudgetExceeded(
-        f"simulator hit the restart cap ({max_restarts}); "
+        f"simulator hit the restart cap ({DEFAULT_MAX_RESTARTS}); "
         "the instance is not a yes-instance or the verifier program defeats the side guess"
     )
 
@@ -100,26 +99,22 @@ def view_from_randomness(
     tape_seed: int,
     base,
     mask,
-    *,
-    witness=None,
 ) -> SimulatedView:
     """The honest-prover view as a function of the prover's randomness: a
     base commitment for <A1> (a generating tuple, or a1 itself) and a mask
     from <U>.  This is exactly the map the real protocol computes, so
     real_view() samples its inputs and then calls it."""
-    v = witness if witness is not None else ctx.witness()
     commit = ctx.mask(base, mask)
     tape = RandomTape(tape_seed)
     challenge = program.challenge(ctx.instance, tape, commit)
-    response = mask if challenge_bit(challenge) else v * mask
+    response = mask if challenge_bit(challenge) else ctx.witness() * mask
     return SimulatedView(tape.prefix(), commit, challenge, response)
 
 
-def randomness_of_view(ctx: InstanceContext, view: SimulatedView, *, witness=None):
+def randomness_of_view(ctx: InstanceContext, view: SimulatedView):
     """Inverse of view_from_randomness on consistent views: recover the
     base commitment and the mask."""
-    v = witness if witness is not None else ctx.witness()
-    mask = view.response if challenge_bit(view.challenge) else v.inverse() * view.response
+    mask = view.response if challenge_bit(view.challenge) else ctx.witness().inverse() * view.response
     return ctx.mask(view.commit, mask.inverse()), mask
 
 
@@ -169,18 +164,15 @@ def verify_view_bijection(
     program: VerifierProgram,
     tape_seed: int,
     k: int,
-    *,
-    witness=None,
 ) -> bool:
     """Check that the honest-view map is a bijection from prover randomness
     (base commitments for <A1> crossed with <U>) onto the consistent-view
     set, with randomness_of_view as its inverse."""
-    v = witness if witness is not None else ctx.witness()
     images = []
     for base in ctx.bases(1, k):
         for mask in ctx.u_elements():
-            view = view_from_randomness(ctx, program, tape_seed, base, mask, witness=v)
-            back = randomness_of_view(ctx, view, witness=v)
+            view = view_from_randomness(ctx, program, tape_seed, base, mask)
+            back = randomness_of_view(ctx, view)
             if back != (base, mask):
                 return False
             images.append(view)
@@ -261,13 +253,11 @@ def compare_view_distributions(
     exact: bool = False,
     samples: int = 5000,
     rng: Optional[random.Random] = None,
-    buckets: int = 8,
-    max_restarts: int = DEFAULT_MAX_RESTARTS,
 ) -> dict:
     """Compare real and simulated view distributions for one fixed verifier
     tape.  Exact mode enumerates both laws and the consistent-view set;
     statistical mode draws samples from each side and runs a two-sample
-    chi-square over (challenge bit, response, commit bucket) cells.
+    chi-square over (challenge bit, response, one of 8 commit buckets) cells.
     Only meaningful on yes-instances; anything else is refused."""
     if not ctx.is_yes():
         raise ValueError("zero-knowledge comparison applies to yes-instances only")
@@ -293,13 +283,13 @@ def compare_view_distributions(
         rng = random.Random(0)
 
     def cell(view: SimulatedView) -> tuple:
-        return challenge_bit(view.challenge), view.response, bucket_of_commit(view.commit, buckets)
+        return challenge_bit(view.challenge), view.response, bucket_of_commit(view.commit, 8)
 
     sim_counts = Counter()
     restarts = 0
     attempts = 0
     for _ in range(samples):
-        res = simulate(ctx, program, rng, k=k, tape_seed=tape_seed, max_restarts=max_restarts)
+        res = simulate(ctx, program, rng, k=k, tape_seed=tape_seed)
         restarts += res.restarts
         attempts += res.sample_attempts
         sim_counts[cell(res.view)] += 1

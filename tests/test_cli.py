@@ -2,8 +2,10 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from permzk.cli import (
     EXIT_ACCEPT,
@@ -12,6 +14,8 @@ from permzk.cli import (
     genlemma_bound,
     main,
 )
+from permzk.framework import STANDARD_VERIFIERS
+from permzk.nonconjugacy import STANDARD_RESPONDERS
 
 TINY = "fixtures/tiny_cyclic.txt"
 Q2_GROUPS = "fixtures/q2_groups.txt"
@@ -380,3 +384,98 @@ README_GOLDEN = [
 def test_readme_commands_golden(capsys, monkeypatch, command, stdout, code):
     monkeypatch.delenv("PERMZK_SEED", raising=False)
     assert run_main(capsys, *command.split()) == (code, stdout, "")
+
+
+HUGE = 10**18
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decide", "--instance", "huge.txt"),
+        ("prove", "--instance", "huge.txt"),
+        ("simulate", "--instance", "huge.txt", "--exact"),
+        ("stats-genlemma", "--group", "huge_group.txt", "--k", "2", "--trials", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_huge_declared_degree_is_a_clean_error(tmp_path, capsys, argv):
+    # the parser accepts the degree without allocating per point; the first
+    # permutation of that degree asks for 8 EB, which fails at once
+    (tmp_path / "huge.txt").write_text(f"degree: {HUGE}\nA0:\nA1:\nU:\n")
+    (tmp_path / "huge_group.txt").write_text(f"degree: {HUGE}\nG:\n")
+    argv = [str(tmp_path / a) if a.startswith("huge") else a for a in argv]
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error: out of memory")
+
+
+# Flags of each subcommand, with the values a draw picks from.  Counts stay
+# in -2..4 and instances are the fixtures, so no draw runs long or allocates
+# per declared point.
+SMALL_INTS = tuple(str(i) for i in range(-2, 5))
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+PATHS = tuple(sorted(f"fixtures/{p.name}" for p in FIXTURES.glob("*.txt"))) + ("fixtures/missing.txt",)
+VALUES = {
+    "--instance": PATHS,
+    "--group": PATHS,
+    "--protocol": ("group-conj", "non-conj", "elem-conj"),
+    "--prover": ("honest", "guess", *sorted(STANDARD_RESPONDERS)),
+    "--verifier": tuple(sorted(STANDARD_VERIFIERS)),
+    "--compose": ("seq", "par"),
+}
+COMMON = ("--seed", "--cap", "--out")
+FLAGS = {
+    "decide": ("--instance", *COMMON),
+    "prove": ("--instance", "--protocol", "--rounds", "--k", "--trials", "--prover", "--verifier", "--compose", *COMMON),
+    "simulate": ("--instance", "--k", "--samples", "--exact", "--verifier", "--tape-seed", *COMMON),
+    "stats-genlemma": ("--group", "--k", "--trials", *COMMON),
+}
+REQUIRED = {"decide": ("--instance",), "prove": ("--instance",), "simulate": ("--instance",), "stats-genlemma": ("--group", "--k")}
+JUNK = ("", "-", "--", "junk", "-h", "--bogus", "1e3", "0x1", "\u0663", "--k=")
+# The defaults of these counts (5,000 samples, 1,000 trials) take seconds.
+SMALL_DEFAULTS = {"simulate": ("--samples", "3"), "stats-genlemma": ("--trials", "3")}
+
+
+@st.composite
+def cli_argv(draw, out: str):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    # the required flags come first and are left out one time in ten, so most
+    # draws get past the usage checks
+    required = [flag for flag in REQUIRED[command] if draw(st.integers(0, 9))]
+    for flag in required + draw(st.lists(st.sampled_from(FLAGS[command]), max_size=5)):
+        argv.append(flag)
+        if flag == "--exact":
+            continue
+        value = out if flag == "--out" else draw(st.sampled_from(VALUES.get(flag, SMALL_INTS)))
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            continue
+        argv.append(draw(st.sampled_from(JUNK)) if kind == 1 else value)
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(JUNK)))
+    flag, value = SMALL_DEFAULTS.get(command, (None, None))
+    if flag is not None and flag not in argv:
+        argv += [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_out(tmp_path_factory) -> str:
+    return str(tmp_path_factory.mktemp("fuzz") / "out.txt")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_argv_fuzz_ends_in_an_exit_code(fuzz_out, capsys, data):
+    # every argv ends as exit 0, 1 or 2 from main, or as argparse's
+    # SystemExit 0 (help) or 2 (usage); nothing else may escape
+    argv = data.draw(cli_argv(fuzz_out))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert exc.code in (0, 2), argv
+    else:
+        assert code in (EXIT_ACCEPT, EXIT_REJECT, EXIT_ERROR), argv
+    capsys.readouterr()

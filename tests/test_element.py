@@ -263,7 +263,7 @@ def test_q2_element_commit_families_are_disjoint():
 def test_simulate_element_budget_exceeded():
     ctx = ctx_of(Q2_ELEMENTS)
     with pytest.raises(BudgetExceeded, match="restart cap"):
-        simulate(ctx, element_side_detector(ctx), random.Random(0), max_restarts=40)
+        simulate(ctx, element_side_detector(ctx), random.Random(0))
     with pytest.raises(BudgetExceeded, match="defeats every side guess"):
         exact_sim_law(ctx, element_side_detector(ctx), 0, 1)
 

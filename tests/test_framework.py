@@ -146,6 +146,77 @@ def test_run_composed_rejects_bad_t():
         run_parallel(_toy_session, 0, random.Random(0))
 
 
+class Boom(Exception):
+    pass
+
+
+def _counted_sessions(lengths, fail_at=None):
+    """A make_session whose i-th session sends lengths[i] messages and
+    accepts iff that count is even; with fail_at = (i, r), session i raises
+    Boom when asked for message r.  The returned list collects the index of
+    each session made, in order."""
+    made = []
+
+    def make(rng_p, tape_v):
+        index = len(made)
+        made.append(index)
+        return echo(index, lengths[index], rng_p, tape_v)
+
+    def echo(index, n, rng_p, tape_v):
+        for r in range(n):
+            if (index, r) == fail_at:
+                raise Boom(index)
+            yield Message("P", bytes([index, r, rng_p.randrange(256)]))
+        return SessionOutcome(n % 2 == 0, View(tape_v.prefix(), ()), {"rounds": n})
+
+    return make, made
+
+
+def _state_after_spawns(seed: int, sessions: int):
+    """The parent rng's state once `sessions` sessions have drawn their
+    prover and verifier seeds from it."""
+    rng = random.Random(seed)
+    for _ in range(2 * sessions):
+        rng.getrandbits(64)
+    return rng.getstate()
+
+
+UNEVEN = (3, 0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "runner,order",
+    [
+        (run_sequential, [(0, 0), (0, 1), (0, 2), (2, 0), (3, 0), (3, 1)]),
+        (run_parallel, [(0, 0), (2, 0), (3, 0), (0, 1), (3, 1), (0, 2)]),
+    ],
+)
+def test_uneven_session_lengths(runner, order):
+    # a session that ends early leaves the lockstep rounds without holding
+    # up the others, and outcomes stay in session order
+    make, made = _counted_sessions(UNEVEN)
+    rng = random.Random(8)
+    out = runner(make, len(UNEVEN), rng)
+    assert [(s, r) for s, r, _ in out.events] == order
+    assert [msg.payload[:2] for _, _, msg in out.events] == [bytes(sr) for sr in order]
+    assert [o.counters["rounds"] for o in out.outcomes] == list(UNEVEN)
+    assert out.accepted is False
+    assert made == [0, 1, 2, 3]
+    assert rng.getstate() == _state_after_spawns(8, len(UNEVEN))
+
+
+@pytest.mark.parametrize("runner,spawned", [(run_sequential, 3), (run_parallel, 4)])
+def test_session_raising_part_way(runner, spawned):
+    # sequential spawns a session only when it starts, so a failure in
+    # session 2 leaves session 3 undrawn; parallel spawns all t up front
+    make, made = _counted_sessions((2, 2, 2, 2), fail_at=(2, 1))
+    rng = random.Random(5)
+    with pytest.raises(Boom):
+        runner(make, 4, rng)
+    assert made == list(range(spawned))
+    assert rng.getstate() == _state_after_spawns(5, spawned)
+
+
 def test_render_transcript_exact():
     events = (
         (0, 0, Message("P", Permutation([2, 1]))),

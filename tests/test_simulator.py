@@ -198,13 +198,21 @@ def test_bijection_on_tiny_fixture(maker):
         assert verify_view_bijection(ctx, maker(), tape_seed, k=3)
 
 
+class IdentityWitnessContext(InstanceContext):
+    """A context whose witness() returns the identity, a wrong witness on
+    every instance whose sides differ."""
+
+    def witness(self) -> Permutation:
+        return Permutation.identity(self.degree)
+
+
 def test_bijection_detects_corrupt_witness():
     # with the wrong witness the inverse map recovers tuples that do not
     # generate <A1>, so the bijection check must fail
     ctx = ctx_of(Q2_GROUPS)
     assert verify_view_bijection(ctx, constant_verifier(0), 0, k=2)
-    bad = Permutation.identity(6)
-    assert not verify_view_bijection(ctx, constant_verifier(0), 0, k=2, witness=bad)
+    bad = IdentityWitnessContext(load_instance(Q2_GROUPS))
+    assert not verify_view_bijection(bad, constant_verifier(0), 0, k=2)
 
 
 # (fixture, k) of the consistent-view oracle's tests; the element fixture's
@@ -282,7 +290,7 @@ def test_total_variation_basics():
 def test_simulate_budget_exceeded_under_side_detector():
     ctx = ctx_of(NO_M4)
     with pytest.raises(BudgetExceeded, match="restart cap"):
-        simulate(ctx, side_detector(), random.Random(0), k=2, max_restarts=50)
+        simulate(ctx, side_detector(), random.Random(0), k=2)
 
 
 def test_exact_sim_law_refuses_defeated_tape():

@@ -100,6 +100,7 @@ class InstanceContext:
         self._bases: dict = {}
         self._profiles: dict = {}
         self._masks: dict = {}
+        self._conjugate_tables: dict = {}
         v = instance.witness
         if v is not None:
             if not self.chain_u.contains(v):
@@ -220,6 +221,37 @@ class InstanceContext:
         """The elements that a commitment's entries for this side are
         conjugates of: here every element of the side's group."""
         return enumerate_elements(self.side_chain(side), self.search_cap)
+
+    def side_conjugates(self, side: int) -> Optional[tuple]:
+        """The distinct groups side^u for u in <U>, each as the frozenset of
+        its members' raw images, the side's own group first.  The list is
+        the closure of side_members(side) under conjugation by U's canonical
+        generators, which reaches side^u for every u in <U>; a member set is
+        an exact key for a group, so <U> is neither enumerated nor tested
+        for membership.  None when |<U>|, the side's order or the table's
+        total number of permutations exceeds search_cap: callers then scan
+        <U> with conjugators(), which refuses when |<U>| is over the cap."""
+        if side not in self._conjugate_tables:
+            self._conjugate_tables[side] = self._close_conjugates(side)
+        return self._conjugate_tables[side]
+
+    def _close_conjugates(self, side: int) -> Optional[tuple]:
+        cap = self.search_cap
+        order = self.side_chain(side).order()
+        if self.chain_u.order() > cap or order > cap:
+            return None
+        conjs = [conjugation(g._img) for g in self.instance.u.canonical().gens]
+        table = [frozenset(g._img for g in self.side_members(side))]
+        seen = set(table)
+        for members in table:  # grows while it is read: a breadth-first closure
+            for conj in conjs:
+                image = frozenset(map(conj, members))
+                if image not in seen:
+                    if (len(table) + 1) * order > cap:
+                        return None
+                    seen.add(image)
+                    table.append(image)
+        return tuple(table)
 
     def side_masks(self, side: int) -> dict:
         """Raw images of every conjugate g^w, for g in side_members(side)

@@ -17,11 +17,13 @@ chain to the chain of G^v, which samples the same stream conjugated by v.
 
 The generation test generates(gens, order) runs the same sifting but stops
 as soon as the product of the transversal sizes reaches order.  That is
-exact under one precondition: gens lie in a group of that order.  Its five
+exact under one precondition: gens lie in a group of that order.  Its six
 callers establish it: random_generating_tuple and generating_tuples draw the
 tuple from the target group, conjugacy.response_accepted checks containment
 first, InstanceContext.accepted_responses runs it only when the AND of the
-entries' masks puts the tuple inside side^w, a group of that order, and
+entries' masks puts the tuple inside side^w, a group of that order, the
+non-conjugacy provers (nonconjugacy.matched_sides and majority_responder)
+run it only once a U-conjugate of the side holds every payload entry, and
 cli.cmd_stats_genlemma samples from the target's chain.
 """
 
@@ -290,7 +292,10 @@ def generates(gens: GeneratingSet, order: int) -> bool:
     generate G.  Every caller meets it: random_generating_tuple,
     generating_tuples, conjugacy.response_accepted (which checks containment
     first), InstanceContext.accepted_responses (whose mask AND puts gens
-    inside side^w) and cli.cmd_stats_genlemma.  The test sifts gens as
+    inside side^w), the non-conjugacy provers through
+    nonconjugacy._conjugate_sides (which first finds a U-conjugate of the
+    side, a group of its order, holding every payload entry) and
+    cli.cmd_stats_genlemma.  The test sifts gens as
     build_chain does and stops as soon as the product of the transversal
     sizes equals order, after a placement during ingestion or while closing.
     This is exact, not Monte Carlo: each level's orbit is an orbit of a

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .engine import GeneratingSet, build_chain, group_profile
+from .engine import GeneratingSet, build_chain, generates, group_profile
 from .framework import (
     PROVER,
     VERIFIER,
@@ -65,10 +65,45 @@ def challenge_matched(side: int, response) -> bool:
     return isinstance(response, bytes) and challenge_bit(response) == side
 
 
+def _conjugate_tables(ctx: InstanceContext) -> Optional[tuple]:
+    """Both sides' tables of U-conjugates, or None when either is over the
+    context's search cap."""
+    tables = (ctx.side_conjugates(0), ctx.side_conjugates(1))
+    return None if None in tables else tables
+
+
+def _conjugate_sides(ctx: InstanceContext, payload: tuple, tables: tuple) -> tuple:
+    """Sides of which P = <payload> is a U-conjugate, read off the tables.
+    The first conjugate whose member set holds every entry contains P, so
+    the generation test's precondition holds, and P is that conjugate iff
+    it has the side's order; when it has not, P equals no conjugate of that
+    order.  No conjugate holding the entries means P is none of them."""
+    entries = {x._img for x in payload}
+    out = []
+    for side, table in enumerate(tables):
+        if any(entries <= members for members in table) and generates(
+            GeneratingSet(ctx.degree, payload), ctx.side_chain(side).order()
+        ):
+            out.append(side)
+    return tuple(out)
+
+
 def matched_sides(ctx: InstanceContext, payload: tuple) -> tuple:
-    """Sides whose group is conjugate to <payload> by some element of <U>,
-    decided by brute force over <U>.  The containment is tested on the
-    side's few generators against the payload's chain, after pruning by
+    """Sides whose group is conjugate to <payload> by some element of <U>:
+    "|<payload>| = |side| and side^v is in <payload> for some v".  Decided
+    from each side's table of U-conjugates, built once per context, with one
+    subset test per conjugate and at most one generation test per side.
+    When either table is over the search cap, <U> is scanned instead
+    (scan_matched_sides)."""
+    tables = _conjugate_tables(ctx)
+    if tables is None:
+        return scan_matched_sides(ctx, payload)
+    return _conjugate_sides(ctx, payload, tables)
+
+
+def scan_matched_sides(ctx: InstanceContext, payload: tuple) -> tuple:
+    """matched_sides by brute force over <U>.  The containment is tested on
+    the side's few generators against the payload's chain, after pruning by
     order and by the conjugation-invariant cycle-type profile; the payload
     may be long, so the symmetric test would be far slower."""
     chain_p = build_chain(GeneratingSet(ctx.degree, payload))
@@ -109,15 +144,23 @@ def constant_responder(bit: int) -> ResponderProgram:
 
 
 def majority_responder() -> ResponderProgram:
-    """Cheating heuristic: score each side by how many elements of <U>
-    conjugate the whole batch into it, answer the higher score, ties to 0."""
+    """Cheating heuristic: score each side by the number of u in <U> with
+    side^u = <payload>, answer the higher score, ties to 0.  From the
+    tables, a matched side scores |N_U(side)| = |U| / (number of its
+    conjugates), by orbit-stabilizer, and any other side 0; over the search
+    cap the conjugators are counted by a scan of <U>."""
 
     def respond(ctx, payload, rng):
         scores = [0, 0]
-        chain_p = build_chain(GeneratingSet(ctx.degree, payload))
-        for side in (0, 1):
-            if ctx.side_chain(side).order() == chain_p.order():
-                scores[side] = sum(1 for _ in ctx.conjugators(side, chain_p))
+        tables = _conjugate_tables(ctx)
+        if tables is None:
+            chain_p = build_chain(GeneratingSet(ctx.degree, payload))
+            for side in (0, 1):
+                if ctx.side_chain(side).order() == chain_p.order():
+                    scores[side] = sum(1 for _ in ctx.conjugators(side, chain_p))
+        else:
+            for side in _conjugate_sides(ctx, payload, tables):
+                scores[side] = ctx.chain_u.order() // len(tables[side])
         return bit_payload(1 if scores[1] > scores[0] else 0)
 
     return ResponderProgram("majority", respond)

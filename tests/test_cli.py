@@ -22,6 +22,7 @@ Q2_GROUPS = "fixtures/q2_groups.txt"
 Q2_ELEMENTS = "fixtures/q2_elements.txt"
 EC_YES = "fixtures/ec_yes_m3.txt"
 NO_M4 = "fixtures/no_m4.txt"
+NO_M6 = "fixtures/no_m6.txt"
 
 
 def run_main(capsys, *argv):
@@ -128,6 +129,16 @@ def test_prove_unknown_prover(capsys):
     )
     assert code == EXIT_ERROR
     assert "unknown prover" in err
+
+
+@pytest.mark.parametrize("prover", ["brute", "majority"])
+def test_prove_nonconj_refuses_u_over_the_cap(capsys, prover):
+    # |<U>| = 720 on no_m6: the unbounded prover must refuse, not answer
+    code, out, err = run_main(
+        capsys, "prove", "--instance", NO_M6, "--protocol", "non-conj", "--cap", "10", "--prover", prover
+    )
+    assert (code, out) == (EXIT_ERROR, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_out_flag_mirrors_stdout(tmp_path, capsys):

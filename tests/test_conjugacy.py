@@ -264,3 +264,37 @@ def test_parallel_matches_sequential():
         assert seq.accepted and par.accepted
         assert [(s, r) for s, r, _ in par.events][:3] == [(0, 0), (1, 0), (2, 0)]
         assert sorted(seq.events) == sorted(par.events)
+
+
+@pytest.mark.parametrize(
+    "path",
+    ["fixtures/no_m3.txt", "fixtures/no_m4.txt", "fixtures/no_m6.txt", "fixtures/tiny_cyclic.txt",
+     "fixtures/q2_groups.txt", "fixtures/s4_pair.txt", "fixtures/trans_pair.txt"],
+)
+def test_side_conjugates_are_the_distinct_u_conjugates(path):
+    # oracle: conjugate the side's members by every element of <U>
+    ctx = ctx_of(path)
+    for side in (0, 1):
+        members = ctx.side_members(side)
+        expected = {frozenset(x.conjugated_by(v)._img for x in members) for v in ctx.u_elements()}
+        table = ctx.side_conjugates(side)
+        assert table[0] == frozenset(x._img for x in members)
+        assert len(set(table)) == len(table) and set(table) == expected
+        # orbit-stabilizer: each conjugate is side^u for |U| / len(table) elements u
+        assert ctx.chain_u.order() % len(table) == 0
+    if path == "fixtures/no_m6.txt":
+        assert [len(ctx.side_conjugates(side)) for side in (0, 1)] == [15, 45]
+
+
+def test_side_conjugates_are_refused_over_the_cap():
+    # no_m6: |<U>| = 720 is over a cap of 100, though each table would be small
+    assert InstanceContext(load_instance("fixtures/no_m6.txt"), 100).side_conjugates(0) is None
+    # <(1 2)> under <(1 2 3 4)>: four conjugates of two elements, 8 permutations
+    inst = GroupConjInstance(4, gset(4, "2 1 3 4"), gset(4, "2 1 3 4"), gset(4, "2 3 4 1"))
+    assert InstanceContext(inst, 7).side_conjugates(0) is None
+    assert len(InstanceContext(inst, 8).side_conjugates(0)) == 4
+    # the side itself over the cap: S_4 with a cap of 23
+    s4 = GroupConjInstance(4, gset(4, "2 1 3 4", "2 3 4 1"), gset(4, "2 1 3 4"), gset(4))
+    assert InstanceContext(s4, 23).side_conjugates(0) is None
+    (table,) = InstanceContext(s4, 24).side_conjugates(0)
+    assert len(table) == 24

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from permzk.conjugacy import InstanceContext
+from permzk.conjugacy import GroupConjInstance, InstanceContext
 from permzk.engine import StabilizerChain, build_chain, enumerate_elements, group_equal, GeneratingSet
 from permzk.framework import RandomTape, run_session
 from permzk.instances import load_instance
@@ -19,16 +19,31 @@ from permzk.nonconjugacy import (
     matched_sides,
     params_for,
     run_composed,
+    scan_matched_sides,
     session,
 )
+from permzk.perm import Permutation
 
 TINY = "fixtures/tiny_cyclic.txt"
 NO_M3 = "fixtures/no_m3.txt"
 NO_M4 = "fixtures/no_m4.txt"
 NO_M6 = "fixtures/no_m6.txt"
+S5_SHIFT = "S_5 on 1..5 and on 2..6, cap 100"
+
+
+def s5_shift_ctx():
+    """S_5 on 1..5 against S_5 on 2..6, conjugate by U = <(1 6)>, with a
+    search cap of 100: each side has 120 elements, so neither gets a table
+    of conjugates and the provers scan <U>."""
+    a0 = GeneratingSet(6, (Permutation.from_cycles(6, (1, 2)), Permutation.from_cycles(6, (1, 2, 3, 4, 5))))
+    a1 = GeneratingSet(6, (Permutation.from_cycles(6, (2, 3)), Permutation.from_cycles(6, (2, 3, 4, 5, 6))))
+    u = GeneratingSet(6, (Permutation.from_cycles(6, (1, 6)),))
+    return InstanceContext(GroupConjInstance(6, a0, a1, u), search_cap=100)
 
 
 def ctx_of(path):
+    if path == S5_SHIFT:
+        return s5_shift_ctx()
     return InstanceContext(load_instance(path))
 
 
@@ -97,8 +112,6 @@ def test_matched_sides_tie_on_conjugate_groups():
 def test_matched_sides_neither_on_small_batch():
     # identity-only batch generates the trivial group, matching no side
     ctx = ctx_of(NO_M4)
-    from permzk.perm import Permutation
-
     payload = (Permutation.identity(4),) * 3
     assert matched_sides(ctx, payload) == ()
     assert brute_force_responder().respond(ctx, payload, random.Random(0)) == b"0"
@@ -106,27 +119,30 @@ def test_matched_sides_neither_on_small_batch():
 
 def test_matched_sides_agrees_with_direct_definition():
     # oracle: conjugate the payload group by every v and compare group
-    # equality on the nose, the slow symmetric formulation
-    ctx = ctx_of(NO_M6)
-    for seed in range(10):
-        ch = draw_challenge(ctx, 12, RandomTape(seed))
-        gset_p = GeneratingSet(ctx.degree, ch.payload)
-        slow = tuple(
-            side
-            for side in (0, 1)
-            if any(
-                group_equal(gset_p.conjugated_by(v.inverse()), ctx.instance.side(side))
-                for v in ctx.u_elements()
-            )
-        )
-        assert matched_sides(ctx, ch.payload) == slow
+    # equality on the nose, the slow symmetric formulation; the fixtures
+    # take the table path, S5_SHIFT the scan
+    for path in (NO_M4, NO_M6, TINY, S5_SHIFT):
+        ctx = ctx_of(path)
+        for k in (1, 2, 8 * ctx.degree):
+            for seed in range(4):
+                ch = draw_challenge(ctx, k, RandomTape(seed))
+                gset_p = GeneratingSet(ctx.degree, ch.payload)
+                slow = tuple(
+                    side
+                    for side in (0, 1)
+                    if any(
+                        group_equal(gset_p.conjugated_by(v.inverse()), ctx.instance.side(side))
+                        for v in ctx.u_elements()
+                    )
+                )
+                assert matched_sides(ctx, ch.payload) == scan_matched_sides(ctx, ch.payload) == slow
+        has_tables = [ctx.side_conjugates(side) is not None for side in (0, 1)]
+        assert has_tables == ([False, False] if path == S5_SHIFT else [True, True])
 
 
-# On TINY both sides are one group, so a generating batch is a tie with
-# positive scores and the answer is always 0.
-# StabilizerChain.contains calls that matched_sides makes on the challenges
-# draw_challenge(ctx, 8m, RandomTape(seed)) for seeds 0-9, counted on the
-# Permutation-based engine that the raw-image one replaced
+# StabilizerChain.contains calls that scan_matched_sides makes on the
+# challenges draw_challenge(ctx, 8m, RandomTape(seed)) for seeds 0-9, counted
+# on the Permutation-based engine that the raw-image one replaced
 SCAN_CONTAINS = {
     NO_M4: [4, 10, 1, 1, 6, 4, 10, 1, 3, 3],
     NO_M6: [21, 11, 1, 12, 6, 180, 19, 102, 13, 56],
@@ -147,14 +163,29 @@ def test_matched_sides_makes_the_same_contains_calls(path, monkeypatch):
     monkeypatch.setattr(StabilizerChain, "contains", counted)
     for ch in challenges:
         counts.append(0)
-        assert matched_sides(ctx, ch.payload) == (ch.side,)
+        assert scan_matched_sides(ctx, ch.payload) == (ch.side,)
     assert counts == SCAN_CONTAINS[path]
+    # the table path, tables built here included, tests no membership
+    counts.append(0)
+    for ch in challenges:
+        assert matched_sides(ctx, ch.payload) == (ch.side,)
+    assert counts[-1] == 0
 
 
-@pytest.mark.parametrize("path,seen", [(NO_M4, {b"0", b"1"}), (NO_M6, {b"0", b"1"}), (TINY, {b"0"})])
+@pytest.mark.parametrize(
+    "path,seen",
+    [
+        (NO_M4, {b"0", b"1"}),
+        (NO_M6, {b"0", b"1"}),
+        (TINY, {b"0"}),
+        pytest.param(S5_SHIFT, {b"0"}, id="s5-shift-cap-100"),
+    ],
+)
 def test_majority_responder_matches_direct_count(path, seen):
     # oracle: score each side by the v in <U> with <payload>^(v^-1) equal to
-    # the side's group, on the nose; ties go to 0
+    # the side's group, on the nose; ties go to 0.  On TINY and S5_SHIFT the
+    # sides are conjugate, so a generating batch is a tie with positive
+    # scores and the answer is always 0.
     ctx = ctx_of(path)
     replies = set()
     for k in (1, 2, 8 * ctx.degree):

@@ -18,6 +18,7 @@ TINY = "fixtures/tiny_cyclic.txt"
 Q2_GROUPS = "fixtures/q2_groups.txt"
 EC_YES = "fixtures/ec_yes_m3.txt"
 NO_M4 = "fixtures/no_m4.txt"
+NO_M6 = "fixtures/no_m6.txt"
 S4_PAIR = "fixtures/s4_pair.txt"
 
 
@@ -178,10 +179,10 @@ def element_runner():
     return lambda rng: conjugacy.run_composed(ctx, params_for(ctx.instance), HonestElemProver(ctx), honest_verifier(), rng)
 
 
-def non_conj_runner():
-    ctx = InstanceContext(load_instance(NO_M4))
+def non_conj_runner(path, responder_name):
+    ctx = InstanceContext(load_instance(path))
     params = nonconjugacy.params_for(ctx.instance)
-    responder = nonconjugacy.brute_force_responder()
+    responder = nonconjugacy.STANDARD_RESPONDERS[responder_name]()
     return lambda rng: nonconjugacy.run_composed(ctx, params, responder, rng)
 
 
@@ -193,7 +194,10 @@ GOLDEN_DIGESTS = [
     ("group-conj-q2-honest", lambda: group_runner(Q2_GROUPS, HonestProver), 13, "203c989b8dd11b27276f9308ffb85085fa62a11ec48d8c488d67819125d6fe7b"),
     ("group-conj-q2-guess", lambda: group_runner(Q2_GROUPS, GuessingProver), 14, "ac6ebb058a5893f25b867c478aa89895da2f69bfd726e0591f4df2e4252b9485"),
     ("elem-conj-ec-yes-honest", element_runner, 15, "0f7ffbd32549f937d6b74e5330c871d304fd550583355df7524c002ca1525cff"),
-    ("non-conj-no-m4-brute", non_conj_runner, 16, "778719a0efb26858e1e94559a9f3f0a43cabd23b4fb4923352f870fd3fcf7df4"),
+    ("non-conj-no-m4-brute", lambda: non_conj_runner(NO_M4, "brute"), 16, "778719a0efb26858e1e94559a9f3f0a43cabd23b4fb4923352f870fd3fcf7df4"),
+    ("non-conj-no-m6-brute", lambda: non_conj_runner(NO_M6, "brute"), 17, "17c597579b38a8ddcebdbb215337b77954c7f4fb4316b1d41702a9f3893fe906"),
+    ("non-conj-no-m4-majority", lambda: non_conj_runner(NO_M4, "majority"), 18, "23e552e067bd29df0e55715de26e9b52fc91625a6a983fec95d95ad232ec02cf"),
+    ("non-conj-no-m6-majority", lambda: non_conj_runner(NO_M6, "majority"), 19, "f7ac4ab22bd82f1f48838bf35b625da29126a05a876f7f3999a9b5af92b18d83"),
 ]
 
 

@@ -1,12 +1,20 @@
 """Permutation-group engine: stabilizer chains, membership, order,
 exact-uniform sampling, and random generating tuples.
 
-Chains are built deterministically: generators are sifted in order, each new
-base point is the smallest point moved by the offending residue, and orbits
-are grown breadth-first.  The construction is complete once every Schreier
-generator of every level sifts to the identity, which makes membership,
-order, and the transversal factorization exact (Sims's method; Seress,
-Permutation Group Algorithms, 2003, ch. 4).
+Chains are built deterministically: generators are sifted in order, and each
+new base point is the smallest point moved by the offending residue.  The
+construction is complete once every Schreier generator of every level sifts
+to the identity, which makes membership, order, and the transversal
+factorization exact (Sims's method; Seress, Permutation Group Algorithms,
+2003, ch. 4).  There are two constructions, which differ only in how a
+placed generator grows the orbits of levels 0..idx.  build_chain rebuilds
+each orbit breadth-first from its base, so the points order and
+representatives that random_element reads depend on the strong generators
+alone; every chain that is sampled from is built this way.
+membership_chain, and the chain inside generates, grow each orbit in place:
+the new generator is applied to the points already there and only the
+points it adds are closed, keeping the representatives and cached inverses
+already made.  Such a chain is only asked for its order and for membership.
 
 Inside a chain everything is a raw 0-based image tuple, composed with
 operator.itemgetter: one sift loop (_strip) serves contains, strip,
@@ -97,7 +105,9 @@ def parse_generating_set(text: str, degree: int) -> GeneratingSet:
 class _Level:
     """One level of a chain, in raw 0-based image tuples.  inv holds the
     inverses of transversal representatives; a sift fills it in the first
-    time it reads a point, and a rebuild of the orbit empties it."""
+    time it reads a point.  build_chain's rebuild of the orbit empties it;
+    membership chains keep every representative once made, and so every
+    inverse."""
 
     __slots__ = ("base", "placed", "transversal", "points", "inv")
 
@@ -115,9 +125,26 @@ class _Level:
         return inv
 
 
+def _close_orbit(trans: dict, frontier: list, gens: list):
+    """Close the orbit in trans (point -> representative) under gens,
+    breadth-first from the frontier points, adding each new point with its
+    predecessor's representative times the generator that reached it."""
+    while frontier:
+        nxt = []
+        for p in frontier:
+            then = itemgetter(*trans[p])
+            for g in gens:
+                q = g[p]
+                if q not in trans:
+                    trans[q] = then(g)
+                    nxt.append(q)
+        frontier = nxt
+
+
 class StabilizerChain:
     """Base, strong generators, and transversals for one generating set.
-    Construct with build_chain()."""
+    Construct with build_chain(), or membership_chain() for a chain that is
+    never sampled from."""
 
     def __init__(self, degree: int, source: GeneratingSet):
         self.degree = degree
@@ -210,19 +237,8 @@ class StabilizerChain:
 
     def _rebuild_orbit(self, idx: int):
         lvl = self._levels[idx]
-        gens = self._gens_from(idx)
         trans = {lvl.base: self._ident}
-        frontier = [lvl.base]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                then = itemgetter(*trans[p])
-                for g in gens:
-                    q = g[p]
-                    if q not in trans:
-                        trans[q] = then(g)
-                        nxt.append(q)
-            frontier = nxt
+        _close_orbit(trans, [lvl.base], self._gens_from(idx))
         lvl.transversal = trans
         lvl.points = tuple(trans)
         lvl.inv = {}
@@ -235,9 +251,16 @@ class StabilizerChain:
             base = next(i for i, j in enumerate(residue) if i != j)
             self._levels.append(_Level(base))
         self._levels[idx].placed.append(residue)
+        self._grow_orbits(idx, residue)
+        return True
+
+    def _grow_orbits(self, idx: int, g: tuple):
+        """Orbits of levels 0..idx once g is placed at level idx, each
+        rebuilt breadth-first from its base, so a level's points order and
+        representatives, which random_element reads, are a function of its
+        strong generators alone."""
         for i in range(idx + 1):
             self._rebuild_orbit(i)
-        return True
 
     def _close(self, target: int = 0) -> bool:
         """Repeat full passes until no Schreier generator leaves a residue;
@@ -265,21 +288,57 @@ class StabilizerChain:
         return False
 
 
-def build_chain(a: GeneratingSet) -> StabilizerChain:
-    """Deterministic stabilizer chain for the group generated by a."""
-    canon = a.canonical()
-    chain = StabilizerChain(a.degree, canon)
-    for g in canon.gens:
+class _MembershipChain(StabilizerChain):
+    """A chain that is only asked for its order and for membership.  Its
+    orbits grow in place: the new generator is applied to the points
+    already there, and only the points it adds are closed breadth-first, so
+    the representatives already there and their cached inverses are kept.
+    Which representative a point gets then depends on the history of
+    placements, so the chain is not for sampling."""
+
+    def _grow_orbits(self, idx: int, g: tuple):
+        for i in range(idx + 1):
+            lvl = self._levels[i]
+            trans = lvl.transversal
+            if not trans:
+                trans[lvl.base] = self._ident
+                lvl.points = (lvl.base,)
+            frontier = []
+            for p in lvl.points:
+                q = g[p]
+                if q not in trans:
+                    trans[q] = itemgetter(*trans[p])(g)
+                    frontier.append(q)
+            if frontier:
+                _close_orbit(trans, frontier, self._gens_from(i))
+                lvl.points = tuple(trans)
+
+
+def _fill(chain: StabilizerChain) -> StabilizerChain:
+    for g in chain.source.gens:
         chain._ingest(g._img)
     chain._close()
     return chain
+
+
+def build_chain(a: GeneratingSet) -> StabilizerChain:
+    """Deterministic stabilizer chain for the group generated by a."""
+    return _fill(StabilizerChain(a.degree, a.canonical()))
+
+
+def membership_chain(a: GeneratingSet) -> StabilizerChain:
+    """A chain for the group generated by a that answers order() and
+    contains() as build_chain's does, built with less work.  Its
+    representatives depend on the history of placements, so sample only
+    from build_chain's chains."""
+    return _fill(_MembershipChain(a.degree, a.canonical()))
 
 
 def group_equal(x: GeneratingSet, y: GeneratingSet) -> bool:
     """Whether the two sets generate the same subgroup."""
     if x.degree != y.degree:
         raise ValueError(f"degree mismatch: {x.degree} vs {y.degree}")
-    cx, cy = build_chain(x), build_chain(y)
+    cx, cy = membership_chain(x), membership_chain(y)
     return all(cx.contains(g) for g in y.canonical().gens) and all(
         cy.contains(g) for g in x.canonical().gens
     )
@@ -295,13 +354,15 @@ def generates(gens: GeneratingSet, order: int) -> bool:
     inside side^w), the non-conjugacy provers through
     nonconjugacy._conjugate_sides (which first finds a U-conjugate of the
     side, a group of its order, holding every payload entry) and
-    cli.cmd_stats_genlemma.  The test sifts gens as
-    build_chain does and stops as soon as the product of the transversal
+    cli.cmd_stats_genlemma.  The test sifts gens into a membership chain,
+    whose orbits grow in place instead of being rebuilt from the base after
+    each placement, and stops as soon as the product of the transversal
     sizes equals order, after a placement during ingestion or while closing.
     This is exact, not Monte Carlo: each level's orbit is an orbit of a
     subgroup of the matching stabilizer in H = <gens>, so the product never
-    exceeds |H|, and |H| <= |G|."""
-    chain = StabilizerChain(gens.degree, gens.canonical())
+    exceeds |H|, and |H| <= |G|.  It draws nothing from any random stream,
+    so which representatives the chain picks cannot show in a transcript."""
+    chain = _MembershipChain(gens.degree, gens.canonical())
     for g in chain.source.gens:
         if chain._ingest(g._img) and chain._product() == order:
             return True

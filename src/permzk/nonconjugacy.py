@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .engine import GeneratingSet, build_chain, generates, group_profile
+from .engine import GeneratingSet, generates, group_profile, membership_chain
 from .framework import (
     PROVER,
     VERIFIER,
@@ -106,7 +106,7 @@ def scan_matched_sides(ctx: InstanceContext, payload: tuple) -> tuple:
     the side's few generators against the payload's chain, after pruning by
     order and by the conjugation-invariant cycle-type profile; the payload
     may be long, so the symmetric test would be far slower."""
-    chain_p = build_chain(GeneratingSet(ctx.degree, payload))
+    chain_p = membership_chain(GeneratingSet(ctx.degree, payload))
     profile_p = group_profile(chain_p, ctx.search_cap)
     out = []
     for side in (0, 1):
@@ -144,17 +144,20 @@ def constant_responder(bit: int) -> ResponderProgram:
 
 
 def majority_responder() -> ResponderProgram:
-    """Cheating heuristic: score each side by the number of u in <U> with
-    side^u = <payload>, answer the higher score, ties to 0.  From the
-    tables, a matched side scores |N_U(side)| = |U| / (number of its
-    conjugates), by orbit-stabilizer, and any other side 0; over the search
-    cap the conjugators are counted by a scan of <U>."""
+    """Score each side by the number of u in <U> with side^u = <payload>,
+    answer the higher score, ties to 0.  This gives the honest prover's
+    answer on every payload: only a matched side scores above 0, and when
+    both sides match they are U-conjugate to each other, so their scores
+    are equal and the tie goes to 0, as brute_force_responder answers two
+    matches.  From the tables, a matched side scores |N_U(side)| = |U| /
+    (number of its conjugates), by orbit-stabilizer; over the search cap
+    the conjugators are counted by a scan of <U>."""
 
     def respond(ctx, payload, rng):
         scores = [0, 0]
         tables = _conjugate_tables(ctx)
         if tables is None:
-            chain_p = build_chain(GeneratingSet(ctx.degree, payload))
+            chain_p = membership_chain(GeneratingSet(ctx.degree, payload))
             for side in (0, 1):
                 if ctx.side_chain(side).order() == chain_p.order():
                     scores[side] = sum(1 for _ in ctx.conjugators(side, chain_p))

@@ -4,7 +4,9 @@ The chain implementation is checked against breadth-first closure, which
 never looks at transversals, and against textbook group orders.
 """
 
+import collections
 import hashlib
+import importlib.util
 import itertools
 import math
 import pathlib
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from permzk import engine
 from permzk.engine import (
     BudgetExceeded,
     GeneratingSet,
@@ -27,14 +30,18 @@ from permzk.engine import (
     generating_tuples,
     group_equal,
     group_profile,
+    membership_chain,
     parse_generating_set,
     random_generating_tuple,
     symmetric_group,
 )
-from permzk.instances import load_group_file, load_instance
+from permzk.conjugacy import InstanceContext
+from permzk.element import ElementContext
+from permzk.instances import load_group_file, load_instance, parse_instance_text
 from permzk.perm import Permutation
 
 ALPHA = 1e-3
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
 def gset(degree, *texts):
@@ -257,6 +264,70 @@ def test_conjugated_chain_is_the_chain_of_the_conjugated_group(case):
         assert conj.random_element(rng_conj) == chain.random_element(rng_chain).conjugated_by(v)
 
 
+@st.composite
+def seeded_generating_set(draw):
+    """Up to four generators of degree 1 to 8 from a seed, each a random
+    permutation of a random subset of the points, so that intransitive and
+    small groups turn up beside the symmetric and alternating ones."""
+    m = draw(st.integers(1, 8))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    gens = []
+    for _ in range(rng.randrange(5)):
+        support = rng.sample(range(m), rng.randrange(1, m + 1))
+        img = list(range(m))
+        for p, q in zip(support, rng.sample(support, len(support))):
+            img[p] = q
+        gens.append(Permutation([i + 1 for i in img]))
+    return GeneratingSet(m, tuple(gens)), rng
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seeded_generating_set())
+def test_membership_chain_agrees_with_build_chain(case):
+    gens, rng = case
+    m = gens.degree
+    built, grown = build_chain(gens), membership_chain(gens)
+    assert grown.order() == built.order()
+    assert generates(gens, built.order())
+    if m <= 5:
+        ys = [Permutation(images) for images in itertools.permutations(range(1, m + 1))]
+    else:
+        # random permutations are mostly non-members; the group's own
+        # elements are members
+        ys = [Permutation(rng.sample(range(1, m + 1), m)) for _ in range(100)]
+        ys += [built.random_element(rng) for _ in range(100)]
+    for y in ys:
+        assert grown.contains(y) == built.contains(y)
+
+
+def test_generates_grows_orbits_in_place(monkeypatch):
+    # a membership chain never rebuilds an orbit, so no representative is
+    # made, or inverted, twice
+    n = build_chain(S4_WR_S4).order()
+    tuples = wreath_tuples(S4_WR_S4, 5, 8)
+    rebuilds = []
+    rebuild = StabilizerChain._rebuild_orbit
+
+    def recorded(self, idx):
+        rebuilds.append(idx)
+        return rebuild(self, idx)
+
+    inverted = collections.Counter()
+    invert = engine.invert_images
+
+    def counted(img):
+        inverted[img] += 1
+        return invert(img)
+
+    monkeypatch.setattr(StabilizerChain, "_rebuild_orbit", recorded)
+    monkeypatch.setattr(engine, "invert_images", counted)
+    for gens in tuples:
+        inverted.clear()
+        assert generates(gens, n)
+        assert inverted and max(inverted.values()) == 1
+    assert rebuilds == []
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_raw_paths_at_degree_1_and_2(m):
     # itemgetter with one index returns a scalar, so the two smallest
@@ -404,9 +475,28 @@ def test_centralizer_in_sym_brute_force():
         assert all(chain.contains(p) for p in brute)
 
 
+def load_bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_sampled_chains():
+    """The chains the benchmark's sessions sample from, on its seed-0
+    instances: group-conj-m16's S_4 wr S_4 and its conjugate, elem-conj-m32's
+    S_4 wr S_8, and non-conj-m8's two A_4 sides and S_4 x S_4."""
+    bench = load_bench_workloads()
+    group = InstanceContext(parse_instance_text(bench.group_conj_text(bench._stream("group-conj-m16", "instances", 0))))
+    elem = ElementContext(parse_instance_text(bench.elem_conj_text(bench._stream("elem-conj-m32", "instances", 0))))
+    non = InstanceContext(parse_instance_text(bench.non_conj_text()))
+    return (group.chain_a0, group.chain_a1, elem.chain_u, non.chain_a0, non.chain_a1, non.chain_u)
+
+
 def golden_chains():
     """Every fixture's groups, symmetric and alternating groups, the two
-    wreath products and chains on 64-tuples drawn from them."""
+    wreath products and chains on 64-tuples drawn from them, and the
+    benchmark's sampled chains."""
     for path in sorted(pathlib.Path("fixtures").glob("*.txt")):
         try:
             inst = load_instance(path)
@@ -424,15 +514,18 @@ def golden_chains():
         yield build_chain(source)
         for gens in wreath_tuples(source, 3, seed):
             yield build_chain(gens)
+    yield from bench_sampled_chains()
 
 
 def test_chain_structure_digest():
     # the base points, orbit order and representatives of every level fix
-    # what random_element draws; pinned on the Permutation-based engine
-    # that the raw-image one replaced, whose representatives were inverted
-    # when each orbit was rebuilt rather than when a sift first read them
+    # what random_element draws.  The first 50 chains were pinned on the
+    # Permutation-based engine that the raw-image one replaced, whose
+    # representatives were inverted when each orbit was rebuilt rather than
+    # when a sift first read them; the benchmark's sampled chains on the
+    # raw-image engine before membership chains grew orbits in place
     h = hashlib.sha256()
     for chain in golden_chains():
         levels = [(lvl.base, lvl.points, [lvl.transversal[p] for p in lvl.points]) for lvl in chain._levels]
         h.update(repr(levels).encode("ascii"))
-    assert h.hexdigest() == "a27cecd5f542caf2131672d07651c7837be780fe7fbdddb9ddbd526f9ba68146"
+    assert h.hexdigest() == "83e5e33468527c3770d123b7df916f5e87697205cf989a3694adb63127577e7c"

@@ -205,6 +205,23 @@ def test_majority_responder_matches_direct_count(path, seen):
     assert replies == seen
 
 
+AGREEMENT_FIXTURES = ["no_m3", "no_m4", "no_m6", "tiny_cyclic", "q2_groups", "trans_pair", "s4_pair"]
+
+
+@pytest.mark.parametrize(
+    "path", [f"fixtures/{name}.txt" for name in AGREEMENT_FIXTURES] + [pytest.param(S5_SHIFT, id="s5-shift-cap-100")]
+)
+def test_majority_responder_answers_as_brute_force(path):
+    # only a matched side scores, and two matched sides are U-conjugate to
+    # each other, so they tie and the answer is 0, as brute answers them
+    ctx = ctx_of(path)
+    brute, majority = brute_force_responder(), majority_responder()
+    for k in (1, 2, 8 * ctx.degree):
+        for seed in range(25):
+            payload = draw_challenge(ctx, k, RandomTape(seed)).payload
+            assert majority.respond(ctx, payload, random.Random(0)) == brute.respond(ctx, payload, random.Random(0))
+
+
 def test_responder_registry():
     assert set(STANDARD_RESPONDERS) == {"brute", "const0", "const1", "majority"}
     for name, make in STANDARD_RESPONDERS.items():

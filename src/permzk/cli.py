@@ -103,6 +103,8 @@ def cmd_prove(args) -> int:
         name = "brute" if args.prover == "honest" else args.prover
         if name not in nc.STANDARD_RESPONDERS:
             raise InstanceError(f"unknown non-conjugacy prover {name!r}")
+        if args.verifier != "honest":
+            raise InstanceError(f"non-conj runs only the honest verifier, not {args.verifier!r}")
         responder = nc.STANDARD_RESPONDERS[name]()
         runner = partial(nc.run_composed, ctx, params, responder, parallel=args.compose != "seq")
     else:
@@ -238,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=None, help="composed session count t")
     p.add_argument("--k", type=int, default=None, help="commitment or challenge length")
     p.add_argument("--trials", type=int, default=1, help=">1 switches to acceptance-rate mode")
-    p.add_argument("--prover", default="honest", help="honest|guess, or brute|const0|const1|majority for non-conj")
+    responders = "|".join(nc.STANDARD_RESPONDERS)
+    p.add_argument("--prover", default="honest", help=f"honest|guess, or {responders} for non-conj")
     p.add_argument("--verifier", choices=sorted(STANDARD_VERIFIERS), default="honest")
     p.add_argument("--compose", choices=("seq", "par"), default=None, help="session scheduling")
     common(p)

@@ -29,10 +29,10 @@ exact under one precondition: gens lie in a group of that order.  Its six
 callers establish it: random_generating_tuple and generating_tuples draw the
 tuple from the target group, conjugacy.response_accepted checks containment
 first, InstanceContext.accepted_responses runs it only when the AND of the
-entries' masks puts the tuple inside side^w, a group of that order, the
-non-conjugacy provers (nonconjugacy.matched_sides and majority_responder)
-run it only once a U-conjugate of the side holds every payload entry, and
-cli.cmd_stats_genlemma samples from the target's chain.
+entries' masks puts the tuple inside side^w, a group of that order,
+nonconjugacy.matched_sides runs it only once a U-conjugate of the side
+holds every payload entry, and cli.cmd_stats_genlemma samples from the
+target's chain.
 """
 
 from __future__ import annotations
@@ -351,13 +351,13 @@ def generates(gens: GeneratingSet, order: int) -> bool:
     generate G.  Every caller meets it: random_generating_tuple,
     generating_tuples, conjugacy.response_accepted (which checks containment
     first), InstanceContext.accepted_responses (whose mask AND puts gens
-    inside side^w), the non-conjugacy provers through
-    nonconjugacy._conjugate_sides (which first finds a U-conjugate of the
-    side, a group of its order, holding every payload entry) and
-    cli.cmd_stats_genlemma.  The test sifts gens into a membership chain,
-    whose orbits grow in place instead of being rebuilt from the base after
-    each placement, and stops as soon as the product of the transversal
-    sizes equals order, after a placement during ingestion or while closing.
+    inside side^w), nonconjugacy.matched_sides (which first finds a
+    U-conjugate of the side, a group of its order, holding every payload
+    entry) and cli.cmd_stats_genlemma.  The test sifts gens into a
+    membership chain, whose orbits grow in place instead of being rebuilt
+    from the base after each placement, and stops as soon as the product of
+    the transversal sizes equals order, after a placement during ingestion
+    or while closing.
     This is exact, not Monte Carlo: each level's orbit is an orbit of a
     subgroup of the matching stabilizer in H = <gens>, so the product never
     exceeds |H|, and |H| <= |G|.  It draws nothing from any random stream,

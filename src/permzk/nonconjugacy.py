@@ -65,19 +65,19 @@ def challenge_matched(side: int, response) -> bool:
     return isinstance(response, bytes) and challenge_bit(response) == side
 
 
-def _conjugate_tables(ctx: InstanceContext) -> Optional[tuple]:
-    """Both sides' tables of U-conjugates, or None when either is over the
-    context's search cap."""
+def matched_sides(ctx: InstanceContext, payload: tuple) -> tuple:
+    """Sides whose group is conjugate to P = <payload> by some element of <U>:
+    "|<payload>| = |side| and side^v is in <payload> for some v".  Decided
+    from each side's table of U-conjugates, built once per context, with one
+    subset test per conjugate and at most one generation test per side: the
+    first conjugate whose member set holds every entry contains P, so the
+    generation test's precondition holds, and P is that conjugate iff it has
+    the side's order; when it has not, P equals no conjugate of that order.
+    No conjugate holding the entries means P is none of them.  When either
+    table is over the search cap, <U> is scanned instead (scan_matched_sides)."""
     tables = (ctx.side_conjugates(0), ctx.side_conjugates(1))
-    return None if None in tables else tables
-
-
-def _conjugate_sides(ctx: InstanceContext, payload: tuple, tables: tuple) -> tuple:
-    """Sides of which P = <payload> is a U-conjugate, read off the tables.
-    The first conjugate whose member set holds every entry contains P, so
-    the generation test's precondition holds, and P is that conjugate iff
-    it has the side's order; when it has not, P equals no conjugate of that
-    order.  No conjugate holding the entries means P is none of them."""
+    if None in tables:
+        return scan_matched_sides(ctx, payload)
     entries = {x._img for x in payload}
     out = []
     for side, table in enumerate(tables):
@@ -86,19 +86,6 @@ def _conjugate_sides(ctx: InstanceContext, payload: tuple, tables: tuple) -> tup
         ):
             out.append(side)
     return tuple(out)
-
-
-def matched_sides(ctx: InstanceContext, payload: tuple) -> tuple:
-    """Sides whose group is conjugate to <payload> by some element of <U>:
-    "|<payload>| = |side| and side^v is in <payload> for some v".  Decided
-    from each side's table of U-conjugates, built once per context, with one
-    subset test per conjugate and at most one generation test per side.
-    When either table is over the search cap, <U> is scanned instead
-    (scan_matched_sides)."""
-    tables = _conjugate_tables(ctx)
-    if tables is None:
-        return scan_matched_sides(ctx, payload)
-    return _conjugate_sides(ctx, payload, tables)
 
 
 def scan_matched_sides(ctx: InstanceContext, payload: tuple) -> tuple:
@@ -143,37 +130,10 @@ def constant_responder(bit: int) -> ResponderProgram:
     return ResponderProgram("const" + payload.decode("ascii"), lambda ctx, p, rng: payload)
 
 
-def majority_responder() -> ResponderProgram:
-    """Score each side by the number of u in <U> with side^u = <payload>,
-    answer the higher score, ties to 0.  This gives the honest prover's
-    answer on every payload: only a matched side scores above 0, and when
-    both sides match they are U-conjugate to each other, so their scores
-    are equal and the tie goes to 0, as brute_force_responder answers two
-    matches.  From the tables, a matched side scores |N_U(side)| = |U| /
-    (number of its conjugates), by orbit-stabilizer; over the search cap
-    the conjugators are counted by a scan of <U>."""
-
-    def respond(ctx, payload, rng):
-        scores = [0, 0]
-        tables = _conjugate_tables(ctx)
-        if tables is None:
-            chain_p = membership_chain(GeneratingSet(ctx.degree, payload))
-            for side in (0, 1):
-                if ctx.side_chain(side).order() == chain_p.order():
-                    scores[side] = sum(1 for _ in ctx.conjugators(side, chain_p))
-        else:
-            for side in _conjugate_sides(ctx, payload, tables):
-                scores[side] = ctx.chain_u.order() // len(tables[side])
-        return bit_payload(1 if scores[1] > scores[0] else 0)
-
-    return ResponderProgram("majority", respond)
-
-
 STANDARD_RESPONDERS = {
     "brute": brute_force_responder,
     "const0": lambda: constant_responder(0),
     "const1": lambda: constant_responder(1),
-    "majority": majority_responder,
 }
 
 

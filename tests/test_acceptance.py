@@ -296,7 +296,7 @@ def test_criterion_08_non_conjugacy_protocol_rates():
             assert rate >= bound, f"{path} t={t}: completeness {rate} < {bound}"
         details.append(f"m={m} complete")
 
-    # soundness on a yes-instance, honest responder and three cheaters
+    # soundness on a yes-instance, the honest responder and the two constant cheaters
     ctx = InstanceContext(load_instance("fixtures/tiny_cyclic.txt"))
     for name, make in sorted(nc.STANDARD_RESPONDERS.items()):
         for t, center in ((1, 0.5), (2, 0.25)):
@@ -309,7 +309,7 @@ def test_criterion_08_non_conjugacy_protocol_rates():
             )
             rate = wins / trials
             assert abs(rate - center) <= 0.03, f"{name} t={t}: rate {rate}"
-    details.append("4 responders caught at 0.5/0.25")
+    details.append(f"{len(nc.STANDARD_RESPONDERS)} responders caught at 0.5/0.25")
     announce(8, "; ".join(details))
 
 

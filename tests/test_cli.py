@@ -131,7 +131,7 @@ def test_prove_unknown_prover(capsys):
     assert "unknown prover" in err
 
 
-@pytest.mark.parametrize("prover", ["brute", "majority"])
+@pytest.mark.parametrize("prover", ["brute"])
 def test_prove_nonconj_refuses_u_over_the_cap(capsys, prover):
     # |<U>| = 720 on no_m6: the unbounded prover must refuse, not answer
     code, out, err = run_main(
@@ -139,6 +139,25 @@ def test_prove_nonconj_refuses_u_over_the_cap(capsys, prover):
     )
     assert (code, out) == (EXIT_ERROR, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_prove_nonconj_refuses_majority_prover(capsys):
+    code, out, err = run_main(
+        capsys, "prove", "--instance", NO_M4, "--protocol", "non-conj", "--prover", "majority"
+    )
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error: ") and "unknown non-conjugacy prover" in err
+
+
+@pytest.mark.parametrize("verifier", sorted(set(STANDARD_VERIFIERS) - {"honest"}))
+def test_prove_nonconj_refuses_a_cheating_verifier(capsys, verifier):
+    # the protocol is sound against the honest verifier only; a cheating
+    # one used to be ignored, printing the honest run's ACCEPT
+    code, out, err = run_main(
+        capsys, "prove", "--instance", NO_M4, "--protocol", "non-conj", "--verifier", verifier
+    )
+    assert (code, out) == (EXIT_ERROR, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and verifier in err
 
 
 def test_out_flag_mirrors_stdout(tmp_path, capsys):

@@ -15,7 +15,6 @@ from permzk.nonconjugacy import (
     challenge_matched,
     constant_responder,
     draw_challenge,
-    majority_responder,
     matched_sides,
     params_for,
     run_composed,
@@ -117,11 +116,14 @@ def test_matched_sides_neither_on_small_batch():
     assert brute_force_responder().respond(ctx, payload, random.Random(0)) == b"0"
 
 
+AGREEMENT_FIXTURES = ["no_m3", "no_m4", "no_m6", "tiny_cyclic", "q2_groups", "trans_pair", "s4_pair"]
+
+
 def test_matched_sides_agrees_with_direct_definition():
     # oracle: conjugate the payload group by every v and compare group
     # equality on the nose, the slow symmetric formulation; the fixtures
     # take the table path, S5_SHIFT the scan
-    for path in (NO_M4, NO_M6, TINY, S5_SHIFT):
+    for path in [f"fixtures/{name}.txt" for name in AGREEMENT_FIXTURES] + [S5_SHIFT]:
         ctx = ctx_of(path)
         for k in (1, 2, 8 * ctx.degree):
             for seed in range(4):
@@ -172,58 +174,8 @@ def test_matched_sides_makes_the_same_contains_calls(path, monkeypatch):
     assert counts[-1] == 0
 
 
-@pytest.mark.parametrize(
-    "path,seen",
-    [
-        (NO_M4, {b"0", b"1"}),
-        (NO_M6, {b"0", b"1"}),
-        (TINY, {b"0"}),
-        pytest.param(S5_SHIFT, {b"0"}, id="s5-shift-cap-100"),
-    ],
-)
-def test_majority_responder_matches_direct_count(path, seen):
-    # oracle: score each side by the v in <U> with <payload>^(v^-1) equal to
-    # the side's group, on the nose; ties go to 0.  On TINY and S5_SHIFT the
-    # sides are conjugate, so a generating batch is a tie with positive
-    # scores and the answer is always 0.
-    ctx = ctx_of(path)
-    replies = set()
-    for k in (1, 2, 8 * ctx.degree):
-        for seed in range(4):
-            payload = draw_challenge(ctx, k, RandomTape(seed)).payload
-            gset_p = GeneratingSet(ctx.degree, payload)
-            scores = [
-                sum(
-                    group_equal(gset_p.conjugated_by(v.inverse()), ctx.instance.side(side))
-                    for v in ctx.u_elements()
-                )
-                for side in (0, 1)
-            ]
-            reply = majority_responder().respond(ctx, payload, random.Random(0))
-            assert reply == (b"1" if scores[1] > scores[0] else b"0")
-            replies.add(reply)
-    assert replies == seen
-
-
-AGREEMENT_FIXTURES = ["no_m3", "no_m4", "no_m6", "tiny_cyclic", "q2_groups", "trans_pair", "s4_pair"]
-
-
-@pytest.mark.parametrize(
-    "path", [f"fixtures/{name}.txt" for name in AGREEMENT_FIXTURES] + [pytest.param(S5_SHIFT, id="s5-shift-cap-100")]
-)
-def test_majority_responder_answers_as_brute_force(path):
-    # only a matched side scores, and two matched sides are U-conjugate to
-    # each other, so they tie and the answer is 0, as brute answers them
-    ctx = ctx_of(path)
-    brute, majority = brute_force_responder(), majority_responder()
-    for k in (1, 2, 8 * ctx.degree):
-        for seed in range(25):
-            payload = draw_challenge(ctx, k, RandomTape(seed)).payload
-            assert majority.respond(ctx, payload, random.Random(0)) == brute.respond(ctx, payload, random.Random(0))
-
-
 def test_responder_registry():
-    assert set(STANDARD_RESPONDERS) == {"brute", "const0", "const1", "majority"}
+    assert set(STANDARD_RESPONDERS) == {"brute", "const0", "const1"}
     for name, make in STANDARD_RESPONDERS.items():
         assert make().name == name
     assert constant_responder(1).respond(None, (), None) == b"1"

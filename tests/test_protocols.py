@@ -196,8 +196,8 @@ GOLDEN_DIGESTS = [
     ("elem-conj-ec-yes-honest", element_runner, 15, "0f7ffbd32549f937d6b74e5330c871d304fd550583355df7524c002ca1525cff"),
     ("non-conj-no-m4-brute", lambda: non_conj_runner(NO_M4, "brute"), 16, "778719a0efb26858e1e94559a9f3f0a43cabd23b4fb4923352f870fd3fcf7df4"),
     ("non-conj-no-m6-brute", lambda: non_conj_runner(NO_M6, "brute"), 17, "17c597579b38a8ddcebdbb215337b77954c7f4fb4316b1d41702a9f3893fe906"),
-    ("non-conj-no-m4-majority", lambda: non_conj_runner(NO_M4, "majority"), 18, "23e552e067bd29df0e55715de26e9b52fc91625a6a983fec95d95ad232ec02cf"),
-    ("non-conj-no-m6-majority", lambda: non_conj_runner(NO_M6, "majority"), 19, "f7ac4ab22bd82f1f48838bf35b625da29126a05a876f7f3999a9b5af92b18d83"),
+    ("non-conj-no-m4-brute-seed18", lambda: non_conj_runner(NO_M4, "brute"), 18, "23e552e067bd29df0e55715de26e9b52fc91625a6a983fec95d95ad232ec02cf"),
+    ("non-conj-no-m6-brute-seed19", lambda: non_conj_runner(NO_M6, "brute"), 19, "f7ac4ab22bd82f1f48838bf35b625da29126a05a876f7f3999a9b5af92b18d83"),
 ]
 
 

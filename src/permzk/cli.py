@@ -198,7 +198,7 @@ def cmd_stats_genlemma(args) -> int:
     target = chain.order()
     hits = 0
     for _ in range(args.trials):
-        perms = tuple(chain.random_element(rng) for _ in range(args.k))
+        perms = chain.random_elements(rng, args.k)
         hits += generates(GeneratingSet(gset.degree, perms), target)
     frequency = hits / args.trials
     bound = genlemma_bound(gset.degree, args.k)

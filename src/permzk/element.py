@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import simulator
-from .engine import GeneratingSet, centralizer_in_sym, enumerate_elements, membership_chain
+from .engine import GeneratingSet, enumerate_elements, membership_chain
 from .framework import VerifierProgram, challenge_bit
 from .conjugacy import (
     DEFAULT_SEARCH_CAP,
@@ -186,16 +186,6 @@ def coset_intersects(inst: CosetIntersectionInstance, cap: int = DEFAULT_SEARCH_
         if z * x == x * z:
             return True
     return False
-
-
-def centralizer_coset_oracle(inst: CosetIntersectionInstance, cap: int = DEFAULT_SEARCH_CAP) -> bool:
-    """Same question from the other side: enumerate the centralizer of x in
-    S_m and test membership of c*y^-1 in <U>.  Used to cross-check
-    coset_intersects in tests."""
-    chain_c = membership_chain(centralizer_in_sym(inst.x))
-    chain_u = membership_chain(inst.u)
-    y_inv = inst.y.inverse()
-    return any(chain_u.contains(c * y_inv) for c in enumerate_elements(chain_c, cap))
 
 
 # -- zero-knowledge checks ----------------------------------------------------

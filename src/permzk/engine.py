@@ -23,6 +23,13 @@ boundary.  A level inverts a transversal representative the first time a
 sift reads it, not when its orbit is rebuilt.  conjugated(v) maps a finished
 chain to the chain of G^v, which samples the same stream conjugated by v.
 
+Sampling is table-driven: a chain's first draw derives, per level, the orbit
+size n, w = n.bit_length() and the representatives in points order, with
+itemgetters to compose them in below the first level.  Each index is drawn
+with the loop of CPython's randrange(n), getrandbits(w) until below n, so
+the draws and the stream's state match one randrange per level, as
+test_table_draw_is_cpython_randrange checks.
+
 The generation test generates(gens, order) runs the same sifting but stops
 as soon as the product of the transversal sizes reaches order.  That is
 exact under one precondition: gens lie in a group of that order.  Its six
@@ -39,11 +46,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
-from .perm import Permutation, conjugation, format_perm, identity_images, invert_images, parse_perm
+from .perm import Permutation, conjugation, identity_images, invert_images, parse_perm
 
 DEFAULT_ENUM_CAP = 10_000
 DEFAULT_TUPLE_ATTEMPTS = 64
@@ -83,10 +91,6 @@ class GeneratingSet:
 
     def conjugated_by(self, v: Permutation) -> "GeneratingSet":
         return GeneratingSet(self.degree, tuple(g.conjugated_by(v) for g in self.gens))
-
-
-def format_generating_set(a: GeneratingSet) -> str:
-    return ";".join(format_perm(g) for g in a.gens)
 
 
 def parse_generating_set(text: str, degree: int) -> GeneratingSet:
@@ -152,6 +156,7 @@ class StabilizerChain:
         self._ident = identity_images(degree)
         self._levels: list = []
         self._order: Optional[int] = None
+        self._table: Optional[tuple] = None
 
     # -- queries ----------------------------------------------------------
 
@@ -159,10 +164,6 @@ class StabilizerChain:
         if self._order is None:
             self._order = self._product()
         return self._order
-
-    def base_points(self) -> tuple:
-        """Base points, 1-based, in chain order."""
-        return tuple(l.base + 1 for l in self._levels)
 
     def strip(self, y: Permutation) -> Permutation:
         """Sift y through the transversals; the residue is the identity
@@ -177,14 +178,43 @@ class StabilizerChain:
         return self._strip(y._img)[0] == self._ident
 
     def random_element(self, rng) -> Permutation:
-        """Exactly uniform over the group: one uniform transversal
-        representative per level, composed deepest first."""
-        acc = None
-        for lvl in self._levels:
-            pts = lvl.points
-            rep = lvl.transversal[pts[rng.randrange(len(pts))]]
-            acc = rep if acc is None else itemgetter(*rep)(acc)
-        return Permutation._raw(self._ident if acc is None else acc)
+        """One exactly uniform element: random_elements(rng, 1)."""
+        return self.random_elements(rng, 1)[0]
+
+    def random_elements(self, rng, k: int) -> tuple:
+        """k independent, exactly uniform elements: per element one uniform
+        representative per level, composed deepest first.  rng is a
+        random.Random or a RandomTape, which counts one draw per level."""
+        table = self._table or self._sampling_table()
+        if not table:
+            return (Permutation._raw(self._ident),) * k
+        n0, w0, reps0, rest = table
+        if isinstance(rng, random.Random):
+            getrandbits = rng.getrandbits
+        else:
+            getrandbits = rng.index_draws(k * (1 + len(rest)))
+        out = []
+        for _ in range(k):
+            r = getrandbits(w0)
+            while r >= n0:
+                r = getrandbits(w0)
+            acc = reps0[r]
+            for n, w, getters in rest:
+                r = getrandbits(w)
+                while r >= n:
+                    r = getrandbits(w)
+                acc = getters[r](acc)
+            out.append(Permutation._raw(acc))
+        return tuple(out)
+
+    def _sampling_table(self) -> tuple:
+        """(n0, w0, reps0, rest): the first level's table, then (n, w,
+        getters) per deeper level; () for the trivial group."""
+        if self._table is None:
+            reps = [tuple(map(lvl.transversal.__getitem__, lvl.points)) for lvl in self._levels]
+            rest = tuple((len(r), len(r).bit_length(), tuple(itemgetter(*t) for t in r)) for r in reps[1:])
+            self._table = (len(reps[0]), len(reps[0]).bit_length(), reps[0], rest) if reps else ()
+        return self._table
 
     def conjugated(self, v: Permutation) -> "StabilizerChain":
         """The chain of G^v, for G this chain's group: base and orbit points
@@ -388,7 +418,7 @@ def random_generating_tuple(chain: StabilizerChain, k: int, rng) -> GeneratingTu
     if k < 1:
         raise ValueError("k must be at least 1")
     for attempt in range(1, DEFAULT_TUPLE_ATTEMPTS + 1):
-        perms = tuple(chain.random_element(rng) for _ in range(k))
+        perms = chain.random_elements(rng, k)
         if generates(GeneratingSet(chain.degree, perms), chain.order()):
             return GeneratingTuple(perms, attempt)
     raise BudgetExceeded(
@@ -467,14 +497,6 @@ def centralizer_in_sym(x: Permutation) -> GeneratingSet:
             img[q - 1] = p - 1
         gens.append(Permutation._raw(tuple(img)))
     return GeneratingSet(m, tuple(gens)).canonical()
-
-
-def centralizer_order_in_sym(x: Permutation) -> int:
-    """Closed form: the product over cycle lengths d of count_d! * d**count_d."""
-    counts = {}
-    for d in x.cycle_type():
-        counts[d] = counts.get(d, 0) + 1
-    return math.prod(math.factorial(c) * d**c for d, c in counts.items())
 
 
 def symmetric_group(m: int) -> GeneratingSet:

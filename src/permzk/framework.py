@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .perm import Permutation, format_perm
 
@@ -72,6 +72,12 @@ class RandomTape:
     def randrange(self, n: int) -> int:
         self.consumed += 1
         return self._rng.randrange(n)
+
+    def index_draws(self, draws: int):
+        """Count draws randrange-like draws that the caller makes itself
+        from the returned getrandbits of this tape's stream."""
+        self.consumed += draws
+        return self._rng.getrandbits
 
     def bit(self) -> int:
         return self.randrange(2)
@@ -182,15 +188,6 @@ def render_transcript(events, accepted: bool) -> str:
     ]
     lines.append("ACCEPT" if accepted else "REJECT")
     return "\n".join(lines) + "\n"
-
-
-def run_session(session: Iterator) -> SessionOutcome:
-    """Drive a session generator to completion, discarding the event trace."""
-    while True:
-        try:
-            next(session)
-        except StopIteration as stop:
-            return stop.value
 
 
 def _spawn(rng: random.Random):

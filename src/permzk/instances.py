@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from typing import Union
 
-from .engine import GeneratingSet, format_generating_set, parse_generating_set
+from .engine import GeneratingSet, parse_generating_set
 from .conjugacy import GroupConjInstance
 from .element import ElemConjInstance
-from .perm import format_perm, parse_perm
+from .perm import parse_perm
 
 GROUP_KEYS = ("A0", "A1")
 ELEMENT_KEYS = ("a0", "a1")
@@ -95,20 +95,6 @@ def parse_instance_text(text: str) -> Union[GroupConjInstance, ElemConjInstance]
 def load_instance(path) -> Union[GroupConjInstance, ElemConjInstance]:
     with open(path, "r", encoding="ascii") as fh:
         return parse_instance_text(fh.read())
-
-
-def dump_instance(inst) -> str:
-    lines = [f"degree: {inst.degree}"]
-    if isinstance(inst, GroupConjInstance):
-        lines.append(f"A0: {format_generating_set(inst.a0)}")
-        lines.append(f"A1: {format_generating_set(inst.a1)}")
-    else:
-        lines.append(f"a0: {format_perm(inst.a0)}")
-        lines.append(f"a1: {format_perm(inst.a1)}")
-    lines.append(f"U: {format_generating_set(inst.u)}")
-    if inst.witness is not None:
-        lines.append(f"witness: {format_perm(inst.witness)}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_group_text(text: str) -> GeneratingSet:

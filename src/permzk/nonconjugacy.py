@@ -57,7 +57,7 @@ def draw_challenge(ctx: InstanceContext, k: int, tape: RandomTape) -> NonConjCha
     side = tape.bit()
     mask = ctx.chain_u.random_element(tape)
     chain = ctx.side_chain(side).conjugated(mask)
-    payload = tuple(chain.random_element(tape) for _ in range(k))
+    payload = chain.random_elements(tape, k)
     return NonConjChallenge(side, mask, payload)
 
 
@@ -111,14 +111,14 @@ class ResponderProgram:
     """A prover strategy for the side-identification round."""
 
     name: str
-    respond: Callable[[InstanceContext, tuple, random.Random], bytes]
+    respond: Callable[[InstanceContext, tuple], bytes]
 
 
 def brute_force_responder() -> ResponderProgram:
     """The honest unbounded prover: name the unique matching side; if both
     or neither side matches, the batch is uninformative, answer 0."""
 
-    def respond(ctx, payload, rng):
+    def respond(ctx, payload):
         sides = matched_sides(ctx, payload)
         return bit_payload(sides[0] if len(sides) == 1 else 0)
 
@@ -127,7 +127,7 @@ def brute_force_responder() -> ResponderProgram:
 
 def constant_responder(bit: int) -> ResponderProgram:
     payload = bit_payload(int(bit))
-    return ResponderProgram("const" + payload.decode("ascii"), lambda ctx, p, rng: payload)
+    return ResponderProgram("const" + payload.decode("ascii"), lambda ctx, p: payload)
 
 
 STANDARD_RESPONDERS = {
@@ -138,12 +138,13 @@ STANDARD_RESPONDERS = {
 
 
 def session(ctx: InstanceContext, params: ProtocolParams, responder: ResponderProgram, rng_p, tape_v: RandomTape):
-    """One atomic session: verifier challenge, prover side claim."""
+    """One atomic session: verifier challenge, prover side claim.  No
+    responder draws, so rng_p goes unread."""
     record = SessionRecord(tape_v)
     challenge = draw_challenge(ctx, params.k, tape_v)
     yield record.send(VERIFIER, challenge.payload)
 
-    reply = responder.respond(ctx, challenge.payload, rng_p)
+    reply = responder.respond(ctx, challenge.payload)
     yield record.send(PROVER, reply)
 
     return record.outcome(challenge_matched(challenge.side, reply), side=challenge.side)

@@ -1,0 +1,68 @@
+"""Helpers that only the tests use: driving one session, writing
+generating sets and instances back out as text, two chain facts read from
+outside, and an oracle for the coset-intersection test."""
+
+import math
+
+from permzk.conjugacy import DEFAULT_SEARCH_CAP, GroupConjInstance
+from permzk.element import CosetIntersectionInstance
+from permzk.engine import (
+    GeneratingSet,
+    StabilizerChain,
+    centralizer_in_sym,
+    enumerate_elements,
+    membership_chain,
+)
+from permzk.framework import SessionOutcome
+from permzk.perm import Permutation, format_perm
+
+
+def run_session(session) -> SessionOutcome:
+    """Drive a session generator to completion, discarding the event trace."""
+    while True:
+        try:
+            next(session)
+        except StopIteration as stop:
+            return stop.value
+
+
+def format_generating_set(a: GeneratingSet) -> str:
+    return ";".join(format_perm(g) for g in a.gens)
+
+
+def dump_instance(inst) -> str:
+    """The instance as text that parse_instance_text reads back."""
+    lines = [f"degree: {inst.degree}"]
+    if isinstance(inst, GroupConjInstance):
+        lines.append(f"A0: {format_generating_set(inst.a0)}")
+        lines.append(f"A1: {format_generating_set(inst.a1)}")
+    else:
+        lines.append(f"a0: {format_perm(inst.a0)}")
+        lines.append(f"a1: {format_perm(inst.a1)}")
+    lines.append(f"U: {format_generating_set(inst.u)}")
+    if inst.witness is not None:
+        lines.append(f"witness: {format_perm(inst.witness)}")
+    return "\n".join(lines) + "\n"
+
+
+def base_points(chain: StabilizerChain) -> tuple:
+    """The chain's base points, 1-based, in chain order."""
+    return tuple(lvl.base + 1 for lvl in chain._levels)
+
+
+def centralizer_order_in_sym(x: Permutation) -> int:
+    """Closed form: the product over cycle lengths d of count_d! * d**count_d."""
+    counts = {}
+    for d in x.cycle_type():
+        counts[d] = counts.get(d, 0) + 1
+    return math.prod(math.factorial(c) * d**c for d, c in counts.items())
+
+
+def centralizer_coset_oracle(inst: CosetIntersectionInstance, cap: int = DEFAULT_SEARCH_CAP) -> bool:
+    """The coset-intersection question from the other side, to cross-check
+    element.coset_intersects: enumerate the centralizer of x in S_m and test
+    membership of c*y^-1 in <U>."""
+    chain_c = membership_chain(centralizer_in_sym(inst.x))
+    chain_u = membership_chain(inst.u)
+    y_inv = inst.y.inverse()
+    return any(chain_u.contains(c * y_inv) for c in enumerate_elements(chain_c, cap))

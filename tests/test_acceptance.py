@@ -28,7 +28,6 @@ from permzk.conjugacy import (
 from permzk.element import (
     ElemConjInstance,
     ElementContext,
-    centralizer_coset_oracle,
     coset_intersects,
     reduce_coset_to_element,
     reduce_element_to_coset,
@@ -48,6 +47,8 @@ from permzk.simulator import (
     simulate,
     verify_view_bijection,
 )
+
+from helpers import centralizer_coset_oracle
 
 YES_FIXTURES = (
     "fixtures/tiny_cyclic.txt",
@@ -167,7 +168,7 @@ def test_criterion_03_generation_frequency_bounds():
         ):
             hits = 0
             for _ in range(trials):
-                perms = tuple(chain.random_element(rng) for _ in range(k))
+                perms = chain.random_elements(rng, k)
                 if build_chain(GeneratingSet(m, perms)).order() == target:
                     hits += 1
             freq = hits / trials

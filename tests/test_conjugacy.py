@@ -23,10 +23,11 @@ from permzk.framework import (
     RandomTape,
     constant_verifier,
     honest_verifier,
-    run_session,
 )
 from permzk.instances import load_instance
 from permzk.perm import Permutation
+
+from helpers import run_session
 
 
 def gset(degree, *texts):

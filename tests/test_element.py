@@ -12,7 +12,6 @@ from permzk.element import (
     ElementContext,
     GuessingElemProver,
     HonestElemProver,
-    centralizer_coset_oracle,
     compare_element_view_distributions,
     coset_intersects,
     params_for,
@@ -30,7 +29,6 @@ from permzk.framework import (
     constant_verifier,
     honest_verifier,
     parity_verifier,
-    run_session,
 )
 from permzk.instances import load_instance
 from permzk.perm import Permutation
@@ -43,6 +41,8 @@ from permzk.simulator import (
     simulate,
     view_from_randomness,
 )
+
+from helpers import centralizer_coset_oracle, run_session
 
 EC_YES = "fixtures/ec_yes_m3.txt"
 Q2_ELEMENTS = "fixtures/q2_elements.txt"

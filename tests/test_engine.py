@@ -23,9 +23,7 @@ from permzk.engine import (
     StabilizerChain,
     build_chain,
     centralizer_in_sym,
-    centralizer_order_in_sym,
     enumerate_elements,
-    format_generating_set,
     generates,
     generating_tuples,
     group_equal,
@@ -37,8 +35,11 @@ from permzk.engine import (
 )
 from permzk.conjugacy import InstanceContext
 from permzk.element import ElementContext
+from permzk.framework import RandomTape
 from permzk.instances import load_group_file, load_instance, parse_instance_text
 from permzk.perm import Permutation
+
+from helpers import base_points, centralizer_order_in_sym, format_generating_set
 
 ALPHA = 1e-3
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
@@ -120,7 +121,7 @@ def test_strip_is_identity_exactly_on_members():
 
 def test_base_points_are_moved_points():
     chain = build_chain(gset(4, "2 1 3 4", "2 3 4 1"))
-    assert chain.base_points() == (1, 2, 3)
+    assert base_points(chain) == (1, 2, 3)
     # order = product of transversal sizes along the chain
     assert chain.order() == 24
 
@@ -523,9 +524,96 @@ def test_chain_structure_digest():
     # Permutation-based engine that the raw-image one replaced, whose
     # representatives were inverted when each orbit was rebuilt rather than
     # when a sift first read them; the benchmark's sampled chains on the
-    # raw-image engine before membership chains grew orbits in place
+    # raw-image engine before membership chains grew orbits in place.  Each
+    # chain is drawn from first: its sampling tables are derived data
     h = hashlib.sha256()
     for chain in golden_chains():
+        chain.random_elements(random.Random(0), 3)
         levels = [(lvl.base, lvl.points, [lvl.transversal[p] for p in lvl.points]) for lvl in chain._levels]
         h.update(repr(levels).encode("ascii"))
     assert h.hexdigest() == "83e5e33468527c3770d123b7df916f5e87697205cf989a3694adb63127577e7c"
+
+
+# 300 distinct arrangements of six points, by index
+ARRANGEMENTS = list(itertools.islice(itertools.permutations(range(6)), 300))
+ARRANGEMENT_INDEX = {a: j for j, a in enumerate(ARRANGEMENTS)}
+
+
+def block_chain(sizes):
+    """A two-level stand-in for a chain of degree 12, made for the sampler
+    alone: level i has sizes[i] points, and its j-th representative puts
+    block i (points 6i..6i+5) in the j-th arrangement and fixes the other
+    block, so a draw shows the index drawn at each level."""
+    chain = StabilizerChain(12, GeneratingSet(12))
+    for i, n in enumerate(sizes):
+        lvl = engine._Level(6 * i)
+        lvl.points = tuple(range(n))
+        arranged = [tuple(6 * i + p for p in a) for a in ARRANGEMENTS[:n]]
+        other = tuple(range(6 - 6 * i, 12 - 6 * i))
+        lvl.transversal = {j: a + other if i == 0 else other + a for j, a in enumerate(arranged)}
+        chain._levels.append(lvl)
+    return chain
+
+
+def drawn_indices(x):
+    img = x._img
+    return [ARRANGEMENT_INDEX[img[:6]], ARRANGEMENT_INDEX[tuple(p - 6 for p in img[6:])]]
+
+
+ORBIT_SIZES = [(n, 301 - n) for n in range(1, 301)]
+
+
+def test_table_draw_is_cpython_randrange():
+    # the sampler inlines the loop of CPython's randrange(n), getrandbits
+    # of n.bit_length() bits until below n; every n in 1..300 runs at both
+    # levels, powers of two included, which reject about half their draws.
+    # Should a CPython release change randrange, this fails
+    chains = [block_chain(sizes) for sizes in ORBIT_SIZES]
+    for seed in range(10):
+        for sizes, chain in zip(ORBIT_SIZES, chains):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                x = chain.random_element(ours)
+                assert drawn_indices(x) == [theirs.randrange(n) for n in sizes]
+                assert ours.getstate() == theirs.getstate()
+
+
+def test_table_draw_counts_one_tape_draw_per_level():
+    for seed, sizes in enumerate(ORBIT_SIZES):
+        chain = block_chain(sizes)
+        ours, theirs = RandomTape(seed), RandomTape(seed)
+        draws = chain.random_elements(ours, 3)
+        assert [drawn_indices(x) for x in draws] == [[theirs.randrange(n) for n in sizes] for _ in range(3)]
+        assert ours.consumed == theirs.consumed == 6
+        assert ours.getrandbits(64) == theirs.getrandbits(64)
+
+
+def randrange_draw(chain, rng):
+    """One element drawn as the sampler drew it before its tables: a
+    randrange per level over the orbit points, composed deepest first."""
+    acc = Permutation.identity(chain.degree)
+    for lvl in chain._levels:
+        acc = Permutation._raw(lvl.transversal[lvl.points[rng.randrange(len(lvl.points))]]) * acc
+    return acc
+
+
+K_DRAW_GROUPS = {"S4wrS4": S4_WR_S4, "S7": symmetric_group(7), "S2": symmetric_group(2), "trivial": GeneratingSet(3)}
+
+
+@pytest.mark.parametrize("name", K_DRAW_GROUPS)
+def test_random_elements_are_k_random_element_draws(name):
+    chain = build_chain(K_DRAW_GROUPS[name])
+    v = Permutation(random.Random(1).sample(range(1, chain.degree + 1), chain.degree))
+    for sampled in (chain, chain.conjugated(v)):
+        for seed, k in ((0, 1), (1, 5), (2, 64)):
+            batch, single, reference = random.Random(seed), random.Random(seed), random.Random(seed)
+            draws = sampled.random_elements(batch, k)
+            assert draws == tuple(sampled.random_element(single) for _ in range(k))
+            assert draws == tuple(randrange_draw(sampled, reference) for _ in range(k))
+            assert batch.getstate() == single.getstate() == reference.getstate()
+            if name == "trivial":
+                assert draws == (Permutation.identity(3),) * k
+                assert batch.getstate() == random.Random(seed).getstate()
+        batch, reference = RandomTape(3), RandomTape(3)
+        assert sampled.random_elements(batch, 7) == tuple(randrange_draw(sampled, reference) for _ in range(7))
+        assert batch.consumed == reference.consumed == 7 * len(sampled._levels)

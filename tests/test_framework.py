@@ -21,9 +21,10 @@ from permzk.framework import (
     render_transcript,
     run_parallel,
     run_sequential,
-    run_session,
 )
 from permzk.perm import Permutation
+
+from helpers import run_session
 
 
 def test_challenge_bit_strict_byte_decoding():

@@ -8,13 +8,14 @@ from permzk.conjugacy import GroupConjInstance, InstanceContext
 from permzk.element import ElemConjInstance, ElementContext
 from permzk.instances import (
     InstanceError,
-    dump_instance,
     load_group_file,
     load_instance,
     parse_group_text,
     parse_instance_text,
 )
 from permzk.perm import Permutation
+
+from helpers import dump_instance
 
 
 GROUP_TEXT = """\

@@ -6,7 +6,7 @@ import pytest
 
 from permzk.conjugacy import GroupConjInstance, InstanceContext
 from permzk.engine import StabilizerChain, build_chain, enumerate_elements, group_equal, GeneratingSet
-from permzk.framework import RandomTape, run_session
+from permzk.framework import RandomTape
 from permzk.instances import load_instance
 from permzk.nonconjugacy import (
     NonConjChallenge,
@@ -22,6 +22,8 @@ from permzk.nonconjugacy import (
     session,
 )
 from permzk.perm import Permutation
+
+from helpers import run_session
 
 TINY = "fixtures/tiny_cyclic.txt"
 NO_M3 = "fixtures/no_m3.txt"
@@ -105,7 +107,7 @@ def test_matched_sides_tie_on_conjugate_groups():
     ctx = ctx_of(TINY)
     ch = draw_challenge(ctx, 24, RandomTape(5))
     assert matched_sides(ctx, ch.payload) == (0, 1)
-    assert brute_force_responder().respond(ctx, ch.payload, random.Random(0)) == b"0"
+    assert brute_force_responder().respond(ctx, ch.payload) == b"0"
 
 
 def test_matched_sides_neither_on_small_batch():
@@ -113,7 +115,7 @@ def test_matched_sides_neither_on_small_batch():
     ctx = ctx_of(NO_M4)
     payload = (Permutation.identity(4),) * 3
     assert matched_sides(ctx, payload) == ()
-    assert brute_force_responder().respond(ctx, payload, random.Random(0)) == b"0"
+    assert brute_force_responder().respond(ctx, payload) == b"0"
 
 
 AGREEMENT_FIXTURES = ["no_m3", "no_m4", "no_m6", "tiny_cyclic", "q2_groups", "trans_pair", "s4_pair"]
@@ -178,7 +180,7 @@ def test_responder_registry():
     assert set(STANDARD_RESPONDERS) == {"brute", "const0", "const1"}
     for name, make in STANDARD_RESPONDERS.items():
         assert make().name == name
-    assert constant_responder(1).respond(None, (), None) == b"1"
+    assert constant_responder(1).respond(None, ()) == b"1"
 
 
 def test_session_shape_and_counters():

@@ -10,9 +10,11 @@ from permzk import conjugacy, element, nonconjugacy
 from permzk.conjugacy import GroupConjInstance, GuessingProver, HonestProver, InstanceContext, ProtocolParams, _coerce_perm
 from permzk.element import ElemConjInstance, ElementContext, HonestElemProver, params_for
 from permzk.engine import GeneratingSet
-from permzk.framework import RandomTape, honest_verifier, run_session
+from permzk.framework import RandomTape, honest_verifier
 from permzk.instances import load_instance
 from permzk.perm import Permutation, parse_perm
+
+from helpers import run_session
 
 TINY = "fixtures/tiny_cyclic.txt"
 Q2_GROUPS = "fixtures/q2_groups.txt"

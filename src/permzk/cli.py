@@ -135,19 +135,7 @@ def cmd_prove(args) -> int:
 
 
 def _report_lines(report: dict, bijection: Optional[bool]) -> list:
-    order = (
-        "mode",
-        "domain",
-        "samples",
-        "cells",
-        "restarts_mean",
-        "attempts_per_restart",
-        "laws_equal",
-        "uniform_on_consistent",
-        "chi2_p",
-        "tv_distance_upper",
-    )
-    lines = [f"{key}={_fmt_value(report[key])}" for key in order if key in report]
+    lines = [f"{key}={_fmt_value(value)}" for key, value in report.items()]
     if bijection is not None:
         lines.append("bijection=" + ("OK" if bijection else "FAIL"))
     return lines

@@ -118,10 +118,10 @@ class ElementContext(InstanceContext):
         return self._conjugates_of_sides()
 
 
-def params_for(instance, k: int = 1, t: int = 1) -> ProtocolParams:
+def params_for(instance, t: int = 1) -> ProtocolParams:
     """The commitment is a single permutation; k is fixed at 1 and kept in
     the params object only so the session plumbing stays shared."""
-    return ProtocolParams(k, t)
+    return ProtocolParams(1, t)
 
 
 def response_accepted(ctx: ElementContext, commit: Permutation, challenge, response) -> bool:

@@ -1,18 +1,17 @@
-"""Black-box simulator for the three-round conjugacy protocol, plus the
-machinery that checks its output distribution: an explicit bijection between
-honest-prover randomness and consistent views, exact view laws by
-enumeration on tiny instances, and two-sample statistical comparison at
-larger sizes.  Everything here runs on the context's protocol methods, so it
-serves group instances (InstanceContext) and element instances
-(ElementContext) alike; exact checks stay within the context's search_cap.
-The consistent-view oracle asks the verifier's conditions through
-ctx.accepted_responses, which answers for every response in <U> at once
-from precomputed membership bitmasks and agrees with ctx.accepts, the
-live verifier's predicate, response by response.
-
-The simulator guesses the challenge side, commits accordingly, replays the
-verifier program on the same tape, and restarts from scratch (fresh
-commitment randomness, same tape) until the guess matches.
+"""Black-box simulator for the three-round conjugacy protocol, and the
+machinery that checks its output law.  Each law is one party's map over its
+randomness: view_from_randomness sends the honest prover's (base, mask) to a
+view, and simulated_view sends the simulator's (side guess, base, mask) to a
+view, or to None (a restart) when the challenge misses the side.  Both
+replay the verifier program through _replay.  Exact laws push uniform
+randomness through these maps on tiny instances, randomness_of_view inverts
+the honest map onto the consistent views, and a two-sample test compares
+sampled views at larger sizes.  Everything runs on the context's protocol
+methods, so group (InstanceContext) and element (ElementContext) instances
+are served alike, exact checks within the context's search_cap.  The
+consistent-view oracle asks the verifier's conditions through
+ctx.accepted_responses, which answers for every response in <U> at once and
+agrees with ctx.accepts, the live verifier's predicate, response by response.
 """
 
 from __future__ import annotations
@@ -41,21 +40,19 @@ class SimulatedView:
     response: object
 
 
-@dataclass(frozen=True)
-class AttemptRecord:
-    mask: object
-    side: int
-    commit: object
-    challenge: bytes
-    tape_draws: int
-
-
 @dataclass
 class SimulateResult:
     view: SimulatedView
     restarts: int
     sample_attempts: int
-    attempts_log: tuple = ()
+
+
+def _replay(ctx: InstanceContext, program: VerifierProgram, tape_seed: int, commit):
+    """The verifier's move on a fresh tape: the consumed tape prefix and the
+    challenge the program emits on this commitment."""
+    tape = RandomTape(tape_seed)
+    challenge = program.challenge(ctx.instance, tape, commit)
+    return tape.prefix(), challenge
 
 
 def simulate(
@@ -65,32 +62,39 @@ def simulate(
     *,
     k: Optional[int] = None,
     tape_seed: Optional[int] = None,
-    record_attempts: bool = False,
 ) -> SimulateResult:
     """Simulate one session view without the witness: per attempt draw a
-    mask, a side guess and a base commitment for that side, in this order."""
+    mask, a side guess and a base commitment for that side, in this order,
+    and restart with fresh draws on the same tape until the guess holds."""
     k = k if k is not None else TUPLE_LENGTH_FACTOR * ctx.degree
     if tape_seed is None:
         tape_seed = rng.getrandbits(64)
     total_attempts = 0
-    log = []
     for restart in range(1, DEFAULT_MAX_RESTARTS + 1):
         mask = ctx.chain_u.random_element(rng)
         side = rng.randrange(2)
         base, attempts = ctx.sample_base(side, k, rng)
-        commit = ctx.mask(base, mask)
         total_attempts += attempts
-        tape = RandomTape(tape_seed)
-        challenge = program.challenge(ctx.instance, tape, commit)
-        if record_attempts:
-            log.append(AttemptRecord(mask, side, commit, challenge, tape.consumed))
-        if challenge_bit(challenge) == side:
-            view = SimulatedView(tape.prefix(), commit, challenge, mask)
-            return SimulateResult(view, restart, total_attempts, tuple(log))
+        view = simulated_view(ctx, program, tape_seed, side, base, mask)
+        if view is not None:
+            return SimulateResult(view, restart, total_attempts)
     raise BudgetExceeded(
         f"simulator hit the restart cap ({DEFAULT_MAX_RESTARTS}); "
         "the instance is not a yes-instance or the verifier program defeats the side guess"
     )
+
+
+def simulated_view(
+    ctx: InstanceContext, program: VerifierProgram, tape_seed: int, side: int, base, mask
+) -> Optional[SimulatedView]:
+    """One simulator attempt as a function of its randomness (a side guess,
+    a base commitment for that side, a mask from <U>): the view revealing
+    the mask, or None when the challenge misses the side."""
+    commit = ctx.mask(base, mask)
+    prefix, challenge = _replay(ctx, program, tape_seed, commit)
+    if challenge_bit(challenge) != side:
+        return None
+    return SimulatedView(prefix, commit, challenge, mask)
 
 
 def view_from_randomness(
@@ -105,10 +109,9 @@ def view_from_randomness(
     from <U>.  This is exactly the map the real protocol computes, so
     real_view() samples its inputs and then calls it."""
     commit = ctx.mask(base, mask)
-    tape = RandomTape(tape_seed)
-    challenge = program.challenge(ctx.instance, tape, commit)
+    prefix, challenge = _replay(ctx, program, tape_seed, commit)
     response = mask if challenge_bit(challenge) else ctx.witness() * mask
-    return SimulatedView(tape.prefix(), commit, challenge, response)
+    return SimulatedView(prefix, commit, challenge, response)
 
 
 def randomness_of_view(ctx: InstanceContext, view: SimulatedView):
@@ -151,9 +154,7 @@ def enumerate_consistent_views(
     simulator."""
     views = []
     for commit in ctx.candidate_commits(k):
-        tape = RandomTape(tape_seed)
-        challenge = program.challenge(ctx.instance, tape, commit)
-        prefix = tape.prefix()
+        prefix, challenge = _replay(ctx, program, tape_seed, commit)
         for w in ctx.accepted_responses(commit, challenge):
             views.append(SimulatedView(prefix, commit, challenge, w))
     return tuple(views)
@@ -216,14 +217,10 @@ def exact_sim_law(
         weight = Fraction(1, 2 * len(u_elems) * len(bases))
         for base in bases:
             for mask in u_elems:
-                commit = ctx.mask(base, mask)
-                tape = RandomTape(tape_seed)
-                challenge = program.challenge(ctx.instance, tape, commit)
-                if challenge_bit(challenge) != side:
-                    continue
-                view = SimulatedView(tape.prefix(), commit, challenge, mask)
-                mass[view] = mass.get(view, Fraction(0)) + weight
-                total += weight
+                view = simulated_view(ctx, program, tape_seed, side, base, mask)
+                if view is not None:
+                    mass[view] = mass.get(view, Fraction(0)) + weight
+                    total += weight
     if total == 0:
         raise BudgetExceeded("the verifier program defeats every side guess on this tape")
     return {view: p / total for view, p in mass.items()}
@@ -234,11 +231,11 @@ def total_variation(law_p: dict, law_q: dict) -> Fraction:
     return sum((abs(law_p.get(v, Fraction(0)) - law_q.get(v, Fraction(0))) for v in keys), Fraction(0)) / 2
 
 
-def bucket_of_commit(commit: tuple, nbuckets: int) -> int:
-    """Stable hash bucket for a commitment tuple (independent of process
-    hash randomization, so reports reproduce byte for byte)."""
+def bucket_of_commit(commit, nbuckets: int) -> int:
+    """Stable hash bucket for a commitment tuple, a lone permutation read as
+    a 1-tuple (free of hash randomization, so reports reproduce exactly)."""
     h = 0
-    for p in commit:
+    for p in commit if isinstance(commit, tuple) else (commit,):
         for i in p.images:
             h = (h * 1000003 + i) & 0xFFFFFFFF
     return h % nbuckets
@@ -258,7 +255,8 @@ def compare_view_distributions(
     tape.  Exact mode enumerates both laws and the consistent-view set;
     statistical mode draws samples from each side and runs a two-sample
     chi-square over (challenge bit, response, one of 8 commit buckets) cells.
-    Only meaningful on yes-instances; anything else is refused."""
+    Only meaningful on yes-instances; anything else is refused.  The report
+    keys are in the order the CLI prints them."""
     if not ctx.is_yes():
         raise ValueError("zero-knowledge comparison applies to yes-instances only")
     k = k if k is not None else TUPLE_LENGTH_FACTOR * ctx.degree

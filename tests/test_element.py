@@ -33,6 +33,7 @@ from permzk.framework import (
 from permzk.instances import load_instance
 from permzk.perm import Permutation
 from permzk.simulator import (
+    compare_view_distributions,
     enumerate_consistent_views,
     exact_real_law,
     exact_sim_law,
@@ -312,6 +313,18 @@ def test_compare_element_view_distributions():
     }
     with pytest.raises(ValueError, match="yes-instances only"):
         compare_element_view_distributions(ctx_of(Q2_ELEMENTS), honest_verifier(), tape_seed=0)
+
+
+def test_compare_stat_mode_runs_on_element_instances():
+    # an element commitment is one permutation; the chi-square cells bucket
+    # it as a 1-tuple
+    ctx = ctx_of(EC_YES)
+    report = compare_view_distributions(ctx, honest_verifier(), tape_seed=8, samples=300, rng=random.Random(12))
+    assert report["mode"] == "stat"
+    assert report["samples"] == 300
+    assert report["cells"] >= 2
+    assert report["chi2_p"] > 1e-3
+    assert 0.0 <= report["tv_distance_upper"] <= 1.0
 
 
 def test_simulator_success_probability_is_exactly_half():

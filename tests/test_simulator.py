@@ -20,6 +20,7 @@ from permzk.engine import BudgetExceeded, enumerate_elements, generating_tuples
 from permzk.framework import (
     STANDARD_VERIFIERS,
     RandomTape,
+    TapePrefix,
     VerifierProgram,
     bit_payload,
     challenge_bit,
@@ -38,6 +39,7 @@ from permzk.simulator import (
     randomness_of_view,
     real_view,
     simulate,
+    simulated_view,
     total_variation,
     verify_view_bijection,
     view_from_randomness,
@@ -78,15 +80,34 @@ def side_detector():
     return VerifierProgram("sidedetect", choose, tape_budget=0)
 
 
+class AttemptRecordingContext(InstanceContext):
+    """A context that records each simulator attempt: the side guess of
+    every sample_base call and the mask w of every mask call, with the
+    commitment it made."""
+
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.sides, self.masks = [], []
+
+    def sample_base(self, side, k, rng):
+        self.sides.append(side)
+        return super().sample_base(side, k, rng)
+
+    def mask(self, base, w):
+        commit = super().mask(base, w)
+        self.masks.append((w, commit))
+        return commit
+
+
 def test_simulate_reuses_one_tape_seed_across_restarts():
-    ctx = ctx_of(TINY)
+    ctx = AttemptRecordingContext(load_instance(TINY))
     spy, calls = tape_spy(honest_verifier())
-    res = simulate(ctx, spy, random.Random(3), tape_seed=77, record_attempts=True)
-    assert len(calls) == res.restarts
+    res = simulate(ctx, spy, random.Random(3), tape_seed=77)
+    assert len(calls) == len(ctx.sides) == len(ctx.masks) == res.restarts
     assert all(seed == 77 for seed, _ in calls)
     # each attempt gets a fresh tape, so the draw counter never accumulates
     assert all(consumed == 1 for _, consumed in calls)
-    assert [rec.tape_draws for rec in res.attempts_log] == [1] * res.restarts
+    assert res.view.r_prefix == TapePrefix(77, 1)
 
 
 def test_simulate_draws_tape_seed_once_when_unset():
@@ -105,14 +126,17 @@ def test_simulate_is_deterministic_in_rng_and_tape():
 
 
 def test_simulate_stops_on_matching_side():
-    ctx = ctx_of(TINY)
-    res = simulate(ctx, honest_verifier(), random.Random(1), tape_seed=9, record_attempts=True)
-    last = res.attempts_log[-1]
-    assert challenge_bit(last.challenge) == last.side
-    for rec in res.attempts_log[:-1]:
-        assert challenge_bit(rec.challenge) != rec.side
-    assert res.view.commit == last.commit
-    assert res.view.response == last.mask
+    ctx = AttemptRecordingContext(load_instance(TINY))
+    program = honest_verifier()
+    res = simulate(ctx, program, random.Random(1), tape_seed=9)
+    assert len(ctx.sides) == len(ctx.masks) == res.restarts
+    bits = [challenge_bit(program.challenge(ctx.instance, RandomTape(9), commit)) for _, commit in ctx.masks]
+    assert bits[-1] == ctx.sides[-1]
+    for bit, side in zip(bits[:-1], ctx.sides[:-1]):
+        assert bit != side
+    last_mask, last_commit = ctx.masks[-1]
+    assert res.view.commit == last_commit
+    assert res.view.response == last_mask
     assert res.sample_attempts >= res.restarts >= 1
 
 
@@ -177,6 +201,34 @@ def test_randomness_of_view_inverts_view_from_randomness(case):
     ctx, program, tape_seed, base, mask = case
     view = view_from_randomness(ctx, program, tape_seed, base, mask)
     assert randomness_of_view(ctx, view) == (base, mask)
+
+
+@st.composite
+def simulator_randomness(draw):
+    """A yes-instance fixture, a verifier program and tape, and one value of
+    the simulator's per-attempt randomness: a side guess, a base for that
+    side and a mask."""
+    ctx = yes_context(draw(st.sampled_from(YES_FIXTURES)))
+    k = draw(st.integers(2, 3))
+    program = STANDARD_VERIFIERS[draw(st.sampled_from(sorted(STANDARD_VERIFIERS)))]()
+    side = draw(st.integers(0, 1))
+    base = draw(st.sampled_from(ctx.bases(side, k)))
+    mask = draw(st.sampled_from(ctx.u_elements()))
+    return ctx, program, draw(st.integers(0, 2**32)), side, base, mask
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(simulator_randomness())
+def test_simulated_view_restarts_exactly_when_the_challenge_misses_the_side(case):
+    ctx, program, tape_seed, side, base, mask = case
+    view = simulated_view(ctx, program, tape_seed, side, base, mask)
+    commit = ctx.mask(base, mask)
+    challenge = program.challenge(ctx.instance, RandomTape(tape_seed), commit)
+    assert (view is None) == (challenge_bit(challenge) != side)
+    if view is not None:
+        assert (view.commit, view.challenge, view.response) == (commit, challenge, mask)
+        # on side 1 the simulator's map and the honest prover's map agree
+        assert side == 0 or view == view_from_randomness(ctx, program, tape_seed, base, mask)
 
 
 def test_view_from_randomness_matches_real_protocol():

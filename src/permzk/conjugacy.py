@@ -12,7 +12,6 @@ conjugated by w.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -302,17 +301,28 @@ class InstanceContext:
         images = self.side_masks(0).keys() | self.side_masks(1).keys()
         return list(map(Permutation._raw, sorted(images)))
 
-    def candidate_commits(self, k: int):
+    def candidate_commits(self, k: int) -> list:
         """Every well-formed commitment that some response could make
-        acceptable: k-tuples over the conjugates of either side's elements
-        by <U>."""
+        acceptable, in itertools.product order: the k-tuples over the
+        conjugates of either side's elements by <U> whose entries' masks AND
+        to non-zero on side 0 or side 1, so the simulator replays no other.
+        The cap counts all k-tuples; the identity keeps every mask, so no
+        level of the walk outgrows the result."""
+        if k < 1:
+            raise ValueError("k must be at least 1")
         elems = self._conjugates_of_sides()
         u_count = len(self.u_elements())
         if len(elems) ** k * u_count > self.search_cap:
             raise BudgetExceeded(
                 f"{len(elems)}^{k} x {u_count} candidate views exceed cap {self.search_cap}"
             )
-        return itertools.product(elems, repeat=k)
+        m0, m1 = self.side_masks(0), self.side_masks(1)
+        entries = [(p, m0.get(p._img, 0), m1.get(p._img, 0)) for p in elems]
+        level = [((), -1, -1)]  # -1 has every bit set
+        for _ in range(k):
+            level = [(t + (p,), b0, b1) for t, a0, a1 in level for p, e0, e1 in entries
+                     if (b0 := a0 & e0) | (b1 := a1 & e1)]
+        return [t for t, _, _ in level]
 
 
 def _coerce_perm(item, degree: int) -> Optional[Permutation]:

@@ -3,15 +3,18 @@ machinery that checks its output law.  Each law is one party's map over its
 randomness: view_from_randomness sends the honest prover's (base, mask) to a
 view, and simulated_view sends the simulator's (side guess, base, mask) to a
 view, or to None (a restart) when the challenge misses the side.  Both
-replay the verifier program through _replay.  Exact laws push uniform
-randomness through these maps on tiny instances, randomness_of_view inverts
-the honest map onto the consistent views, and a two-sample test compares
-sampled views at larger sizes.  Everything runs on the context's protocol
-methods, so group (InstanceContext) and element (ElementContext) instances
-are served alike, exact checks within the context's search_cap.  The
-consistent-view oracle asks the verifier's conditions through
-ctx.accepted_responses, which answers for every response in <U> at once and
-agrees with ctx.accepts, the live verifier's predicate, response by response.
+replay the verifier program through _replay; an exact check replays each
+distinct commitment once, through a table that lives for that call.  Exact
+laws push uniform randomness through these maps on tiny instances,
+randomness_of_view inverts the honest map onto the consistent views, and a
+two-sample test compares sampled views at larger sizes.  Everything runs on
+the context's protocol methods, so group (InstanceContext) and element
+(ElementContext) instances are served alike, exact checks within the
+context's search_cap.  The consistent-view oracle walks
+ctx.candidate_commits, the commitments some response makes acceptable, and
+asks ctx.accepted_responses, which answers for every response in <U> at
+once and agrees with ctx.accepts, the live verifier's predicate, response
+by response.
 """
 
 from __future__ import annotations
@@ -47,12 +50,18 @@ class SimulateResult:
     sample_attempts: int
 
 
-def _replay(ctx: InstanceContext, program: VerifierProgram, tape_seed: int, commit):
+def _replay(ctx: InstanceContext, program: VerifierProgram, tape_seed: int, commit, replays=None):
     """The verifier's move on a fresh tape: the consumed tape prefix and the
-    challenge the program emits on this commitment."""
-    tape = RandomTape(tape_seed)
-    challenge = program.challenge(ctx.instance, tape, commit)
-    return tape.prefix(), challenge
+    challenge the program, a pure function of (instance, tape, commit), emits
+    on this commitment; kept in replays, one public call's table, if given."""
+    out = replays.get(commit) if replays is not None else None
+    if out is None:
+        tape = RandomTape(tape_seed)
+        challenge = program.challenge(ctx.instance, tape, commit)
+        out = tape.prefix(), challenge
+        if replays is not None:
+            replays[commit] = out
+    return out
 
 
 def simulate(
@@ -85,13 +94,13 @@ def simulate(
 
 
 def simulated_view(
-    ctx: InstanceContext, program: VerifierProgram, tape_seed: int, side: int, base, mask
+    ctx: InstanceContext, program: VerifierProgram, tape_seed: int, side: int, base, mask, _replays=None
 ) -> Optional[SimulatedView]:
     """One simulator attempt as a function of its randomness (a side guess,
     a base commitment for that side, a mask from <U>): the view revealing
     the mask, or None when the challenge misses the side."""
     commit = ctx.mask(base, mask)
-    prefix, challenge = _replay(ctx, program, tape_seed, commit)
+    prefix, challenge = _replay(ctx, program, tape_seed, commit, _replays)
     if challenge_bit(challenge) != side:
         return None
     return SimulatedView(prefix, commit, challenge, mask)
@@ -103,13 +112,14 @@ def view_from_randomness(
     tape_seed: int,
     base,
     mask,
+    _replays=None,
 ) -> SimulatedView:
     """The honest-prover view as a function of the prover's randomness: a
     base commitment for <A1> (a generating tuple, or a1 itself) and a mask
     from <U>.  This is exactly the map the real protocol computes, so
     real_view() samples its inputs and then calls it."""
     commit = ctx.mask(base, mask)
-    prefix, challenge = _replay(ctx, program, tape_seed, commit)
+    prefix, challenge = _replay(ctx, program, tape_seed, commit, _replays)
     response = mask if challenge_bit(challenge) else ctx.witness() * mask
     return SimulatedView(prefix, commit, challenge, response)
 
@@ -144,6 +154,7 @@ def enumerate_consistent_views(
     program: VerifierProgram,
     tape_seed: int,
     k: int,
+    _replays=None,
 ) -> tuple:
     """Every view (commit, challenge, response) that the honest verifier
     accepts and whose challenge the program actually emits on this tape:
@@ -151,10 +162,12 @@ def enumerate_consistent_views(
     response w that ctx.accepted_responses returns, which are the w in <U>
     that the verifier's predicate accepts, in enumeration order.
     Enumerated directly from the definition, not through the prover or the
-    simulator."""
+    simulator.  A commitment that no response makes acceptable under
+    either challenge is not a candidate, so the program is not replayed on
+    it (nor refused there for going over its tape budget)."""
     views = []
     for commit in ctx.candidate_commits(k):
-        prefix, challenge = _replay(ctx, program, tape_seed, commit)
+        prefix, challenge = _replay(ctx, program, tape_seed, commit, _replays)
         for w in ctx.accepted_responses(commit, challenge):
             views.append(SimulatedView(prefix, commit, challenge, w))
     return tuple(views)
@@ -169,18 +182,17 @@ def verify_view_bijection(
     """Check that the honest-view map is a bijection from prover randomness
     (base commitments for <A1> crossed with <U>) onto the consistent-view
     set, with randomness_of_view as its inverse."""
+    replays: dict = {}
     images = []
     for base in ctx.bases(1, k):
         for mask in ctx.u_elements():
-            view = view_from_randomness(ctx, program, tape_seed, base, mask)
-            back = randomness_of_view(ctx, view)
-            if back != (base, mask):
+            view = view_from_randomness(ctx, program, tape_seed, base, mask, _replays=replays)
+            if randomness_of_view(ctx, view) != (base, mask):
                 return False
             images.append(view)
     if len(set(images)) != len(images):
         return False
-    consistent = set(enumerate_consistent_views(ctx, program, tape_seed, k))
-    return set(images) == consistent
+    return set(images) == set(enumerate_consistent_views(ctx, program, tape_seed, k, _replays=replays))
 
 
 def exact_real_law(
@@ -188,6 +200,7 @@ def exact_real_law(
     program: VerifierProgram,
     tape_seed: int,
     k: int,
+    _replays=None,
 ) -> dict:
     """Exact law of the honest-prover view for a fixed verifier tape."""
     u_elems = ctx.u_elements()
@@ -196,7 +209,7 @@ def exact_real_law(
     law: dict = {}
     for base in bases:
         for mask in u_elems:
-            view = view_from_randomness(ctx, program, tape_seed, base, mask)
+            view = view_from_randomness(ctx, program, tape_seed, base, mask, _replays=_replays)
             law[view] = law.get(view, Fraction(0)) + weight
     return law
 
@@ -206,6 +219,7 @@ def exact_sim_law(
     program: VerifierProgram,
     tape_seed: int,
     k: int,
+    _replays=None,
 ) -> dict:
     """Exact law of the simulator's output for a fixed verifier tape: the
     per-attempt draw conditioned on the side guess matching the challenge."""
@@ -217,7 +231,7 @@ def exact_sim_law(
         weight = Fraction(1, 2 * len(u_elems) * len(bases))
         for base in bases:
             for mask in u_elems:
-                view = simulated_view(ctx, program, tape_seed, side, base, mask)
+                view = simulated_view(ctx, program, tape_seed, side, base, mask, _replays=_replays)
                 if view is not None:
                     mass[view] = mass.get(view, Fraction(0)) + weight
                     total += weight
@@ -236,8 +250,8 @@ def bucket_of_commit(commit, nbuckets: int) -> int:
     a 1-tuple (free of hash randomization, so reports reproduce exactly)."""
     h = 0
     for p in commit if isinstance(commit, tuple) else (commit,):
-        for i in p.images:
-            h = (h * 1000003 + i) & 0xFFFFFFFF
+        for i in p._img:
+            h = (h * 1000003 + i + 1) & 0xFFFFFFFF
     return h % nbuckets
 
 
@@ -261,9 +275,10 @@ def compare_view_distributions(
         raise ValueError("zero-knowledge comparison applies to yes-instances only")
     k = k if k is not None else TUPLE_LENGTH_FACTOR * ctx.degree
     if exact:
-        law_r = exact_real_law(ctx, program, tape_seed, k)
-        law_s = exact_sim_law(ctx, program, tape_seed, k)
-        consistent = enumerate_consistent_views(ctx, program, tape_seed, k)
+        replays: dict = {}
+        law_r = exact_real_law(ctx, program, tape_seed, k, _replays=replays)
+        law_s = exact_sim_law(ctx, program, tape_seed, k, _replays=replays)
+        consistent = enumerate_consistent_views(ctx, program, tape_seed, k, _replays=replays)
         uniform = Fraction(1, len(consistent))
         tv = total_variation(law_r, law_s)
         return {

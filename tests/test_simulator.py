@@ -8,6 +8,7 @@ verifier's predicate, one response at a time.
 """
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -55,12 +56,13 @@ def ctx_of(path):
 
 
 def tape_spy(inner):
-    """Wrap a program to log the tape seed and draw count of every call."""
+    """Wrap a program to log the tape seed, draw count and commitment of
+    every call."""
     calls = []
 
     def choose(inst, tape, commit):
         out = inner.choose(inst, tape, commit)
-        calls.append((tape.seed, tape.consumed))
+        calls.append((tape.seed, tape.consumed, commit))
         return out
 
     return VerifierProgram(inner.name, choose, tape_budget=inner.tape_budget), calls
@@ -104,9 +106,9 @@ def test_simulate_reuses_one_tape_seed_across_restarts():
     spy, calls = tape_spy(honest_verifier())
     res = simulate(ctx, spy, random.Random(3), tape_seed=77)
     assert len(calls) == len(ctx.sides) == len(ctx.masks) == res.restarts
-    assert all(seed == 77 for seed, _ in calls)
+    assert all(seed == 77 for seed, _, _ in calls)
     # each attempt gets a fresh tape, so the draw counter never accumulates
-    assert all(consumed == 1 for _, consumed in calls)
+    assert all(consumed == 1 for _, consumed, _ in calls)
     assert res.view.r_prefix == TapePrefix(77, 1)
 
 
@@ -114,7 +116,7 @@ def test_simulate_draws_tape_seed_once_when_unset():
     ctx = ctx_of(TINY)
     spy, calls = tape_spy(honest_verifier())
     simulate(ctx, spy, random.Random(3))
-    assert len({seed for seed, _ in calls}) == 1
+    assert len({seed for seed, _, _ in calls}) == 1
 
 
 def test_simulate_is_deterministic_in_rng_and_tape():
@@ -296,12 +298,35 @@ GOLDEN_VIEW_SETS = {
 def test_accepted_responses_agree_with_accepts(fixture, k):
     ctx = yes_context(f"fixtures/{fixture}.txt")
     accepted = 0
-    for commit in ctx.candidate_commits(k):
+    elems = ctx._conjugates_of_sides()
+    for commit in elems if isinstance(ctx, ElementContext) else itertools.product(elems, repeat=k):
         for challenge in (bit_payload(0), bit_payload(1)):
             expected = [w for w in ctx.u_elements() if ctx.accepts(commit, challenge, w)]
             assert ctx.accepted_responses(commit, challenge) == expected
             accepted += len(expected)
     assert accepted > 0
+
+
+@pytest.mark.parametrize("fixture, k", ORACLE_FAMILIES)
+def test_candidate_commits_are_the_product_less_empty_masks(fixture, k):
+    # the unpruned commitments: every k-tuple over the conjugates of the
+    # sides, or, for the element protocol, every conjugate alone
+    ctx = yes_context(f"fixtures/{fixture}.txt")
+    elems = ctx._conjugates_of_sides()
+    unpruned = elems if isinstance(ctx, ElementContext) else list(itertools.product(elems, repeat=k))
+
+    def acceptable_on(side, commit):
+        bits, masks = -1, ctx.side_masks(side)
+        for p in commit if isinstance(commit, tuple) else (commit,):
+            bits &= masks.get(p._img, 0)
+        return bits != 0
+
+    expected = [c for c in unpruned if acceptable_on(0, c) or acceptable_on(1, c)]
+    assert list(ctx.candidate_commits(k)) == expected
+    # every commitment left out has no accepted response on either side
+    for commit in set(unpruned) - set(expected):
+        assert not ctx.accepted_responses(commit, bit_payload(0))
+        assert not ctx.accepted_responses(commit, bit_payload(1))
 
 
 @pytest.mark.parametrize("fixture, k", ORACLE_FAMILIES)
@@ -315,6 +340,72 @@ def test_consistent_view_sets_match_golden_digests(fixture, k):
             count += len(views)
             digest.update(repr(views).encode())
     assert (count, digest.hexdigest()) == GOLDEN_VIEW_SETS[fixture, k]
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD_VERIFIERS))
+@pytest.mark.parametrize("fixture, k", [("q2_groups", 3), ("embed_s3", 2)])
+def test_exact_checks_replay_each_commitment_once_per_call(fixture, k, name):
+    ctx = yes_context(f"fixtures/{fixture}.txt")
+    spy, calls = tape_spy(STANDARD_VERIFIERS[name]())
+    checks = (
+        lambda: compare_view_distributions(ctx, spy, tape_seed=1, k=k, exact=True),
+        lambda: verify_view_bijection(ctx, spy, 1, k),
+    )
+    for check in checks:
+        replayed = []
+        for _ in range(2):
+            calls.clear()
+            check()
+            commits = [commit for _, _, commit in calls]
+            assert len(set(commits)) == len(commits) > 0
+            replayed.append(len(commits))
+        # the same program on the same context and tape replays as often the
+        # second time: no table outlives a call
+        assert replayed[0] == replayed[1]
+
+
+# the benchmark's exact families plus the element fixture
+EXACT_REPORT_FAMILIES = (
+    ("tiny_cyclic", 2),
+    ("q2_groups", 2),
+    ("q2_groups", 3),
+    ("q2_groups", 4),
+    ("embed_s3", 2),
+    ("ec_yes_m3", 1),
+)
+# sha256 over repr(dict(compare_view_distributions(..., exact=True),
+# bijection=verify_view_bijection(...))) for those families in order, the
+# programs of STANDARD_VERIFIERS in sorted order and tape seeds 0-2 each,
+# taken when every law entry and candidate commitment replayed the program
+GOLDEN_EXACT_REPORTS = "d8cac271b3f0e7ef2ec10698241d4cd4f2bf67c76f6f6061d7d2117c2b392390"
+
+
+def test_exact_reports_match_golden_digest():
+    digest = hashlib.sha256()
+    for fixture, k in EXACT_REPORT_FAMILIES:
+        ctx = yes_context(f"fixtures/{fixture}.txt")
+        for name in sorted(STANDARD_VERIFIERS):
+            for tape_seed in range(3):
+                program = STANDARD_VERIFIERS[name]()
+                report = dict(
+                    compare_view_distributions(ctx, program, tape_seed=tape_seed, k=k, exact=True),
+                    bijection=verify_view_bijection(ctx, program, tape_seed, k),
+                )
+                digest.update(repr(report).encode())
+    assert digest.hexdigest() == GOLDEN_EXACT_REPORTS
+
+
+@pytest.mark.parametrize("fixture, k", [("q2_groups", 2), ("ec_yes_m3", 1)])
+def test_exact_checks_refuse_a_program_over_its_tape_budget(fixture, k):
+    # over budget on every commitment, so pruning the candidates cannot hide it
+    greedy = VerifierProgram(
+        "greedy", lambda inst, tape, commit: bit_payload(tape.bit() ^ tape.bit()), tape_budget=1
+    )
+    ctx = yes_context(f"fixtures/{fixture}.txt")
+    with pytest.raises(RuntimeError, match="over its budget"):
+        compare_view_distributions(ctx, greedy, tape_seed=0, k=k, exact=True)
+    with pytest.raises(RuntimeError, match="over its budget"):
+        verify_view_bijection(ctx, greedy, 0, k)
 
 
 def test_exact_laws_match_and_are_uniform():
@@ -387,6 +478,25 @@ def test_bucket_of_commit_stable():
     assert 0 <= bucket_of_commit(commit, 8) < 8
     # frozen value: reports built on this hash reproduce run to run
     assert bucket_of_commit(commit, 1 << 32) == ((((((2 * 1000003 + 1) * 1000003 + 3) * 1000003 + 2) * 1000003 + 3) * 1000003 + 1) & 0xFFFFFFFF)
+
+
+def one_based_bucket(commit, nbuckets):
+    """bucket_of_commit's formula over the 1-based images."""
+    h = 0
+    for p in commit if isinstance(commit, tuple) else (commit,):
+        for i in p.images:
+            h = (h * 1000003 + i) & 0xFFFFFFFF
+    return h % nbuckets
+
+
+@given(
+    st.integers(1, 6).flatmap(lambda m: st.lists(st.permutations(range(1, m + 1)), min_size=1, max_size=5)),
+    st.integers(1, 1 << 32),
+)
+def test_bucket_of_commit_is_the_one_based_formula(images, nbuckets):
+    commit = tuple(map(Permutation, images))
+    assert bucket_of_commit(commit, nbuckets) == one_based_bucket(commit, nbuckets)
+    assert bucket_of_commit(commit[0], nbuckets) == one_based_bucket(commit[0], nbuckets)
 
 
 def test_restart_count_is_roughly_geometric():

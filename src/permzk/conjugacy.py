@@ -100,6 +100,9 @@ class InstanceContext:
         self._profiles: dict = {}
         self._masks: dict = {}
         self._conjugate_tables: dict = {}
+        self._masked: dict = {}
+        self._verdicts: dict = {}
+        self._candidates: dict = {}
         v = instance.witness
         if v is not None:
             if not self.chain_u.contains(v):
@@ -216,6 +219,16 @@ class InstanceContext:
         raw = Permutation._raw
         return tuple(raw(conj(x._img)) for x in base)
 
+    def masked_commits(self, side: int, k: int) -> tuple:
+        """(base, w, mask(base, w)) for every base in bases(side, k) and w in
+        <U>, bases outermost: each commitment the prover's randomness can
+        make, masked once per context."""
+        key = (side, k)
+        if key not in self._masked:
+            u_elems = self.u_elements()
+            self._masked[key] = tuple((b, w, self.mask(b, w)) for b in self.bases(side, k) for w in u_elems)
+        return self._masked[key]
+
     def side_members(self, side: int) -> tuple:
         """The elements that a commitment's entries for this side are
         conjugates of: here every element of the side's group."""
@@ -284,30 +297,34 @@ class InstanceContext:
         challenge, w): the AND of the entries' masks leaves the w with the
         commitment inside the side conjugated by w, a group of the side's
         order, and one generation test, which does not depend on w, decides
-        them all."""
+        them all.  The answer is kept per (side, raw images of the
+        commitment), so each runs the test once per context."""
         side = challenge_bit(challenge)
-        masks = self.side_masks(side)
-        bits = (1 << len(self.u_elements())) - 1
-        for x in commit:
-            bits &= masks.get(x._img, 0)
-            if not bits:
-                return []
-        if not generates(GeneratingSet(self.degree, commit), self.side_chain(side).order()):
-            return []
-        return self._responses(bits)
+        key = side, tuple([x._img for x in commit])
+        if key not in self._verdicts:
+            masks = self.side_masks(side)
+            bits = (1 << len(self.u_elements())) - 1
+            for x in commit:
+                bits &= masks.get(x._img, 0)
+            if bits and not generates(GeneratingSet(self.degree, commit), self.side_chain(side).order()):
+                bits = 0
+            self._verdicts[key] = tuple(self._responses(bits))
+        return list(self._verdicts[key])
 
     def _conjugates_of_sides(self) -> list:
         """Every conjugate of either side's members by <U>, sorted."""
         images = self.side_masks(0).keys() | self.side_masks(1).keys()
         return list(map(Permutation._raw, sorted(images)))
 
-    def candidate_commits(self, k: int) -> list:
+    def candidate_commits(self, k: int) -> tuple:
         """Every well-formed commitment that some response could make
         acceptable, in itertools.product order: the k-tuples over the
         conjugates of either side's elements by <U> whose entries' masks AND
         to non-zero on side 0 or side 1, so the simulator replays no other.
         The cap counts all k-tuples; the identity keeps every mask, so no
-        level of the walk outgrows the result."""
+        level of the walk outgrows the result.  Walked once per context and k."""
+        if k in self._candidates:
+            return self._candidates[k]
         if k < 1:
             raise ValueError("k must be at least 1")
         elems = self._conjugates_of_sides()
@@ -322,7 +339,8 @@ class InstanceContext:
         for _ in range(k):
             level = [(t + (p,), b0, b1) for t, a0, a1 in level for p, e0, e1 in entries
                      if (b0 := a0 & e0) | (b1 := a1 & e1)]
-        return [t for t, _, _ in level]
+        self._candidates[k] = tuple(t for t, _, _ in level)
+        return self._candidates[k]
 
 
 def _coerce_perm(item, degree: int) -> Optional[Permutation]:

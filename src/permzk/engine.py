@@ -35,8 +35,9 @@ as soon as the product of the transversal sizes reaches order.  That is
 exact under one precondition: gens lie in a group of that order.  Its six
 callers establish it: random_generating_tuple and generating_tuples draw the
 tuple from the target group, conjugacy.response_accepted checks containment
-first, InstanceContext.accepted_responses runs it only when the AND of the
-entries' masks puts the tuple inside side^w, a group of that order,
+first, InstanceContext.accepted_responses runs it, once per context for each
+commitment and side, only when the AND of the entries' masks puts the tuple
+inside side^w, a group of that order,
 nonconjugacy.matched_sides runs it only once a U-conjugate of the side
 holds every payload entry, and cli.cmd_stats_genlemma samples from the
 target's chain.
@@ -381,7 +382,8 @@ def generates(gens: GeneratingSet, order: int) -> bool:
     generate G.  Every caller meets it: random_generating_tuple,
     generating_tuples, conjugacy.response_accepted (which checks containment
     first), InstanceContext.accepted_responses (whose mask AND puts gens
-    inside side^w), nonconjugacy.matched_sides (which first finds a
+    inside side^w, and which keeps each verdict for the life of its
+    context), nonconjugacy.matched_sides (which first finds a
     U-conjugate of the side, a group of its order, holding every payload
     entry) and cli.cmd_stats_genlemma.  The test sifts gens into a
     membership chain, whose orbits grow in place instead of being rebuilt

@@ -4,7 +4,8 @@ randomness: view_from_randomness sends the honest prover's (base, mask) to a
 view, and simulated_view sends the simulator's (side guess, base, mask) to a
 view, or to None (a restart) when the challenge misses the side.  Both
 replay the verifier program through _replay; an exact check replays each
-distinct commitment once, through a table that lives for that call.  Exact
+distinct commitment once, through a table that lives for that call, and
+reads its commitments from ctx.masked_commits, made once per context.  Exact
 laws push uniform randomness through these maps on tiny instances,
 randomness_of_view inverts the honest map onto the consistent views, and a
 two-sample test compares sampled views at larger sizes.  Everything runs on
@@ -13,8 +14,8 @@ the context's protocol methods, so group (InstanceContext) and element
 context's search_cap.  The consistent-view oracle walks
 ctx.candidate_commits, the commitments some response makes acceptable, and
 asks ctx.accepted_responses, which answers for every response in <U> at
-once and agrees with ctx.accepts, the live verifier's predicate, response
-by response.
+once, keeps each answer for the life of the context, and agrees with
+ctx.accepts, the live verifier's predicate, response by response.
 """
 
 from __future__ import annotations
@@ -94,12 +95,13 @@ def simulate(
 
 
 def simulated_view(
-    ctx: InstanceContext, program: VerifierProgram, tape_seed: int, side: int, base, mask, _replays=None
+    ctx: InstanceContext, program: VerifierProgram, tape_seed: int, side: int, base, mask,
+    _replays=None, _commit=None,
 ) -> Optional[SimulatedView]:
     """One simulator attempt as a function of its randomness (a side guess,
     a base commitment for that side, a mask from <U>): the view revealing
     the mask, or None when the challenge misses the side."""
-    commit = ctx.mask(base, mask)
+    commit = ctx.mask(base, mask) if _commit is None else _commit
     prefix, challenge = _replay(ctx, program, tape_seed, commit, _replays)
     if challenge_bit(challenge) != side:
         return None
@@ -113,12 +115,13 @@ def view_from_randomness(
     base,
     mask,
     _replays=None,
+    _commit=None,
 ) -> SimulatedView:
     """The honest-prover view as a function of the prover's randomness: a
     base commitment for <A1> (a generating tuple, or a1 itself) and a mask
     from <U>.  This is exactly the map the real protocol computes, so
     real_view() samples its inputs and then calls it."""
-    commit = ctx.mask(base, mask)
+    commit = ctx.mask(base, mask) if _commit is None else _commit
     prefix, challenge = _replay(ctx, program, tape_seed, commit, _replays)
     response = mask if challenge_bit(challenge) else ctx.witness() * mask
     return SimulatedView(prefix, commit, challenge, response)
@@ -184,15 +187,15 @@ def verify_view_bijection(
     set, with randomness_of_view as its inverse."""
     replays: dict = {}
     images = []
-    for base in ctx.bases(1, k):
-        for mask in ctx.u_elements():
-            view = view_from_randomness(ctx, program, tape_seed, base, mask, _replays=replays)
-            if randomness_of_view(ctx, view) != (base, mask):
-                return False
-            images.append(view)
-    if len(set(images)) != len(images):
-        return False
-    return set(images) == set(enumerate_consistent_views(ctx, program, tape_seed, k, _replays=replays))
+    for base, mask, commit in ctx.masked_commits(1, k):
+        view = view_from_randomness(ctx, program, tape_seed, base, mask, _replays=replays, _commit=commit)
+        if randomness_of_view(ctx, view) != (base, mask):
+            return False
+        images.append(view)
+    distinct = set(images)
+    return len(distinct) == len(images) and distinct == set(
+        enumerate_consistent_views(ctx, program, tape_seed, k, _replays=replays)
+    )
 
 
 def exact_real_law(
@@ -203,14 +206,12 @@ def exact_real_law(
     _replays=None,
 ) -> dict:
     """Exact law of the honest-prover view for a fixed verifier tape."""
-    u_elems = ctx.u_elements()
-    bases = ctx.bases(1, k)
-    weight = Fraction(1, len(u_elems) * len(bases))
+    masked = ctx.masked_commits(1, k)
+    weight = Fraction(1, len(masked))
     law: dict = {}
-    for base in bases:
-        for mask in u_elems:
-            view = view_from_randomness(ctx, program, tape_seed, base, mask, _replays=_replays)
-            law[view] = law.get(view, Fraction(0)) + weight
+    for base, mask, commit in masked:
+        view = view_from_randomness(ctx, program, tape_seed, base, mask, _replays=_replays, _commit=commit)
+        law[view] = law.get(view, Fraction(0)) + weight
     return law
 
 
@@ -223,18 +224,16 @@ def exact_sim_law(
 ) -> dict:
     """Exact law of the simulator's output for a fixed verifier tape: the
     per-attempt draw conditioned on the side guess matching the challenge."""
-    u_elems = ctx.u_elements()
     mass: dict = {}
     total = Fraction(0)
     for side in (0, 1):
-        bases = ctx.bases(side, k)
-        weight = Fraction(1, 2 * len(u_elems) * len(bases))
-        for base in bases:
-            for mask in u_elems:
-                view = simulated_view(ctx, program, tape_seed, side, base, mask, _replays=_replays)
-                if view is not None:
-                    mass[view] = mass.get(view, Fraction(0)) + weight
-                    total += weight
+        masked = ctx.masked_commits(side, k)
+        weight = Fraction(1, 2 * len(masked))
+        for base, mask, commit in masked:
+            view = simulated_view(ctx, program, tape_seed, side, base, mask, _replays=_replays, _commit=commit)
+            if view is not None:
+                mass[view] = mass.get(view, Fraction(0)) + weight
+                total += weight
     if total == 0:
         raise BudgetExceeded("the verifier program defeats every side guess on this tape")
     return {view: p / total for view, p in mass.items()}
@@ -280,16 +279,18 @@ def compare_view_distributions(
         law_s = exact_sim_law(ctx, program, tape_seed, k, _replays=replays)
         consistent = enumerate_consistent_views(ctx, program, tape_seed, k, _replays=replays)
         uniform = Fraction(1, len(consistent))
-        tv = total_variation(law_r, law_s)
+        equal = law_r == law_s
         return {
             "mode": "exact",
             "domain": len(consistent),
-            "laws_equal": law_r == law_s,
+            "laws_equal": equal,
             "uniform_on_consistent": all(law_r.get(v) == uniform for v in consistent)
             and len(law_r) == len(consistent),
-            "tv_distance_upper": float(tv),
+            "tv_distance_upper": 0.0 if equal else float(total_variation(law_r, law_s)),
         }
 
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     from scipy import stats
 
     if rng is None:

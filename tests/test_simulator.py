@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from permzk import conjugacy
 from permzk.conjugacy import InstanceContext, ProtocolParams
 from permzk.element import ElemConjInstance, ElementContext
 from permzk.engine import BudgetExceeded, enumerate_elements, generating_tuples
@@ -178,11 +179,23 @@ YES_FIXTURES = (
 YES_CONTEXTS = {}
 
 
+def fresh_context(path):
+    inst = load_instance(path)
+    return (ElementContext if isinstance(inst, ElemConjInstance) else InstanceContext)(inst)
+
+
 def yes_context(path):
     if path not in YES_CONTEXTS:
-        inst = load_instance(path)
-        YES_CONTEXTS[path] = (ElementContext if isinstance(inst, ElemConjInstance) else InstanceContext)(inst)
+        YES_CONTEXTS[path] = fresh_context(path)
     return YES_CONTEXTS[path]
+
+
+def exact_report(ctx, program, tape_seed, k):
+    """The exact comparison's report with the bijection verdict added."""
+    return dict(
+        compare_view_distributions(ctx, program, tape_seed=tape_seed, k=k, exact=True),
+        bijection=verify_view_bijection(ctx, program, tape_seed, k),
+    )
 
 
 @st.composite
@@ -386,13 +399,68 @@ def test_exact_reports_match_golden_digest():
         ctx = yes_context(f"fixtures/{fixture}.txt")
         for name in sorted(STANDARD_VERIFIERS):
             for tape_seed in range(3):
-                program = STANDARD_VERIFIERS[name]()
-                report = dict(
-                    compare_view_distributions(ctx, program, tape_seed=tape_seed, k=k, exact=True),
-                    bijection=verify_view_bijection(ctx, program, tape_seed, k),
-                )
+                report = exact_report(ctx, STANDARD_VERIFIERS[name](), tape_seed, k)
                 digest.update(repr(report).encode())
     assert digest.hexdigest() == GOLDEN_EXACT_REPORTS
+
+
+# sha256 over repr(exact_report(...)) on IdentityWitnessContext, a wrong
+# witness, for q2_groups k=2 then embed_s3 k=2, the programs of
+# STANDARD_VERIFIERS in sorted order and tape seeds 0-2 each, taken when the
+# exact checks masked and decided every commitment afresh on each call; the
+# laws differ on most of these, with TV distances of 1, 1/2 and 1/3
+GOLDEN_WRONG_WITNESS_REPORTS = "1f33ef6b975b03c29af3308a0671d716b3f0bfb02cc37cd3459dc61c4370670a"
+
+
+def test_wrong_witness_reports_match_golden_digest():
+    digest = hashlib.sha256()
+    tvs = set()
+    for fixture, k in (("q2_groups", 2), ("embed_s3", 2)):
+        ctx = IdentityWitnessContext(load_instance(f"fixtures/{fixture}.txt"))
+        for name in sorted(STANDARD_VERIFIERS):
+            for tape_seed in range(3):
+                report = exact_report(ctx, STANDARD_VERIFIERS[name](), tape_seed, k)
+                tvs.add(report["tv_distance_upper"])
+                digest.update(repr(report).encode())
+    assert tvs == {0.0, 1.0, 0.5, 1 / 3}
+    assert digest.hexdigest() == GOLDEN_WRONG_WITNESS_REPORTS
+
+
+def test_exact_checks_on_a_warm_context_match_a_fresh_context_per_call():
+    # one warm context per fixture serves every k, program and tape, so a
+    # table that kept anything of one call would show in a later one
+    warm = {}
+    for fixture, k in ORACLE_FAMILIES:
+        path = f"fixtures/{fixture}.txt"
+        ctx = warm.setdefault(fixture, fresh_context(path))
+        for name in sorted(STANDARD_VERIFIERS):
+            for tape_seed in range(3):
+                program = STANDARD_VERIFIERS[name]()
+                fresh = dict(
+                    compare_view_distributions(fresh_context(path), program, tape_seed=tape_seed, k=k, exact=True),
+                    bijection=verify_view_bijection(fresh_context(path), program, tape_seed, k),
+                )
+                assert exact_report(ctx, program, tape_seed, k) == fresh
+
+
+@pytest.mark.parametrize("fixture, k", ORACLE_FAMILIES)
+def test_a_second_exact_check_runs_no_generation_test_and_masks_only_to_invert(fixture, k, monkeypatch):
+    ctx = fresh_context(f"fixtures/{fixture}.txt")
+    # the only masking left in a warm bijection check inverts each image
+    inversions = [(ctx.mask(base, w), w.inverse()) for base in ctx.bases(1, k) for w in ctx.u_elements()]
+    generated, masked = [], []
+    real_generates, real_mask = conjugacy.generates, ctx.mask
+    monkeypatch.setattr(conjugacy, "generates", lambda *args: generated.append(args) or real_generates(*args))
+    monkeypatch.setattr(ctx, "mask", lambda base, w: masked.append((base, w)) or real_mask(base, w))
+    for _ in range(2):  # the assertions below read the second, warm pass
+        generated.clear()
+        masked.clear()
+        compare_view_distributions(ctx, honest_verifier(), tape_seed=1, k=k, exact=True)
+        compare_masks = list(masked)
+        assert verify_view_bijection(ctx, honest_verifier(), 1, k)
+    assert generated == []
+    assert compare_masks == []
+    assert masked == inversions
 
 
 @pytest.mark.parametrize("fixture, k", [("q2_groups", 2), ("ec_yes_m3", 1)])
@@ -456,6 +524,12 @@ def test_compare_exact_mode_report():
     assert report["uniform_on_consistent"] is True
     assert report["tv_distance_upper"] == 0.0
     assert report["domain"] == 16
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_compare_stat_mode_refuses_fewer_than_one_sample(samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        compare_view_distributions(ctx_of(TINY), honest_verifier(), tape_seed=1, k=3, samples=samples)
 
 
 def test_compare_stat_mode_report():

@@ -27,7 +27,7 @@ from .conjugacy import (
     run_composed,
 )
 from .element import ElemConjInstance, ElementContext
-from .engine import BudgetExceeded, GeneratingSet, build_chain, generates
+from .engine import BudgetExceeded, _generates_images, build_chain
 from .framework import STANDARD_VERIFIERS
 from .instances import InstanceError, load_group_file, load_instance
 from .perm import format_perm
@@ -187,7 +187,7 @@ def cmd_stats_genlemma(args) -> int:
     hits = 0
     for _ in range(args.trials):
         perms = chain.random_elements(rng, args.k)
-        hits += generates(GeneratingSet(gset.degree, perms), target)
+        hits += _generates_images(gset.degree, [p._img for p in perms], target)
     frequency = hits / args.trials
     bound = genlemma_bound(gset.degree, args.k)
     passed = bound is None or frequency > bound

@@ -22,8 +22,8 @@ from .engine import (
     GeneratingSet,
     StabilizerChain,
     build_chain,
+    _generates_images,
     enumerate_elements,
-    generates,
     generating_tuples,
     group_profile,
     random_generating_tuple,
@@ -306,7 +306,7 @@ class InstanceContext:
             bits = (1 << len(self.u_elements())) - 1
             for x in commit:
                 bits &= masks.get(x._img, 0)
-            if bits and not generates(GeneratingSet(self.degree, commit), self.side_chain(side).order()):
+            if bits and not _generates_images(self.degree, key[1], self.side_chain(side).order()):
                 bits = 0
             self._verdicts[key] = tuple(self._responses(bits))
         return list(self._verdicts[key])
@@ -389,7 +389,7 @@ def response_accepted(ctx: InstanceContext, commit: tuple, challenge, response) 
     raw = Permutation._raw
     if not all(side_chain.contains(raw(conj(x._img))) for x in commit):
         return False
-    return generates(GeneratingSet(ctx.degree, commit), side_chain.order())
+    return _generates_images(ctx.degree, [x._img for x in commit], side_chain.order())
 
 
 class HonestProver:

@@ -30,17 +30,14 @@ with the loop of CPython's randrange(n), getrandbits(w) until below n, so
 the draws and the stream's state match one randrange per level, as
 test_table_draw_is_cpython_randrange checks.
 
-The generation test generates(gens, order) runs the same sifting but stops
-as soon as the product of the transversal sizes reaches order.  That is
-exact under one precondition: gens lie in a group of that order.  Its six
-callers establish it: random_generating_tuple and generating_tuples draw the
-tuple from the target group, conjugacy.response_accepted checks containment
-first, InstanceContext.accepted_responses runs it, once per context for each
-commitment and side, only when the AND of the entries' masks puts the tuple
-inside side^w, a group of that order,
-nonconjugacy.matched_sides runs it only once a U-conjugate of the side
-holds every payload entry, and cli.cmd_stats_genlemma samples from the
-target's chain.
+The generation test _generates_images(degree, imgs, order) runs the same
+sifting on raw images, with no GeneratingSet, but stops as soon as the
+product of the transversal sizes reaches order.  That is exact under one
+precondition: imgs lie in a group of that order.  Its callers establish it,
+as its docstring says, on images checked where they entered the program:
+random_generating_tuple, generating_tuples, conjugacy.response_accepted,
+InstanceContext.accepted_responses, cli.cmd_stats_genlemma, and, through
+generates(gens, order), nonconjugacy.matched_sides.
 """
 
 from __future__ import annotations
@@ -82,13 +79,16 @@ class GeneratingSet:
                 raise ValueError(f"degree mismatch: {g.degree} vs {self.degree}")
 
     def canonical(self) -> "GeneratingSet":
+        """gens less duplicates and identities, not checked a second time."""
         seen = {identity_images(self.degree)}
         out = []
         for g in self.gens:
             if g._img not in seen:
                 seen.add(g._img)
                 out.append(g)
-        return GeneratingSet(self.degree, tuple(out))
+        copy = object.__new__(GeneratingSet)  # skips __post_init__
+        copy.__dict__.update(degree=self.degree, gens=tuple(out))
+        return copy
 
     def conjugated_by(self, v: Permutation) -> "GeneratingSet":
         return GeneratingSet(self.degree, tuple(g.conjugated_by(v) for g in self.gens))
@@ -151,7 +151,7 @@ class StabilizerChain:
     Construct with build_chain(), or membership_chain() for a chain that is
     never sampled from."""
 
-    def __init__(self, degree: int, source: GeneratingSet):
+    def __init__(self, degree: int, source: Optional[GeneratingSet]):
         self.degree = degree
         self.source = source
         self._ident = identity_images(degree)
@@ -376,27 +376,34 @@ def group_equal(x: GeneratingSet, y: GeneratingSet) -> bool:
 
 
 def generates(gens: GeneratingSet, order: int) -> bool:
-    """Whether gens generates a group of the given order.
+    """_generates_images on the raw images of gens."""
+    return _generates_images(gens.degree, [g._img for g in gens.gens], order)
 
-    Precondition: gens lie in a group G of that order, so True means gens
-    generate G.  Every caller meets it: random_generating_tuple,
-    generating_tuples, conjugacy.response_accepted (which checks containment
-    first), InstanceContext.accepted_responses (whose mask AND puts gens
-    inside side^w, and which keeps each verdict for the life of its
-    context), nonconjugacy.matched_sides (which first finds a
-    U-conjugate of the side, a group of its order, holding every payload
-    entry) and cli.cmd_stats_genlemma.  The test sifts gens into a
-    membership chain, whose orbits grow in place instead of being rebuilt
-    from the base after each placement, and stops as soon as the product of
-    the transversal sizes equals order, after a placement during ingestion
-    or while closing.
+
+def _generates_images(degree: int, imgs, order: int) -> bool:
+    """Whether the raw image tuples imgs, of this degree and checked where
+    they entered the program, generate a group of the given order.
+
+    Precondition: imgs lie in a group G of that order, so True means they
+    generate G.  Every caller meets it: random_generating_tuple and
+    generating_tuples (which draw from G), conjugacy.response_accepted (which
+    checks containment first), InstanceContext.accepted_responses (whose
+    mask AND puts imgs inside side^w, and which keeps each verdict for the
+    life of its context), cli.cmd_stats_genlemma (which samples from G) and,
+    through generates, nonconjugacy.matched_sides (which first finds a
+    U-conjugate of the side, a group of its order, holding every entry).
+    The test drops duplicates and identities, sifts the rest into a
+    membership chain, and stops as soon as the product of the transversal
+    sizes equals order, after a placement during ingestion or while closing.
     This is exact, not Monte Carlo: each level's orbit is an orbit of a
-    subgroup of the matching stabilizer in H = <gens>, so the product never
+    subgroup of the matching stabilizer in H = <imgs>, so the product never
     exceeds |H|, and |H| <= |G|.  It draws nothing from any random stream,
     so which representatives the chain picks cannot show in a transcript."""
-    chain = _MembershipChain(gens.degree, gens.canonical())
-    for g in chain.source.gens:
-        if chain._ingest(g._img) and chain._product() == order:
+    chain = _MembershipChain(degree, None)
+    unique = dict.fromkeys(imgs)
+    unique.pop(chain._ident, None)
+    for g in unique:
+        if chain._ingest(g) and chain._product() == order:
             return True
     return chain._close(order) or chain.order() == order
 
@@ -421,7 +428,7 @@ def random_generating_tuple(chain: StabilizerChain, k: int, rng) -> GeneratingTu
         raise ValueError("k must be at least 1")
     for attempt in range(1, DEFAULT_TUPLE_ATTEMPTS + 1):
         perms = chain.random_elements(rng, k)
-        if generates(GeneratingSet(chain.degree, perms), chain.order()):
+        if _generates_images(chain.degree, [p._img for p in perms], chain.order()):
             return GeneratingTuple(perms, attempt)
     raise BudgetExceeded(
         f"no generating {k}-tuple found in {DEFAULT_TUPLE_ATTEMPTS} attempts; k may be too small for this group"
@@ -467,7 +474,7 @@ def generating_tuples(chain: StabilizerChain, k: int, cap: int = 4096) -> tuple:
     if len(elems) ** k > cap:
         raise BudgetExceeded(f"{len(elems)}^{k} candidate tuples exceed cap {cap}")
     candidates = itertools.product(elems, repeat=k)
-    return tuple(tup for tup in candidates if generates(GeneratingSet(chain.degree, tup), len(elems)))
+    return tuple(tup for tup in candidates if _generates_images(chain.degree, [p._img for p in tup], len(elems)))
 
 
 def group_profile(chain: StabilizerChain, cap: int = DEFAULT_ENUM_CAP) -> Optional[tuple]:
@@ -500,16 +507,3 @@ def centralizer_in_sym(x: Permutation) -> GeneratingSet:
         gens.append(Permutation._raw(tuple(img)))
     return GeneratingSet(m, tuple(gens)).canonical()
 
-
-def symmetric_group(m: int) -> GeneratingSet:
-    """A transposition and an m-cycle generating the full symmetric group."""
-    if m < 1:
-        raise ValueError("degree must be at least 1")
-    if m == 1:
-        return GeneratingSet(1, ())
-    if m == 2:
-        return GeneratingSet(2, (Permutation.from_cycles(2, (1, 2)),))
-    return GeneratingSet(
-        m,
-        (Permutation.from_cycles(m, (1, 2)), Permutation.from_cycles(m, tuple(range(1, m + 1)))),
-    )

@@ -24,6 +24,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import chain
+from operator import attrgetter, mul
 from typing import Optional
 
 from .engine import BudgetExceeded
@@ -207,12 +210,9 @@ def exact_real_law(
 ) -> dict:
     """Exact law of the honest-prover view for a fixed verifier tape."""
     masked = ctx.masked_commits(1, k)
-    weight = Fraction(1, len(masked))
-    law: dict = {}
-    for base, mask, commit in masked:
-        view = view_from_randomness(ctx, program, tape_seed, base, mask, _replays=_replays, _commit=commit)
-        law[view] = law.get(view, Fraction(0)) + weight
-    return law
+    counts = Counter(view_from_randomness(ctx, program, tape_seed, base, mask, _replays=_replays, _commit=commit)
+                     for base, mask, commit in masked)
+    return {view: Fraction(c, len(masked)) for view, c in counts.items()}
 
 
 def exact_sim_law(
@@ -223,20 +223,19 @@ def exact_sim_law(
     _replays=None,
 ) -> dict:
     """Exact law of the simulator's output for a fixed verifier tape: the
-    per-attempt draw conditioned on the side guess matching the challenge."""
-    mass: dict = {}
-    total = Fraction(0)
+    per-attempt draw conditioned on the side guess matching the challenge,
+    counted per side in integers: a view's challenge bit is its side."""
+    sizes, counts = [], []
     for side in (0, 1):
         masked = ctx.masked_commits(side, k)
-        weight = Fraction(1, 2 * len(masked))
-        for base, mask, commit in masked:
-            view = simulated_view(ctx, program, tape_seed, side, base, mask, _replays=_replays, _commit=commit)
-            if view is not None:
-                mass[view] = mass.get(view, Fraction(0)) + weight
-                total += weight
+        sizes.append(len(masked))
+        counts.append(Counter(filter(None, (
+            simulated_view(ctx, program, tape_seed, side, base, mask, _replays=_replays, _commit=commit)
+            for base, mask, commit in masked))))
+    total = counts[0].total() * sizes[1] + counts[1].total() * sizes[0]
     if total == 0:
         raise BudgetExceeded("the verifier program defeats every side guess on this tape")
-    return {view: p / total for view, p in mass.items()}
+    return {view: Fraction(c * sizes[1 - side], total) for side in (0, 1) for view, c in counts[side].items()}
 
 
 def total_variation(law_p: dict, law_q: dict) -> Fraction:
@@ -244,14 +243,21 @@ def total_variation(law_p: dict, law_q: dict) -> Fraction:
     return sum((abs(law_p.get(v, Fraction(0)) - law_q.get(v, Fraction(0))) for v in keys), Fraction(0)) / 2
 
 
+@cache
+def _hash_weights(n: int) -> tuple:
+    """1000003^(n-1), ..., 1000003^0 mod 2^32 and their sum."""
+    powers = tuple(pow(1000003, e, 1 << 32) for e in range(n - 1, -1, -1))
+    return powers, sum(powers)
+
+
 def bucket_of_commit(commit, nbuckets: int) -> int:
     """Stable hash bucket for a commitment tuple, a lone permutation read as
-    a 1-tuple (free of hash randomization, so reports reproduce exactly)."""
-    h = 0
-    for p in commit if isinstance(commit, tuple) else (commit,):
-        for i in p._img:
-            h = (h * 1000003 + i + 1) & 0xFFFFFFFF
-    return h % nbuckets
+    a 1-tuple (free of hash randomization, so reports reproduce exactly):
+    h = h * 1000003 + image + 1 mod 2^32 over the 0-based images, in one
+    pass as the images weighted by powers of 1000003, plus their sum."""
+    flat = tuple(chain.from_iterable(map(attrgetter("_img"), commit if isinstance(commit, tuple) else (commit,))))
+    powers, ones = _hash_weights(len(flat))
+    return ((sum(map(mul, flat, powers)) + ones) & 0xFFFFFFFF) % nbuckets
 
 
 def compare_view_distributions(

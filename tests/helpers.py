@@ -1,12 +1,16 @@
 """Helpers that only the tests use: driving one session, writing
 generating sets and instances back out as text, two chain facts read from
-outside, and an oracle for the coset-intersection test."""
+outside, generators of the full symmetric group, an oracle for the
+coset-intersection test, and the exact laws summed one Fraction per masked
+commitment, as a reference for the simulator's integer counts."""
 
 import math
+from fractions import Fraction
 
 from permzk.conjugacy import DEFAULT_SEARCH_CAP, GroupConjInstance
 from permzk.element import CosetIntersectionInstance
 from permzk.engine import (
+    BudgetExceeded,
     GeneratingSet,
     StabilizerChain,
     centralizer_in_sym,
@@ -15,6 +19,7 @@ from permzk.engine import (
 )
 from permzk.framework import SessionOutcome
 from permzk.perm import Permutation, format_perm
+from permzk.simulator import simulated_view, view_from_randomness
 
 
 def run_session(session) -> SessionOutcome:
@@ -66,3 +71,46 @@ def centralizer_coset_oracle(inst: CosetIntersectionInstance, cap: int = DEFAULT
     chain_u = membership_chain(inst.u)
     y_inv = inst.y.inverse()
     return any(chain_u.contains(c * y_inv) for c in enumerate_elements(chain_c, cap))
+
+
+def symmetric_group(m: int) -> GeneratingSet:
+    """A transposition and an m-cycle generating the full symmetric group."""
+    if m < 1:
+        raise ValueError("degree must be at least 1")
+    if m == 1:
+        return GeneratingSet(1, ())
+    if m == 2:
+        return GeneratingSet(2, (Permutation.from_cycles(2, (1, 2)),))
+    return GeneratingSet(
+        m,
+        (Permutation.from_cycles(m, (1, 2)), Permutation.from_cycles(m, tuple(range(1, m + 1)))),
+    )
+
+
+def reference_exact_real_law(ctx, program, tape_seed: int, k: int) -> dict:
+    """exact_real_law as a sum of one Fraction per masked commitment."""
+    masked = ctx.masked_commits(1, k)
+    weight = Fraction(1, len(masked))
+    law: dict = {}
+    for base, mask, commit in masked:
+        view = view_from_randomness(ctx, program, tape_seed, base, mask, _commit=commit)
+        law[view] = law.get(view, Fraction(0)) + weight
+    return law
+
+
+def reference_exact_sim_law(ctx, program, tape_seed: int, k: int) -> dict:
+    """exact_sim_law as a sum of one Fraction per masked commitment on each
+    side, then a division by the total mass."""
+    mass: dict = {}
+    total = Fraction(0)
+    for side in (0, 1):
+        masked = ctx.masked_commits(side, k)
+        weight = Fraction(1, 2 * len(masked))
+        for base, mask, commit in masked:
+            view = simulated_view(ctx, program, tape_seed, side, base, mask, _commit=commit)
+            if view is not None:
+                mass[view] = mass.get(view, Fraction(0)) + weight
+                total += weight
+    if total == 0:
+        raise BudgetExceeded("the verifier program defeats every side guess on this tape")
+    return {view: p / total for view, p in mass.items()}

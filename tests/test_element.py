@@ -22,7 +22,7 @@ from permzk.element import (
     verify_element_bijection,
 )
 from permzk.conjugacy import DEFAULT_SEARCH_CAP, session
-from permzk.engine import BudgetExceeded, GeneratingSet, build_chain, parse_generating_set, symmetric_group
+from permzk.engine import BudgetExceeded, GeneratingSet, build_chain, parse_generating_set
 from permzk.framework import (
     RandomTape,
     VerifierProgram,
@@ -43,7 +43,7 @@ from permzk.simulator import (
     view_from_randomness,
 )
 
-from helpers import centralizer_coset_oracle, run_session
+from helpers import centralizer_coset_oracle, run_session, symmetric_group
 
 EC_YES = "fixtures/ec_yes_m3.txt"
 Q2_ELEMENTS = "fixtures/q2_elements.txt"

@@ -31,7 +31,6 @@ from permzk.engine import (
     membership_chain,
     parse_generating_set,
     random_generating_tuple,
-    symmetric_group,
 )
 from permzk.conjugacy import InstanceContext
 from permzk.element import ElementContext
@@ -39,7 +38,7 @@ from permzk.framework import RandomTape
 from permzk.instances import load_group_file, load_instance, parse_instance_text
 from permzk.perm import Permutation
 
-from helpers import base_points, centralizer_order_in_sym, format_generating_set
+from helpers import base_points, centralizer_order_in_sym, format_generating_set, symmetric_group
 
 ALPHA = 1e-3
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"

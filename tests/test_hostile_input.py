@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from permzk.conjugacy import GroupConjInstance, _coerce_perm, coerce_commit
 from permzk.element import ElemConjInstance
-from permzk.engine import GeneratingSet
+from permzk.cli import main
+from permzk.engine import GeneratingSet, parse_generating_set
 from permzk.instances import InstanceError, parse_group_text, parse_instance_text
 from permzk.perm import Permutation
 
@@ -128,6 +129,29 @@ def test_wire_payloads_coerce_or_are_rejected(case, k):
     assert p is None or (isinstance(p, Permutation) and p.degree == degree)
     commit = coerce_commit(degree, k, payload)
     assert commit is None or (len(commit) == k and all(isinstance(x, Permutation) and x.degree == degree for x in commit))
+
+
+@pytest.mark.parametrize("entry", ["2 1", "2 1 3 4", "1 1 2", "2 3 4", "x"])
+def test_the_boundary_still_refuses_a_bad_entry(entry, tmp_path, capsys):
+    # the sample and verifier loops trust what the boundary let in, so the
+    # parsers, coerce_commit and GeneratingSet itself must still refuse a
+    # wrong-degree or non-permutation entry
+    good = Permutation([2, 3, 1])
+    with pytest.raises(ValueError):
+        parse_generating_set(f"2 3 1; {entry}", 3)
+    with pytest.raises(InstanceError):
+        parse_group_text(f"degree: 3\nG: 2 3 1; {entry}\n")
+    assert coerce_commit(3, 2, [good, entry]) is None
+    assert coerce_commit(3, 2, [good, entry.split()]) is None
+    with pytest.raises(ValueError, match="not a permutation"):
+        GeneratingSet(3, (good, entry.split()))
+    with pytest.raises(ValueError, match="degree mismatch"):
+        GeneratingSet(3, (good, Permutation([2, 1])))
+    group = tmp_path / "group.txt"
+    group.write_text(f"degree: 3\nG: 2 3 1; {entry}\n")
+    assert main(["stats-genlemma", "--group", str(group), "--k", "3", "--trials", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 HUGE = 10**18

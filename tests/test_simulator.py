@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permzk import conjugacy
-from permzk.conjugacy import InstanceContext, ProtocolParams
+from permzk.conjugacy import GroupConjInstance, HonestProver, InstanceContext, ProtocolParams, session
 from permzk.element import ElemConjInstance, ElementContext
-from permzk.engine import BudgetExceeded, enumerate_elements, generating_tuples
+from permzk.engine import BudgetExceeded, GeneratingSet, enumerate_elements, generating_tuples
 from permzk.framework import (
     STANDARD_VERIFIERS,
     RandomTape,
@@ -46,6 +46,8 @@ from permzk.simulator import (
     verify_view_bijection,
     view_from_randomness,
 )
+
+from helpers import reference_exact_real_law, reference_exact_sim_law, run_session
 
 TINY = "fixtures/tiny_cyclic.txt"
 Q2_GROUPS = "fixtures/q2_groups.txt"
@@ -449,8 +451,8 @@ def test_a_second_exact_check_runs_no_generation_test_and_masks_only_to_invert(f
     # the only masking left in a warm bijection check inverts each image
     inversions = [(ctx.mask(base, w), w.inverse()) for base in ctx.bases(1, k) for w in ctx.u_elements()]
     generated, masked = [], []
-    real_generates, real_mask = conjugacy.generates, ctx.mask
-    monkeypatch.setattr(conjugacy, "generates", lambda *args: generated.append(args) or real_generates(*args))
+    real_generates, real_mask = conjugacy._generates_images, ctx.mask
+    monkeypatch.setattr(conjugacy, "_generates_images", lambda *args: generated.append(args) or real_generates(*args))
     monkeypatch.setattr(ctx, "mask", lambda base, w: masked.append((base, w)) or real_mask(base, w))
     for _ in range(2):  # the assertions below read the second, warm pass
         generated.clear()
@@ -461,6 +463,22 @@ def test_a_second_exact_check_runs_no_generation_test_and_masks_only_to_invert(f
     assert generated == []
     assert compare_masks == []
     assert masked == inversions
+
+
+def test_stat_checks_and_the_verifier_build_no_generating_set(monkeypatch):
+    # the sampled tuples and the coerced commitment were checked where they
+    # were made, so neither the sample loops nor the verifier re-check them
+    ctx = ctx_of(Q2_GROUPS)
+    params = ProtocolParams.for_instance(ctx.instance)
+    prover = HonestProver(ctx, params)
+    compare_view_distributions(ctx, honest_verifier(), tape_seed=1, k=24, samples=20, rng=random.Random(2))
+    built = []
+    post_init = GeneratingSet.__post_init__
+    monkeypatch.setattr(GeneratingSet, "__post_init__", lambda self: built.append(self) or post_init(self))
+    compare_view_distributions(ctx, honest_verifier(), tape_seed=1, k=24, samples=50, rng=random.Random(3))
+    tape = RandomTape(4)
+    assert run_session(session(ctx, params, prover, honest_verifier(), random.Random(4), tape)).accepted
+    assert built == []
 
 
 @pytest.mark.parametrize("fixture, k", [("q2_groups", 2), ("ec_yes_m3", 1)])
@@ -489,6 +507,37 @@ def test_exact_laws_match_and_are_uniform():
         assert set(law_r) == set(consistent)
         assert all(p == uniform for p in law_r.values())
         assert sum(law_r.values()) == 1
+
+
+def junk_verifier():
+    """Answers the junk bytes b"x", which decode to challenge bit 0."""
+    return VerifierProgram("junk", lambda inst, tape, commit: b"x", tape_budget=0)
+
+
+def assert_laws_match_the_fraction_sums(ctx, k, laws):
+    # same values and same key order as one Fraction added per masked
+    # commitment; the junk verifier puts every view on side 0
+    for program in [STANDARD_VERIFIERS[name]() for name in sorted(STANDARD_VERIFIERS)] + [junk_verifier()]:
+        for tape_seed in range(3):
+            for law, reference in laws:
+                got = law(ctx, program, tape_seed, k)
+                assert list(got.items()) == list(reference(ctx, program, tape_seed, k).items())
+
+
+@pytest.mark.parametrize("fixture, k", ORACLE_FAMILIES)
+def test_integer_count_laws_match_the_fraction_sums(fixture, k):
+    laws = ((exact_real_law, reference_exact_real_law), (exact_sim_law, reference_exact_sim_law))
+    assert_laws_match_the_fraction_sums(yes_context(f"fixtures/{fixture}.txt"), k, laws)
+
+
+def test_integer_count_sim_law_weights_sides_of_unequal_size():
+    # <(1 2)> has 3 generating 2-tuples and <(1 2 3)> has 8, so each side's
+    # views must be weighted by the other side's count; the simulator's law
+    # needs no witness, so a no-instance serves
+    c2, c3 = (GeneratingSet(3, (Permutation(images),)) for images in ([2, 1, 3], [2, 3, 1]))
+    ctx = InstanceContext(GroupConjInstance(3, c2, c3, GeneratingSet(3)))
+    assert [len(ctx.masked_commits(side, 2)) for side in (0, 1)] == [3, 8]
+    assert_laws_match_the_fraction_sums(ctx, 2, ((exact_sim_law, reference_exact_sim_law),))
 
 
 def test_total_variation_basics():
@@ -564,13 +613,25 @@ def one_based_bucket(commit, nbuckets):
 
 
 @given(
-    st.integers(1, 6).flatmap(lambda m: st.lists(st.permutations(range(1, m + 1)), min_size=1, max_size=5)),
+    st.integers(1, 16).flatmap(lambda m: st.lists(st.permutations(range(1, m + 1)), min_size=1, max_size=64)),
     st.integers(1, 1 << 32),
 )
 def test_bucket_of_commit_is_the_one_based_formula(images, nbuckets):
     commit = tuple(map(Permutation, images))
     assert bucket_of_commit(commit, nbuckets) == one_based_bucket(commit, nbuckets)
     assert bucket_of_commit(commit[0], nbuckets) == one_based_bucket(commit[0], nbuckets)
+
+
+def test_bucket_of_commit_at_every_length_to_64_entries():
+    # the powers of 1000003 are cached per flattened length: every length
+    # of up to 64 entries at degree 16, as group-conj-m16's commitments, and
+    # at degree 1, where each entry adds one image
+    rng = random.Random(5)
+    for m in (1, 16):
+        for entries in range(1, 65):
+            commit = tuple(Permutation(rng.sample(range(1, m + 1), m)) for _ in range(entries))
+            for nbuckets in (8, 1 << 32, rng.randrange(1, 1 << 32)):
+                assert bucket_of_commit(commit, nbuckets) == one_based_bucket(commit, nbuckets)
 
 
 def test_restart_count_is_roughly_geometric():

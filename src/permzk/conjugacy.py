@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Optional
 
 from .engine import (
@@ -40,10 +40,27 @@ from .framework import (
     run_parallel,
     run_sequential,
 )
-from .perm import Permutation, conjugation, invert_images
+from .perm import Permutation, conjugation, invert_images, parse_perm
 
 TUPLE_LENGTH_FACTOR = 4
 DEFAULT_SEARCH_CAP = 10_000
+
+
+def _per_context(method):
+    """Keep method's value per argument tuple in the context's memo: it is
+    computed on the first call and kept for the life of the context."""
+    name = method.__name__
+
+    @wraps(method)
+    def memoized(self, *args):
+        key = (name,) + args
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = method(self, *args)
+            return value
+
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -96,13 +113,8 @@ class InstanceContext:
     def __init__(self, instance: GroupConjInstance, search_cap: int = DEFAULT_SEARCH_CAP):
         self.instance = instance
         self.search_cap = search_cap
-        self._bases: dict = {}
-        self._profiles: dict = {}
-        self._masks: dict = {}
-        self._conjugate_tables: dict = {}
-        self._masked: dict = {}
+        self._memo: dict = {}
         self._verdicts: dict = {}
-        self._candidates: dict = {}
         v = instance.witness
         if v is not None:
             if not self.chain_u.contains(v):
@@ -129,17 +141,13 @@ class InstanceContext:
     def side_chain(self, bit: int) -> StabilizerChain:
         return self.chain_a1 if bit else self.chain_a0
 
-    @cached_property
-    def _u_elements(self) -> tuple:
+    @_per_context
+    def u_elements(self) -> tuple:
         return enumerate_elements(self.chain_u, self.search_cap)
 
-    def u_elements(self) -> tuple:
-        return self._u_elements
-
+    @_per_context
     def side_profile(self, bit: int) -> Optional[tuple]:
-        if bit not in self._profiles:
-            self._profiles[bit] = group_profile(self.side_chain(bit), self.search_cap)
-        return self._profiles[bit]
+        return group_profile(self.side_chain(bit), self.search_cap)
 
     @cached_property
     def _witness(self) -> Optional[Permutation]:
@@ -163,9 +171,10 @@ class InstanceContext:
     def conjugates(self, v: Permutation) -> bool:
         """Whether <A0>^v = <A1>: equal orders and A0's generators, conjugated
         by v, in <A1>."""
-        gens = self.instance.a0.canonical().gens
-        same_order = self.chain_a0.order() == self.chain_a1.order()
-        return same_order and all(self.chain_a1.contains(g.conjugated_by(v)) for g in gens)
+        if self.chain_a0.order() != self.chain_a1.order():
+            return False
+        conj, raw = conjugation(v._img), Permutation._raw
+        return all(self.chain_a1.contains(raw(conj(g))) for g in self.chain_a0.gens)
 
     @cached_property
     def _u_conjugations(self) -> tuple:
@@ -174,7 +183,7 @@ class InstanceContext:
     def conjugators(self, side: int, chain: StabilizerChain):
         """Elements v of <U>, in enumeration order, that conjugate the side's
         generators into the group of chain."""
-        gens = [g._img for g in self.instance.side(side).canonical().gens]
+        gens = self.side_chain(side).gens
         raw = Permutation._raw
         for v, conj in zip(self.u_elements(), self._u_conjugations):
             for g in gens:
@@ -203,56 +212,48 @@ class InstanceContext:
         gt = random_generating_tuple(self.side_chain(side), k, rng)
         return gt.perms, gt.attempts
 
+    @_per_context
     def bases(self, side: int, k: int) -> tuple:
         """Every value sample_base(side, k) can return, each equally likely;
         refused when there is none, since then no commitment exists."""
-        key = (side, k)
-        if key not in self._bases:
-            tuples = generating_tuples(self.side_chain(side), k, self.search_cap)
-            if not tuples:
-                raise BudgetExceeded(f"side {side} has no generating {k}-tuple: the prover cannot commit")
-            self._bases[key] = tuples
-        return self._bases[key]
+        tuples = generating_tuples(self.side_chain(side), k, self.search_cap)
+        if not tuples:
+            raise BudgetExceeded(f"side {side} has no generating {k}-tuple: the prover cannot commit")
+        return tuples
 
     def mask(self, base, w: Permutation):
         conj = conjugation(w._img)
         raw = Permutation._raw
         return tuple(raw(conj(x._img)) for x in base)
 
+    @_per_context
     def masked_commits(self, side: int, k: int) -> tuple:
         """(base, w, mask(base, w)) for every base in bases(side, k) and w in
         <U>, bases outermost: each commitment the prover's randomness can
         make, masked once per context."""
-        key = (side, k)
-        if key not in self._masked:
-            u_elems = self.u_elements()
-            self._masked[key] = tuple((b, w, self.mask(b, w)) for b in self.bases(side, k) for w in u_elems)
-        return self._masked[key]
+        u_elems = self.u_elements()
+        return tuple((b, w, self.mask(b, w)) for b in self.bases(side, k) for w in u_elems)
 
     def side_members(self, side: int) -> tuple:
         """The elements that a commitment's entries for this side are
         conjugates of: here every element of the side's group."""
         return enumerate_elements(self.side_chain(side), self.search_cap)
 
+    @_per_context
     def side_conjugates(self, side: int) -> Optional[tuple]:
         """The distinct groups side^u for u in <U>, each as the frozenset of
         its members' raw images, the side's own group first.  The list is
-        the closure of side_members(side) under conjugation by U's canonical
-        generators, which reaches side^u for every u in <U>; a member set is
-        an exact key for a group, so <U> is neither enumerated nor tested
-        for membership.  None when |<U>|, the side's order or the table's
+        the closure of side_members(side) under conjugation by the raw
+        generators of U's chain, which reaches side^u for every u in <U>; a
+        member set is an exact key for a group, so <U> is neither enumerated
+        nor tested for membership.  None when |<U>|, the side's order or the table's
         total number of permutations exceeds search_cap: callers then scan
         <U> with conjugators(), which refuses when |<U>| is over the cap."""
-        if side not in self._conjugate_tables:
-            self._conjugate_tables[side] = self._close_conjugates(side)
-        return self._conjugate_tables[side]
-
-    def _close_conjugates(self, side: int) -> Optional[tuple]:
         cap = self.search_cap
         order = self.side_chain(side).order()
         if self.chain_u.order() > cap or order > cap:
             return None
-        conjs = [conjugation(g._img) for g in self.instance.u.canonical().gens]
+        conjs = [conjugation(g) for g in self.chain_u.gens]
         table = [frozenset(g._img for g in self.side_members(side))]
         seen = set(table)
         for members in table:  # grows while it is read: a breadth-first closure
@@ -265,22 +266,20 @@ class InstanceContext:
                     table.append(image)
         return tuple(table)
 
+    @_per_context
     def side_masks(self, side: int) -> dict:
         """Raw images of every conjugate g^w, for g in side_members(side)
         and w in <U>, mapped to a bitmask over the indices of u_elements():
         bit i is set iff the conjugate lies in the side conjugated by the
         i-th element."""
-        if side not in self._masks:
-            conjs = self._u_conjugations
-            members = [g._img for g in self.side_members(side)]
-            masks: dict = {}
-            for i, conj in enumerate(conjs):
-                bit = 1 << i
-                for g in members:
-                    x = conj(g)
-                    masks[x] = masks.get(x, 0) | bit
-            self._masks[side] = masks
-        return self._masks[side]
+        members = [g._img for g in self.side_members(side)]
+        masks: dict = {}
+        for i, conj in enumerate(self._u_conjugations):
+            bit = 1 << i
+            for g in members:
+                x = conj(g)
+                masks[x] = masks.get(x, 0) | bit
+        return masks
 
     def _responses(self, bits: int) -> list:
         """The elements of <U> whose bits are set, in enumeration order."""
@@ -316,6 +315,7 @@ class InstanceContext:
         images = self.side_masks(0).keys() | self.side_masks(1).keys()
         return list(map(Permutation._raw, sorted(images)))
 
+    @_per_context
     def candidate_commits(self, k: int) -> tuple:
         """Every well-formed commitment that some response could make
         acceptable, in itertools.product order: the k-tuples over the
@@ -323,8 +323,6 @@ class InstanceContext:
         to non-zero on side 0 or side 1, so the simulator replays no other.
         The cap counts all k-tuples; the identity keeps every mask, so no
         level of the walk outgrows the result.  Walked once per context and k."""
-        if k in self._candidates:
-            return self._candidates[k]
         if k < 1:
             raise ValueError("k must be at least 1")
         elems = self._conjugates_of_sides()
@@ -339,8 +337,7 @@ class InstanceContext:
         for _ in range(k):
             level = [(t + (p,), b0, b1) for t, a0, a1 in level for p, e0, e1 in entries
                      if (b0 := a0 & e0) | (b1 := a1 & e1)]
-        self._candidates[k] = tuple(t for t, _, _ in level)
-        return self._candidates[k]
+        return tuple(t for t, _, _ in level)
 
 
 def _coerce_perm(item, degree: int) -> Optional[Permutation]:
@@ -349,14 +346,10 @@ def _coerce_perm(item, degree: int) -> Optional[Permutation]:
     else is ill-typed."""
     if isinstance(item, Permutation):
         return item if item.degree == degree else None
-    if isinstance(item, str):
-        item = item.split()
-    elif not isinstance(item, (list, tuple)) or not all(
-        isinstance(i, int) and not isinstance(i, bool) for i in item
-    ):
+    if not isinstance(item, (str, list, tuple)):
         return None
     try:
-        p = Permutation(item)
+        p = parse_perm(item) if isinstance(item, str) else Permutation(item)
     except ValueError:
         return None
     return p if p.degree == degree else None

@@ -6,22 +6,25 @@ new base point is the smallest point moved by the offending residue.  The
 construction is complete once every Schreier generator of every level sifts
 to the identity, which makes membership, order, and the transversal
 factorization exact (Sims's method; Seress, Permutation Group Algorithms,
-2003, ch. 4).  There are two constructions, which differ only in how a
-placed generator grows the orbits of levels 0..idx.  build_chain rebuilds
-each orbit breadth-first from its base, so the points order and
-representatives that random_element reads depend on the strong generators
-alone; every chain that is sampled from is built this way.
-membership_chain, and the chain inside generates, grow each orbit in place:
-the new generator is applied to the points already there and only the
-points it adds are closed, keeping the representatives and cached inverses
-already made.  Such a chain is only asked for its order and for membership.
+2003, ch. 4).  A chain keeps the distinct non-identity raw images it was
+built from as chain.gens, and one loop, _fill, sifts them in and closes.
+There are two constructions, which differ only in how a placed generator
+grows the orbits of levels 0..idx.  build_chain rebuilds each orbit
+breadth-first from its base, so the points order and representatives that
+random_element reads depend on the strong generators alone; every chain
+that is sampled from is built this way.  membership_chain, and the chain
+inside _generates_images, grow each orbit in place: the new generator is
+applied to the points already there and only the points it adds are
+closed, keeping the representatives and cached inverses already made.
+Such a chain is only asked for its order and for membership.
 
 Inside a chain everything is a raw 0-based image tuple, composed with
 operator.itemgetter: one sift loop (_strip) serves contains, strip,
 ingestion and closing, and a Permutation is made only at the public
 boundary.  A level inverts a transversal representative the first time a
 sift reads it, not when its orbit is rebuilt.  conjugated(v) maps a finished
-chain to the chain of G^v, which samples the same stream conjugated by v.
+chain to the chain of G^v, which samples the same stream conjugated by v;
+its gens are the conjugated strong generators.
 
 Sampling is table-driven: a chain's first draw derives, per level, the orbit
 size n, w = n.bit_length() and the representatives in points order, with
@@ -30,14 +33,14 @@ with the loop of CPython's randrange(n), getrandbits(w) until below n, so
 the draws and the stream's state match one randrange per level, as
 test_table_draw_is_cpython_randrange checks.
 
-The generation test _generates_images(degree, imgs, order) runs the same
-sifting on raw images, with no GeneratingSet, but stops as soon as the
+The generation test _generates_images(degree, imgs, order) is _fill on a
+membership chain of imgs, with no GeneratingSet, stopped as soon as the
 product of the transversal sizes reaches order.  That is exact under one
 precondition: imgs lie in a group of that order.  Its callers establish it,
 as its docstring says, on images checked where they entered the program:
 random_generating_tuple, generating_tuples, conjugacy.response_accepted,
-InstanceContext.accepted_responses, cli.cmd_stats_genlemma, and, through
-generates(gens, order), nonconjugacy.matched_sides.
+InstanceContext.accepted_responses, nonconjugacy.matched_sides and
+cli.cmd_stats_genlemma; generates(gens, order) is its public wrapper.
 """
 
 from __future__ import annotations
@@ -79,16 +82,9 @@ class GeneratingSet:
                 raise ValueError(f"degree mismatch: {g.degree} vs {self.degree}")
 
     def canonical(self) -> "GeneratingSet":
-        """gens less duplicates and identities, not checked a second time."""
-        seen = {identity_images(self.degree)}
-        out = []
-        for g in self.gens:
-            if g._img not in seen:
-                seen.add(g._img)
-                out.append(g)
-        copy = object.__new__(GeneratingSet)  # skips __post_init__
-        copy.__dict__.update(degree=self.degree, gens=tuple(out))
-        return copy
+        """gens less duplicates and identities."""
+        ident = Permutation.identity(self.degree)
+        return GeneratingSet(self.degree, tuple(g for g in dict.fromkeys(self.gens) if g != ident))
 
     def conjugated_by(self, v: Permutation) -> "GeneratingSet":
         return GeneratingSet(self.degree, tuple(g.conjugated_by(v) for g in self.gens))
@@ -147,14 +143,17 @@ def _close_orbit(trans: dict, frontier: list, gens: list):
 
 
 class StabilizerChain:
-    """Base, strong generators, and transversals for one generating set.
+    """Base, strong generators, and transversals for the group generated by
+    gens, the distinct non-identity raw images it keeps in arrival order.
     Construct with build_chain(), or membership_chain() for a chain that is
     never sampled from."""
 
-    def __init__(self, degree: int, source: Optional[GeneratingSet]):
+    def __init__(self, degree: int, gens=()):
         self.degree = degree
-        self.source = source
         self._ident = identity_images(degree)
+        unique = dict.fromkeys(gens)
+        unique.pop(self._ident, None)
+        self.gens = tuple(unique)
         self._levels: list = []
         self._order: Optional[int] = None
         self._table: Optional[tuple] = None
@@ -220,7 +219,7 @@ class StabilizerChain:
     def conjugated(self, v: Permutation) -> "StabilizerChain":
         """The chain of G^v, for G this chain's group: base and orbit points
         mapped by v, every strong generator and representative conjugated by
-        v; its source is the conjugated strong generators.  Conjugation is a
+        v; its gens are the conjugated strong generators.  Conjugation is a
         homomorphism, so on one stream its random_element draws are this
         chain's draws conjugated by v.  Building it costs one raw
         conjugation per representative and strong generator, about what
@@ -237,8 +236,7 @@ class StabilizerChain:
             new.transversal = {vi[p]: conj(t) for p, t in lvl.transversal.items()}
             new.points = tuple(new.transversal)
             levels.append(new)
-        strong = tuple(Permutation._raw(g) for lvl in levels for g in lvl.placed)
-        out = StabilizerChain(self.degree, GeneratingSet(self.degree, strong))
+        out = StabilizerChain(self.degree, [g for lvl in levels for g in lvl.placed])
         out._levels = levels
         out._order = self._order
         return out
@@ -345,16 +343,21 @@ class _MembershipChain(StabilizerChain):
                 lvl.points = tuple(trans)
 
 
-def _fill(chain: StabilizerChain) -> StabilizerChain:
-    for g in chain.source.gens:
-        chain._ingest(g._img)
-    chain._close()
-    return chain
+def _fill(chain: StabilizerChain, target: int = 0) -> bool:
+    """Sift chain.gens in, then close.  True as soon as a placement, while
+    ingesting or closing, brings the transversal product to target, which
+    never happens for the default 0."""
+    for g in chain.gens:
+        if chain._ingest(g) and chain._product() == target:
+            return True
+    return chain._close(target)
 
 
 def build_chain(a: GeneratingSet) -> StabilizerChain:
     """Deterministic stabilizer chain for the group generated by a."""
-    return _fill(StabilizerChain(a.degree, a.canonical()))
+    chain = StabilizerChain(a.degree, [g._img for g in a.gens])
+    _fill(chain)
+    return chain
 
 
 def membership_chain(a: GeneratingSet) -> StabilizerChain:
@@ -362,7 +365,9 @@ def membership_chain(a: GeneratingSet) -> StabilizerChain:
     contains() as build_chain's does, built with less work.  Its
     representatives depend on the history of placements, so sample only
     from build_chain's chains."""
-    return _fill(_MembershipChain(a.degree, a.canonical()))
+    chain = _MembershipChain(a.degree, [g._img for g in a.gens])
+    _fill(chain)
+    return chain
 
 
 def group_equal(x: GeneratingSet, y: GeneratingSet) -> bool:
@@ -370,9 +375,7 @@ def group_equal(x: GeneratingSet, y: GeneratingSet) -> bool:
     if x.degree != y.degree:
         raise ValueError(f"degree mismatch: {x.degree} vs {y.degree}")
     cx, cy = membership_chain(x), membership_chain(y)
-    return all(cx.contains(g) for g in y.canonical().gens) and all(
-        cy.contains(g) for g in x.canonical().gens
-    )
+    return all(cx.contains(g) for g in y.gens) and all(cy.contains(g) for g in x.gens)
 
 
 def generates(gens: GeneratingSet, order: int) -> bool:
@@ -389,23 +392,18 @@ def _generates_images(degree: int, imgs, order: int) -> bool:
     generating_tuples (which draw from G), conjugacy.response_accepted (which
     checks containment first), InstanceContext.accepted_responses (whose
     mask AND puts imgs inside side^w, and which keeps each verdict for the
-    life of its context), cli.cmd_stats_genlemma (which samples from G) and,
-    through generates, nonconjugacy.matched_sides (which first finds a
-    U-conjugate of the side, a group of its order, holding every entry).
-    The test drops duplicates and identities, sifts the rest into a
-    membership chain, and stops as soon as the product of the transversal
+    life of its context), nonconjugacy.matched_sides (which first finds a
+    U-conjugate of the side, a group of its order, holding every entry),
+    cli.cmd_stats_genlemma (which samples from G) and generates, the public
+    wrapper.  The test fills a membership chain from imgs, less duplicates
+    and identities, and stops as soon as the product of the transversal
     sizes equals order, after a placement during ingestion or while closing.
     This is exact, not Monte Carlo: each level's orbit is an orbit of a
     subgroup of the matching stabilizer in H = <imgs>, so the product never
     exceeds |H|, and |H| <= |G|.  It draws nothing from any random stream,
     so which representatives the chain picks cannot show in a transcript."""
-    chain = _MembershipChain(degree, None)
-    unique = dict.fromkeys(imgs)
-    unique.pop(chain._ident, None)
-    for g in unique:
-        if chain._ingest(g) and chain._product() == order:
-            return True
-    return chain._close(order) or chain.order() == order
+    chain = _MembershipChain(degree, imgs)
+    return _fill(chain, order) or chain.order() == order
 
 
 @dataclass(frozen=True)
@@ -436,15 +434,13 @@ def random_generating_tuple(chain: StabilizerChain, k: int, rng) -> GeneratingTu
 
 
 def enumerate_elements(chain: StabilizerChain, cap: int = DEFAULT_ENUM_CAP) -> tuple:
-    """All group elements by breadth-first closure of the source generators,
-    identity first, deterministic order.  Independent of the chain's
-    transversal structure, so it doubles as an oracle for contains/order."""
+    """All group elements by breadth-first closure of chain.gens, identity
+    first, deterministic order.  Independent of the chain's transversal
+    structure, so it doubles as an oracle for contains/order."""
     if chain.order() > cap:
         raise BudgetExceeded(f"group order {chain.order()} exceeds cap {cap}")
-    # Identities add nothing to the closure; skipping them keeps degree 1,
-    # where itemgetter with one index returns a scalar, off the raw path.
-    gens = [g._img for g in chain.source.gens if not g.is_identity()]
-    ident = identity_images(chain.degree)
+    gens = chain.gens
+    ident = chain._ident
     seen = {ident}
     out = [ident]
     frontier = [ident]
@@ -505,5 +501,5 @@ def centralizer_in_sym(x: Permutation) -> GeneratingSet:
             img[p - 1] = q - 1
             img[q - 1] = p - 1
         gens.append(Permutation._raw(tuple(img)))
-    return GeneratingSet(m, tuple(gens)).canonical()
+    return GeneratingSet(m, tuple(gens))
 

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .engine import GeneratingSet, generates, group_profile, membership_chain
+from .engine import _fill, _generates_images, _MembershipChain, group_profile
 from .framework import (
     PROVER,
     VERIFIER,
@@ -78,11 +78,12 @@ def matched_sides(ctx: InstanceContext, payload: tuple) -> tuple:
     tables = (ctx.side_conjugates(0), ctx.side_conjugates(1))
     if None in tables:
         return scan_matched_sides(ctx, payload)
-    entries = {x._img for x in payload}
+    imgs = [x._img for x in payload]
+    entries = set(imgs)
     out = []
     for side, table in enumerate(tables):
-        if any(entries <= members for members in table) and generates(
-            GeneratingSet(ctx.degree, payload), ctx.side_chain(side).order()
+        if any(entries <= members for members in table) and _generates_images(
+            ctx.degree, imgs, ctx.side_chain(side).order()
         ):
             out.append(side)
     return tuple(out)
@@ -93,7 +94,8 @@ def scan_matched_sides(ctx: InstanceContext, payload: tuple) -> tuple:
     the side's few generators against the payload's chain, after pruning by
     order and by the conjugation-invariant cycle-type profile; the payload
     may be long, so the symmetric test would be far slower."""
-    chain_p = membership_chain(GeneratingSet(ctx.degree, payload))
+    chain_p = _MembershipChain(ctx.degree, [x._img for x in payload])
+    _fill(chain_p)
     profile_p = group_profile(chain_p, ctx.search_cap)
     out = []
     for side in (0, 1):

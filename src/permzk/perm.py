@@ -43,12 +43,17 @@ class Permutation:
     __slots__ = ("_img",)
 
     def __init__(self, images: Sequence[int]):
-        img = tuple(int(i) - 1 for i in images)
-        n = len(img)
+        """images are ints, bools excluded: nothing is converted, so 1.9
+        is refused rather than truncated to 1."""
+        entries = list(images)
+        if not all(isinstance(i, int) and not isinstance(i, bool) for i in entries):
+            raise ValueError(f"entries are not all integers: {entries!r}")
+        n = len(entries)
         if n < 1:
             raise ValueError("a permutation needs degree at least 1")
+        img = tuple(i - 1 for i in entries)
         if sorted(img) != list(range(n)):
-            raise ValueError(f"not a bijection of 1..{n}: {list(images)!r}")
+            raise ValueError(f"not a bijection of 1..{n}: {entries!r}")
         self._img = img
 
     @classmethod

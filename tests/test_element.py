@@ -31,7 +31,7 @@ from permzk.framework import (
     parity_verifier,
 )
 from permzk.instances import load_instance
-from permzk.perm import Permutation
+from permzk.perm import Permutation, parse_perm
 from permzk.simulator import (
     compare_view_distributions,
     enumerate_consistent_views,
@@ -54,7 +54,7 @@ def gset(degree, *texts):
 
 
 def perm(text):
-    return Permutation(text.split())
+    return parse_perm(text)
 
 
 def ctx_of(path):

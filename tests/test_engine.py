@@ -252,8 +252,9 @@ def test_conjugated_chain_is_the_chain_of_the_conjugated_group(case):
     chain, v, seed = case
     conj = chain.conjugated(v)
     members = {x.conjugated_by(v) for x in enumerate_elements(chain)}
-    assert conj.order() == len(members) == build_chain(chain.source.conjugated_by(v)).order()
-    # its source, the conjugated strong generators, generates G^v
+    source = GeneratingSet(chain.degree, tuple(map(Permutation._raw, chain.gens)))
+    assert conj.order() == len(members) == build_chain(source.conjugated_by(v)).order()
+    # its gens, the conjugated strong generators, generate G^v
     assert set(enumerate_elements(conj)) == members
     # every permutation of the degree: the members and all non-members
     for images in itertools.permutations(range(1, chain.degree + 1)):
@@ -262,6 +263,12 @@ def test_conjugated_chain_is_the_chain_of_the_conjugated_group(case):
     rng_conj, rng_chain = random.Random(seed), random.Random(seed)
     for _ in range(10):
         assert conj.random_element(rng_conj) == chain.random_element(rng_chain).conjugated_by(v)
+
+
+def test_chain_gens_drop_duplicates_and_identities():
+    a = gset(3, "1 2 3", "2 3 1", "2 3 1", "1 2 3", "2 1 3", "2 3 1")
+    assert build_chain(a).gens == ((1, 2, 0), (1, 0, 2))
+    assert build_chain(gset(1, "1", "1")).gens == ()
 
 
 @st.composite
@@ -279,6 +286,21 @@ def seeded_generating_set(draw):
             img[p] = q
         gens.append(Permutation([i + 1 for i in img]))
     return GeneratingSet(m, tuple(gens)), rng
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seeded_generating_set())
+def test_chain_gens_are_the_canonical_raw_images(case):
+    a, rng = case
+    chain = build_chain(a)
+    # the generators less duplicates and identities, in order, for either
+    # construction
+    assert chain.gens == tuple(g._img for g in a.canonical().gens)
+    assert membership_chain(a).gens == chain.gens
+    # a conjugated chain keeps its strong generators, conjugated
+    v = Permutation(rng.sample(range(1, a.degree + 1), a.degree))
+    strong = [Permutation._raw(g) for lvl in chain._levels for g in lvl.placed]
+    assert chain.conjugated(v).gens == tuple(g.conjugated_by(v)._img for g in strong)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -543,7 +565,7 @@ def block_chain(sizes):
     alone: level i has sizes[i] points, and its j-th representative puts
     block i (points 6i..6i+5) in the j-th arrangement and fixes the other
     block, so a draw shows the index drawn at each level."""
-    chain = StabilizerChain(12, GeneratingSet(12))
+    chain = StabilizerChain(12)
     for i, n in enumerate(sizes):
         lvl = engine._Level(6 * i)
         lvl.points = tuple(range(n))

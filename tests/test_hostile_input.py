@@ -83,13 +83,16 @@ text = st.one_of(near_valid_text(), st.lists(line, max_size=7).map("\n".join))
 
 def payloads(degree):
     """Wire payloads: scalars, text, one-line images (mostly of the given
-    degree), and lists, tuples and dicts of them, nested once more."""
+    degree), the same images as floats that truncate to them or with True
+    where the 1 was, and lists, tuples and dicts of them, nested once more."""
     images = st.one_of(st.permutations(range(1, degree + 1)), st.integers(1, 4).flatmap(lambda n: st.permutations(range(1, n + 1))))
     leaf = st.one_of(
         images,
         images.map(tuple),
         images.map(lambda p: " ".join(map(str, p))),
         images.map(Permutation),
+        images.map(lambda p: [x + 0.9 for x in p]),
+        images.map(lambda p: [x == 1 or x for x in p]),
         st.none(),
         st.booleans(),
         st.integers(),
@@ -127,6 +130,8 @@ def test_wire_payloads_coerce_or_are_rejected(case, k):
     degree, payload = case
     p = _coerce_perm(payload, degree)
     assert p is None or (isinstance(p, Permutation) and p.degree == degree)
+    if isinstance(payload, (list, tuple)) and not all(type(i) is int for i in payload):
+        assert p is None
     commit = coerce_commit(degree, k, payload)
     assert commit is None or (len(commit) == k and all(isinstance(x, Permutation) and x.degree == degree for x in commit))
 

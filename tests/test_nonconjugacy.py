@@ -7,7 +7,7 @@ import pytest
 from permzk.conjugacy import GroupConjInstance, InstanceContext
 from permzk.engine import StabilizerChain, build_chain, enumerate_elements, group_equal, GeneratingSet
 from permzk.framework import RandomTape
-from permzk.instances import load_instance
+from permzk.instances import load_instance, parse_instance_text
 from permzk.nonconjugacy import (
     NonConjChallenge,
     STANDARD_RESPONDERS,
@@ -254,3 +254,26 @@ def test_no_m3_brute_wins_despite_trivial_u():
         for _ in range(100)
     )
     assert wins >= 85
+
+
+# A_4 on 1..4 against A_4 on 5..8 inside U = S_4 x S_4, the shape of the
+# benchmark's non-conjugacy workload
+A4_PAIR = """degree: 8
+A0: 2 3 1 4 5 6 7 8; 1 3 4 2 5 6 7 8
+A1: 1 2 3 4 6 7 5 8; 1 2 3 4 5 7 8 6
+U: 2 1 3 4 5 6 7 8; 2 3 4 1 5 6 7 8; 1 2 3 4 6 5 7 8; 1 2 3 4 6 7 8 5
+"""
+
+
+def test_warm_sessions_build_no_generating_set(monkeypatch):
+    # the verifier's batch is drawn from a conjugated chain and the prover
+    # tests it on raw images, so neither re-checks what the program drew
+    ctx = InstanceContext(parse_instance_text(A4_PAIR))
+    params = params_for(ctx.instance)
+    assert run_composed(ctx, params, brute_force_responder(), random.Random(0)).accepted
+    built = []
+    post_init = GeneratingSet.__post_init__
+    monkeypatch.setattr(GeneratingSet, "__post_init__", lambda self: built.append(self) or post_init(self))
+    out = run_composed(ctx, params, brute_force_responder(), random.Random(1))
+    assert out.accepted and len(out.outcomes) == 2
+    assert built == []

@@ -32,6 +32,18 @@ def test_images_must_be_a_bijection():
         Permutation([])
 
 
+@pytest.mark.parametrize(
+    "images",
+    [[1.9, 2.2], [2.0, 1.0], [True], [2, True], [True, False], ["2", "1"], [1, None], "21"],
+    ids=["floats-that-truncate", "integral-floats", "true", "bool-beside-int", "bools", "digit-strings", "none", "text"],
+)
+def test_entries_must_be_ints(images):
+    # nothing is converted: [1.9, 2.2] once truncated to the identity, and
+    # [True] passed as the point 1
+    with pytest.raises(ValueError, match="not all integers"):
+        Permutation(images)
+
+
 def test_composition_left_factor_acts_first():
     a = parse_perm("2 1 3")
     b = parse_perm("1 3 2")

@@ -50,8 +50,6 @@ def _seed_of(args) -> int:
 
 
 def _fmt_value(value) -> str:
-    if isinstance(value, bool):
-        return "True" if value else "False"
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)

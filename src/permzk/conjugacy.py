@@ -18,6 +18,7 @@ from functools import cached_property, wraps
 from typing import Optional
 
 from .engine import (
+    DEFAULT_SEARCH_CAP,
     BudgetExceeded,
     GeneratingSet,
     StabilizerChain,
@@ -43,7 +44,6 @@ from .framework import (
 from .perm import Permutation, conjugation, invert_images, parse_perm
 
 TUPLE_LENGTH_FACTOR = 4
-DEFAULT_SEARCH_CAP = 10_000
 
 
 def _per_context(method):
@@ -63,6 +63,16 @@ def _per_context(method):
     return memoized
 
 
+def _check_degrees(degree: int, witness=None, **parts):
+    """ValueError unless each named part, then the witness if any, has the
+    instance degree."""
+    for name, part in parts.items():
+        if part.degree != degree:
+            raise ValueError(f"{name} degree {part.degree} does not match instance degree {degree}")
+    if witness is not None and witness.degree != degree:
+        raise ValueError("witness degree does not match instance degree")
+
+
 @dataclass(frozen=True)
 class GroupConjInstance:
     degree: int
@@ -72,11 +82,7 @@ class GroupConjInstance:
     witness: Optional[Permutation] = None
 
     def __post_init__(self):
-        for name, gset in (("A0", self.a0), ("A1", self.a1), ("U", self.u)):
-            if gset.degree != self.degree:
-                raise ValueError(f"{name} degree {gset.degree} does not match instance degree {self.degree}")
-        if self.witness is not None and self.witness.degree != self.degree:
-            raise ValueError("witness degree does not match instance degree")
+        _check_degrees(self.degree, self.witness, A0=self.a0, A1=self.a1, U=self.u)
 
     def side(self, bit: int) -> GeneratingSet:
         return self.a1 if bit else self.a0
@@ -104,8 +110,8 @@ class InstanceContext:
     witness on those chains: ValueError when it does not certify the instance.
 
     The methods from find_witness() down describe the protocol: how a
-    commitment is read and checked, and how the prover's randomness (a base
-    commitment for a side, then a mask from <U>) turns into a commitment.
+    commitment is read and checked, and how the prover's randomness (a mask
+    from <U>, then a base commitment for a side) turns into a commitment.
     The session driver and the simulator run on these alone, so a subclass
     that overrides them runs the same protocol on another commitment shape.
     """
@@ -114,7 +120,6 @@ class InstanceContext:
         self.instance = instance
         self.search_cap = search_cap
         self._memo: dict = {}
-        self._verdicts: dict = {}
         v = instance.witness
         if v is not None:
             if not self.chain_u.contains(v):
@@ -168,28 +173,27 @@ class InstanceContext:
         if order > self.search_cap:
             raise BudgetExceeded(f"prover budget exceeded: |<U>| = {order} > cap {self.search_cap}")
 
+    def _conjugates_into(self, conj, side: int, chain: StabilizerChain) -> bool:
+        """Whether conj, a raw conjugation map, sends the side's generators
+        into the group of chain."""
+        raw = Permutation._raw
+        return all(chain.contains(raw(conj(g))) for g in self.side_chain(side).gens)
+
     def conjugates(self, v: Permutation) -> bool:
         """Whether <A0>^v = <A1>: equal orders and A0's generators, conjugated
         by v, in <A1>."""
-        if self.chain_a0.order() != self.chain_a1.order():
-            return False
-        conj, raw = conjugation(v._img), Permutation._raw
-        return all(self.chain_a1.contains(raw(conj(g))) for g in self.chain_a0.gens)
+        return (self.chain_a0.order() == self.chain_a1.order()
+                and self._conjugates_into(conjugation(v._img), 0, self.chain_a1))
 
-    @cached_property
+    @_per_context
     def _u_conjugations(self) -> tuple:
         return tuple(conjugation(v._img) for v in self.u_elements())
 
     def conjugators(self, side: int, chain: StabilizerChain):
         """Elements v of <U>, in enumeration order, that conjugate the side's
         generators into the group of chain."""
-        gens = self.side_chain(side).gens
-        raw = Permutation._raw
-        for v, conj in zip(self.u_elements(), self._u_conjugations):
-            for g in gens:
-                if not chain.contains(raw(conj(g))):
-                    break
-            else:
+        for v, conj in zip(self.u_elements(), self._u_conjugations()):
+            if self._conjugates_into(conj, side, chain):
                 yield v
 
     def find_witness(self) -> Optional[Permutation]:
@@ -209,8 +213,14 @@ class InstanceContext:
     def sample_base(self, side: int, k: int, rng):
         """A uniform generating k-tuple of the side's group and the number
         of rejection-sampling attempts it took."""
-        gt = random_generating_tuple(self.side_chain(side), k, rng)
-        return gt.perms, gt.attempts
+        return random_generating_tuple(self.side_chain(side), k, rng)
+
+    def prover_draw(self, side: int, k: int, rng) -> tuple:
+        """The prover's randomness for a side, drawn in this order: a mask
+        from <U>, then a base for the side.  (mask, base, attempts)."""
+        mask = self.chain_u.random_element(rng)
+        base, attempts = self.sample_base(side, k, rng)
+        return mask, base, attempts
 
     @_per_context
     def bases(self, side: int, k: int) -> tuple:
@@ -274,7 +284,7 @@ class InstanceContext:
         i-th element."""
         members = [g._img for g in self.side_members(side)]
         masks: dict = {}
-        for i, conj in enumerate(self._u_conjugations):
+        for i, conj in enumerate(self._u_conjugations()):
             bit = 1 << i
             for g in members:
                 x = conj(g)
@@ -298,17 +308,17 @@ class InstanceContext:
         order, and one generation test, which does not depend on w, decides
         them all.  The answer is kept per (side, raw images of the
         commitment), so each runs the test once per context."""
-        side = challenge_bit(challenge)
-        key = side, tuple([x._img for x in commit])
-        if key not in self._verdicts:
-            masks = self.side_masks(side)
-            bits = (1 << len(self.u_elements())) - 1
-            for x in commit:
-                bits &= masks.get(x._img, 0)
-            if bits and not _generates_images(self.degree, key[1], self.side_chain(side).order()):
-                bits = 0
-            self._verdicts[key] = tuple(self._responses(bits))
-        return list(self._verdicts[key])
+        return list(self._accepted(challenge_bit(challenge), tuple([x._img for x in commit])))
+
+    @_per_context
+    def _accepted(self, side: int, imgs: tuple) -> tuple:
+        masks = self.side_masks(side)
+        bits = (1 << len(self.u_elements())) - 1
+        for x in imgs:
+            bits &= masks.get(x, 0)
+        if bits and not _generates_images(self.degree, imgs, self.side_chain(side).order()):
+            bits = 0
+        return tuple(self._responses(bits))
 
     def _conjugates_of_sides(self) -> list:
         """Every conjugate of either side's members by <U>, sorted."""
@@ -394,10 +404,8 @@ class HonestProver:
         self._v = ctx.witness()
 
     def commit(self, rng):
-        ctx = self.ctx
-        mask = ctx.chain_u.random_element(rng)
-        base, attempts = ctx.sample_base(1, self.params.k, rng)
-        return (mask, attempts), ctx.mask(base, mask)
+        mask, base, attempts = self.ctx.prover_draw(1, self.params.k, rng)
+        return (mask, attempts), self.ctx.mask(base, mask)
 
     def respond(self, state, challenge) -> Permutation:
         mask = state[0]
@@ -414,11 +422,8 @@ class GuessingProver:
         self.params = params
 
     def commit(self, rng):
-        ctx = self.ctx
-        side = rng.randrange(2)
-        mask = ctx.chain_u.random_element(rng)
-        base, attempts = ctx.sample_base(side, self.params.k, rng)
-        return (mask, attempts), ctx.mask(base, mask)
+        mask, base, attempts = self.ctx.prover_draw(rng.randrange(2), self.params.k, rng)
+        return (mask, attempts), self.ctx.mask(base, mask)
 
     def respond(self, state, challenge) -> Permutation:
         return state[0]

@@ -24,6 +24,7 @@ from .conjugacy import (
     HonestProver,
     InstanceContext,
     ProtocolParams,
+    _check_degrees,
     _coerce_perm,
     run_composed,
 )
@@ -41,13 +42,7 @@ class ElemConjInstance:
     witness: Optional[Permutation] = None
 
     def __post_init__(self):
-        for name, p in (("a0", self.a0), ("a1", self.a1)):
-            if p.degree != self.degree:
-                raise ValueError(f"{name} degree {p.degree} does not match instance degree {self.degree}")
-        if self.u.degree != self.degree:
-            raise ValueError(f"U degree {self.u.degree} does not match instance degree {self.degree}")
-        if self.witness is not None and self.witness.degree != self.degree:
-            raise ValueError("witness degree does not match instance degree")
+        _check_degrees(self.degree, self.witness, a0=self.a0, a1=self.a1, U=self.u)
 
     def side(self, bit: int) -> Permutation:
         return self.a1 if bit else self.a0
@@ -63,11 +58,7 @@ class CosetIntersectionInstance:
     u: GeneratingSet
 
     def __post_init__(self):
-        for name, p in (("x", self.x), ("y", self.y)):
-            if p.degree != self.degree:
-                raise ValueError(f"{name} degree {p.degree} does not match instance degree {self.degree}")
-        if self.u.degree != self.degree:
-            raise ValueError(f"U degree {self.u.degree} does not match instance degree {self.degree}")
+        _check_degrees(self.degree, x=self.x, y=self.y, U=self.u)
 
 
 class ElementContext(InstanceContext):

@@ -36,11 +36,7 @@ test_table_draw_is_cpython_randrange checks.
 The generation test _generates_images(degree, imgs, order) is _fill on a
 membership chain of imgs, with no GeneratingSet, stopped as soon as the
 product of the transversal sizes reaches order.  That is exact under one
-precondition: imgs lie in a group of that order.  Its callers establish it,
-as its docstring says, on images checked where they entered the program:
-random_generating_tuple, generating_tuples, conjugacy.response_accepted,
-InstanceContext.accepted_responses, nonconjugacy.matched_sides and
-cli.cmd_stats_genlemma; generates(gens, order) is its public wrapper.
+precondition, which its docstring states with how each caller meets it.
 """
 
 from __future__ import annotations
@@ -50,11 +46,11 @@ import math
 import random
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .perm import Permutation, conjugation, identity_images, invert_images, parse_perm
 
-DEFAULT_ENUM_CAP = 10_000
+DEFAULT_SEARCH_CAP = 10_000
 DEFAULT_TUPLE_ATTEMPTS = 64
 
 
@@ -378,11 +374,6 @@ def group_equal(x: GeneratingSet, y: GeneratingSet) -> bool:
     return all(cx.contains(g) for g in y.gens) and all(cy.contains(g) for g in x.gens)
 
 
-def generates(gens: GeneratingSet, order: int) -> bool:
-    """_generates_images on the raw images of gens."""
-    return _generates_images(gens.degree, [g._img for g in gens.gens], order)
-
-
 def _generates_images(degree: int, imgs, order: int) -> bool:
     """Whether the raw image tuples imgs, of this degree and checked where
     they entered the program, generate a group of the given order.
@@ -393,11 +384,11 @@ def _generates_images(degree: int, imgs, order: int) -> bool:
     checks containment first), InstanceContext.accepted_responses (whose
     mask AND puts imgs inside side^w, and which keeps each verdict for the
     life of its context), nonconjugacy.matched_sides (which first finds a
-    U-conjugate of the side, a group of its order, holding every entry),
-    cli.cmd_stats_genlemma (which samples from G) and generates, the public
-    wrapper.  The test fills a membership chain from imgs, less duplicates
-    and identities, and stops as soon as the product of the transversal
-    sizes equals order, after a placement during ingestion or while closing.
+    U-conjugate of the side, a group of its order, holding every entry)
+    and cli.cmd_stats_genlemma (which samples from G).  The test fills a
+    membership chain from imgs, less duplicates and identities, and stops
+    as soon as the product of the transversal sizes equals order, after a
+    placement during ingestion or while closing.
     This is exact, not Monte Carlo: each level's orbit is an orbit of a
     subgroup of the matching stabilizer in H = <imgs>, so the product never
     exceeds |H|, and |H| <= |G|.  It draws nothing from any random stream,
@@ -406,9 +397,8 @@ def _generates_images(degree: int, imgs, order: int) -> bool:
     return _fill(chain, order) or chain.order() == order
 
 
-@dataclass(frozen=True)
-class GeneratingTuple:
-    """A k-tuple of group elements that generates the whole target group."""
+class GeneratingTuple(NamedTuple):
+    """A k-tuple that generates the whole target group, and the draws it took."""
 
     perms: tuple
     attempts: int = 1
@@ -433,7 +423,7 @@ def random_generating_tuple(chain: StabilizerChain, k: int, rng) -> GeneratingTu
     )
 
 
-def enumerate_elements(chain: StabilizerChain, cap: int = DEFAULT_ENUM_CAP) -> tuple:
+def enumerate_elements(chain: StabilizerChain, cap: int = DEFAULT_SEARCH_CAP) -> tuple:
     """All group elements by breadth-first closure of chain.gens, identity
     first, deterministic order.  Independent of the chain's transversal
     structure, so it doubles as an oracle for contains/order."""
@@ -473,7 +463,7 @@ def generating_tuples(chain: StabilizerChain, k: int, cap: int = 4096) -> tuple:
     return tuple(tup for tup in candidates if _generates_images(chain.degree, [p._img for p in tup], len(elems)))
 
 
-def group_profile(chain: StabilizerChain, cap: int = DEFAULT_ENUM_CAP) -> Optional[tuple]:
+def group_profile(chain: StabilizerChain, cap: int = DEFAULT_SEARCH_CAP) -> Optional[tuple]:
     """Conjugation-invariant fingerprint: the sorted multiset of element
     cycle types.  None when the group is too large to enumerate, meaning
     no information."""

@@ -145,13 +145,12 @@ def real_view(
     k: Optional[int] = None,
     tape_seed: Optional[int] = None,
 ) -> SimulatedView:
-    """Run the honest prover against the verifier program and record the
-    view in the simulator's output shape."""
+    """Draw the honest prover's randomness as its commit does
+    (ctx.prover_draw) and record its view in the simulator's output shape."""
     k = k if k is not None else TUPLE_LENGTH_FACTOR * ctx.degree
     if tape_seed is None:
         tape_seed = rng.getrandbits(64)
-    mask = ctx.chain_u.random_element(rng)
-    base, _ = ctx.sample_base(1, k, rng)
+    mask, base, _ = ctx.prover_draw(1, k, rng)
     return view_from_randomness(ctx, program, tape_seed, base, mask)
 
 

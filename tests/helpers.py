@@ -1,13 +1,15 @@
 """Helpers that only the tests use: driving one session, writing
 generating sets and instances back out as text, two chain facts read from
 outside, generators of the full symmetric group, an oracle for the
-coset-intersection test, and the exact laws summed one Fraction per masked
-commitment, as a reference for the simulator's integer counts."""
+coset-intersection test, the exact laws summed one Fraction per masked
+commitment, as a reference for the simulator's integer counts, and planted
+defects that the zero-knowledge checks must catch."""
 
 import math
 from fractions import Fraction
 
-from permzk.conjugacy import DEFAULT_SEARCH_CAP, GroupConjInstance
+from permzk import simulator
+from permzk.conjugacy import DEFAULT_SEARCH_CAP, GroupConjInstance, InstanceContext
 from permzk.element import CosetIntersectionInstance
 from permzk.engine import (
     BudgetExceeded,
@@ -19,7 +21,7 @@ from permzk.engine import (
 )
 from permzk.framework import SessionOutcome
 from permzk.perm import Permutation, format_perm
-from permzk.simulator import simulated_view, view_from_randomness
+from permzk.simulator import SimulatedView, simulated_view, view_from_randomness
 
 
 def run_session(session) -> SessionOutcome:
@@ -114,3 +116,22 @@ def reference_exact_sim_law(ctx, program, tape_seed: int, k: int) -> dict:
     if total == 0:
         raise BudgetExceeded("the verifier program defeats every side guess on this tape")
     return {view: p / total for view, p in mass.items()}
+
+
+# -- planted defects ------------------------------------------------------------
+
+
+class IdentityWitnessContext(InstanceContext):
+    """A context whose witness() returns the identity, a wrong witness on
+    every instance whose sides differ."""
+
+    def witness(self) -> Permutation:
+        return Permutation.identity(self.degree)
+
+
+def simulated_view_without_restarts(ctx, program, tape_seed, side, base, mask, _replays=None, _commit=None):
+    """simulator.simulated_view with its restart taken out: the attempt's
+    view is kept even when the challenge misses the guessed side."""
+    commit = ctx.mask(base, mask) if _commit is None else _commit
+    prefix, challenge = simulator._replay(ctx, program, tape_seed, commit, _replays)
+    return SimulatedView(prefix, commit, challenge, mask)

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, output shapes, reproducibility."""
 
+import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -414,6 +416,29 @@ README_GOLDEN = [
 def test_readme_commands_golden(capsys, monkeypatch, command, stdout, code):
     monkeypatch.delenv("PERMZK_SEED", raising=False)
     assert run_main(capsys, *command.split()) == (code, stdout, "")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_library_block_runs(child_env):
+    # the README's "Library use" example, run as written from the repo root
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    result = subprocess.run([sys.executable, "-c", block], cwd=ROOT, env=child_env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_declared_dependencies_import():
+    # the third-party packages that the package and its tests import are
+    # the ones pyproject.toml declares, and each of them imports
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = project["dependencies"] + project["optional-dependencies"]["test"]
+    names = [re.split(r"[<>=!~\[; ]", d, maxsplit=1)[0] for d in declared]
+    assert names == ["scipy", "pytest", "hypothesis"]
+    for name in names:
+        importlib.import_module(name)
 
 
 HUGE = 10**18

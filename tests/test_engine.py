@@ -24,13 +24,13 @@ from permzk.engine import (
     build_chain,
     centralizer_in_sym,
     enumerate_elements,
-    generates,
     generating_tuples,
     group_equal,
     group_profile,
     membership_chain,
     parse_generating_set,
     random_generating_tuple,
+    _generates_images,
 )
 from permzk.conjugacy import InstanceContext
 from permzk.element import ElementContext
@@ -46,6 +46,10 @@ BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 def gset(degree, *texts):
     return parse_generating_set(";".join(texts), degree)
+
+
+def generates(gens: GeneratingSet, order: int) -> bool:
+    return _generates_images(gens.degree, [g._img for g in gens.gens], order)
 
 
 def test_generating_set_validation():

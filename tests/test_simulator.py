@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permzk import conjugacy
+from permzk import conjugacy, simulator
 from permzk.conjugacy import GroupConjInstance, HonestProver, InstanceContext, ProtocolParams, session
 from permzk.element import ElemConjInstance, ElementContext
 from permzk.engine import BudgetExceeded, GeneratingSet, enumerate_elements, generating_tuples
@@ -47,7 +47,13 @@ from permzk.simulator import (
     view_from_randomness,
 )
 
-from helpers import reference_exact_real_law, reference_exact_sim_law, run_session
+from helpers import (
+    IdentityWitnessContext,
+    reference_exact_real_law,
+    reference_exact_sim_law,
+    run_session,
+    simulated_view_without_restarts,
+)
 
 TINY = "fixtures/tiny_cyclic.txt"
 Q2_GROUPS = "fixtures/q2_groups.txt"
@@ -267,14 +273,6 @@ def test_bijection_on_tiny_fixture(maker):
         assert verify_view_bijection(ctx, maker(), tape_seed, k=3)
 
 
-class IdentityWitnessContext(InstanceContext):
-    """A context whose witness() returns the identity, a wrong witness on
-    every instance whose sides differ."""
-
-    def witness(self) -> Permutation:
-        return Permutation.identity(self.degree)
-
-
 def test_bijection_detects_corrupt_witness():
     # with the wrong witness the inverse map recovers tuples that do not
     # generate <A1>, so the bijection check must fail
@@ -426,6 +424,18 @@ def test_wrong_witness_reports_match_golden_digest():
                 digest.update(repr(report).encode())
     assert tvs == {0.0, 1.0, 0.5, 1 / 3}
     assert digest.hexdigest() == GOLDEN_WRONG_WITNESS_REPORTS
+
+
+@pytest.mark.parametrize("fixture", ["q2_groups", "embed_s3"])
+def test_exact_check_catches_a_simulator_that_never_restarts(fixture, monkeypatch):
+    # the planted simulator keeps attempts whose challenge misses its side,
+    # so its law puts mass on views that the real prover never produces
+    monkeypatch.setattr(simulator, "simulated_view", simulated_view_without_restarts)
+    ctx = fresh_context(f"fixtures/{fixture}.txt")
+    for name in sorted(STANDARD_VERIFIERS):
+        for tape_seed in range(3):
+            report = compare_view_distributions(ctx, STANDARD_VERIFIERS[name](), tape_seed=tape_seed, k=2, exact=True)
+            assert report["laws_equal"] is False, (name, tape_seed)
 
 
 def test_exact_checks_on_a_warm_context_match_a_fresh_context_per_call():

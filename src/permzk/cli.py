@@ -184,8 +184,7 @@ def cmd_stats_genlemma(args) -> int:
     target = chain.order()
     hits = 0
     for _ in range(args.trials):
-        perms = chain.random_elements(rng, args.k)
-        hits += _generates_images(gset.degree, [p._img for p in perms], target)
+        hits += _generates_images(gset.degree, chain._random_images(rng, args.k), target)
     frequency = hits / args.trials
     bound = genlemma_bound(gset.degree, args.k)
     passed = bound is None or frequency > bound

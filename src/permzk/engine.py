@@ -31,7 +31,9 @@ size n, w = n.bit_length() and the representatives in points order, with
 itemgetters to compose them in below the first level.  Each index is drawn
 with the loop of CPython's randrange(n), getrandbits(w) until below n, so
 the draws and the stream's state match one randrange per level, as
-test_table_draw_is_cpython_randrange checks.
+test_table_draw_is_cpython_randrange checks.  _random_images draws raw
+images, which random_elements wraps; random_generating_tuple tests them for
+generation and wraps only the accepted attempt.
 
 The generation test _generates_images(degree, imgs, order) is _fill on a
 membership chain of imgs, with no GeneratingSet, stopped as soon as the
@@ -174,16 +176,20 @@ class StabilizerChain:
         return self._strip(y._img)[0] == self._ident
 
     def random_element(self, rng) -> Permutation:
-        """One exactly uniform element: random_elements(rng, 1)."""
-        return self.random_elements(rng, 1)[0]
+        """One exactly uniform element, on random_elements(rng, 1)'s draws."""
+        return Permutation._raw(self._random_images(rng, 1)[0])
 
     def random_elements(self, rng, k: int) -> tuple:
         """k independent, exactly uniform elements: per element one uniform
         representative per level, composed deepest first.  rng is a
         random.Random or a RandomTape, which counts one draw per level."""
+        return tuple(map(Permutation._raw, self._random_images(rng, k)))
+
+    def _random_images(self, rng, k: int) -> tuple:
+        """random_elements(rng, k) as raw image tuples, on the same draws."""
         table = self._table or self._sampling_table()
         if not table:
-            return (Permutation._raw(self._ident),) * k
+            return (self._ident,) * k
         n0, w0, reps0, rest = table
         if isinstance(rng, random.Random):
             getrandbits = rng.getrandbits
@@ -200,7 +206,7 @@ class StabilizerChain:
                 while r >= n:
                     r = getrandbits(w)
                 acc = getters[r](acc)
-            out.append(Permutation._raw(acc))
+            out.append(acc)
         return tuple(out)
 
     def _sampling_table(self) -> tuple:
@@ -415,9 +421,9 @@ def random_generating_tuple(chain: StabilizerChain, k: int, rng) -> GeneratingTu
     if k < 1:
         raise ValueError("k must be at least 1")
     for attempt in range(1, DEFAULT_TUPLE_ATTEMPTS + 1):
-        perms = chain.random_elements(rng, k)
-        if _generates_images(chain.degree, [p._img for p in perms], chain.order()):
-            return GeneratingTuple(perms, attempt)
+        imgs = chain._random_images(rng, k)
+        if _generates_images(chain.degree, imgs, chain.order()):
+            return GeneratingTuple(tuple(map(Permutation._raw, imgs)), attempt)
     raise BudgetExceeded(
         f"no generating {k}-tuple found in {DEFAULT_TUPLE_ATTEMPTS} attempts; k may be too small for this group"
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from operator import eq
 from typing import Callable, Optional
 
 from .perm import Permutation, format_perm
@@ -62,29 +63,36 @@ class TapePrefix:
 
 
 class RandomTape:
-    """Deterministic random stream for one party, with a draw counter."""
+    """Deterministic random stream for one party, with a draw counter.  The
+    stream is seeded on its first draw, so a tape nothing draws from costs
+    no seeding; the values drawn are those of random.Random(seed)."""
 
     def __init__(self, seed: int):
         self.seed = seed
         self.consumed = 0
-        self._rng = random.Random(seed)
+        self._rng = None
+
+    def _stream(self) -> random.Random:
+        if self._rng is None:
+            self._rng = random.Random(self.seed)
+        return self._rng
 
     def randrange(self, n: int) -> int:
         self.consumed += 1
-        return self._rng.randrange(n)
+        return self._stream().randrange(n)
 
     def index_draws(self, draws: int):
         """Count draws randrange-like draws that the caller makes itself
         from the returned getrandbits of this tape's stream."""
         self.consumed += draws
-        return self._rng.getrandbits
+        return self._stream().getrandbits
 
     def bit(self) -> int:
         return self.randrange(2)
 
     def getrandbits(self, n: int) -> int:
         self.consumed += 1
-        return self._rng.getrandbits(n)
+        return self._stream().getrandbits(n)
 
     def prefix(self) -> TapePrefix:
         return TapePrefix(self.seed, self.consumed)
@@ -142,11 +150,7 @@ def constant_verifier(bit) -> VerifierProgram:
 
 def _payload_fixed_points(payload) -> int:
     perms = payload if isinstance(payload, (tuple, list)) else (payload,)
-    total = 0
-    for p in perms:
-        if isinstance(p, Permutation):
-            total += sum(1 for i, j in enumerate(p.images) if j == i + 1)
-    return total
+    return sum(sum(map(eq, p._img, range(len(p._img)))) for p in perms if isinstance(p, Permutation))
 
 
 def parity_verifier() -> VerifierProgram:
@@ -191,9 +195,10 @@ def render_transcript(events, accepted: bool) -> str:
 
 
 def _spawn(rng: random.Random):
-    rng_p = random.Random(rng.getrandbits(64))
-    tape_v = RandomTape(rng.getrandbits(64))
-    return rng_p, tape_v
+    """The prover's stream and the verifier's tape of one session, both
+    RandomTapes seeded from rng in this order, so a stream that no party
+    draws from is never seeded."""
+    return RandomTape(rng.getrandbits(64)), RandomTape(rng.getrandbits(64))
 
 
 def _run_batches(make_session, t: int, rng: random.Random, batch: int) -> CompositeOutcome:

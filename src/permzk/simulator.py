@@ -243,9 +243,9 @@ def total_variation(law_p: dict, law_q: dict) -> Fraction:
 
 
 @cache
-def _hash_weights(n: int) -> tuple:
-    """1000003^(n-1), ..., 1000003^0 mod 2^32 and their sum."""
-    powers = tuple(pow(1000003, e, 1 << 32) for e in range(n - 1, -1, -1))
+def _hash_weights(n: int, modulus: int) -> tuple:
+    """1000003^(n-1), ..., 1000003^0 mod modulus and their sum."""
+    powers = tuple(pow(1000003, e, modulus) for e in range(n - 1, -1, -1))
     return powers, sum(powers)
 
 
@@ -253,10 +253,13 @@ def bucket_of_commit(commit, nbuckets: int) -> int:
     """Stable hash bucket for a commitment tuple, a lone permutation read as
     a 1-tuple (free of hash randomization, so reports reproduce exactly):
     h = h * 1000003 + image + 1 mod 2^32 over the 0-based images, in one
-    pass as the images weighted by powers of 1000003, plus their sum."""
+    pass as the images weighted by powers of 1000003, plus their sum.  When
+    nbuckets divides 2^32, h mod nbuckets is the same sum taken mod
+    nbuckets, so the weights are reduced in that modulus instead."""
     flat = tuple(chain.from_iterable(map(attrgetter("_img"), commit if isinstance(commit, tuple) else (commit,))))
-    powers, ones = _hash_weights(len(flat))
-    return ((sum(map(mul, flat, powers)) + ones) & 0xFFFFFFFF) % nbuckets
+    modulus = nbuckets if (1 << 32) % nbuckets == 0 else 1 << 32
+    powers, ones = _hash_weights(len(flat), modulus)
+    return (sum(map(mul, flat, powers)) + ones) % modulus % nbuckets
 
 
 def compare_view_distributions(

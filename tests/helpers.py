@@ -19,7 +19,7 @@ from permzk.engine import (
     enumerate_elements,
     membership_chain,
 )
-from permzk.framework import SessionOutcome
+from permzk.framework import SessionOutcome, challenge_bit
 from permzk.perm import Permutation, format_perm
 from permzk.simulator import SimulatedView, simulated_view, view_from_randomness
 
@@ -134,4 +134,15 @@ def simulated_view_without_restarts(ctx, program, tape_seed, side, base, mask, _
     view is kept even when the challenge misses the guessed side."""
     commit = ctx.mask(base, mask) if _commit is None else _commit
     prefix, challenge = simulator._replay(ctx, program, tape_seed, commit, _replays)
+    return SimulatedView(prefix, commit, challenge, mask)
+
+
+def simulated_view_keeping_misses(ctx, program, tape_seed, side, base, mask, _replays=None, _commit=None):
+    """simulator.simulated_view with its test turned round: the attempt's
+    view is kept exactly when the challenge misses the guessed side, which
+    is the simulator drawing its base for the guessed side's opposite."""
+    commit = ctx.mask(base, mask) if _commit is None else _commit
+    prefix, challenge = simulator._replay(ctx, program, tape_seed, commit, _replays)
+    if challenge_bit(challenge) == side:
+        return None
     return SimulatedView(prefix, commit, challenge, mask)

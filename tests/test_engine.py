@@ -519,10 +519,8 @@ def bench_sampled_chains():
     return (group.chain_a0, group.chain_a1, elem.chain_u, non.chain_a0, non.chain_a1, non.chain_u)
 
 
-def golden_chains():
-    """Every fixture's groups, symmetric and alternating groups, the two
-    wreath products and chains on 64-tuples drawn from them, and the
-    benchmark's sampled chains."""
+def fixture_chains():
+    """A chain of every group that a fixture file names."""
     for path in sorted(pathlib.Path("fixtures").glob("*.txt")):
         try:
             inst = load_instance(path)
@@ -532,6 +530,13 @@ def golden_chains():
         for gens in (inst.a0, inst.a1, inst.u):
             if isinstance(gens, GeneratingSet):
                 yield build_chain(gens)
+
+
+def golden_chains():
+    """Every fixture's groups, symmetric and alternating groups, the two
+    wreath products and chains on 64-tuples drawn from them, and the
+    benchmark's sampled chains."""
+    yield from fixture_chains()
     for m in range(1, 9):
         yield build_chain(symmetric_group(m))
     for m in (4, 6, 8):
@@ -642,3 +647,37 @@ def test_random_elements_are_k_random_element_draws(name):
         batch, reference = RandomTape(3), RandomTape(3)
         assert sampled.random_elements(batch, 7) == tuple(randrange_draw(sampled, reference) for _ in range(7))
         assert batch.consumed == reference.consumed == 7 * len(sampled._levels)
+
+
+def test_random_elements_wrap_the_raw_draws():
+    chains = list(fixture_chains()) + [build_chain(GeneratingSet(3))]
+    for seed, chain in enumerate(chains):
+        for k in (1, 4):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert chain.random_elements(ours, k) == tuple(map(Permutation._raw, chain._random_images(theirs, k)))
+            assert ours.getstate() == theirs.getstate()
+        ours, theirs = RandomTape(seed), RandomTape(seed)
+        assert chain.random_element(ours) == Permutation._raw(chain._random_images(theirs, 1)[0])
+        assert ours.prefix() == theirs.prefix()
+
+
+def test_random_generating_tuple_wraps_only_the_accepted_attempt(monkeypatch):
+    # S_3 at k=2 rejects half its draws (18 of 36 pairs generate), so
+    # some seeds take several attempts; only the accepted one is wrapped
+    chain = build_chain(symmetric_group(3))
+    raw = Permutation._raw.__func__
+    made = []
+
+    def counted(cls, img):
+        made.append(img)
+        return raw(cls, img)
+
+    monkeypatch.setattr(Permutation, "_raw", classmethod(counted))
+    attempts = []
+    for seed in range(20):
+        made.clear()
+        gt = random_generating_tuple(chain, 2, random.Random(seed))
+        assert len(made) == 2
+        assert tuple(made) == tuple(p._img for p in gt.perms)
+        attempts.append(gt.attempts)
+    assert max(attempts) >= 3

@@ -3,7 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from permzk import nonconjugacy
+from permzk.conjugacy import InstanceContext
+from permzk.element import ElementContext
 from permzk.framework import (
     Message,
     RandomTape,
@@ -22,7 +26,9 @@ from permzk.framework import (
     run_parallel,
     run_sequential,
 )
+from permzk.instances import load_instance
 from permzk.perm import Permutation
+from permzk.simulator import compare_view_distributions, verify_view_bijection
 
 from helpers import run_session
 
@@ -46,6 +52,78 @@ def test_random_tape_determinism_and_counter():
     assert a.consumed == 3
     assert a.prefix() == TapePrefix(99, 3)
     assert RandomTape(100).randrange(1 << 30) != RandomTape(101).randrange(1 << 30)
+
+
+TAPE_OPS = st.one_of(
+    st.tuples(st.just("randrange"), st.integers(1, 1 << 40)),
+    st.tuples(st.just("bit"), st.just(0)),
+    st.tuples(st.just("getrandbits"), st.integers(1, 96)),
+    st.tuples(st.just("index_draws"), st.integers(0, 5)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 1 << 64), ops=st.lists(TAPE_OPS, max_size=12))
+def test_lazy_tape_draws_what_an_eager_stream_draws(seed, ops):
+    # the tape seeds its stream on the first draw; the values, the counter
+    # and the prefix are those of random.Random(seed) drawn from at once
+    tape, eager = RandomTape(seed), random.Random(seed)
+    consumed = 0
+    for op, n in ops:
+        if op == "randrange":
+            assert tape.randrange(n) == eager.randrange(n)
+            consumed += 1
+        elif op == "bit":
+            assert tape.bit() == eager.randrange(2)
+            consumed += 1
+        elif op == "getrandbits":
+            assert tape.getrandbits(n) == eager.getrandbits(n)
+            consumed += 1
+        else:
+            getrandbits = tape.index_draws(n)
+            assert [getrandbits(7) for _ in range(n)] == [eager.getrandbits(7) for _ in range(n)]
+            consumed += n
+        assert tape.prefix() == TapePrefix(seed, consumed)
+    assert tape.getrandbits(64) == eager.getrandbits(64)
+
+
+@pytest.fixture
+def seedings(monkeypatch):
+    """A list that gets one entry per random.Random seeding from now on."""
+    seeded = []
+    seed = random.Random.seed
+
+    def counted(self, *args, **kwargs):
+        seeded.append(args)
+        return seed(self, *args, **kwargs)
+
+    monkeypatch.setattr(random.Random, "seed", counted)
+    return seeded
+
+
+@pytest.mark.parametrize("fixture", ["tiny_cyclic", "q2_groups", "ec_yes_m3"])
+def test_exact_checks_seed_no_tape_for_programs_that_never_draw(fixture, seedings):
+    inst = load_instance(f"fixtures/{fixture}.txt")
+    ctx = ElementContext(inst) if fixture.startswith("ec_") else InstanceContext(inst)
+    k = 1 if fixture.startswith("ec_") else 2
+    for name in ("const0", "const1", "parity", "honest"):
+        program = STANDARD_VERIFIERS[name]()
+        for tape_seed in range(3):
+            compare_view_distributions(ctx, program, tape_seed=tape_seed, k=k, exact=True)
+            verify_view_bijection(ctx, program, tape_seed, k)
+        # the honest program draws a bit, so its tapes are seeded
+        assert (len(seedings) > 0) == (name == "honest"), name
+
+
+def test_non_conjugacy_run_seeds_only_the_verifier_tapes(seedings):
+    # the brute-force responder never reads its prover stream, so a t=2 run
+    # seeds the two verifier tapes and nothing else
+    ctx = InstanceContext(load_instance("fixtures/no_m4.txt"))
+    params = nonconjugacy.params_for(ctx.instance, t=2)
+    rng = random.Random(0)
+    seedings.clear()
+    nonconjugacy.run_composed(ctx, params, nonconjugacy.brute_force_responder(), rng)
+    assert len(seedings) == 2
 
 
 def test_render_payload_forms():

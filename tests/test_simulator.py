@@ -52,6 +52,7 @@ from helpers import (
     reference_exact_real_law,
     reference_exact_sim_law,
     run_session,
+    simulated_view_keeping_misses,
     simulated_view_without_restarts,
 )
 
@@ -431,6 +432,18 @@ def test_exact_check_catches_a_simulator_that_never_restarts(fixture, monkeypatc
     # the planted simulator keeps attempts whose challenge misses its side,
     # so its law puts mass on views that the real prover never produces
     monkeypatch.setattr(simulator, "simulated_view", simulated_view_without_restarts)
+    ctx = fresh_context(f"fixtures/{fixture}.txt")
+    for name in sorted(STANDARD_VERIFIERS):
+        for tape_seed in range(3):
+            report = compare_view_distributions(ctx, STANDARD_VERIFIERS[name](), tape_seed=tape_seed, k=2, exact=True)
+            assert report["laws_equal"] is False, (name, tape_seed)
+
+
+@pytest.mark.parametrize("fixture", ["q2_groups", "embed_s3"])
+def test_exact_check_catches_a_simulator_that_keeps_only_misses(fixture, monkeypatch):
+    # the planted simulator keeps an attempt exactly when the challenge
+    # misses its side, so each view reveals the mask against the wrong side
+    monkeypatch.setattr(simulator, "simulated_view", simulated_view_keeping_misses)
     ctx = fresh_context(f"fixtures/{fixture}.txt")
     for name in sorted(STANDARD_VERIFIERS):
         for tape_seed in range(3):

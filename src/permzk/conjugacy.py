@@ -36,7 +36,6 @@ from .framework import (
     SessionRecord,
     VerifierProgram,
     View,
-    bit_payload,
     challenge_bit,
     run_parallel,
     run_sequential,
@@ -454,17 +453,17 @@ def run_composed(ctx, params, prover, program, rng: random.Random, parallel: boo
     return runner(lambda rng_p, tape_v: session(ctx, params, prover, program, rng_p, tape_v), params.t, rng)
 
 
-def replay_verdict(ctx: InstanceContext, params: ProtocolParams, view: View) -> bool:
-    """Re-run the honest verifier on a recorded view: redraw the challenge
-    from the recorded tape prefix and recheck the prover messages."""
+def replay_verdict(ctx: InstanceContext, params: ProtocolParams, program: VerifierProgram, view: View) -> bool:
+    """Re-run the session's verifier program on a recorded view: redraw its
+    challenge on a fresh tape of the recorded seed from the commitment
+    payload, as the live session does, and recheck the prover messages."""
     msgs = view.messages
     if len(msgs) < 3:
         return False
     commit = ctx.read_commit(msgs[0].payload, params.k)
     if commit is None:
         return False
-    tape = RandomTape(view.r_prefix.seed)
-    challenge = bit_payload(tape.bit())
+    challenge = program.challenge(ctx.instance, RandomTape(view.r_prefix.seed), msgs[0].payload)
     return ctx.accepts(commit, challenge, msgs[2].payload)
 
 

@@ -94,6 +94,7 @@ def scan_matched_sides(ctx: InstanceContext, payload: tuple) -> tuple:
     the side's few generators against the payload's chain, after pruning by
     order and by the conjugation-invariant cycle-type profile; the payload
     may be long, so the symmetric test would be far slower."""
+    ctx.u_elements()  # refuses a |<U>| over the cap before the batch is read
     chain_p = _MembershipChain(ctx.degree, [x._img for x in payload])
     _fill(chain_p)
     profile_p = group_profile(chain_p, ctx.search_cap)

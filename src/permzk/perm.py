@@ -70,12 +70,14 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, degree: int, *cycles: Sequence[int]) -> "Permutation":
-        """Build from disjoint 1-based cycles; points left out are fixed."""
+        """Build from disjoint 1-based cycles of ints; points left out are fixed."""
         img = list(range(degree))
         seen = set()
         for cyc in cycles:
-            pts = [int(c) for c in cyc]
+            pts = list(cyc)
             for p in pts:
+                if not isinstance(p, int) or isinstance(p, bool):
+                    raise ValueError(f"cycle point {p!r} is not an integer")
                 if not 1 <= p <= degree:
                     raise ValueError(f"cycle point {p} outside 1..{degree}")
                 if p in seen:

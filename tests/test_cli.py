@@ -143,6 +143,18 @@ def test_prove_nonconj_refuses_u_over_the_cap(capsys, prover):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("seed", range(8))
+def test_prove_nonconj_refuses_u_over_the_cap_whatever_the_batch(capsys, k, seed):
+    # short batches often match neither side's order; the refusal used to
+    # come only when the batch's order matched one
+    code, out, err = run_main(
+        capsys, "prove", "--instance", NO_M6, "--protocol", "non-conj", "--cap", "10",
+        "--rounds", "1", "--k", str(k), "--seed", str(seed),
+    )
+    assert (code, out, err) == (EXIT_ERROR, "", "error: group order 720 exceeds cap 10\n")
+
+
 def test_prove_nonconj_refuses_majority_prover(capsys):
     code, out, err = run_main(
         capsys, "prove", "--instance", NO_M4, "--protocol", "non-conj", "--prover", "majority"

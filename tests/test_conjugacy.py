@@ -20,6 +20,7 @@ from permzk.conjugacy import (
 )
 from permzk.engine import BudgetExceeded, GeneratingSet, build_chain, group_equal, parse_generating_set
 from permzk.framework import (
+    STANDARD_VERIFIERS,
     RandomTape,
     constant_verifier,
     honest_verifier,
@@ -232,14 +233,22 @@ def test_session_counters_and_view_shape():
     assert out.view.r_prefix.draws == 1
 
 
-def test_replay_verdict_matches_live_run():
+@pytest.mark.parametrize("name", sorted(STANDARD_VERIFIERS))
+@pytest.mark.parametrize("prover_class", [HonestProver, GuessingProver])
+def test_replay_verdict_matches_live_run(name, prover_class):
+    # the replay redraws the challenge with the program that ran: an honest
+    # redraw under const0, const1 or parity disagreed in about half the runs
     ctx = ctx_of(Q2_GROUPS)
-    params = ProtocolParams.for_instance(ctx.instance)
-    prover = HonestProver(ctx, params)
-    for seed in range(10):
-        out = run_once(ctx, params, prover, honest_verifier(), seed)
-        assert replay_verdict(ctx, params, out.view) == out.accepted
-    assert not replay_verdict(ctx, params, out.view.__class__(out.view.r_prefix, ()))
+    params = ProtocolParams(2)
+    prover = prover_class(ctx, params)
+    program = STANDARD_VERIFIERS[name]()
+    verdicts = set()
+    for seed in range(20):
+        out = run_once(ctx, params, prover, program, seed)
+        assert replay_verdict(ctx, params, program, out.view) == out.accepted
+        verdicts.add(out.accepted)
+    assert verdicts == ({True} if prover_class is HonestProver else {True, False})
+    assert not replay_verdict(ctx, params, program, out.view.__class__(out.view.r_prefix, ()))
 
 
 def test_extract_witness_from_two_responses():

@@ -80,6 +80,26 @@ def test_from_cycles():
     assert q.images == (2, 1, 4, 3)
 
 
+@pytest.mark.parametrize(
+    "cycle",
+    [(1.9, 2), (2.0, 1), (True, 2), (1, False), ("1", "3"), (1, None)],
+    ids=["float-that-truncates", "integral-float", "true", "false", "digit-strings", "none"],
+)
+def test_from_cycles_points_must_be_ints(cycle):
+    # nothing is converted: (1.9, 2) once truncated to the cycle (1 2)
+    with pytest.raises(ValueError, match="is not an integer"):
+        Permutation.from_cycles(3, cycle)
+
+
+def test_from_cycles_refuses_points_out_of_range_or_repeated():
+    with pytest.raises(ValueError, match="cycle point 4 outside 1..3"):
+        Permutation.from_cycles(3, (1, 4))
+    with pytest.raises(ValueError, match="cycle point 0 outside 1..3"):
+        Permutation.from_cycles(3, (0, 1))
+    with pytest.raises(ValueError, match="point 2 appears in two cycles"):
+        Permutation.from_cycles(3, (1, 2), (2, 3))
+
+
 def test_conjugation_definition_and_action_law():
     # y conjugated by v is v^-1 * y * v, and conjugating twice composes
     rng = random.Random(1)

@@ -427,6 +427,34 @@ def test_wrong_witness_reports_match_golden_digest():
     assert digest.hexdigest() == GOLDEN_WRONG_WITNESS_REPORTS
 
 
+# the statistical check at small k and at the protocol's default k = 4m
+STAT_REPORT_FAMILIES = (
+    ("tiny_cyclic", 3),
+    ("q2_groups", 2),
+    ("q2_groups", 24),
+    ("embed_s3", 2),
+    ("ec_yes_m3", 1),
+)
+# sha256 over repr(sorted(report.items())) of compare_view_distributions in
+# stat mode (60 samples, rng random.Random(7)) for those families in order,
+# the programs of STANDARD_VERIFIERS in sorted order and tape seeds 0-1 each,
+# taken when the commitment bucket was a 32-bit polynomial hash mod 8
+GOLDEN_STAT_REPORTS = "2f76684cce1dd27418ecb852cd324b45c6c94cc24512b94183216a239b134b97"
+
+
+def test_stat_reports_match_golden_digest():
+    digest = hashlib.sha256()
+    for fixture, k in STAT_REPORT_FAMILIES:
+        ctx = yes_context(f"fixtures/{fixture}.txt")
+        for name in sorted(STANDARD_VERIFIERS):
+            for tape_seed in range(2):
+                report = compare_view_distributions(
+                    ctx, STANDARD_VERIFIERS[name](), tape_seed=tape_seed, k=k, samples=60, rng=random.Random(7)
+                )
+                digest.update(repr(sorted(report.items())).encode())
+    assert digest.hexdigest() == GOLDEN_STAT_REPORTS
+
+
 @pytest.mark.parametrize("fixture", ["q2_groups", "embed_s3"])
 def test_exact_check_catches_a_simulator_that_never_restarts(fixture, monkeypatch):
     # the planted simulator keeps attempts whose challenge misses its side,
@@ -620,41 +648,36 @@ def test_compare_stat_mode_report():
 
 def test_bucket_of_commit_stable():
     commit = (Permutation([2, 1, 3]), Permutation([2, 3, 1]))
-    assert bucket_of_commit(commit, 8) == bucket_of_commit(tuple(commit), 8)
-    assert 0 <= bucket_of_commit(commit, 8) < 8
+    assert bucket_of_commit(commit) == bucket_of_commit(tuple(commit))
     # frozen value: reports built on this hash reproduce run to run
-    assert bucket_of_commit(commit, 1 << 32) == ((((((2 * 1000003 + 1) * 1000003 + 3) * 1000003 + 2) * 1000003 + 3) * 1000003 + 1) & 0xFFFFFFFF)
+    assert bucket_of_commit(commit) == ((((((2 * 1000003 + 1) * 1000003 + 3) * 1000003 + 2) * 1000003 + 3) * 1000003 + 1) & 0xFFFFFFFF) % 8
 
 
-def one_based_bucket(commit, nbuckets):
+def one_based_bucket(commit):
     """bucket_of_commit's formula over the 1-based images."""
     h = 0
     for p in commit if isinstance(commit, tuple) else (commit,):
         for i in p.images:
             h = (h * 1000003 + i) & 0xFFFFFFFF
-    return h % nbuckets
+    return h % 8
 
 
-@given(
-    st.integers(1, 16).flatmap(lambda m: st.lists(st.permutations(range(1, m + 1)), min_size=1, max_size=64)),
-    st.integers(1, 1 << 32),
-)
-def test_bucket_of_commit_is_the_one_based_formula(images, nbuckets):
+@given(st.integers(1, 16).flatmap(lambda m: st.lists(st.permutations(range(1, m + 1)), min_size=1, max_size=64)))
+def test_bucket_of_commit_is_the_one_based_formula(images):
     commit = tuple(map(Permutation, images))
-    assert bucket_of_commit(commit, nbuckets) == one_based_bucket(commit, nbuckets)
-    assert bucket_of_commit(commit[0], nbuckets) == one_based_bucket(commit[0], nbuckets)
+    assert bucket_of_commit(commit) == one_based_bucket(commit)
+    assert bucket_of_commit(commit[0]) == one_based_bucket(commit[0])
 
 
 def test_bucket_of_commit_at_every_length_to_64_entries():
-    # the powers of 1000003 are cached per flattened length: every length
-    # of up to 64 entries at degree 16, as group-conj-m16's commitments, and
-    # at degree 1, where each entry adds one image
+    # the weights alternate 1, 3 from the last image back: every length of
+    # up to 64 entries at degree 16, as group-conj-m16's commitments, and at
+    # degree 1, where each entry adds one image
     rng = random.Random(5)
     for m in (1, 16):
         for entries in range(1, 65):
             commit = tuple(Permutation(rng.sample(range(1, m + 1), m)) for _ in range(entries))
-            for nbuckets in (8, 1 << 32, rng.randrange(1, 1 << 32)):
-                assert bucket_of_commit(commit, nbuckets) == one_based_bucket(commit, nbuckets)
+            assert bucket_of_commit(commit) == one_based_bucket(commit)
 
 
 def test_restart_count_is_roughly_geometric():

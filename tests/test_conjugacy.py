@@ -233,9 +233,20 @@ def test_session_counters_and_view_shape():
     assert out.view.r_prefix.draws == 1
 
 
+def test_replay_verdict_matches_live_run():
+    ctx = ctx_of(Q2_GROUPS)
+    params = ProtocolParams.for_instance(ctx.instance)
+    prover = HonestProver(ctx, params)
+    program = honest_verifier()
+    for seed in range(10):
+        out = run_once(ctx, params, prover, program, seed)
+        assert replay_verdict(ctx, params, program, out.view) == out.accepted
+    assert not replay_verdict(ctx, params, program, out.view.__class__(out.view.r_prefix, ()))
+
+
 @pytest.mark.parametrize("name", sorted(STANDARD_VERIFIERS))
 @pytest.mark.parametrize("prover_class", [HonestProver, GuessingProver])
-def test_replay_verdict_matches_live_run(name, prover_class):
+def test_replay_verdict_matches_live_run_under_each_program(name, prover_class):
     # the replay redraws the challenge with the program that ran: an honest
     # redraw under const0, const1 or parity disagreed in about half the runs
     ctx = ctx_of(Q2_GROUPS)

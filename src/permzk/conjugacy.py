@@ -175,8 +175,7 @@ class InstanceContext:
     def _conjugates_into(self, conj, side: int, chain: StabilizerChain) -> bool:
         """Whether conj, a raw conjugation map, sends the side's generators
         into the group of chain."""
-        raw = Permutation._raw
-        return all(chain.contains(raw(conj(g))) for g in self.side_chain(side).gens)
+        return all(chain.contains(Permutation._raw(conj(g))) for g in self.side_chain(side).gens)
 
     def conjugates(self, v: Permutation) -> bool:
         """Whether <A0>^v = <A1>: equal orders and A0's generators, conjugated
@@ -231,9 +230,7 @@ class InstanceContext:
         return tuples
 
     def mask(self, base, w: Permutation):
-        conj = conjugation(w._img)
-        raw = Permutation._raw
-        return tuple(raw(conj(x._img)) for x in base)
+        return tuple(map(Permutation._raw, map(conjugation(w._img), [x._img for x in base])))
 
     @_per_context
     def masked_commits(self, side: int, k: int) -> tuple:
@@ -388,8 +385,7 @@ def response_accepted(ctx: InstanceContext, commit: tuple, challenge, response) 
         return False
     side_chain = ctx.side_chain(challenge_bit(challenge))
     conj = conjugation(invert_images(w._img))
-    raw = Permutation._raw
-    if not all(side_chain.contains(raw(conj(x._img))) for x in commit):
+    if not all(map(side_chain.contains, map(Permutation._raw, (conj(x._img) for x in commit)))):
         return False
     return _generates_images(ctx.degree, [x._img for x in commit], side_chain.order())
 

@@ -18,21 +18,22 @@ applied to the points already there and only the points it adds are
 closed, keeping the representatives and cached inverses already made.
 Such a chain is only asked for its order and for membership.
 
-Inside a chain everything is a raw 0-based image tuple, composed with
-operator.itemgetter: one sift loop (_strip) serves contains, strip,
-ingestion and closing, and a Permutation is made only at the public
-boundary.  A level inverts a transversal representative the first time a
-sift reads it, not when its orbit is rebuilt.  conjugated(v) maps a finished
-chain to the chain of G^v, which samples the same stream conjugated by v;
-its gens are the conjugated strong generators.
+Inside a chain everything is raw images in perm's encoding (bytes up to
+degree 256, tuples above), and a * b is the chain's composer applied to a and
+perm.table(b): one sift loop (_strip) serves contains, strip, ingestion and
+closing, and a Permutation is made only at the public boundary.  A level
+makes a representative's inverse table the first time a sift reads it.
+conjugated(v) maps a finished chain to the chain of G^v, which samples the
+same stream conjugated by v; its gens are the conjugated strong generators.
 
 Sampling is table-driven: a chain's first draw derives, per level, the orbit
-size n, w = n.bit_length() and the representatives in points order, with
-itemgetters to compose them in below the first level.  Each index is drawn
-with the loop of CPython's randrange(n), getrandbits(w) until below n, so
-the draws and the stream's state match one randrange per level, as
-test_table_draw_is_cpython_randrange checks.  _random_images draws raw
-images, which random_elements wraps; random_generating_tuple tests them for
+size n, w = n.bit_length() and the representatives in points order.  Each
+index is drawn with the loop of CPython's randrange(n), getrandbits(w) until
+below n, so the draws and the stream's state match one randrange per level
+(test_table_draw_is_cpython_randrange).  A draw takes its indices in level
+order, then composes deepest first: the deepest representative is composed
+with each shallower level's table in turn.  _random_images draws raw images,
+which random_elements wraps; random_generating_tuple tests them for
 generation and wraps only the accepted attempt.
 
 The generation test _generates_images(degree, imgs, order) is _fill on a
@@ -47,10 +48,9 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .perm import Permutation, conjugation, identity_images, invert_images, parse_perm
+from .perm import Permutation, composer, conjugation, identity_images, inverse_table, parse_perm, raw_images, table
 
 DEFAULT_SEARCH_CAP = 10_000
 DEFAULT_TUPLE_ATTEMPTS = 64
@@ -81,8 +81,7 @@ class GeneratingSet:
 
     def canonical(self) -> "GeneratingSet":
         """gens less duplicates and identities."""
-        ident = Permutation.identity(self.degree)
-        return GeneratingSet(self.degree, tuple(g for g in dict.fromkeys(self.gens) if g != ident))
+        return GeneratingSet(self.degree, tuple(g for g in dict.fromkeys(self.gens) if not g.is_identity()))
 
     def conjugated_by(self, v: Permutation) -> "GeneratingSet":
         return GeneratingSet(self.degree, tuple(g.conjugated_by(v) for g in self.gens))
@@ -102,9 +101,9 @@ def parse_generating_set(text: str, degree: int) -> GeneratingSet:
 
 
 class _Level:
-    """One level of a chain, in raw 0-based image tuples.  inv holds the
-    inverses of transversal representatives; a sift fills it in the first
-    time it reads a point.  build_chain's rebuild of the orbit empties it;
+    """One level of a chain, in raw images.  inv holds the inverse tables
+    of transversal representatives; a sift fills it in the first time it
+    reads a point.  build_chain's rebuild of the orbit empties it;
     membership chains keep every representative once made, and so every
     inverse."""
 
@@ -117,25 +116,25 @@ class _Level:
         self.points = ()
         self.inv = {}
 
-    def inverse(self, p: int) -> tuple:
+    def inverse(self, p: int):
         inv = self.inv.get(p)
         if inv is None:
-            inv = self.inv[p] = invert_images(self.transversal[p])
+            inv = self.inv[p] = inverse_table(self.transversal[p])
         return inv
 
 
-def _close_orbit(trans: dict, frontier: list, gens: list):
-    """Close the orbit in trans (point -> representative) under gens,
-    breadth-first from the frontier points, adding each new point with its
-    predecessor's representative times the generator that reached it."""
+def _close_orbit(trans: dict, frontier: list, tables: list, then):
+    """Close the orbit in trans (point -> representative) under the
+    generators' tables, breadth-first from the frontier points: a new point
+    gets its predecessor's representative times the generator reaching it."""
     while frontier:
         nxt = []
         for p in frontier:
-            then = itemgetter(*trans[p])
-            for g in gens:
+            rep = trans[p]
+            for g in tables:
                 q = g[p]
                 if q not in trans:
-                    trans[q] = then(g)
+                    trans[q] = then(rep, g)
                     nxt.append(q)
         frontier = nxt
 
@@ -149,6 +148,7 @@ class StabilizerChain:
     def __init__(self, degree: int, gens=()):
         self.degree = degree
         self._ident = identity_images(degree)
+        self._then = composer(degree)
         unique = dict.fromkeys(gens)
         unique.pop(self._ident, None)
         self.gens = tuple(unique)
@@ -186,51 +186,42 @@ class StabilizerChain:
         return tuple(map(Permutation._raw, self._random_images(rng, k)))
 
     def _random_images(self, rng, k: int) -> tuple:
-        """random_elements(rng, k) as raw image tuples, on the same draws."""
-        table = self._table or self._sampling_table()
-        if not table:
-            return (self._ident,) * k
-        n0, w0, reps0, rest = table
-        if isinstance(rng, random.Random):
-            getrandbits = rng.getrandbits
-        else:
-            getrandbits = rng.index_draws(k * (1 + len(rest)))
-        out = []
-        for _ in range(k):
-            r = getrandbits(w0)
-            while r >= n0:
-                r = getrandbits(w0)
-            acc = reps0[r]
-            for n, w, getters in rest:
-                r = getrandbits(w)
-                while r >= n:
-                    r = getrandbits(w)
-                acc = getters[r](acc)
-            out.append(acc)
-        return tuple(out)
-
-    def _sampling_table(self) -> tuple:
-        """(n0, w0, reps0, rest): the first level's table, then (n, w,
-        getters) per deeper level; () for the trivial group."""
+        """random_elements(rng, k) as raw images, on the same draws."""
         if self._table is None:
-            reps = [tuple(map(lvl.transversal.__getitem__, lvl.points)) for lvl in self._levels]
-            rest = tuple((len(r), len(r).bit_length(), tuple(itemgetter(*t) for t in r)) for r in reps[1:])
-            self._table = (len(reps[0]), len(reps[0]).bit_length(), reps[0], rest) if reps else ()
-        return self._table
+            # (n, w) per level in draw order, the deepest level's
+            # representatives, and every shallower level's tables, deepest first
+            reps = [[lvl.transversal[p] for p in lvl.points] for lvl in self._levels]
+            sizes = tuple((len(r), len(r).bit_length()) for r in reps)
+            self._table = (sizes, reps[-1], [list(map(table, r)) for r in reps[-2::-1]]) if reps else ()
+        if not self._table:
+            return (self._ident,) * k
+        sizes, deepest, shallower = self._table
+        getrandbits = rng.getrandbits if isinstance(rng, random.Random) else rng.index_draws(k * len(sizes))
+        drawn = []
+        append = drawn.append
+        for n, w in sizes * k:
+            r = getrandbits(w)
+            while r >= n:
+                r = getrandbits(w)
+            append(r)
+        then, out = self._then, []
+        backwards = reversed(drawn)  # each draw's indices, deepest first
+        for r in backwards:
+            acc = deepest[r]
+            for reps in shallower:
+                acc = then(acc, reps[next(backwards)])
+            out.append(acc)
+        return tuple(reversed(out))
 
     def conjugated(self, v: Permutation) -> "StabilizerChain":
         """The chain of G^v, for G this chain's group: base and orbit points
         mapped by v, every strong generator and representative conjugated by
         v; its gens are the conjugated strong generators.  Conjugation is a
-        homomorphism, so on one stream its random_element draws are this
-        chain's draws conjugated by v.  Building it costs one raw
-        conjugation per representative and strong generator, about what
-        conjugated_by costs on a third to a half as many draws, so it pays
-        when more draws than that are taken from it."""
+        homomorphism, so on one stream its draws are this chain's draws
+        conjugated by v."""
         if len(v._img) != self.degree:
             raise ValueError(f"degree mismatch: {v.degree} vs {self.degree}")
-        vi = v._img
-        conj = conjugation(vi)
+        vi, conj = v._img, conjugation(v._img)
         levels = []
         for lvl in self._levels:
             new = _Level(vi[lvl.base])
@@ -248,33 +239,32 @@ class StabilizerChain:
     def _product(self) -> int:
         return math.prod(len(l.transversal) for l in self._levels)
 
-    def _strip(self, y: tuple):
+    def _strip(self, y):
         """Sift raw images y: the residue and the index of the level whose
         orbit it left, or the number of levels when it passed them all."""
+        then = self._then
         for idx, lvl in enumerate(self._levels):
             j = y[lvl.base]
             if j == lvl.base:
                 continue
             if j not in lvl.transversal:
                 return y, idx
-            y = itemgetter(*y)(lvl.inverse(j))
+            y = then(y, lvl.inv.get(j) or lvl.inverse(j))
         return y, len(self._levels)
 
-    def _gens_from(self, idx: int) -> list:
-        out = []
-        for lvl in self._levels[idx:]:
-            out.extend(lvl.placed)
-        return out
+    def _tables_from(self, idx: int) -> list:
+        """The tables of the strong generators placed at levels idx on."""
+        return [table(g) for lvl in self._levels[idx:] for g in lvl.placed]
 
     def _rebuild_orbit(self, idx: int):
         lvl = self._levels[idx]
         trans = {lvl.base: self._ident}
-        _close_orbit(trans, [lvl.base], self._gens_from(idx))
+        _close_orbit(trans, [lvl.base], self._tables_from(idx), self._then)
         lvl.transversal = trans
         lvl.points = tuple(trans)
         lvl.inv = {}
 
-    def _ingest(self, g: tuple) -> bool:
+    def _ingest(self, g) -> bool:
         residue, idx = self._strip(g)
         if residue == self._ident:
             return False
@@ -285,7 +275,7 @@ class StabilizerChain:
         self._grow_orbits(idx, residue)
         return True
 
-    def _grow_orbits(self, idx: int, g: tuple):
+    def _grow_orbits(self, idx: int, g):
         """Orbits of levels 0..idx once g is placed at level idx, each
         rebuilt breadth-first from its base, so a level's points order and
         representatives, which random_element reads, are a function of its
@@ -298,23 +288,20 @@ class StabilizerChain:
         each placement strictly grows the transversal product, so this ends.
         Stops early and returns True once a placement brings the product to
         target, which never happens for the default 0."""
-        ident = self._ident
+        ident, then = self._ident, self._then
         changed = True
         while changed:
             changed = False
-            idx = 0
-            while idx < len(self._levels):
-                lvl = self._levels[idx]
-                gens = self._gens_from(idx)
+            for idx, lvl in enumerate(self._levels):  # grows while it is read
+                tables = self._tables_from(idx)
                 for p in lvl.points:
-                    then = itemgetter(*lvl.transversal[p])
-                    for g in gens:
-                        s = itemgetter(*then(g))(lvl.inverse(g[p]))
+                    rep = lvl.transversal[p]
+                    for g in tables:
+                        s = then(then(rep, g), lvl.inverse(g[p]))
                         if s != ident and self._ingest(s):
                             if self._product() == target:
                                 return True
                             changed = True
-                idx += 1
         self._order = None
         return False
 
@@ -327,9 +314,9 @@ class _MembershipChain(StabilizerChain):
     Which representative a point gets then depends on the history of
     placements, so the chain is not for sampling."""
 
-    def _grow_orbits(self, idx: int, g: tuple):
-        for i in range(idx + 1):
-            lvl = self._levels[i]
+    def _grow_orbits(self, idx: int, g):
+        then, g = self._then, table(g)
+        for i, lvl in enumerate(self._levels[:idx + 1]):
             trans = lvl.transversal
             if not trans:
                 trans[lvl.base] = self._ident
@@ -338,10 +325,10 @@ class _MembershipChain(StabilizerChain):
             for p in lvl.points:
                 q = g[p]
                 if q not in trans:
-                    trans[q] = itemgetter(*trans[p])(g)
+                    trans[q] = then(trans[p], g)
                     frontier.append(q)
             if frontier:
-                _close_orbit(trans, frontier, self._gens_from(i))
+                _close_orbit(trans, frontier, self._tables_from(i), then)
                 lvl.points = tuple(trans)
 
 
@@ -435,17 +422,16 @@ def enumerate_elements(chain: StabilizerChain, cap: int = DEFAULT_SEARCH_CAP) ->
     structure, so it doubles as an oracle for contains/order."""
     if chain.order() > cap:
         raise BudgetExceeded(f"group order {chain.order()} exceeds cap {cap}")
-    gens = chain.gens
-    ident = chain._ident
+    tables = list(map(table, chain.gens))
+    ident, then = chain._ident, chain._then
     seen = {ident}
     out = [ident]
     frontier = [ident]
     while frontier:
         layer = []
         for x in frontier:
-            then = itemgetter(*x)
-            for g in gens:
-                y = then(g)
+            for g in tables:
+                y = then(x, g)
                 if y not in seen:
                     seen.add(y)
                     layer.append(y)
@@ -496,6 +482,6 @@ def centralizer_in_sym(x: Permutation) -> GeneratingSet:
         for p, q in zip(c1, c2):
             img[p - 1] = q - 1
             img[q - 1] = p - 1
-        gens.append(Permutation._raw(tuple(img)))
+        gens.append(Permutation._raw(raw_images(img)))
     return GeneratingSet(m, tuple(gens))
 

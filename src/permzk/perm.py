@@ -3,6 +3,11 @@
 Composition convention, fixed once for the whole package: the left factor
 acts first, so (a * b)(i) = b(a(i)).  With that convention the conjugate
 ``y.conjugated_by(v)`` equals v^-1 * y * v and sends v(i) to v(y(i)).
+
+Raw images, the 0-based images in Permutation._img and in chains, take one
+encoding per degree: bytes up to 256, composed as a.translate(table(b)) with
+b padded to 256 points, inverted by maketrans and hashed once, all in C; a
+tuple of ints composed by itemgetter above.  Both sort alike.
 """
 
 from __future__ import annotations
@@ -11,29 +16,49 @@ from functools import cache
 from operator import itemgetter
 from typing import Optional, Sequence
 
+_POINTS = bytes(range(256))
+
+
+def raw_images(points) -> bytes | tuple:
+    """0-based images, a sized iterable of ints, in their degree's encoding."""
+    return bytes(points) if len(points) <= 256 else tuple(points)
+
 
 @cache
-def identity_images(degree: int) -> tuple:
-    """The identity's raw 0-based images, one shared tuple per degree."""
-    return tuple(range(degree))
+def identity_images(degree: int) -> bytes | tuple:
+    """The identity's raw images, one shared value per degree."""
+    return raw_images(range(degree))
 
 
-def invert_images(img: tuple) -> tuple:
+def table(img: bytes | tuple) -> bytes | tuple:
+    """img as the right operand of composer(degree): bytes padded to 256."""
+    return img + _POINTS[len(img):] if type(img) is bytes else img
+
+
+def inverse_table(img: bytes | tuple) -> bytes | tuple:
+    """table(invert_images(img)), which maketrans gives directly."""
+    n = len(img)
+    return bytes.maketrans(img, _POINTS[:n]) if type(img) is bytes else tuple(sorted(range(n), key=img.__getitem__))
+
+
+def invert_images(img: bytes | tuple) -> bytes | tuple:
     """Raw images of the inverse permutation."""
-    inv = [0] * len(img)
-    for i, j in enumerate(img):
-        inv[j] = i
-    return tuple(inv)
+    return inverse_table(img)[:len(img)]
 
 
-def conjugation(vi: tuple):
+def composer(degree: int):
+    """The map (a, table(b)) -> raw images of a * b at this degree."""
+    return bytes.translate if degree <= 256 else lambda a, b: itemgetter(*a)(b)
+
+
+def conjugation(vi: bytes | tuple):
     """The map sending raw images t to those of v^-1 * t * v, for v with raw
-    images vi: two itemgetter calls per conjugate."""
-    if len(vi) == 1:
-        # itemgetter with one index returns a scalar; the only permutation
-        # of degree 1 is the identity, which every conjugation fixes.
-        return lambda t: t
-    before = itemgetter(*invert_images(vi))
+    images vi: two compositions per conjugate."""
+    inv = invert_images(vi)
+    if type(vi) is bytes:
+        tail, vt = _POINTS[len(vi):], table(vi)
+        return lambda t: inv.translate(t + tail).translate(vt)
+    before = itemgetter(*inv)
     return lambda t: itemgetter(*before(t))(vi)
 
 
@@ -51,26 +76,26 @@ class Permutation:
         n = len(entries)
         if n < 1:
             raise ValueError("a permutation needs degree at least 1")
-        img = tuple(i - 1 for i in entries)
+        img = [i - 1 for i in entries]
         if sorted(img) != list(range(n)):
             raise ValueError(f"not a bijection of 1..{n}: {entries!r}")
-        self._img = img
+        self._img = raw_images(img)
 
     @classmethod
-    def _raw(cls, img: tuple) -> "Permutation":
+    def _raw(cls, img: bytes | tuple) -> "Permutation":
         p = object.__new__(cls)
         p._img = img
         return p
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        if degree < 1:
-            raise ValueError("degree must be at least 1")
-        return cls._raw(identity_images(degree))
+        return cls.from_cycles(degree)
 
     @classmethod
     def from_cycles(cls, degree: int, *cycles: Sequence[int]) -> "Permutation":
         """Build from disjoint 1-based cycles of ints; points left out are fixed."""
+        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
+            raise ValueError(f"a permutation needs an integer degree at least 1: {degree!r}")
         img = list(range(degree))
         seen = set()
         for cyc in cycles:
@@ -85,7 +110,7 @@ class Permutation:
                 seen.add(p)
             for a, b in zip(pts, pts[1:] + pts[:1]):
                 img[a - 1] = b - 1
-        return cls._raw(tuple(img))
+        return cls._raw(raw_images(img))
 
     @property
     def degree(self) -> int:
@@ -105,11 +130,7 @@ class Permutation:
         img = self._img
         if len(img) != len(other._img):
             raise ValueError(f"degree mismatch: {len(img)} vs {len(other._img)}")
-        if len(img) == 1:
-            # itemgetter with one index returns a scalar, not a tuple; the
-            # only permutation of degree 1 is the identity.
-            return other
-        return Permutation._raw(itemgetter(*img)(other._img))
+        return Permutation._raw(composer(len(img))(img, table(other._img)))
 
     def inverse(self) -> "Permutation":
         return Permutation._raw(invert_images(self._img))
@@ -118,11 +139,7 @@ class Permutation:
         """v^-1 * self * v, the permutation sending v(i) to v(self(i))."""
         if len(self._img) != len(v._img):
             raise ValueError(f"degree mismatch: {len(self._img)} vs {len(v._img)}")
-        vi = v._img
-        out = [0] * len(vi)
-        for i, yi in enumerate(self._img):
-            out[vi[i]] = vi[yi]
-        return Permutation._raw(tuple(out))
+        return Permutation._raw(conjugation(v._img)(self._img))
 
     def is_identity(self) -> bool:
         return self._img == identity_images(len(self._img))
@@ -200,4 +217,4 @@ def conjugator_in_sym(a0: Permutation, a1: Permutation) -> Optional[Permutation]
     for cyc0, cyc1 in zip(c0, c1):
         for p, q in zip(cyc0, cyc1):
             img[p - 1] = q - 1
-    return Permutation._raw(tuple(img))
+    return Permutation._raw(raw_images(img))

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output shapes, reproducibility."""
 
+import hashlib
 import importlib
 import re
 import subprocess
@@ -439,6 +440,67 @@ def test_readme_library_block_runs(child_env):
     block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     result = subprocess.run([sys.executable, "-c", block], cwd=ROOT, env=child_env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+# Every README command, a non-conjugacy transcript (the honest prover's
+# conjugate tables are frozensets of raw images) and an exact check on a
+# second fixture, each followed by its exit code.
+HASH_SEED_SCRIPT = """
+from permzk.cli import main
+for command in COMMANDS:
+    print("exit=%d" % main(command.split()), flush=True)
+"""
+HASH_SEED_COMMANDS = [command for command, _, _ in README_GOLDEN] + [
+    "prove --instance fixtures/no_m4.txt --protocol non-conj --seed 3",
+    "simulate --instance fixtures/embed_s3.txt --exact --k 2 --tape-seed 1",
+]
+
+
+def test_stdout_does_not_depend_on_the_hash_seed(child_env):
+    # a bytes hash is salted per process, a hash of a tuple of ints is not:
+    # no iteration over a set of raw images may reach the output
+    script = f"COMMANDS = {HASH_SEED_COMMANDS!r}\n" + HASH_SEED_SCRIPT
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(child_env, PYTHONHASHSEED=seed)
+        runs.append(subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True))
+    assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr + runs[1].stderr
+    assert runs[0].stdout.count("exit=") == len(HASH_SEED_COMMANDS)
+    assert (runs[0].stdout, runs[0].stderr) == (runs[1].stdout, runs[1].stderr)
+
+
+# A degree-300 yes-instance, where raw images are tuples: <(1 2 3)> and
+# <(298 299 300)>, conjugate by the reversal that generates U.  The digests
+# are sha256 of stdout, taken before raw images became bytes.
+DEGREE = 300
+REVERSAL = " ".join(str(DEGREE + 1 - i) for i in range(1, DEGREE + 1))
+DEGREE_300_TEXT = (
+    f"degree: {DEGREE}\n"
+    f"A0: {' '.join(map(str, [2, 3, 1, *range(4, DEGREE + 1)]))}\n"
+    f"A1: {' '.join(map(str, [*range(1, DEGREE - 2), DEGREE - 1, DEGREE, DEGREE - 2]))}\n"
+    f"U: {REVERSAL}\n"
+)
+DEGREE_300_GOLDEN = [
+    ("decide", "ac1aff7e71b5f65968b7a8d218ff9b5c5f665ba40eb5da41bc65abdc2bbd6b71"),
+    ("prove --seed 0", "8ad717f9a41fd8a97c027230df7fefd3317d25bf7952eb4884d57fae132d9dd4"),
+    ("prove --rounds 2 --seed 0 --k 6", "f03546c84a8bbe6eaa7fb9f817df54ef0e319b82281df3d0bf2d3686462aa6c5"),
+    ("prove --protocol non-conj --seed 1", "de7ab9e5841fc3acace4c6bff0874aef071f88f01f70372a764140d7a4ad0e93"),
+    (
+        "simulate --k 4 --samples 40 --seed 0 --tape-seed 1",
+        "412db860f29e9b8fe92d68cdfcce0e492bf5999299c60f439ab60a3e61f6675e",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,digest", DEGREE_300_GOLDEN, ids=[a for a, _ in DEGREE_300_GOLDEN])
+def test_degree_300_instance_golden(tmp_path, capsys, monkeypatch, args, digest):
+    monkeypatch.delenv("PERMZK_SEED", raising=False)
+    path = tmp_path / "degree_300.txt"
+    path.write_text(DEGREE_300_TEXT)
+    command, *rest = args.split()
+    code, out, err = run_main(capsys, command, "--instance", str(path), *rest)
+    assert (code, err) == (EXIT_ACCEPT, "")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 def test_declared_dependencies_import():

@@ -36,7 +36,7 @@ from permzk.conjugacy import InstanceContext
 from permzk.element import ElementContext
 from permzk.framework import RandomTape
 from permzk.instances import load_group_file, load_instance, parse_instance_text
-from permzk.perm import Permutation
+from permzk.perm import Permutation, raw_images
 
 from helpers import base_points, centralizer_order_in_sym, format_generating_set, symmetric_group
 
@@ -271,7 +271,7 @@ def test_conjugated_chain_is_the_chain_of_the_conjugated_group(case):
 
 def test_chain_gens_drop_duplicates_and_identities():
     a = gset(3, "1 2 3", "2 3 1", "2 3 1", "1 2 3", "2 1 3", "2 3 1")
-    assert build_chain(a).gens == ((1, 2, 0), (1, 0, 2))
+    assert tuple(map(tuple, build_chain(a).gens)) == ((1, 2, 0), (1, 0, 2))
     assert build_chain(gset(1, "1", "1")).gens == ()
 
 
@@ -339,14 +339,14 @@ def test_generates_grows_orbits_in_place(monkeypatch):
         return rebuild(self, idx)
 
     inverted = collections.Counter()
-    invert = engine.invert_images
+    invert = engine.inverse_table
 
     def counted(img):
         inverted[img] += 1
         return invert(img)
 
     monkeypatch.setattr(StabilizerChain, "_rebuild_orbit", recorded)
-    monkeypatch.setattr(engine, "invert_images", counted)
+    monkeypatch.setattr(engine, "inverse_table", counted)
     for gens in tuples:
         inverted.clear()
         assert generates(gens, n)
@@ -356,8 +356,8 @@ def test_generates_grows_orbits_in_place(monkeypatch):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_raw_paths_at_degree_1_and_2(m):
-    # itemgetter with one index returns a scalar, so the two smallest
-    # degrees get every raw path on the trivial and the full group
+    # the two smallest degrees, the edge of every raw path, on the trivial
+    # and the full group
     everything = [Permutation(p) for p in itertools.permutations(range(1, m + 1))]
     for gens in ((), tuple(everything)):
         chain = build_chain(GeneratingSet(m, gens))
@@ -376,6 +376,59 @@ def test_raw_paths_at_degree_1_and_2(m):
             rng_conj, rng_chain = random.Random(7), random.Random(7)
             for _ in range(5):
                 assert conj.random_element(rng_conj) == chain.random_element(rng_chain).conjugated_by(v)
+
+
+def boundary_group(m):
+    """S_5 x C_3, the 3-cycle on the last three points, from degree 8 on;
+    at degrees 255 to 257 it moves the largest byte values and the first
+    point past them.  The full group at degrees 1 and 2."""
+    if m < 8:
+        return symmetric_group(m)
+    cycles = ((1, 2, 3, 4, 5), (1, 2), (m - 2, m - 1, m))
+    return GeneratingSet(m, tuple(Permutation.from_cycles(m, c) for c in cycles))
+
+
+def closure_of(gset):
+    """The group's elements by breadth-first closure over plain tuples."""
+    gens = [tuple(i - 1 for i in g.images) for g in gset.gens]
+    frontier = [tuple(range(gset.degree))]
+    seen = set(frontier)
+    while frontier:
+        layer = []
+        for x in frontier:
+            for g in gens:
+                y = tuple(g[i] for i in x)
+                if y not in seen:
+                    seen.add(y)
+                    layer.append(y)
+        frontier = layer
+    return {Permutation([i + 1 for i in x]) for x in seen}
+
+
+@pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 300])
+def test_chains_on_both_sides_of_the_encoding_switch(m):
+    gset = boundary_group(m)
+    members = closure_of(gset)
+    chain = build_chain(gset)
+    assert chain.order() == membership_chain(gset).order() == len(members) == (360 if m >= 8 else m)
+    assert set(enumerate_elements(chain)) == members
+    rng = random.Random(m)
+    ys = list(members)[:60] + [Permutation(rng.sample(range(1, m + 1), m)) for _ in range(20)]
+    if m >= 8:
+        ys.append(Permutation.from_cycles(m, (m - 1, m)))
+    for y in ys:
+        assert chain.contains(y) == (y in members)
+    v = Permutation(rng.sample(range(1, m + 1), m))
+    conj = chain.conjugated(v)
+    for seed in range(3):
+        draws = chain.random_elements(random.Random(seed), 20)
+        reference = random.Random(seed)
+        assert draws == tuple(randrange_draw(chain, reference) for _ in range(20))
+        assert set(draws) <= members
+        assert conj.random_elements(random.Random(seed), 20) == tuple(x.conjugated_by(v) for x in draws)
+        perms, _ = random_generating_tuple(chain, 4, random.Random(seed))
+        assert build_chain(GeneratingSet(m, perms)).order() == chain.order()
+    assert all(conj.contains(y.conjugated_by(v)) == (y in members) for y in ys)
 
 
 def alternating_group(m):
@@ -559,7 +612,7 @@ def test_chain_structure_digest():
     h = hashlib.sha256()
     for chain in golden_chains():
         chain.random_elements(random.Random(0), 3)
-        levels = [(lvl.base, lvl.points, [lvl.transversal[p] for p in lvl.points]) for lvl in chain._levels]
+        levels = [(lvl.base, lvl.points, [tuple(lvl.transversal[p]) for p in lvl.points]) for lvl in chain._levels]
         h.update(repr(levels).encode("ascii"))
     assert h.hexdigest() == "83e5e33468527c3770d123b7df916f5e87697205cf989a3694adb63127577e7c"
 
@@ -580,14 +633,14 @@ def block_chain(sizes):
         lvl.points = tuple(range(n))
         arranged = [tuple(6 * i + p for p in a) for a in ARRANGEMENTS[:n]]
         other = tuple(range(6 - 6 * i, 12 - 6 * i))
-        lvl.transversal = {j: a + other if i == 0 else other + a for j, a in enumerate(arranged)}
+        lvl.transversal = {j: raw_images(a + other if i == 0 else other + a) for j, a in enumerate(arranged)}
         chain._levels.append(lvl)
     return chain
 
 
 def drawn_indices(x):
     img = x._img
-    return [ARRANGEMENT_INDEX[img[:6]], ARRANGEMENT_INDEX[tuple(p - 6 for p in img[6:])]]
+    return [ARRANGEMENT_INDEX[tuple(img[:6])], ARRANGEMENT_INDEX[tuple(p - 6 for p in img[6:])]]
 
 
 ORBIT_SIZES = [(n, 301 - n) for n in range(1, 301)]

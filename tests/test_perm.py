@@ -6,7 +6,19 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from permzk.perm import Permutation, conjugation, conjugator_in_sym, format_perm, invert_images, parse_perm
+from permzk.perm import (
+    Permutation,
+    composer,
+    conjugation,
+    conjugator_in_sym,
+    format_perm,
+    identity_images,
+    inverse_table,
+    invert_images,
+    parse_perm,
+    raw_images,
+    table,
+)
 
 
 def all_of_sym(m):
@@ -98,6 +110,23 @@ def test_from_cycles_refuses_points_out_of_range_or_repeated():
         Permutation.from_cycles(3, (0, 1))
     with pytest.raises(ValueError, match="point 2 appears in two cycles"):
         Permutation.from_cycles(3, (1, 2), (2, 3))
+
+
+@pytest.mark.parametrize(
+    "degree",
+    [0, -2, 2.5, 3.0, True, False, "3", None],
+    ids=["zero", "negative", "fraction", "integral-float", "true", "false", "digit-string", "none"],
+)
+def test_from_cycles_refuses_a_degree_that_is_not_a_positive_int(degree):
+    # from_cycles(0) and from_cycles(-2) once made a degree-0 object, and
+    # from_cycles(2.5, ...) ended in a TypeError from range; identity is
+    # from_cycles with no cycles
+    with pytest.raises(ValueError, match="degree"):
+        Permutation.from_cycles(degree)
+    with pytest.raises(ValueError, match="degree"):
+        Permutation.from_cycles(degree, (1, 2))
+    with pytest.raises(ValueError, match="degree"):
+        Permutation.identity(degree)
 
 
 def test_conjugation_definition_and_action_law():
@@ -214,3 +243,30 @@ def test_composition_degree_mismatch_raises(m, n):
     assume(m != n)
     with pytest.raises(ValueError, match="degree mismatch"):
         Permutation.identity(m) * Permutation.identity(n)
+
+
+@pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 300])
+def test_raw_helpers_on_both_sides_of_the_encoding_switch(m):
+    # raw images are bytes up to degree 256 and tuples of ints above; on
+    # either side each helper, and the Permutation methods built on them,
+    # agree with plain lists
+    rng = random.Random(m)
+    lists = [list(range(m)), list(range(m))[::-1]] + [rng.sample(range(m), m) for _ in range(4)]
+    assert identity_images(m) == raw_images(range(m))
+    assert type(identity_images(m)) is (bytes if m <= 256 else tuple)
+    for a, b in itertools.product(lists, repeat=2):
+        ra, rb = raw_images(a), raw_images(b)
+        assert len(table(rb)) == (256 if m <= 256 else m) and table(rb)[:m] == rb
+        inv, conj = [0] * m, [0] * m
+        for i, t in enumerate(a):
+            inv[t] = i
+            conj[b[i]] = b[t]
+        assert list(composer(m)(ra, table(rb))) == [b[i] for i in a]
+        assert list(invert_images(ra)) == inv and inverse_table(ra)[:m] == invert_images(ra)
+        assert list(conjugation(rb)(ra)) == conj
+        pa, pb = Permutation([i + 1 for i in a]), Permutation([i + 1 for i in b])
+        assert pa._img == ra
+        assert (pa * pb).images == tuple(b[i] + 1 for i in a)
+        assert pa.inverse().images == tuple(i + 1 for i in inv)
+        assert pa.conjugated_by(pb).images == tuple(i + 1 for i in conj)
+        assert (pa < pb) == (a < b) and (pa == pb) == (a == b)

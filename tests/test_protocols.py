@@ -214,9 +214,9 @@ def test_composed_session_digests(make_runner, seed, digest):
 
 
 def small_degree_runs(m):
-    """Group, element and non-conjugacy runs at degree m = 1 or 2, where
-    itemgetter with one index would return a scalar: the group generated
-    by the reversal, trivial at degree 1 and <(1 2)> at degree 2.  The non-conjugacy instance sets that
+    """Group, element and non-conjugacy runs at degree m = 1 or 2, the
+    smallest raw images: the group generated by the reversal, trivial at
+    degree 1 and <(1 2)> at degree 2.  The non-conjugacy instance sets that
     group against the trivial one inside it."""
     a = Permutation(range(m, 0, -1))
     gens = GeneratingSet(m, (a,))

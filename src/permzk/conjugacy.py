@@ -40,7 +40,7 @@ from .framework import (
     run_parallel,
     run_sequential,
 )
-from .perm import Permutation, conjugation, invert_images, parse_perm
+from .perm import Permutation, conjugation, invert_images, is_positive_int, parse_perm
 
 TUPLE_LENGTH_FACTOR = 4
 
@@ -95,8 +95,8 @@ class ProtocolParams:
     t: int = 1
 
     def __post_init__(self):
-        if self.k < 1 or self.t < 1:
-            raise ValueError("k and t must be at least 1")
+        if not (is_positive_int(self.k) and is_positive_int(self.t)):
+            raise ValueError("k and t must be integers at least 1")
 
     @classmethod
     def for_instance(cls, instance, k: Optional[int] = None, t: int = 1) -> "ProtocolParams":

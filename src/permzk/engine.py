@@ -20,11 +20,9 @@ Such a chain is only asked for its order and for membership.
 
 Inside a chain everything is raw images in perm's encoding (bytes up to
 degree 256, tuples above), and a * b is the chain's composer applied to a and
-perm.table(b): one sift loop (_strip) serves contains, strip, ingestion and
+perm.table(b): one sift loop (_strip) serves contains, ingestion and
 closing, and a Permutation is made only at the public boundary.  A level
 makes a representative's inverse table the first time a sift reads it.
-conjugated(v) maps a finished chain to the chain of G^v, which samples the
-same stream conjugated by v; its gens are the conjugated strong generators.
 
 Sampling is table-driven: a chain's first draw derives, per level, the orbit
 size n, w = n.bit_length() and the representatives in points order.  Each
@@ -34,7 +32,8 @@ below n, so the draws and the stream's state match one randrange per level
 order, then composes deepest first: the deepest representative is composed
 with each shallower level's table in turn.  _random_images draws raw images,
 which random_elements wraps; random_generating_tuple tests them for
-generation and wraps only the accepted attempt.
+generation and wraps only the accepted attempt.  random_conjugates(rng, k, v)
+draws from G^v on the same draws: it conjugates the table by v once per call.
 
 The generation test _generates_images(degree, imgs, order) is _fill on a
 membership chain of imgs, with no GeneratingSet, stopped as soon as the
@@ -48,9 +47,11 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .perm import Permutation, composer, conjugation, identity_images, inverse_table, parse_perm, raw_images, table
+from .perm import is_positive_int
 
 DEFAULT_SEARCH_CAP = 10_000
 DEFAULT_TUPLE_ATTEMPTS = 64
@@ -63,28 +64,21 @@ class BudgetExceeded(RuntimeError):
 @dataclass(frozen=True)
 class GeneratingSet:
     """A degree plus a finite list of generators.  Duplicates and identities
-    are permitted; canonical() removes them.  The empty list generates the
-    trivial group."""
+    are permitted; a chain keeps them out of its gens.  The empty list
+    generates the trivial group."""
 
     degree: int
     gens: tuple = ()
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("degree must be at least 1")
+        if not is_positive_int(self.degree):
+            raise ValueError(f"degree must be an integer at least 1: {self.degree!r}")
         object.__setattr__(self, "gens", tuple(self.gens))
         for g in self.gens:
             if not isinstance(g, Permutation):
                 raise ValueError(f"generator is not a permutation: {g!r}")
             if g.degree != self.degree:
                 raise ValueError(f"degree mismatch: {g.degree} vs {self.degree}")
-
-    def canonical(self) -> "GeneratingSet":
-        """gens less duplicates and identities."""
-        return GeneratingSet(self.degree, tuple(g for g in dict.fromkeys(self.gens) if not g.is_identity()))
-
-    def conjugated_by(self, v: Permutation) -> "GeneratingSet":
-        return GeneratingSet(self.degree, tuple(g.conjugated_by(v) for g in self.gens))
 
 
 def parse_generating_set(text: str, degree: int) -> GeneratingSet:
@@ -154,7 +148,6 @@ class StabilizerChain:
         self.gens = tuple(unique)
         self._levels: list = []
         self._order: Optional[int] = None
-        self._table: Optional[tuple] = None
 
     # -- queries ----------------------------------------------------------
 
@@ -162,13 +155,6 @@ class StabilizerChain:
         if self._order is None:
             self._order = self._product()
         return self._order
-
-    def strip(self, y: Permutation) -> Permutation:
-        """Sift y through the transversals; the residue is the identity
-        exactly when y belongs to the group."""
-        if len(y._img) != self.degree:
-            raise ValueError(f"degree mismatch: {y.degree} vs {self.degree}")
-        return Permutation._raw(self._strip(y._img)[0])
 
     def contains(self, y: Permutation) -> bool:
         if len(y._img) != self.degree:
@@ -185,17 +171,34 @@ class StabilizerChain:
         random.Random or a RandomTape, which counts one draw per level."""
         return tuple(map(Permutation._raw, self._random_images(rng, k)))
 
+    def random_conjugates(self, rng, k: int, v: Permutation) -> tuple:
+        """random_elements(rng, k) conjugated by v, on the same draws: k
+        exactly uniform elements of G^v.  Conjugation is a homomorphism, so
+        conjugating the sampling table once per call conjugates every draw."""
+        if len(v._img) != self.degree:
+            raise ValueError(f"degree mismatch: {v.degree} vs {self.degree}")
+        sizes, deepest, shallower = self._sampling
+        conj, n = conjugation(v._img), self.degree
+        tables = sizes, list(map(conj, deepest)), [[table(conj(t[:n])) for t in reps] for reps in shallower]
+        return tuple(map(Permutation._raw, self._draw(rng, k, tables)))
+
     def _random_images(self, rng, k: int) -> tuple:
         """random_elements(rng, k) as raw images, on the same draws."""
-        if self._table is None:
-            # (n, w) per level in draw order, the deepest level's
-            # representatives, and every shallower level's tables, deepest first
-            reps = [[lvl.transversal[p] for p in lvl.points] for lvl in self._levels]
-            sizes = tuple((len(r), len(r).bit_length()) for r in reps)
-            self._table = (sizes, reps[-1], [list(map(table, r)) for r in reps[-2::-1]]) if reps else ()
-        if not self._table:
+        return self._draw(rng, k, self._sampling)
+
+    @cached_property
+    def _sampling(self) -> tuple:
+        """(n, w) per level in draw order, the deepest level's representatives
+        and each shallower level's tables, deepest first; all empty if no levels."""
+        reps = [[lvl.transversal[p] for p in lvl.points] for lvl in self._levels]
+        sizes = tuple((len(r), len(r).bit_length()) for r in reps)
+        return (sizes, reps[-1], [list(map(table, r)) for r in reps[-2::-1]]) if reps else ((), [], [])
+
+    def _draw(self, rng, k: int, tables: tuple) -> tuple:
+        """k raw images drawn from a table of _sampling's shape."""
+        sizes, deepest, shallower = tables
+        if not sizes:
             return (self._ident,) * k
-        sizes, deepest, shallower = self._table
         getrandbits = rng.getrandbits if isinstance(rng, random.Random) else rng.index_draws(k * len(sizes))
         drawn = []
         append = drawn.append
@@ -212,27 +215,6 @@ class StabilizerChain:
                 acc = then(acc, reps[next(backwards)])
             out.append(acc)
         return tuple(reversed(out))
-
-    def conjugated(self, v: Permutation) -> "StabilizerChain":
-        """The chain of G^v, for G this chain's group: base and orbit points
-        mapped by v, every strong generator and representative conjugated by
-        v; its gens are the conjugated strong generators.  Conjugation is a
-        homomorphism, so on one stream its draws are this chain's draws
-        conjugated by v."""
-        if len(v._img) != self.degree:
-            raise ValueError(f"degree mismatch: {v.degree} vs {self.degree}")
-        vi, conj = v._img, conjugation(v._img)
-        levels = []
-        for lvl in self._levels:
-            new = _Level(vi[lvl.base])
-            new.placed = [conj(g) for g in lvl.placed]
-            new.transversal = {vi[p]: conj(t) for p, t in lvl.transversal.items()}
-            new.points = tuple(new.transversal)
-            levels.append(new)
-        out = StabilizerChain(self.degree, [g for lvl in levels for g in lvl.placed])
-        out._levels = levels
-        out._order = self._order
-        return out
 
     # -- construction -----------------------------------------------------
 
@@ -395,10 +377,6 @@ class GeneratingTuple(NamedTuple):
 
     perms: tuple
     attempts: int = 1
-
-    @property
-    def k(self) -> int:
-        return len(self.perms)
 
 
 def random_generating_tuple(chain: StabilizerChain, k: int, rng) -> GeneratingTuple:

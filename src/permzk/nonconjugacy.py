@@ -51,14 +51,11 @@ class NonConjChallenge:
 def draw_challenge(ctx: InstanceContext, k: int, tape: RandomTape) -> NonConjChallenge:
     """The honest verifier's secret draw: a side bit, a mask from <U>, and
     k independent uniform elements of the chosen group, all conjugated by
-    the mask.  They are drawn from the masked group's chain, which gives
-    the same elements on the same tape.  The batch is not conditioned on
-    generating anything."""
+    the mask, which random_conjugates draws from the side's own chain.  The
+    batch is not conditioned on generating anything."""
     side = tape.bit()
     mask = ctx.chain_u.random_element(tape)
-    chain = ctx.side_chain(side).conjugated(mask)
-    payload = chain.random_elements(tape, k)
-    return NonConjChallenge(side, mask, payload)
+    return NonConjChallenge(side, mask, ctx.side_chain(side).random_conjugates(tape, k, mask))
 
 
 def challenge_matched(side: int, response) -> bool:

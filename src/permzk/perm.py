@@ -62,6 +62,11 @@ def conjugation(vi: bytes | tuple):
     return lambda t: itemgetter(*before(t))(vi)
 
 
+def is_positive_int(x) -> bool:
+    """Whether x is an int at least 1; a bool is not one."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
 class Permutation:
     """An immutable bijection of {1, ..., m} stored in one-line image form."""
 
@@ -94,7 +99,7 @@ class Permutation:
     @classmethod
     def from_cycles(cls, degree: int, *cycles: Sequence[int]) -> "Permutation":
         """Build from disjoint 1-based cycles of ints; points left out are fixed."""
-        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
+        if not is_positive_int(degree):
             raise ValueError(f"a permutation needs an integer degree at least 1: {degree!r}")
         img = list(range(degree))
         seen = set()
@@ -140,9 +145,6 @@ class Permutation:
         if len(self._img) != len(v._img):
             raise ValueError(f"degree mismatch: {len(self._img)} vs {len(v._img)}")
         return Permutation._raw(conjugation(v._img)(self._img))
-
-    def is_identity(self) -> bool:
-        return self._img == identity_images(len(self._img))
 
     def cycles(self, include_fixed: bool = False) -> tuple:
         """Disjoint cycles, 1-based, each starting at its smallest point,

@@ -1,9 +1,9 @@
 """Helpers that only the tests use: driving one session, writing
-generating sets and instances back out as text, two chain facts read from
-outside, generators of the full symmetric group, an oracle for the
-coset-intersection test, the exact laws summed one Fraction per masked
-commitment, as a reference for the simulator's integer counts, and planted
-defects that the zero-knowledge checks must catch."""
+generating sets and instances back out as text, conjugating a generating
+set, two chain facts read from outside, generators of the full symmetric
+group, an oracle for the coset-intersection test, the exact laws summed one
+Fraction per masked commitment, as a reference for the simulator's integer
+counts, and planted defects that the zero-knowledge checks must catch."""
 
 import math
 from fractions import Fraction
@@ -35,6 +35,11 @@ def run_session(session) -> SessionOutcome:
 
 def format_generating_set(a: GeneratingSet) -> str:
     return ";".join(format_perm(g) for g in a.gens)
+
+
+def conjugated_set(a: GeneratingSet, v: Permutation) -> GeneratingSet:
+    """a with every generator conjugated by v: it generates <a>^v."""
+    return GeneratingSet(a.degree, tuple(g.conjugated_by(v) for g in a.gens))
 
 
 def dump_instance(inst) -> str:
@@ -145,4 +150,13 @@ def simulated_view_keeping_misses(ctx, program, tape_seed, side, base, mask, _re
     prefix, challenge = simulator._replay(ctx, program, tape_seed, commit, _replays)
     if challenge_bit(challenge) == side:
         return None
+    return SimulatedView(prefix, commit, challenge, mask)
+
+
+def view_revealing_the_bare_mask(ctx, program, tape_seed, base, mask, _replays=None, _commit=None):
+    """simulator.view_from_randomness for a prover that reveals the bare
+    mask whatever the challenge: the honest prover's view wherever the
+    challenge is 1, a response that the verifier refuses where it is 0."""
+    commit = ctx.mask(base, mask) if _commit is None else _commit
+    prefix, challenge = simulator._replay(ctx, program, tape_seed, commit, _replays)
     return SimulatedView(prefix, commit, challenge, mask)

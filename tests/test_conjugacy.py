@@ -28,7 +28,7 @@ from permzk.framework import (
 from permzk.instances import load_instance
 from permzk.perm import Permutation
 
-from helpers import run_session
+from helpers import conjugated_set, run_session
 
 
 def gset(degree, *texts):
@@ -69,6 +69,24 @@ def test_protocol_params_default_k_is_4m():
         ProtocolParams(4, 0)
 
 
+COUNT_TAKERS = {
+    "GeneratingSet.degree": GeneratingSet,
+    "ProtocolParams.k": ProtocolParams,
+    "ProtocolParams.t": lambda x: ProtocolParams(2, x),
+    "Permutation.from_cycles": Permutation.from_cycles,
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, False, "3", None, 0, -1])
+@pytest.mark.parametrize("taker", sorted(COUNT_TAKERS))
+def test_a_degree_k_or_t_that_is_not_an_int_at_least_1_is_refused(taker, value):
+    # a float or a bool used to construct: GeneratingSet(2.5) then failed in
+    # build_chain with TypeError, and GeneratingSet(True) made a chain of
+    # degree True; GeneratingSet("3") raised TypeError
+    with pytest.raises(ValueError):
+        COUNT_TAKERS[taker](value)
+
+
 def test_find_group_conjugator_first_match():
     # <(12)> and <(23)> in S_3 are conjugate by (13) and by (123)... the
     # search must return the first match in enumeration order
@@ -78,13 +96,13 @@ def test_find_group_conjugator_first_match():
     chain_u = build_chain(u)
     v = find_witness(a0, a1, u)
     assert v is not None
-    assert group_equal(a0.conjugated_by(v), a1)
+    assert group_equal(conjugated_set(a0, v), a1)
     from permzk.engine import enumerate_elements
 
     matches = [
         w
         for w in enumerate_elements(chain_u)
-        if group_equal(a0.conjugated_by(w), a1)
+        if group_equal(conjugated_set(a0, w), a1)
     ]
     assert v == matches[0]
 
@@ -110,7 +128,7 @@ def test_context_resolves_witness():
     assert ctx.is_yes()
     v = ctx.witness()
     assert ctx.chain_u.contains(v)
-    assert group_equal(ctx.instance.a0.conjugated_by(v), ctx.instance.a1)
+    assert group_equal(conjugated_set(ctx.instance.a0, v), ctx.instance.a1)
 
     no = ctx_of(NO_M4)
     assert not no.is_yes()
@@ -145,7 +163,7 @@ def test_coerce_commit_paths():
 def test_response_accepted_checks_membership_and_generation():
     ctx = ctx_of(TINY)
     v = ctx.witness()
-    gens1 = ctx.instance.a1.canonical().gens
+    gens1 = ctx.instance.a1.gens
     commit = gens1 + gens1  # generates <A1> itself, mask = identity
     assert response_accepted(ctx, commit, b"1", Permutation.identity(3))
     # challenge 0 wants the tuple to be <A0>^w; identity works here since
@@ -271,7 +289,7 @@ def test_extract_witness_from_two_responses():
     r1 = prover.respond(state, b"1")
     r0 = prover.respond(state, b"0")
     v = extract_witness(r0, r1)
-    assert group_equal(ctx.instance.a0.conjugated_by(v), ctx.instance.a1)
+    assert group_equal(conjugated_set(ctx.instance.a0, v), ctx.instance.a1)
     assert ctx.chain_u.contains(v)
 
 

@@ -21,9 +21,10 @@ from permzk.element import (
     run_composed,
     verify_element_bijection,
 )
-from permzk.conjugacy import DEFAULT_SEARCH_CAP, session
+from permzk.conjugacy import DEFAULT_SEARCH_CAP, GuessingProver, HonestProver, ProtocolParams, replay_verdict, session
 from permzk.engine import BudgetExceeded, GeneratingSet, build_chain, parse_generating_set
 from permzk.framework import (
+    STANDARD_VERIFIERS,
     RandomTape,
     VerifierProgram,
     constant_verifier,
@@ -110,7 +111,7 @@ def test_context_witness_resolution():
 def test_trivial_u_equal_elements_accept():
     inst = ElemConjInstance(3, perm("2 3 1"), perm("2 3 1"), gset(3, ""))
     ctx = ElementContext(inst)
-    assert ctx.is_yes() and ctx.witness().is_identity()
+    assert ctx.is_yes() and ctx.witness() == Permutation.identity(3)
     out = run_composed(ctx, params_for(inst), HonestElemProver(ctx), honest_verifier(), random.Random(0))
     assert out.accepted
 
@@ -151,6 +152,25 @@ class BrokenProver:
 
     def respond(self, state, challenge):  # pragma: no cover - never reached
         raise AssertionError("respond called after ill-typed commit")
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["seq", "par"])
+@pytest.mark.parametrize("name", sorted(STANDARD_VERIFIERS))
+@pytest.mark.parametrize("prover_class", [HonestProver, GuessingProver])
+def test_replay_verdict_matches_live_element_sessions(prover_class, name, parallel):
+    # each session of a composed run, re-decided from its own view with the
+    # program that ran: 45 sessions per case, 720 in all
+    ctx = ctx_of(EC_YES)
+    params = ProtocolParams(1, 3)
+    prover = prover_class(ctx, params)
+    program = STANDARD_VERIFIERS[name]()
+    verdicts = set()
+    for seed in range(15):
+        run = run_composed(ctx, params, prover, program, random.Random(seed), parallel=parallel)
+        for out in run.outcomes:
+            assert replay_verdict(ctx, params, program, out.view) == out.accepted
+            verdicts.add(out.accepted)
+    assert verdicts == ({True} if prover_class is HonestProver else {True, False})
 
 
 def test_ill_typed_commit_rejects():
@@ -206,7 +226,7 @@ def test_reduction_round_trips_preserve_answers():
     checked = 0
     for _ in range(60):
         m = rng.randrange(3, 6)
-        u = GeneratingSet(m, tuple(random_perm(rng, m) for _ in range(rng.randrange(0, 3)))).canonical()
+        u = GeneratingSet(m, tuple(random_perm(rng, m) for _ in range(rng.randrange(0, 3))))
         a0 = random_perm(rng, m)
         # bias toward matching cycle types so the reduction mostly applies
         a1 = a0.conjugated_by(random_perm(rng, m)) if rng.random() < 0.7 else random_perm(rng, m)

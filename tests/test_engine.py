@@ -38,7 +38,7 @@ from permzk.framework import RandomTape
 from permzk.instances import load_group_file, load_instance, parse_instance_text
 from permzk.perm import Permutation, raw_images
 
-from helpers import base_points, centralizer_order_in_sym, format_generating_set, symmetric_group
+from helpers import base_points, centralizer_order_in_sym, conjugated_set, format_generating_set, symmetric_group
 
 ALPHA = 1e-3
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
@@ -52,6 +52,27 @@ def generates(gens: GeneratingSet, order: int) -> bool:
     return _generates_images(gens.degree, [g._img for g in gens.gens], order)
 
 
+def residue(chain, y: Permutation) -> Permutation:
+    """What is left of y once sifted through the chain's transversals."""
+    return Permutation._raw(chain._strip(y._img)[0])
+
+
+def assert_draws_are_conjugated(chain, v, seed, k) -> tuple:
+    """random_conjugates(rng, k, v) against random_elements(rng, k)
+    conjugated by v: value by value, leaving a random.Random in the same
+    state and a RandomTape with the same draw count.  Returns the draws."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    draws = chain.random_conjugates(ours, k, v)
+    assert draws == tuple(x.conjugated_by(v) for x in chain.random_elements(theirs, k))
+    assert ours.getstate() == theirs.getstate()
+    ours, theirs = RandomTape(seed), RandomTape(seed)
+    assert chain.random_conjugates(ours, k, v) == draws
+    chain.random_elements(theirs, k)
+    assert ours.consumed == theirs.consumed == k * len(chain._levels)
+    assert ours.getrandbits(64) == theirs.getrandbits(64)
+    return draws
+
+
 def test_generating_set_validation():
     with pytest.raises(ValueError):
         GeneratingSet(0)
@@ -59,17 +80,6 @@ def test_generating_set_validation():
         GeneratingSet(3, (Permutation([2, 1]),))
     with pytest.raises(ValueError):
         GeneratingSet(3, ("2 1 3",))
-
-
-def test_canonical_drops_identities_and_duplicates():
-    a = gset(3, "2 1 3", "1 2 3", "2 1 3", "2 3 1")
-    assert a.canonical().gens == (Permutation([2, 1, 3]), Permutation([2, 3, 1]))
-
-
-def test_conjugate_set_is_elementwise():
-    a = gset(3, "2 1 3")
-    v = Permutation([2, 3, 1])
-    assert a.conjugated_by(v).gens == (Permutation([2, 1, 3]).conjugated_by(v),)
 
 
 def test_format_parse_round_trip():
@@ -114,10 +124,11 @@ def test_contains_matches_enumeration_exhaustively():
 
 def test_strip_is_identity_exactly_on_members():
     chain = build_chain(gset(4, "2 3 4 1", "2 1 4 3"))
+    identity = Permutation.identity(4)
     for p in enumerate_elements(chain):
-        assert chain.strip(p).is_identity()
+        assert residue(chain, p) == identity
     outside = Permutation([2, 3, 1, 4])
-    assert not chain.strip(outside).is_identity()
+    assert residue(chain, outside) != identity
     with pytest.raises(ValueError):
         chain.contains(Permutation([2, 1]))
 
@@ -144,7 +155,7 @@ def test_random_element_trivial_group():
     chain = build_chain(gset(3, ""))
     rng = random.Random(0)
     for _ in range(5):
-        assert chain.random_element(rng).is_identity()
+        assert chain.random_element(rng) == Permutation.identity(3)
 
 
 def test_random_element_uniform_on_c3():
@@ -167,7 +178,7 @@ def test_random_element_covers_s4():
 def test_random_generating_tuple_trivial_group():
     gt = random_generating_tuple(build_chain(gset(4, "")), 3, random.Random(0))
     assert gt.attempts == 1
-    assert all(p.is_identity() for p in gt.perms)
+    assert gt.perms == (Permutation.identity(4),) * 3
 
 
 def test_random_generating_tuple_generates():
@@ -176,7 +187,7 @@ def test_random_generating_tuple_generates():
     for _ in range(20):
         gt = random_generating_tuple(build_chain(a), 16, rng)
         assert build_chain(GeneratingSet(4, gt.perms)).order() == 24
-        assert gt.k == 16
+        assert len(gt.perms) == 16
 
 
 def test_random_generating_tuple_budget():
@@ -252,21 +263,13 @@ def group_and_conjugator(draw):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(group_and_conjugator())
-def test_conjugated_chain_is_the_chain_of_the_conjugated_group(case):
+def test_random_conjugates_are_random_elements_conjugated_by_v(case):
     chain, v, seed = case
-    conj = chain.conjugated(v)
     members = {x.conjugated_by(v) for x in enumerate_elements(chain)}
-    source = GeneratingSet(chain.degree, tuple(map(Permutation._raw, chain.gens)))
-    assert conj.order() == len(members) == build_chain(source.conjugated_by(v)).order()
-    # its gens, the conjugated strong generators, generate G^v
-    assert set(enumerate_elements(conj)) == members
-    # every permutation of the degree: the members and all non-members
-    for images in itertools.permutations(range(1, chain.degree + 1)):
-        y = Permutation(images)
-        assert conj.contains(y) == (y in members)
-    rng_conj, rng_chain = random.Random(seed), random.Random(seed)
-    for _ in range(10):
-        assert conj.random_element(rng_conj) == chain.random_element(rng_chain).conjugated_by(v)
+    for k in (1, 10):
+        assert set(assert_draws_are_conjugated(chain, v, seed, k)) <= members
+    with pytest.raises(ValueError, match="degree mismatch"):
+        chain.random_conjugates(random.Random(seed), 1, Permutation.identity(chain.degree + 1))
 
 
 def test_chain_gens_drop_duplicates_and_identities():
@@ -295,16 +298,13 @@ def seeded_generating_set(draw):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(seeded_generating_set())
 def test_chain_gens_are_the_canonical_raw_images(case):
-    a, rng = case
+    a, _ = case
     chain = build_chain(a)
     # the generators less duplicates and identities, in order, for either
     # construction
-    assert chain.gens == tuple(g._img for g in a.canonical().gens)
+    identity = Permutation.identity(a.degree)
+    assert chain.gens == tuple(g._img for g in dict.fromkeys(a.gens) if g != identity)
     assert membership_chain(a).gens == chain.gens
-    # a conjugated chain keeps its strong generators, conjugated
-    v = Permutation(rng.sample(range(1, a.degree + 1), a.degree))
-    strong = [Permutation._raw(g) for lvl in chain._levels for g in lvl.placed]
-    assert chain.conjugated(v).gens == tuple(g.conjugated_by(v)._img for g in strong)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -365,17 +365,12 @@ def test_raw_paths_at_degree_1_and_2(m):
         assert chain.order() == len(members) == (1 if not gens else len(everything))
         for y in everything:
             assert chain.contains(y) == (y in members)
-            residue = chain.strip(y)
-            assert residue.degree == m and residue.is_identity() == (y in members)
+            assert (residue(chain, y) == Permutation.identity(m)) == (y in members)
         draws = [chain.random_element(random.Random(seed)) for seed in range(20)]
         assert set(draws) == members
         for v in everything:
-            conj = chain.conjugated(v)
-            assert conj.order() == chain.order()
-            assert all(conj.contains(y) == (y.conjugated_by(v.inverse()) in members) for y in everything)
-            rng_conj, rng_chain = random.Random(7), random.Random(7)
-            for _ in range(5):
-                assert conj.random_element(rng_conj) == chain.random_element(rng_chain).conjugated_by(v)
+            conjugates = {y.conjugated_by(v) for y in members}
+            assert set(assert_draws_are_conjugated(chain, v, 7, 5)) <= conjugates
 
 
 def boundary_group(m):
@@ -419,16 +414,16 @@ def test_chains_on_both_sides_of_the_encoding_switch(m):
     for y in ys:
         assert chain.contains(y) == (y in members)
     v = Permutation(rng.sample(range(1, m + 1), m))
-    conj = chain.conjugated(v)
     for seed in range(3):
         draws = chain.random_elements(random.Random(seed), 20)
         reference = random.Random(seed)
         assert draws == tuple(randrange_draw(chain, reference) for _ in range(20))
         assert set(draws) <= members
-        assert conj.random_elements(random.Random(seed), 20) == tuple(x.conjugated_by(v) for x in draws)
+        assert assert_draws_are_conjugated(chain, v, seed, 20) == tuple(x.conjugated_by(v) for x in draws)
         perms, _ = random_generating_tuple(chain, 4, random.Random(seed))
         assert build_chain(GeneratingSet(m, perms)).order() == chain.order()
-    assert all(conj.contains(y.conjugated_by(v)) == (y in members) for y in ys)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        chain.random_conjugates(random.Random(0), 1, Permutation.identity(m + 1))
 
 
 def alternating_group(m):
@@ -500,7 +495,7 @@ def test_enumerate_elements_counts_and_cap():
     chain = build_chain(gset(4, "2 1 3 4", "2 3 4 1"))
     els = enumerate_elements(chain)
     assert len(els) == len(set(els)) == 24
-    assert els[0].is_identity()
+    assert els[0] == Permutation.identity(4)
     with pytest.raises(BudgetExceeded):
         enumerate_elements(chain, cap=10)
 
@@ -530,7 +525,7 @@ def test_group_profile_invariant_and_distinguishing():
     assert group_profile(c3) == ((1, 1, 1), (3,), (3,))
     # conjugation cannot change the profile
     v = Permutation([3, 1, 2])
-    assert group_profile(build_chain(gset(3, "2 3 1").conjugated_by(v))) == group_profile(c3)
+    assert group_profile(build_chain(conjugated_set(gset(3, "2 3 1"), v))) == group_profile(c3)
     # same order, different profile
     a = build_chain(gset(6, "2 1 3 4 5 6"))
     b = build_chain(gset(6, "2 1 4 3 5 6"))
@@ -687,19 +682,19 @@ K_DRAW_GROUPS = {"S4wrS4": S4_WR_S4, "S7": symmetric_group(7), "S2": symmetric_g
 def test_random_elements_are_k_random_element_draws(name):
     chain = build_chain(K_DRAW_GROUPS[name])
     v = Permutation(random.Random(1).sample(range(1, chain.degree + 1), chain.degree))
-    for sampled in (chain, chain.conjugated(v)):
-        for seed, k in ((0, 1), (1, 5), (2, 64)):
-            batch, single, reference = random.Random(seed), random.Random(seed), random.Random(seed)
-            draws = sampled.random_elements(batch, k)
-            assert draws == tuple(sampled.random_element(single) for _ in range(k))
-            assert draws == tuple(randrange_draw(sampled, reference) for _ in range(k))
-            assert batch.getstate() == single.getstate() == reference.getstate()
-            if name == "trivial":
-                assert draws == (Permutation.identity(3),) * k
-                assert batch.getstate() == random.Random(seed).getstate()
-        batch, reference = RandomTape(3), RandomTape(3)
-        assert sampled.random_elements(batch, 7) == tuple(randrange_draw(sampled, reference) for _ in range(7))
-        assert batch.consumed == reference.consumed == 7 * len(sampled._levels)
+    for seed, k in ((0, 1), (1, 5), (2, 64)):
+        batch, single, reference = random.Random(seed), random.Random(seed), random.Random(seed)
+        draws = chain.random_elements(batch, k)
+        assert draws == tuple(chain.random_element(single) for _ in range(k))
+        assert draws == tuple(randrange_draw(chain, reference) for _ in range(k))
+        assert batch.getstate() == single.getstate() == reference.getstate()
+        if name == "trivial":
+            assert draws == (Permutation.identity(3),) * k
+            assert batch.getstate() == random.Random(seed).getstate()
+        assert_draws_are_conjugated(chain, v, seed, k)
+    batch, reference = RandomTape(3), RandomTape(3)
+    assert chain.random_elements(batch, 7) == tuple(randrange_draw(chain, reference) for _ in range(7))
+    assert batch.consumed == reference.consumed == 7 * len(chain._levels)
 
 
 def test_random_elements_wrap_the_raw_draws():

@@ -23,7 +23,7 @@ from permzk.nonconjugacy import (
 )
 from permzk.perm import Permutation
 
-from helpers import run_session
+from helpers import conjugated_set, run_session
 
 TINY = "fixtures/tiny_cyclic.txt"
 NO_M3 = "fixtures/no_m3.txt"
@@ -70,12 +70,25 @@ def test_draw_challenge_is_deterministic_and_well_formed():
     assert all(p in side_elems for p in a.payload)
 
 
+def test_draw_challenge_builds_no_chain(monkeypatch):
+    # the batch comes from the side chain's own sampling table, conjugated
+    # by the mask, not from a chain of the masked group
+    ctx = ctx_of(NO_M4)
+    ctx.chain_u, ctx.chain_a0, ctx.chain_a1  # the context's own chains, built before the count
+    made = []
+    init = StabilizerChain.__init__
+    monkeypatch.setattr(StabilizerChain, "__init__", lambda self, *args: made.append(args) or init(self, *args))
+    for seed in range(20):
+        draw_challenge(ctx, 16, RandomTape(seed))
+    assert made == []
+
+
 def test_draw_challenge_batch_is_iid_not_generating():
     # with k large the batch almost surely generates, but nothing enforces
     # it: a k=1 batch from a 2-element group is the identity half the time
     ctx = ctx_of(NO_M4)
     draws = [draw_challenge(ctx, 1, RandomTape(seed)) for seed in range(200)]
-    identity_batches = sum(1 for d in draws if d.payload[0].is_identity())
+    identity_batches = sum(1 for d in draws if d.payload[0] == Permutation.identity(ctx.degree))
     assert 50 < identity_batches < 150
 
 
@@ -135,7 +148,7 @@ def test_matched_sides_agrees_with_direct_definition():
                     side
                     for side in (0, 1)
                     if any(
-                        group_equal(gset_p.conjugated_by(v.inverse()), ctx.instance.side(side))
+                        group_equal(conjugated_set(gset_p, v.inverse()), ctx.instance.side(side))
                         for v in ctx.u_elements()
                     )
                 )

@@ -54,6 +54,7 @@ from helpers import (
     run_session,
     simulated_view_keeping_misses,
     simulated_view_without_restarts,
+    view_revealing_the_bare_mask,
 )
 
 TINY = "fixtures/tiny_cyclic.txt"
@@ -85,7 +86,7 @@ def side_detector():
 
     def choose(inst, tape, commit):
         for p in commit:
-            if not p.is_identity():
+            if p != Permutation.identity(p.degree):
                 return b"1" if p.cycle_type() == (1, 1, 2) else b"0"
         return b"0"
 
@@ -477,6 +478,21 @@ def test_exact_check_catches_a_simulator_that_keeps_only_misses(fixture, monkeyp
         for tape_seed in range(3):
             report = compare_view_distributions(ctx, STANDARD_VERIFIERS[name](), tape_seed=tape_seed, k=2, exact=True)
             assert report["laws_equal"] is False, (name, tape_seed)
+
+
+@pytest.mark.parametrize("fixture", ["q2_groups", "embed_s3"])
+def test_exact_check_catches_a_prover_that_always_reveals_the_bare_mask(fixture, monkeypatch):
+    # the planted prover is the honest one wherever the challenge is 1, so
+    # the check must pass it exactly where the program never challenges 0
+    # (const1, and the honest program on tape 0) and fail it everywhere else
+    monkeypatch.setattr(simulator, "view_from_randomness", view_revealing_the_bare_mask)
+    ctx = fresh_context(f"fixtures/{fixture}.txt")
+    for name in sorted(STANDARD_VERIFIERS):
+        for tape_seed in range(3):
+            report = exact_report(ctx, STANDARD_VERIFIERS[name](), tape_seed, 2)
+            never_zero = name == "const1" or (name, tape_seed) == ("honest", 0)
+            verdicts = (report["laws_equal"], report["uniform_on_consistent"], report["bijection"])
+            assert verdicts == (never_zero,) * 3, (name, tape_seed)
 
 
 def test_exact_checks_on_a_warm_context_match_a_fresh_context_per_call():

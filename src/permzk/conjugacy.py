@@ -110,7 +110,7 @@ class InstanceContext:
 
     The methods from find_witness() down describe the protocol: how a
     commitment is read and checked, and how the prover's randomness (a mask
-    from <U>, then a base commitment for a side) turns into a commitment.
+    from <U>, then a commitment for a side masked by it) is drawn.
     The session driver and the simulator run on these alone, so a subclass
     that overrides them runs the same protocol on another commitment shape.
     """
@@ -208,22 +208,22 @@ class InstanceContext:
     def accepts(self, commit, challenge, response) -> bool:
         return response_accepted(self, commit, challenge, response)
 
-    def sample_base(self, side: int, k: int, rng):
-        """A uniform generating k-tuple of the side's group and the number
-        of rejection-sampling attempts it took."""
-        return random_generating_tuple(self.side_chain(side), k, rng)
+    def sample_commit(self, side: int, k: int, rng, mask: Permutation):
+        """A uniform generating k-tuple of the side's group conjugated by
+        mask, drawn from that group's own table, and its sampling attempts."""
+        return random_generating_tuple(self.side_chain(side), k, rng, mask)
 
     def prover_draw(self, side: int, k: int, rng) -> tuple:
         """The prover's randomness for a side, drawn in this order: a mask
-        from <U>, then a base for the side.  (mask, base, attempts)."""
+        from <U>, then a commitment masked by it.  (mask, commit, attempts)."""
         mask = self.chain_u.random_element(rng)
-        base, attempts = self.sample_base(side, k, rng)
-        return mask, base, attempts
+        commit, attempts = self.sample_commit(side, k, rng, mask)
+        return mask, commit, attempts
 
     @_per_context
     def bases(self, side: int, k: int) -> tuple:
-        """Every value sample_base(side, k) can return, each equally likely;
-        refused when there is none, since then no commitment exists."""
+        """Every base that sample_commit(side, k, rng, w) masks by w, each
+        equally likely; refused when there is none: no commitment exists."""
         tuples = generating_tuples(self.side_chain(side), k, self.search_cap)
         if not tuples:
             raise BudgetExceeded(f"side {side} has no generating {k}-tuple: the prover cannot commit")
@@ -399,8 +399,8 @@ class HonestProver:
         self._v = ctx.witness()
 
     def commit(self, rng):
-        mask, base, attempts = self.ctx.prover_draw(1, self.params.k, rng)
-        return (mask, attempts), self.ctx.mask(base, mask)
+        mask, commit, attempts = self.ctx.prover_draw(1, self.params.k, rng)
+        return (mask, attempts), commit
 
     def respond(self, state, challenge) -> Permutation:
         mask = state[0]
@@ -417,8 +417,8 @@ class GuessingProver:
         self.params = params
 
     def commit(self, rng):
-        mask, base, attempts = self.ctx.prover_draw(rng.randrange(2), self.params.k, rng)
-        return (mask, attempts), self.ctx.mask(base, mask)
+        mask, commit, attempts = self.ctx.prover_draw(rng.randrange(2), self.params.k, rng)
+        return (mask, attempts), commit
 
     def respond(self, state, challenge) -> Permutation:
         return state[0]

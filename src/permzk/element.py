@@ -84,8 +84,8 @@ class ElementContext(InstanceContext):
     def accepts(self, commit, challenge, response) -> bool:
         return response_accepted(self, commit, challenge, response)
 
-    def sample_base(self, side: int, k: int, rng):
-        return self.bases(side, k)[0], 1
+    def sample_commit(self, side: int, k: int, rng, mask: Permutation):
+        return self.bases(side, k)[0].conjugated_by(mask), 1
 
     def bases(self, side: int, k: int) -> tuple:
         """The commitment is one permutation whatever k is, but k < 1 is

@@ -31,9 +31,10 @@ below n, so the draws and the stream's state match one randrange per level
 (test_table_draw_is_cpython_randrange).  A draw takes its indices in level
 order, then composes deepest first: the deepest representative is composed
 with each shallower level's table in turn.  _random_images draws raw images,
-which random_elements wraps; random_generating_tuple tests them for
-generation and wraps only the accepted attempt.  random_conjugates(rng, k, v)
-draws from G^v on the same draws: it conjugates the table by v once per call.
+which random_elements wraps.  random_conjugates(rng, k, v) and
+random_generating_tuple(chain, k, rng, v) draw from G^v on G's draws, from
+the table _conjugated_sampling conjugates by v once per call; the tuple
+sampler tests raw images for generation and wraps only the accepted attempt.
 
 The generation test _generates_images(degree, imgs, order) is _fill on a
 membership chain of imgs, with no GeneratingSet, stopped as soon as the
@@ -175,12 +176,15 @@ class StabilizerChain:
         """random_elements(rng, k) conjugated by v, on the same draws: k
         exactly uniform elements of G^v.  Conjugation is a homomorphism, so
         conjugating the sampling table once per call conjugates every draw."""
+        return tuple(map(Permutation._raw, self._draw(rng, k, self._conjugated_sampling(v))))
+
+    def _conjugated_sampling(self, v: Permutation) -> tuple:
+        """_sampling conjugated by v: its draws are G's conjugated by v."""
         if len(v._img) != self.degree:
             raise ValueError(f"degree mismatch: {v.degree} vs {self.degree}")
         sizes, deepest, shallower = self._sampling
         conj, n = conjugation(v._img), self.degree
-        tables = sizes, list(map(conj, deepest)), [[table(conj(t[:n])) for t in reps] for reps in shallower]
-        return tuple(map(Permutation._raw, self._draw(rng, k, tables)))
+        return sizes, list(map(conj, deepest)), [[table(conj(t[:n])) for t in reps] for reps in shallower]
 
     def _random_images(self, rng, k: int) -> tuple:
         """random_elements(rng, k) as raw images, on the same draws."""
@@ -354,11 +358,12 @@ def _generates_images(degree: int, imgs, order: int) -> bool:
     they entered the program, generate a group of the given order.
 
     Precondition: imgs lie in a group G of that order, so True means they
-    generate G.  Every caller meets it: random_generating_tuple and
-    generating_tuples (which draw from G), conjugacy.response_accepted (which
-    checks containment first), InstanceContext.accepted_responses (whose
-    mask AND puts imgs inside side^w, and which keeps each verdict for the
-    life of its context), nonconjugacy.matched_sides (which first finds a
+    generate G.  Every caller meets it: random_generating_tuple (which draws
+    from G^v, a group of order |G|), generating_tuples (which enumerates G),
+    conjugacy.response_accepted (which checks containment first),
+    InstanceContext.accepted_responses (whose mask AND puts imgs inside
+    side^w, and which keeps each verdict for the life of its context),
+    nonconjugacy.matched_sides (which first finds a
     U-conjugate of the side, a group of its order, holding every entry)
     and cli.cmd_stats_genlemma (which samples from G).  The test fills a
     membership chain from imgs, less duplicates and identities, and stops
@@ -373,20 +378,22 @@ def _generates_images(degree: int, imgs, order: int) -> bool:
 
 
 class GeneratingTuple(NamedTuple):
-    """A k-tuple that generates the whole target group, and the draws it took."""
+    """A k-tuple that generates the whole target group G^v, and the draws it took."""
 
     perms: tuple
     attempts: int = 1
 
 
-def random_generating_tuple(chain: StabilizerChain, k: int, rng) -> GeneratingTuple:
-    """Rejection-sample a uniform element of the set of k-tuples over the
-    chain's group that generate it.  For the trivial group the first draw,
-    the all-identity tuple, is the unique such tuple."""
+def random_generating_tuple(chain: StabilizerChain, k: int, rng, v: Permutation) -> GeneratingTuple:
+    """Rejection-sample a uniform generating k-tuple of G^v, G the chain's
+    group: G's tuple conjugated by v, on its draws and attempts (conjugation
+    is an isomorphism).  For the trivial group the first draw, the
+    all-identity tuple, is the unique such tuple."""
     if k < 1:
         raise ValueError("k must be at least 1")
+    tables = chain._conjugated_sampling(v)
     for attempt in range(1, DEFAULT_TUPLE_ATTEMPTS + 1):
-        imgs = chain._random_images(rng, k)
+        imgs = chain._draw(rng, k, tables)
         if _generates_images(chain.degree, imgs, chain.order()):
             return GeneratingTuple(tuple(map(Permutation._raw, imgs)), attempt)
     raise BudgetExceeded(

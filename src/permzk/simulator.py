@@ -1,11 +1,13 @@
 """Black-box simulator for the three-round conjugacy protocol, and the
 machinery that checks its output law.  Each law is one party's map over its
-randomness: view_from_randomness sends the honest prover's (base, mask) to a
-view, and simulated_view sends the simulator's (side guess, base, mask) to a
-view, or to None (a restart) when the challenge misses the side.  Both
-replay the verifier program through _replay; an exact check replays each
-distinct commitment once, through a table that lives for that call, and
-reads its commitments from ctx.masked_commits, made once per context.  Exact
+randomness: view_from_randomness sends the honest prover's (commit, mask) to
+a view, and simulated_view sends the simulator's (side guess, commit, mask)
+to a view, or to None (a restart) when the challenge misses the side.  The
+commitment is the mask's image of a base: simulate and real_view draw it from
+the masked group's own table (ctx.sample_commit), the exact checks read it
+from ctx.masked_commits, made once per context.  Both maps replay the
+verifier through _replay; an exact check replays each distinct commitment
+once, through a table that lives for that call.  Exact
 laws push uniform randomness through these maps on tiny instances,
 randomness_of_view inverts the honest map onto the consistent views, and a
 two-sample test compares sampled views at larger sizes.  Everything runs on
@@ -20,6 +22,7 @@ ctx.accepts, the live verifier's predicate, response by response.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -74,8 +77,9 @@ def simulate(
     tape_seed: Optional[int] = None,
 ) -> SimulateResult:
     """Simulate one session view without the witness: per attempt draw a
-    mask, a side guess and a base commitment for that side, in this order,
-    and restart with fresh draws on the same tape until the guess holds."""
+    mask, a side guess and a commitment for that side masked by it, in
+    this order, and restart with fresh draws on the same tape until the
+    guess holds."""
     k = k if k is not None else TUPLE_LENGTH_FACTOR * ctx.degree
     if tape_seed is None:
         tape_seed = rng.getrandbits(64)
@@ -83,9 +87,9 @@ def simulate(
     for restart in range(1, DEFAULT_MAX_RESTARTS + 1):
         mask = ctx.chain_u.random_element(rng)
         side = rng.randrange(2)
-        base, attempts = ctx.sample_base(side, k, rng)
+        commit, attempts = ctx.sample_commit(side, k, rng, mask)
         total_attempts += attempts
-        view = simulated_view(ctx, program, tape_seed, side, base, mask)
+        view = simulated_view(ctx, program, tape_seed, side, commit, mask)
         if view is not None:
             return SimulateResult(view, restart, total_attempts)
     raise BudgetExceeded(
@@ -95,13 +99,11 @@ def simulate(
 
 
 def simulated_view(
-    ctx: InstanceContext, program: VerifierProgram, tape_seed: int, side: int, base, mask,
-    _replays=None, _commit=None,
+    ctx: InstanceContext, program: VerifierProgram, tape_seed: int, side: int, commit, mask, _replays=None,
 ) -> Optional[SimulatedView]:
     """One simulator attempt as a function of its randomness (a side guess,
-    a base commitment for that side, a mask from <U>): the view revealing
-    the mask, or None when the challenge misses the side."""
-    commit = ctx.mask(base, mask) if _commit is None else _commit
+    a mask from <U> and a commitment for that side masked by it): the view
+    revealing the mask, or None when the challenge misses the side."""
     prefix, challenge = _replay(ctx, program, tape_seed, commit, _replays)
     if challenge_bit(challenge) != side:
         return None
@@ -112,24 +114,22 @@ def view_from_randomness(
     ctx: InstanceContext,
     program: VerifierProgram,
     tape_seed: int,
-    base,
+    commit,
     mask,
     _replays=None,
-    _commit=None,
 ) -> SimulatedView:
     """The honest-prover view as a function of the prover's randomness: a
-    base commitment for <A1> (a generating tuple, or a1 itself) and a mask
-    from <U>.  This is exactly the map the real protocol computes, so
+    mask from <U> and a base for <A1> (a generating tuple, or a1 itself)
+    masked by it.  This is exactly the map the real protocol computes, so
     real_view() samples its inputs and then calls it."""
-    commit = ctx.mask(base, mask) if _commit is None else _commit
     prefix, challenge = _replay(ctx, program, tape_seed, commit, _replays)
     response = mask if challenge_bit(challenge) else ctx.witness() * mask
     return SimulatedView(prefix, commit, challenge, response)
 
 
 def randomness_of_view(ctx: InstanceContext, view: SimulatedView):
-    """Inverse of view_from_randomness on consistent views: recover the
-    base commitment and the mask."""
+    """Inverse of the honest prover's map on consistent views: recover the
+    base commitment and the mask that masks it into the view's commitment."""
     mask = view.response if challenge_bit(view.challenge) else ctx.witness().inverse() * view.response
     return ctx.mask(view.commit, mask.inverse()), mask
 
@@ -147,8 +147,8 @@ def real_view(
     k = k if k is not None else TUPLE_LENGTH_FACTOR * ctx.degree
     if tape_seed is None:
         tape_seed = rng.getrandbits(64)
-    mask, base, _ = ctx.prover_draw(1, k, rng)
-    return view_from_randomness(ctx, program, tape_seed, base, mask)
+    mask, commit, _ = ctx.prover_draw(1, k, rng)
+    return view_from_randomness(ctx, program, tape_seed, commit, mask)
 
 
 def enumerate_consistent_views(
@@ -187,7 +187,7 @@ def verify_view_bijection(
     replays: dict = {}
     images = []
     for base, mask, commit in ctx.masked_commits(1, k):
-        view = view_from_randomness(ctx, program, tape_seed, base, mask, _replays=replays, _commit=commit)
+        view = view_from_randomness(ctx, program, tape_seed, commit, mask, _replays=replays)
         if randomness_of_view(ctx, view) != (base, mask):
             return False
         images.append(view)
@@ -206,8 +206,8 @@ def exact_real_law(
 ) -> dict:
     """Exact law of the honest-prover view for a fixed verifier tape."""
     masked = ctx.masked_commits(1, k)
-    counts = Counter(view_from_randomness(ctx, program, tape_seed, base, mask, _replays=_replays, _commit=commit)
-                     for base, mask, commit in masked)
+    counts = Counter(view_from_randomness(ctx, program, tape_seed, commit, mask, _replays=_replays)
+                     for _, mask, commit in masked)
     return {view: Fraction(c, len(masked)) for view, c in counts.items()}
 
 
@@ -226,8 +226,8 @@ def exact_sim_law(
         masked = ctx.masked_commits(side, k)
         sizes.append(len(masked))
         counts.append(Counter(filter(None, (
-            simulated_view(ctx, program, tape_seed, side, base, mask, _replays=_replays, _commit=commit)
-            for base, mask, commit in masked))))
+            simulated_view(ctx, program, tape_seed, side, commit, mask, _replays=_replays)
+            for _, mask, commit in masked))))
     total = counts[0].total() * sizes[1] + counts[1].total() * sizes[0]
     if total == 0:
         raise BudgetExceeded("the verifier program defeats every side guess on this tape")
@@ -244,9 +244,12 @@ def bucket_of_commit(commit) -> int:
     read as a 1-tuple (free of hash randomization, so reports reproduce
     exactly): h mod 8 for h = h * 1000003 + image mod 2^32 over the 1-based
     images.  8 divides 2^32, 1000003 = 3 mod 8 and 3^2 = 1 mod 8, so an
-    image at distance d from the end weighs 3^d = 1 (d even) or 3 (d odd)."""
-    flat = [i + 1 for p in (commit if isinstance(commit, tuple) else (commit,)) for i in p._img]
-    return (sum(flat[-1::-2]) + 3 * sum(flat[-2::-2])) % 8
+    image at distance d from the end weighs 3^d = 1 (d even) or 3 (d odd);
+    summed in C over raw images, 1-based as 0-based sum plus count."""
+    imgs = [p._img for p in (commit if isinstance(commit, tuple) else (commit,))]
+    flat = tuple(itertools.chain.from_iterable(imgs)) if imgs and type(imgs[0]) is tuple else b"".join(imgs)
+    even, odd = flat[-1::-2], flat[-2::-2]
+    return (sum(even) + len(even) + 3 * (sum(odd) + len(odd))) % 8
 
 
 def compare_view_distributions(

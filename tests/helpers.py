@@ -1,9 +1,10 @@
 """Helpers that only the tests use: driving one session, writing
 generating sets and instances back out as text, conjugating a generating
 set, two chain facts read from outside, generators of the full symmetric
-group, an oracle for the coset-intersection test, the exact laws summed one
-Fraction per masked commitment, as a reference for the simulator's integer
-counts, and planted defects that the zero-knowledge checks must catch."""
+group, a degree-300 instance, an oracle for the coset-intersection test, the
+exact laws summed one Fraction per masked commitment, as a reference for the
+simulator's integer counts, and planted defects that the zero-knowledge
+checks must catch."""
 
 import math
 from fractions import Fraction
@@ -62,6 +63,18 @@ def base_points(chain: StabilizerChain) -> tuple:
     return tuple(lvl.base + 1 for lvl in chain._levels)
 
 
+# A degree-300 yes-instance, where raw images are tuples: <(1 2 3)> and
+# <(298 299 300)>, conjugate by the reversal that generates U.
+DEGREE = 300
+REVERSAL = " ".join(str(DEGREE + 1 - i) for i in range(1, DEGREE + 1))
+DEGREE_300_TEXT = (
+    f"degree: {DEGREE}\n"
+    f"A0: {' '.join(map(str, [2, 3, 1, *range(4, DEGREE + 1)]))}\n"
+    f"A1: {' '.join(map(str, [*range(1, DEGREE - 2), DEGREE - 1, DEGREE, DEGREE - 2]))}\n"
+    f"U: {REVERSAL}\n"
+)
+
+
 def centralizer_order_in_sym(x: Permutation) -> int:
     """Closed form: the product over cycle lengths d of count_d! * d**count_d."""
     counts = {}
@@ -99,8 +112,8 @@ def reference_exact_real_law(ctx, program, tape_seed: int, k: int) -> dict:
     masked = ctx.masked_commits(1, k)
     weight = Fraction(1, len(masked))
     law: dict = {}
-    for base, mask, commit in masked:
-        view = view_from_randomness(ctx, program, tape_seed, base, mask, _commit=commit)
+    for _, mask, commit in masked:
+        view = view_from_randomness(ctx, program, tape_seed, commit, mask)
         law[view] = law.get(view, Fraction(0)) + weight
     return law
 
@@ -113,8 +126,8 @@ def reference_exact_sim_law(ctx, program, tape_seed: int, k: int) -> dict:
     for side in (0, 1):
         masked = ctx.masked_commits(side, k)
         weight = Fraction(1, 2 * len(masked))
-        for base, mask, commit in masked:
-            view = simulated_view(ctx, program, tape_seed, side, base, mask, _commit=commit)
+        for _, mask, commit in masked:
+            view = simulated_view(ctx, program, tape_seed, side, commit, mask)
             if view is not None:
                 mass[view] = mass.get(view, Fraction(0)) + weight
                 total += weight
@@ -134,29 +147,26 @@ class IdentityWitnessContext(InstanceContext):
         return Permutation.identity(self.degree)
 
 
-def simulated_view_without_restarts(ctx, program, tape_seed, side, base, mask, _replays=None, _commit=None):
+def simulated_view_without_restarts(ctx, program, tape_seed, side, commit, mask, _replays=None):
     """simulator.simulated_view with its restart taken out: the attempt's
     view is kept even when the challenge misses the guessed side."""
-    commit = ctx.mask(base, mask) if _commit is None else _commit
     prefix, challenge = simulator._replay(ctx, program, tape_seed, commit, _replays)
     return SimulatedView(prefix, commit, challenge, mask)
 
 
-def simulated_view_keeping_misses(ctx, program, tape_seed, side, base, mask, _replays=None, _commit=None):
+def simulated_view_keeping_misses(ctx, program, tape_seed, side, commit, mask, _replays=None):
     """simulator.simulated_view with its test turned round: the attempt's
     view is kept exactly when the challenge misses the guessed side, which
     is the simulator drawing its base for the guessed side's opposite."""
-    commit = ctx.mask(base, mask) if _commit is None else _commit
     prefix, challenge = simulator._replay(ctx, program, tape_seed, commit, _replays)
     if challenge_bit(challenge) == side:
         return None
     return SimulatedView(prefix, commit, challenge, mask)
 
 
-def view_revealing_the_bare_mask(ctx, program, tape_seed, base, mask, _replays=None, _commit=None):
+def view_revealing_the_bare_mask(ctx, program, tape_seed, commit, mask, _replays=None):
     """simulator.view_from_randomness for a prover that reveals the bare
     mask whatever the challenge: the honest prover's view wherever the
     challenge is 1, a response that the verifier refuses where it is 0."""
-    commit = ctx.mask(base, mask) if _commit is None else _commit
     prefix, challenge = simulator._replay(ctx, program, tape_seed, commit, _replays)
     return SimulatedView(prefix, commit, challenge, mask)

@@ -20,6 +20,8 @@ from permzk.cli import (
 from permzk.framework import STANDARD_VERIFIERS
 from permzk.nonconjugacy import STANDARD_RESPONDERS
 
+from helpers import DEGREE_300_TEXT
+
 TINY = "fixtures/tiny_cyclic.txt"
 Q2_GROUPS = "fixtures/q2_groups.txt"
 Q2_ELEMENTS = "fixtures/q2_elements.txt"
@@ -469,17 +471,8 @@ def test_stdout_does_not_depend_on_the_hash_seed(child_env):
     assert (runs[0].stdout, runs[0].stderr) == (runs[1].stdout, runs[1].stderr)
 
 
-# A degree-300 yes-instance, where raw images are tuples: <(1 2 3)> and
-# <(298 299 300)>, conjugate by the reversal that generates U.  The digests
-# are sha256 of stdout, taken before raw images became bytes.
-DEGREE = 300
-REVERSAL = " ".join(str(DEGREE + 1 - i) for i in range(1, DEGREE + 1))
-DEGREE_300_TEXT = (
-    f"degree: {DEGREE}\n"
-    f"A0: {' '.join(map(str, [2, 3, 1, *range(4, DEGREE + 1)]))}\n"
-    f"A1: {' '.join(map(str, [*range(1, DEGREE - 2), DEGREE - 1, DEGREE, DEGREE - 2]))}\n"
-    f"U: {REVERSAL}\n"
-)
+# The digests of helpers.DEGREE_300_TEXT's commands are sha256 of stdout,
+# taken before raw images became bytes.
 DEGREE_300_GOLDEN = [
     ("decide", "ac1aff7e71b5f65968b7a8d218ff9b5c5f665ba40eb5da41bc65abdc2bbd6b71"),
     ("prove --seed 0", "8ad717f9a41fd8a97c027230df7fefd3317d25bf7952eb4884d57fae132d9dd4"),

@@ -303,7 +303,7 @@ def test_element_randomness_round_trip():
     ctx = ctx_of(EC_YES)
     for program in (honest_verifier(), parity_verifier()):
         for mask in ctx.u_elements():
-            view = view_from_randomness(ctx, program, 3, ctx.instance.a1, mask)
+            view = view_from_randomness(ctx, program, 3, ctx.instance.a1.conjugated_by(mask), mask)
             assert randomness_of_view(ctx, view) == (ctx.instance.a1, mask)
 
 

@@ -73,6 +73,47 @@ def assert_draws_are_conjugated(chain, v, seed, k) -> tuple:
     return draws
 
 
+def unmasked_generating_tuple(chain, k, rng):
+    """G's own generating k-tuple, drawn as the sampler drew it before it
+    took a mask: raw draws from the chain's own table, attempt by attempt."""
+    for attempt in range(1, engine.DEFAULT_TUPLE_ATTEMPTS + 1):
+        imgs = chain._random_images(rng, k)
+        if _generates_images(chain.degree, imgs, chain.order()):
+            return tuple(map(Permutation._raw, imgs)), attempt
+    raise BudgetExceeded("no generating tuple")
+
+
+def assert_tuple_draws_are_conjugated(chain, v, seed, k):
+    """random_generating_tuple(chain, k, rng, v) against G's own tuple,
+    taken on a copy of the same stream, conjugated by v entry by entry:
+    the same values and attempts, leaving a random.Random in the same state
+    and a RandomTape with the same draw count; when k is too small, both
+    raise BudgetExceeded after the same draws.  Returns the masked tuple,
+    or None when k was too small."""
+    out = []
+    for stream in (random.Random, RandomTape):
+        ours, theirs = stream(seed), stream(seed)
+        try:
+            gt = random_generating_tuple(chain, k, ours, v)
+        except BudgetExceeded:
+            gt = None
+        try:
+            perms, attempts = unmasked_generating_tuple(chain, k, theirs)
+            assert gt is not None
+            assert gt.perms == tuple(x.conjugated_by(v) for x in perms)
+            assert gt.attempts == attempts
+        except BudgetExceeded:
+            assert gt is None
+        if stream is random.Random:
+            assert ours.getstate() == theirs.getstate()
+        else:
+            assert ours.consumed == theirs.consumed
+        assert ours.getrandbits(64) == theirs.getrandbits(64)
+        out.append(gt)
+    assert out[0] == out[1]
+    return out[0]
+
+
 def test_generating_set_validation():
     with pytest.raises(ValueError):
         GeneratingSet(0)
@@ -176,7 +217,7 @@ def test_random_element_covers_s4():
 
 
 def test_random_generating_tuple_trivial_group():
-    gt = random_generating_tuple(build_chain(gset(4, "")), 3, random.Random(0))
+    gt = random_generating_tuple(build_chain(gset(4, "")), 3, random.Random(0), Permutation.identity(4))
     assert gt.attempts == 1
     assert gt.perms == (Permutation.identity(4),) * 3
 
@@ -185,7 +226,7 @@ def test_random_generating_tuple_generates():
     a = gset(4, "2 1 3 4", "2 3 4 1")
     rng = random.Random(3)
     for _ in range(20):
-        gt = random_generating_tuple(build_chain(a), 16, rng)
+        gt = random_generating_tuple(build_chain(a), 16, rng, Permutation.identity(4))
         assert build_chain(GeneratingSet(4, gt.perms)).order() == 24
         assert len(gt.perms) == 16
 
@@ -193,7 +234,7 @@ def test_random_generating_tuple_generates():
 def test_random_generating_tuple_budget():
     # k=1 from S_4 can only generate a cyclic subgroup
     with pytest.raises(BudgetExceeded):
-        random_generating_tuple(build_chain(gset(4, "2 1 3 4", "2 3 4 1")), 1, random.Random(0))
+        random_generating_tuple(build_chain(gset(4, "2 1 3 4", "2 3 4 1")), 1, random.Random(0), Permutation.identity(4))
 
 
 def test_random_generating_tuple_uniform_on_c3_pairs():
@@ -204,7 +245,7 @@ def test_random_generating_tuple_uniform_on_c3_pairs():
     rng = random.Random(11)
     counts = {t: 0 for t in tuples}
     for _ in range(4000):
-        counts[random_generating_tuple(a, 2, rng).perms] += 1
+        counts[random_generating_tuple(a, 2, rng, Permutation.identity(3)).perms] += 1
     assert stats.chisquare(list(counts.values())).pvalue > ALPHA
 
 
@@ -219,7 +260,7 @@ def test_generating_tuples_refuse_k_below_one(k):
     # the sampler's refusal: the empty tuple is no commitment, and a negative
     # length is no tuple at all
     chain = build_chain(gset(3, "2 3 1"))
-    for call in (lambda: generating_tuples(chain, k), lambda: random_generating_tuple(chain, k, None)):
+    for call in (lambda: generating_tuples(chain, k), lambda: random_generating_tuple(chain, k, None, Permutation.identity(3))):
         with pytest.raises(ValueError, match="k must be at least 1"):
             call()
 
@@ -245,7 +286,7 @@ def test_generates_agrees_with_bfs_closure(case):
     # reading the tuple's chain transversals
     assert generates(gens, n) == (len(enumerate_elements(build_chain(gens))) == n)
     try:
-        gt = random_generating_tuple(chain, k, rng)
+        gt = random_generating_tuple(chain, k, rng, Permutation.identity(chain.degree))
     except BudgetExceeded:
         return  # k elements cannot generate this group
     assert generates(GeneratingSet(chain.degree, gt.perms), n)
@@ -268,8 +309,14 @@ def test_random_conjugates_are_random_elements_conjugated_by_v(case):
     members = {x.conjugated_by(v) for x in enumerate_elements(chain)}
     for k in (1, 10):
         assert set(assert_draws_are_conjugated(chain, v, seed, k)) <= members
-    with pytest.raises(ValueError, match="degree mismatch"):
-        chain.random_conjugates(random.Random(seed), 1, Permutation.identity(chain.degree + 1))
+    for k in (1, 2, 3):
+        gt = assert_tuple_draws_are_conjugated(chain, v, seed, k)
+        assert gt is None or set(gt.perms) <= members
+    for call in (chain.random_conjugates, lambda rng, k, w: random_generating_tuple(chain, k, rng, w)):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            call(random.Random(seed), 1, Permutation.identity(chain.degree + 1))
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        random_generating_tuple(chain, 0, random.Random(seed), v)
 
 
 def test_chain_gens_drop_duplicates_and_identities():
@@ -420,10 +467,12 @@ def test_chains_on_both_sides_of_the_encoding_switch(m):
         assert draws == tuple(randrange_draw(chain, reference) for _ in range(20))
         assert set(draws) <= members
         assert assert_draws_are_conjugated(chain, v, seed, 20) == tuple(x.conjugated_by(v) for x in draws)
-        perms, _ = random_generating_tuple(chain, 4, random.Random(seed))
+        perms, _ = assert_tuple_draws_are_conjugated(chain, v, seed, 4)
         assert build_chain(GeneratingSet(m, perms)).order() == chain.order()
-    with pytest.raises(ValueError, match="degree mismatch"):
-        chain.random_conjugates(random.Random(0), 1, Permutation.identity(m + 1))
+        assert assert_tuple_draws_are_conjugated(chain, v, seed, 1) is None or chain.order() <= 2
+    for call in (chain.random_conjugates, lambda rng, k, w: random_generating_tuple(chain, k, rng, w)):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            call(random.Random(0), 1, Permutation.identity(m + 1))
 
 
 def alternating_group(m):
@@ -712,7 +761,7 @@ def test_random_elements_wrap_the_raw_draws():
 def test_random_generating_tuple_wraps_only_the_accepted_attempt(monkeypatch):
     # S_3 at k=2 rejects half its draws (18 of 36 pairs generate), so
     # some seeds take several attempts; only the accepted one is wrapped
-    chain = build_chain(symmetric_group(3))
+    chain, ident = build_chain(symmetric_group(3)), Permutation.identity(3)
     raw = Permutation._raw.__func__
     made = []
 
@@ -724,7 +773,7 @@ def test_random_generating_tuple_wraps_only_the_accepted_attempt(monkeypatch):
     attempts = []
     for seed in range(20):
         made.clear()
-        gt = random_generating_tuple(chain, 2, random.Random(seed))
+        gt = random_generating_tuple(chain, 2, random.Random(seed), ident)
         assert len(made) == 2
         assert tuple(made) == tuple(p._img for p in gt.perms)
         attempts.append(gt.attempts)

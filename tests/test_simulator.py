@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permzk import conjugacy, simulator
-from permzk.conjugacy import GroupConjInstance, HonestProver, InstanceContext, ProtocolParams, session
+from permzk.conjugacy import GroupConjInstance, GuessingProver, HonestProver, InstanceContext, ProtocolParams, session
 from permzk.element import ElemConjInstance, ElementContext
 from permzk.engine import BudgetExceeded, GeneratingSet, enumerate_elements, generating_tuples
 from permzk.framework import (
@@ -30,7 +30,7 @@ from permzk.framework import (
     honest_verifier,
     parity_verifier,
 )
-from permzk.instances import load_instance
+from permzk.instances import load_instance, parse_instance_text
 from permzk.perm import Permutation
 from permzk.simulator import (
     bucket_of_commit,
@@ -48,6 +48,7 @@ from permzk.simulator import (
 )
 
 from helpers import (
+    DEGREE_300_TEXT,
     IdentityWitnessContext,
     reference_exact_real_law,
     reference_exact_sim_law,
@@ -94,22 +95,18 @@ def side_detector():
 
 
 class AttemptRecordingContext(InstanceContext):
-    """A context that records each simulator attempt: the side guess of
-    every sample_base call and the mask w of every mask call, with the
-    commitment it made."""
+    """A context that records each simulator attempt: the side guess and
+    the mask w of every sample_commit call, with the commitment it drew."""
 
     def __init__(self, instance):
         super().__init__(instance)
         self.sides, self.masks = [], []
 
-    def sample_base(self, side, k, rng):
+    def sample_commit(self, side, k, rng, w):
+        commit, attempts = super().sample_commit(side, k, rng, w)
         self.sides.append(side)
-        return super().sample_base(side, k, rng)
-
-    def mask(self, base, w):
-        commit = super().mask(base, w)
         self.masks.append((w, commit))
-        return commit
+        return commit, attempts
 
 
 def test_simulate_reuses_one_tape_seed_across_restarts():
@@ -173,7 +170,7 @@ def test_randomness_round_trip():
     for _ in range(25):
         base = tuples1[rng.randrange(len(tuples1))]
         mask = u_elems[rng.randrange(len(u_elems))]
-        view = view_from_randomness(ctx, program, 13, base, mask)
+        view = view_from_randomness(ctx, program, 13, ctx.mask(base, mask), mask)
         assert randomness_of_view(ctx, view) == (base, mask)
 
 
@@ -224,7 +221,7 @@ def prover_randomness(draw):
 @given(prover_randomness())
 def test_randomness_of_view_inverts_view_from_randomness(case):
     ctx, program, tape_seed, base, mask = case
-    view = view_from_randomness(ctx, program, tape_seed, base, mask)
+    view = view_from_randomness(ctx, program, tape_seed, ctx.mask(base, mask), mask)
     assert randomness_of_view(ctx, view) == (base, mask)
 
 
@@ -246,14 +243,14 @@ def simulator_randomness(draw):
 @given(simulator_randomness())
 def test_simulated_view_restarts_exactly_when_the_challenge_misses_the_side(case):
     ctx, program, tape_seed, side, base, mask = case
-    view = simulated_view(ctx, program, tape_seed, side, base, mask)
     commit = ctx.mask(base, mask)
+    view = simulated_view(ctx, program, tape_seed, side, commit, mask)
     challenge = program.challenge(ctx.instance, RandomTape(tape_seed), commit)
     assert (view is None) == (challenge_bit(challenge) != side)
     if view is not None:
         assert (view.commit, view.challenge, view.response) == (commit, challenge, mask)
         # on side 1 the simulator's map and the honest prover's map agree
-        assert side == 0 or view == view_from_randomness(ctx, program, tape_seed, base, mask)
+        assert side == 0 or view == view_from_randomness(ctx, program, tape_seed, commit, mask)
 
 
 def test_view_from_randomness_matches_real_protocol():
@@ -265,7 +262,7 @@ def test_view_from_randomness_matches_real_protocol():
     for _ in range(10):
         view = real_view(ctx, program, rng, k=3, tape_seed=2)
         base, mask = randomness_of_view(ctx, view)
-        assert view_from_randomness(ctx, program, 2, base, mask) == view
+        assert view_from_randomness(ctx, program, 2, ctx.mask(base, mask), mask) == view
 
 
 @pytest.mark.parametrize("maker", [honest_verifier, lambda: constant_verifier(0), lambda: constant_verifier(1), parity_verifier])
@@ -532,6 +529,28 @@ def test_a_second_exact_check_runs_no_generation_test_and_masks_only_to_invert(f
     assert masked == inversions
 
 
+@pytest.mark.parametrize("instance", [load_instance(Q2_GROUPS), parse_instance_text(DEGREE_300_TEXT)], ids=["q2_groups", "degree_300"])
+def test_live_draws_mask_no_commitment_entry_by_entry(instance, monkeypatch):
+    # the provers, simulate and real_view draw each commitment from the
+    # masked group's own table; only the exact checks call ctx.mask
+    ctx = InstanceContext(instance)
+    params = ProtocolParams(4)
+    masked = []
+    real_mask = InstanceContext.mask
+    monkeypatch.setattr(InstanceContext, "mask", lambda self, base, w: masked.append(w) or real_mask(self, base, w))
+    rng = random.Random(5)
+    for prover in (HonestProver(ctx, params), GuessingProver(ctx, params)):
+        for _ in range(3):
+            (mask, _), commit = prover.commit(rng)
+            assert len(commit) == params.k and all(p.degree == ctx.degree for p in commit)
+    for _ in range(3):
+        simulate(ctx, honest_verifier(), rng, k=params.k, tape_seed=1)
+        real_view(ctx, honest_verifier(), rng, k=params.k, tape_seed=1)
+    assert masked == []
+    ctx.mask(commit, mask)  # the spy sees a call that is made
+    assert masked == [mask]
+
+
 def test_stat_checks_and_the_verifier_build_no_generating_set(monkeypatch):
     # the sampled tuples and the coerced commitment were checked where they
     # were made, so neither the sample loops nor the verifier re-check them
@@ -688,12 +707,14 @@ def test_bucket_of_commit_is_the_one_based_formula(images):
 def test_bucket_of_commit_at_every_length_to_64_entries():
     # the weights alternate 1, 3 from the last image back: every length of
     # up to 64 entries at degree 16, as group-conj-m16's commitments, and at
-    # degree 1, where each entry adds one image
+    # degree 1, where each entry adds one image; then a few lengths on both
+    # sides of the switch from bytes to tuples of ints at degree 256
     rng = random.Random(5)
-    for m in (1, 16):
-        for entries in range(1, 65):
+    for m, lengths in [(1, range(1, 65)), (16, range(1, 65))] + [(m, (1, 2, 3, 24)) for m in (255, 256, 257, 300)]:
+        for entries in lengths:
             commit = tuple(Permutation(rng.sample(range(1, m + 1), m)) for _ in range(entries))
             assert bucket_of_commit(commit) == one_based_bucket(commit)
+            assert bucket_of_commit(commit[-1]) == one_based_bucket(commit[-1])
 
 
 def test_restart_count_is_roughly_geometric():

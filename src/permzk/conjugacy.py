@@ -110,7 +110,8 @@ class InstanceContext:
 
     The methods from find_witness() down describe the protocol: how a
     commitment is read and checked, and how the prover's randomness (a mask
-    from <U>, then a commitment for a side masked by it) is drawn.
+    from <U>, then a commitment for a side masked by it) is drawn, and, for
+    the exact checks, enumerated as (mask, commit) pairs.
     The session driver and the simulator run on these alone, so a subclass
     that overrides them runs the same protocol on another commitment shape.
     """
@@ -221,24 +222,21 @@ class InstanceContext:
         return mask, commit, attempts
 
     @_per_context
-    def bases(self, side: int, k: int) -> tuple:
-        """Every base that sample_commit(side, k, rng, w) masks by w, each
-        equally likely; refused when there is none: no commitment exists."""
+    def masked_commits(self, side: int, k: int) -> tuple:
+        """Every value (mask, commit) of the prover's randomness for a side,
+        each equally likely: a generating k-tuple of the side's group
+        conjugated by w, for every such tuple and w in <U>, tuples outermost,
+        made once per context.  Refused when no tuple exists (the prover
+        cannot commit) or when the table would outgrow the search cap."""
         tuples = generating_tuples(self.side_chain(side), k, self.search_cap)
         if not tuples:
             raise BudgetExceeded(f"side {side} has no generating {k}-tuple: the prover cannot commit")
-        return tuples
-
-    def mask(self, base, w: Permutation):
-        return tuple(map(Permutation._raw, map(conjugation(w._img), [x._img for x in base])))
-
-    @_per_context
-    def masked_commits(self, side: int, k: int) -> tuple:
-        """(base, w, mask(base, w)) for every base in bases(side, k) and w in
-        <U>, bases outermost: each commitment the prover's randomness can
-        make, masked once per context."""
-        u_elems = self.u_elements()
-        return tuple((b, w, self.mask(b, w)) for b in self.bases(side, k) for w in u_elems)
+        masks = tuple(zip(self.u_elements(), self._u_conjugations()))
+        if len(tuples) * len(masks) > self.search_cap:
+            raise BudgetExceeded(
+                f"{len(tuples)} generating {k}-tuples x {len(masks)} masks exceed cap {self.search_cap}"
+            )
+        return tuple((w, tuple([Permutation._raw(conj(x._img)) for x in t])) for t in tuples for w, conj in masks)
 
     def side_members(self, side: int) -> tuple:
         """The elements that a commitment's entries for this side are

@@ -4,9 +4,9 @@ coset intersection with a centralizer.
 
 The protocol is the group-conjugacy protocol with the commitment shrunk to
 one permutation: mask a1 by a random u in <U>, reveal u or v*u on demand.
-ElementContext says only how that commitment is drawn, masked, read and
-checked; the group-conjugacy session driver, provers and simulator run on
-it unchanged.  No generating-tuple sampling is involved, so the simulator's
+ElementContext says only how that commitment is drawn, enumerated, read
+and checked; the group-conjugacy session driver, provers and simulator run
+on it unchanged.  No generating-tuple sampling is involved, so the simulator's
 restart loop needs exactly one sample per attempt.
 """
 
@@ -26,6 +26,7 @@ from .conjugacy import (
     ProtocolParams,
     _check_degrees,
     _coerce_perm,
+    _per_context,
     run_composed,
 )
 from .perm import Permutation, conjugator_in_sym
@@ -62,9 +63,8 @@ class CosetIntersectionInstance:
 
 
 class ElementContext(InstanceContext):
-    """The element protocol's commitment: the base for a side is that
-    side's permutation itself, drawn with no randomness, and masking is
-    conjugation."""
+    """The element protocol's commitment: the side's permutation
+    conjugated by the mask, so the mask is the prover's only randomness."""
 
     def conjugates(self, v: Permutation) -> bool:
         return self.instance.a0.conjugated_by(v) == self.instance.a1
@@ -84,18 +84,20 @@ class ElementContext(InstanceContext):
     def accepts(self, commit, challenge, response) -> bool:
         return response_accepted(self, commit, challenge, response)
 
-    def sample_commit(self, side: int, k: int, rng, mask: Permutation):
-        return self.bases(side, k)[0].conjugated_by(mask), 1
-
-    def bases(self, side: int, k: int) -> tuple:
+    def _side(self, side: int, k: int) -> Permutation:
         """The commitment is one permutation whatever k is, but k < 1 is
         refused as the group protocol refuses it."""
         if k < 1:
             raise ValueError("k must be at least 1")
-        return (self.instance.side(side),)
+        return self.instance.side(side)
 
-    def mask(self, base, w: Permutation) -> Permutation:
-        return base.conjugated_by(w)
+    def sample_commit(self, side: int, k: int, rng, mask: Permutation):
+        return self._side(side, k).conjugated_by(mask), 1
+
+    @_per_context
+    def masked_commits(self, side: int, k: int) -> tuple:
+        a = self._side(side, k)
+        return tuple((w, a.conjugated_by(w)) for w in self.u_elements())
 
     def side_members(self, side: int) -> tuple:
         return (self.instance.side(side),)

@@ -428,7 +428,7 @@ def enumerate_elements(chain: StabilizerChain, cap: int = DEFAULT_SEARCH_CAP) ->
     return tuple(map(Permutation._raw, out))
 
 
-def generating_tuples(chain: StabilizerChain, k: int, cap: int = 4096) -> tuple:
+def generating_tuples(chain: StabilizerChain, k: int, cap: int = DEFAULT_SEARCH_CAP) -> tuple:
     """Every k-tuple over the chain's group that generates it, deterministic
     order.  Exhaustive, so only usable when order**k stays within cap."""
     if k < 1:

@@ -3,21 +3,22 @@ machinery that checks its output law.  Each law is one party's map over its
 randomness: view_from_randomness sends the honest prover's (commit, mask) to
 a view, and simulated_view sends the simulator's (side guess, commit, mask)
 to a view, or to None (a restart) when the challenge misses the side.  The
-commitment is the mask's image of a base: simulate and real_view draw it from
-the masked group's own table (ctx.sample_commit), the exact checks read it
-from ctx.masked_commits, made once per context.  Both maps replay the
-verifier through _replay; an exact check replays each distinct commitment
-once, through a table that lives for that call.  Exact
-laws push uniform randomness through these maps on tiny instances,
-randomness_of_view inverts the honest map onto the consistent views, and a
-two-sample test compares sampled views at larger sizes.  Everything runs on
-the context's protocol methods, so group (InstanceContext) and element
-(ElementContext) instances are served alike, exact checks within the
-context's search_cap.  The consistent-view oracle walks
-ctx.candidate_commits, the commitments some response makes acceptable, and
-asks ctx.accepted_responses, which answers for every response in <U> at
-once, keeps each answer for the life of the context, and agrees with
-ctx.accepts, the live verifier's predicate, response by response.
+commitment is one for the side masked by the mask: simulate and real_view
+draw it from the masked group's own table (ctx.sample_commit), the exact
+checks read every (mask, commit) pair from ctx.masked_commits, made once per
+context.  Both maps replay the verifier through _replay; an exact check
+replays each distinct commitment once, through a table that lives for that
+call.  Exact laws push uniform randomness through these maps on tiny
+instances, randomness_of_view inverts the honest map onto the consistent
+views, recovering the mask from the response, and a two-sample test compares
+sampled views at larger sizes.  Everything runs on the context's protocol
+methods, so group (InstanceContext) and element (ElementContext) instances
+are served alike, exact checks within the context's search_cap.  The
+consistent-view oracle walks ctx.candidate_commits, the commitments some
+response makes acceptable, and asks ctx.accepted_responses, which answers
+for every response in <U> at once, keeps each answer for the life of the
+context, and agrees with ctx.accepts, the live verifier's predicate,
+response by response.
 """
 
 from __future__ import annotations
@@ -73,16 +74,13 @@ def simulate(
     program: VerifierProgram,
     rng: random.Random,
     *,
-    k: Optional[int] = None,
-    tape_seed: Optional[int] = None,
+    k: int,
+    tape_seed: int,
 ) -> SimulateResult:
     """Simulate one session view without the witness: per attempt draw a
     mask, a side guess and a commitment for that side masked by it, in
     this order, and restart with fresh draws on the same tape until the
     guess holds."""
-    k = k if k is not None else TUPLE_LENGTH_FACTOR * ctx.degree
-    if tape_seed is None:
-        tape_seed = rng.getrandbits(64)
     total_attempts = 0
     for restart in range(1, DEFAULT_MAX_RESTARTS + 1):
         mask = ctx.chain_u.random_element(rng)
@@ -119,9 +117,10 @@ def view_from_randomness(
     _replays=None,
 ) -> SimulatedView:
     """The honest-prover view as a function of the prover's randomness: a
-    mask from <U> and a base for <A1> (a generating tuple, or a1 itself)
-    masked by it.  This is exactly the map the real protocol computes, so
-    real_view() samples its inputs and then calls it."""
+    mask from <U> and a commitment for <A1> masked by it (a generating tuple
+    of <A1>, or a1 itself, conjugated by the mask).  This is exactly the map
+    the real protocol computes, so real_view() samples its inputs and then
+    calls it."""
     prefix, challenge = _replay(ctx, program, tape_seed, commit, _replays)
     response = mask if challenge_bit(challenge) else ctx.witness() * mask
     return SimulatedView(prefix, commit, challenge, response)
@@ -129,9 +128,10 @@ def view_from_randomness(
 
 def randomness_of_view(ctx: InstanceContext, view: SimulatedView):
     """Inverse of the honest prover's map on consistent views: recover the
-    base commitment and the mask that masks it into the view's commitment."""
+    mask from the response and read the commitment off the view, as the
+    pair (mask, commit) that ctx.masked_commits lists."""
     mask = view.response if challenge_bit(view.challenge) else ctx.witness().inverse() * view.response
-    return ctx.mask(view.commit, mask.inverse()), mask
+    return mask, view.commit
 
 
 def real_view(
@@ -139,14 +139,11 @@ def real_view(
     program: VerifierProgram,
     rng: random.Random,
     *,
-    k: Optional[int] = None,
-    tape_seed: Optional[int] = None,
+    k: int,
+    tape_seed: int,
 ) -> SimulatedView:
     """Draw the honest prover's randomness as its commit does
     (ctx.prover_draw) and record its view in the simulator's output shape."""
-    k = k if k is not None else TUPLE_LENGTH_FACTOR * ctx.degree
-    if tape_seed is None:
-        tape_seed = rng.getrandbits(64)
     mask, commit, _ = ctx.prover_draw(1, k, rng)
     return view_from_randomness(ctx, program, tape_seed, commit, mask)
 
@@ -182,13 +179,13 @@ def verify_view_bijection(
     k: int,
 ) -> bool:
     """Check that the honest-view map is a bijection from prover randomness
-    (base commitments for <A1> crossed with <U>) onto the consistent-view
-    set, with randomness_of_view as its inverse."""
+    (the (mask, commit) pairs of ctx.masked_commits for <A1>) onto the
+    consistent-view set, with randomness_of_view as its inverse."""
     replays: dict = {}
     images = []
-    for base, mask, commit in ctx.masked_commits(1, k):
+    for mask, commit in ctx.masked_commits(1, k):
         view = view_from_randomness(ctx, program, tape_seed, commit, mask, _replays=replays)
-        if randomness_of_view(ctx, view) != (base, mask):
+        if randomness_of_view(ctx, view) != (mask, commit):
             return False
         images.append(view)
     distinct = set(images)
@@ -207,7 +204,7 @@ def exact_real_law(
     """Exact law of the honest-prover view for a fixed verifier tape."""
     masked = ctx.masked_commits(1, k)
     counts = Counter(view_from_randomness(ctx, program, tape_seed, commit, mask, _replays=_replays)
-                     for _, mask, commit in masked)
+                     for mask, commit in masked)
     return {view: Fraction(c, len(masked)) for view, c in counts.items()}
 
 
@@ -227,7 +224,7 @@ def exact_sim_law(
         sizes.append(len(masked))
         counts.append(Counter(filter(None, (
             simulated_view(ctx, program, tape_seed, side, commit, mask, _replays=_replays)
-            for _, mask, commit in masked))))
+            for mask, commit in masked))))
     total = counts[0].total() * sizes[1] + counts[1].total() * sizes[0]
     if total == 0:
         raise BudgetExceeded("the verifier program defeats every side guess on this tape")

@@ -112,7 +112,7 @@ def reference_exact_real_law(ctx, program, tape_seed: int, k: int) -> dict:
     masked = ctx.masked_commits(1, k)
     weight = Fraction(1, len(masked))
     law: dict = {}
-    for _, mask, commit in masked:
+    for mask, commit in masked:
         view = view_from_randomness(ctx, program, tape_seed, commit, mask)
         law[view] = law.get(view, Fraction(0)) + weight
     return law
@@ -126,7 +126,7 @@ def reference_exact_sim_law(ctx, program, tape_seed: int, k: int) -> dict:
     for side in (0, 1):
         masked = ctx.masked_commits(side, k)
         weight = Fraction(1, 2 * len(masked))
-        for _, mask, commit in masked:
+        for mask, commit in masked:
             view = simulated_view(ctx, program, tape_seed, side, commit, mask)
             if view is not None:
                 mass[view] = mass.get(view, Fraction(0)) + weight

@@ -270,7 +270,7 @@ def test_criterion_07_simulator_restart_budget():
     restarts = 0
     attempts = 0
     for _ in range(n):
-        res = simulate(ctx, program, rng, k=24)
+        res = simulate(ctx, program, rng, k=24, tape_seed=rng.getrandbits(64))
         restarts += res.restarts
         attempts += res.sample_attempts
     mean_restarts = restarts / n

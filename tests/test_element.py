@@ -284,7 +284,8 @@ def test_q2_element_commit_families_are_disjoint():
 def test_simulate_element_budget_exceeded():
     ctx = ctx_of(Q2_ELEMENTS)
     with pytest.raises(BudgetExceeded, match="restart cap"):
-        simulate(ctx, element_side_detector(ctx), random.Random(0))
+        rng = random.Random(0)
+        simulate(ctx, element_side_detector(ctx), rng, k=1, tape_seed=rng.getrandbits(64))
     with pytest.raises(BudgetExceeded, match="defeats every side guess"):
         exact_sim_law(ctx, element_side_detector(ctx), 0, 1)
 
@@ -295,16 +296,18 @@ def test_simulate_element_views_are_consistent():
     consistent = set(enumerate_consistent_views(ctx, program, 19, 1))
     rng = random.Random(5)
     for _ in range(10):
-        assert simulate(ctx, program, rng, tape_seed=19).view in consistent
-        assert real_view(ctx, program, rng, tape_seed=19) in consistent
+        assert simulate(ctx, program, rng, k=1, tape_seed=19).view in consistent
+        assert real_view(ctx, program, rng, k=1, tape_seed=19) in consistent
 
 
 def test_element_randomness_round_trip():
     ctx = ctx_of(EC_YES)
+    masked = ctx.masked_commits(1, 1)
+    assert masked == tuple((w, ctx.instance.a1.conjugated_by(w)) for w in ctx.u_elements())
     for program in (honest_verifier(), parity_verifier()):
-        for mask in ctx.u_elements():
-            view = view_from_randomness(ctx, program, 3, ctx.instance.a1.conjugated_by(mask), mask)
-            assert randomness_of_view(ctx, view) == (ctx.instance.a1, mask)
+        for mask, commit in masked:
+            view = view_from_randomness(ctx, program, 3, commit, mask)
+            assert randomness_of_view(ctx, view) == (mask, commit)
 
 
 @pytest.mark.parametrize("maker", [honest_verifier, lambda: constant_verifier(0), lambda: constant_verifier(1), parity_verifier])
@@ -357,6 +360,6 @@ def test_simulator_success_probability_is_exactly_half():
         n = 400
         rng = random.Random(55)
         for _ in range(n):
-            res = simulate(ctx, program, rng, tape_seed=4)
+            res = simulate(ctx, program, rng, k=1, tape_seed=4)
             wins += res.restarts == 1
         assert abs(wins / n - 0.5) < 0.08, program.name

@@ -16,9 +16,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permzk import conjugacy, simulator
-from permzk.conjugacy import GroupConjInstance, GuessingProver, HonestProver, InstanceContext, ProtocolParams, session
+from permzk.conjugacy import (
+    TUPLE_LENGTH_FACTOR,
+    GroupConjInstance,
+    GuessingProver,
+    HonestProver,
+    InstanceContext,
+    ProtocolParams,
+    session,
+)
 from permzk.element import ElemConjInstance, ElementContext
-from permzk.engine import BudgetExceeded, GeneratingSet, enumerate_elements, generating_tuples
+from permzk.engine import BudgetExceeded, GeneratingSet
 from permzk.framework import (
     STANDARD_VERIFIERS,
     RandomTape,
@@ -112,19 +120,12 @@ class AttemptRecordingContext(InstanceContext):
 def test_simulate_reuses_one_tape_seed_across_restarts():
     ctx = AttemptRecordingContext(load_instance(TINY))
     spy, calls = tape_spy(honest_verifier())
-    res = simulate(ctx, spy, random.Random(3), tape_seed=77)
+    res = simulate(ctx, spy, random.Random(3), k=TUPLE_LENGTH_FACTOR * ctx.degree, tape_seed=77)
     assert len(calls) == len(ctx.sides) == len(ctx.masks) == res.restarts
     assert all(seed == 77 for seed, _, _ in calls)
     # each attempt gets a fresh tape, so the draw counter never accumulates
     assert all(consumed == 1 for _, consumed, _ in calls)
     assert res.view.r_prefix == TapePrefix(77, 1)
-
-
-def test_simulate_draws_tape_seed_once_when_unset():
-    ctx = ctx_of(TINY)
-    spy, calls = tape_spy(honest_verifier())
-    simulate(ctx, spy, random.Random(3))
-    assert len({seed for seed, _, _ in calls}) == 1
 
 
 def test_simulate_is_deterministic_in_rng_and_tape():
@@ -138,7 +139,7 @@ def test_simulate_is_deterministic_in_rng_and_tape():
 def test_simulate_stops_on_matching_side():
     ctx = AttemptRecordingContext(load_instance(TINY))
     program = honest_verifier()
-    res = simulate(ctx, program, random.Random(1), tape_seed=9)
+    res = simulate(ctx, program, random.Random(1), k=TUPLE_LENGTH_FACTOR * ctx.degree, tape_seed=9)
     assert len(ctx.sides) == len(ctx.masks) == res.restarts
     bits = [challenge_bit(program.challenge(ctx.instance, RandomTape(9), commit)) for _, commit in ctx.masks]
     assert bits[-1] == ctx.sides[-1]
@@ -165,13 +166,11 @@ def test_randomness_round_trip():
     ctx = ctx_of(Q2_GROUPS)
     program = honest_verifier()
     rng = random.Random(6)
-    u_elems = enumerate_elements(ctx.chain_u)
-    tuples1 = generating_tuples(ctx.chain_a1, 2)
+    masked = ctx.masked_commits(1, 2)
     for _ in range(25):
-        base = tuples1[rng.randrange(len(tuples1))]
-        mask = u_elems[rng.randrange(len(u_elems))]
-        view = view_from_randomness(ctx, program, 13, ctx.mask(base, mask), mask)
-        assert randomness_of_view(ctx, view) == (base, mask)
+        mask, commit = masked[rng.randrange(len(masked))]
+        view = view_from_randomness(ctx, program, 13, commit, mask)
+        assert randomness_of_view(ctx, view) == (mask, commit)
 
 
 # every yes-instance fixture; k = 2 and 3 have generating tuples on all
@@ -208,42 +207,40 @@ def exact_report(ctx, program, tape_seed, k):
 @st.composite
 def prover_randomness(draw):
     """A yes-instance fixture, a verifier program and tape, and one value of
-    the honest prover's randomness: a base for side 1 and a mask."""
+    the honest prover's randomness: a mask and a commitment for side 1
+    masked by it."""
     ctx = yes_context(draw(st.sampled_from(YES_FIXTURES)))
     k = draw(st.integers(2, 3))
     program = STANDARD_VERIFIERS[draw(st.sampled_from(sorted(STANDARD_VERIFIERS)))]()
-    base = draw(st.sampled_from(ctx.bases(1, k)))
-    mask = draw(st.sampled_from(ctx.u_elements()))
-    return ctx, program, draw(st.integers(0, 2**32)), base, mask
+    mask, commit = draw(st.sampled_from(ctx.masked_commits(1, k)))
+    return ctx, program, draw(st.integers(0, 2**32)), mask, commit
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(prover_randomness())
 def test_randomness_of_view_inverts_view_from_randomness(case):
-    ctx, program, tape_seed, base, mask = case
-    view = view_from_randomness(ctx, program, tape_seed, ctx.mask(base, mask), mask)
-    assert randomness_of_view(ctx, view) == (base, mask)
+    ctx, program, tape_seed, mask, commit = case
+    view = view_from_randomness(ctx, program, tape_seed, commit, mask)
+    assert randomness_of_view(ctx, view) == (mask, commit)
 
 
 @st.composite
 def simulator_randomness(draw):
     """A yes-instance fixture, a verifier program and tape, and one value of
-    the simulator's per-attempt randomness: a side guess, a base for that
-    side and a mask."""
+    the simulator's per-attempt randomness: a side guess, a mask and a
+    commitment for that side masked by it."""
     ctx = yes_context(draw(st.sampled_from(YES_FIXTURES)))
     k = draw(st.integers(2, 3))
     program = STANDARD_VERIFIERS[draw(st.sampled_from(sorted(STANDARD_VERIFIERS)))]()
     side = draw(st.integers(0, 1))
-    base = draw(st.sampled_from(ctx.bases(side, k)))
-    mask = draw(st.sampled_from(ctx.u_elements()))
-    return ctx, program, draw(st.integers(0, 2**32)), side, base, mask
+    mask, commit = draw(st.sampled_from(ctx.masked_commits(side, k)))
+    return ctx, program, draw(st.integers(0, 2**32)), side, mask, commit
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(simulator_randomness())
 def test_simulated_view_restarts_exactly_when_the_challenge_misses_the_side(case):
-    ctx, program, tape_seed, side, base, mask = case
-    commit = ctx.mask(base, mask)
+    ctx, program, tape_seed, side, mask, commit = case
     view = simulated_view(ctx, program, tape_seed, side, commit, mask)
     challenge = program.challenge(ctx.instance, RandomTape(tape_seed), commit)
     assert (view is None) == (challenge_bit(challenge) != side)
@@ -261,8 +258,9 @@ def test_view_from_randomness_matches_real_protocol():
     rng = random.Random(21)
     for _ in range(10):
         view = real_view(ctx, program, rng, k=3, tape_seed=2)
-        base, mask = randomness_of_view(ctx, view)
-        assert view_from_randomness(ctx, program, 2, ctx.mask(base, mask), mask) == view
+        mask, commit = randomness_of_view(ctx, view)
+        assert (mask, commit) in ctx.masked_commits(1, 3)
+        assert view_from_randomness(ctx, program, 2, commit, mask) == view
 
 
 @pytest.mark.parametrize("maker", [honest_verifier, lambda: constant_verifier(0), lambda: constant_verifier(1), parity_verifier])
@@ -273,8 +271,9 @@ def test_bijection_on_tiny_fixture(maker):
 
 
 def test_bijection_detects_corrupt_witness():
-    # with the wrong witness the inverse map recovers tuples that do not
-    # generate <A1>, so the bijection check must fail
+    # with the wrong witness the inverse map still recovers the randomness,
+    # but the images on challenge 0 reveal a response the verifier rejects:
+    # they leave the consistent set, so the bijection check must fail
     ctx = ctx_of(Q2_GROUPS)
     assert verify_view_bijection(ctx, constant_verifier(0), 0, k=2)
     bad = IdentityWitnessContext(load_instance(Q2_GROUPS))
@@ -510,45 +509,50 @@ def test_exact_checks_on_a_warm_context_match_a_fresh_context_per_call():
 
 
 @pytest.mark.parametrize("fixture, k", ORACLE_FAMILIES)
-def test_a_second_exact_check_runs_no_generation_test_and_masks_only_to_invert(fixture, k, monkeypatch):
+def test_a_second_exact_check_runs_no_generation_test_and_no_conjugation(fixture, k, monkeypatch):
+    # the cold pass builds the context's tables; a warm pass reads the
+    # prover's randomness as (mask, commit) and conjugates nothing
     ctx = fresh_context(f"fixtures/{fixture}.txt")
-    # the only masking left in a warm bijection check inverts each image
-    inversions = [(ctx.mask(base, w), w.inverse()) for base in ctx.bases(1, k) for w in ctx.u_elements()]
-    generated, masked = [], []
-    real_generates, real_mask = conjugacy._generates_images, ctx.mask
+    generated, conjugated = [], []
+    real_generates, real_conjugation = conjugacy._generates_images, conjugacy.conjugation
+    real_conjugated_by = Permutation.conjugated_by
     monkeypatch.setattr(conjugacy, "_generates_images", lambda *args: generated.append(args) or real_generates(*args))
-    monkeypatch.setattr(ctx, "mask", lambda base, w: masked.append((base, w)) or real_mask(base, w))
-    for _ in range(2):  # the assertions below read the second, warm pass
+    monkeypatch.setattr(conjugacy, "conjugation", lambda vi: conjugated.append(vi) or real_conjugation(vi))
+    monkeypatch.setattr(Permutation, "conjugated_by", lambda p, v: conjugated.append(v) or real_conjugated_by(p, v))
+    passes = []
+    for _ in range(2):
         generated.clear()
-        masked.clear()
+        conjugated.clear()
         compare_view_distributions(ctx, honest_verifier(), tape_seed=1, k=k, exact=True)
-        compare_masks = list(masked)
         assert verify_view_bijection(ctx, honest_verifier(), 1, k)
-    assert generated == []
-    assert compare_masks == []
-    assert masked == inversions
+        passes.append((len(generated), len(conjugated)))
+    assert passes[0][1] > 0  # the spies see the calls that are made
+    assert passes[1] == (0, 0)
 
 
 @pytest.mark.parametrize("instance", [load_instance(Q2_GROUPS), parse_instance_text(DEGREE_300_TEXT)], ids=["q2_groups", "degree_300"])
 def test_live_draws_mask_no_commitment_entry_by_entry(instance, monkeypatch):
     # the provers, simulate and real_view draw each commitment from the
-    # masked group's own table; only the exact checks call ctx.mask
+    # masked group's own table; only the exact checks read masked_commits
     ctx = InstanceContext(instance)
     params = ProtocolParams(4)
-    masked = []
-    real_mask = InstanceContext.mask
-    monkeypatch.setattr(InstanceContext, "mask", lambda self, base, w: masked.append(w) or real_mask(self, base, w))
+    # the honest prover's witness search scans <U> with _u_conjugations
+    provers = (HonestProver(ctx, params), GuessingProver(ctx, params))
+    calls = []
+    for name in ("masked_commits", "_u_conjugations"):
+        real = getattr(InstanceContext, name)
+        monkeypatch.setattr(InstanceContext, name, lambda self, *args, real=real, name=name: calls.append(name) or real(self, *args))
     rng = random.Random(5)
-    for prover in (HonestProver(ctx, params), GuessingProver(ctx, params)):
+    for prover in provers:
         for _ in range(3):
-            (mask, _), commit = prover.commit(rng)
+            _, commit = prover.commit(rng)
             assert len(commit) == params.k and all(p.degree == ctx.degree for p in commit)
     for _ in range(3):
         simulate(ctx, honest_verifier(), rng, k=params.k, tape_seed=1)
         real_view(ctx, honest_verifier(), rng, k=params.k, tape_seed=1)
-    assert masked == []
-    ctx.mask(commit, mask)  # the spy sees a call that is made
-    assert masked == [mask]
+    assert calls == []
+    ctx.masked_commits(1, 2)  # the spies see the calls that are made
+    assert calls == ["masked_commits", "_u_conjugations"]
 
 
 def test_stat_checks_and_the_verifier_build_no_generating_set(monkeypatch):
@@ -626,6 +630,15 @@ def test_integer_count_sim_law_weights_sides_of_unequal_size():
     assert_laws_match_the_fraction_sums(ctx, 2, ((exact_sim_law, reference_exact_sim_law),))
 
 
+def test_masked_commits_refuse_a_table_over_the_search_cap():
+    # <A1> = <(4 5 6)> has 8 generating 2-tuples and |U| = 2: the table of
+    # 16 masked commitments is refused before it is built, as the candidate
+    # walk would refuse the check
+    ctx = InstanceContext(load_instance(Q2_GROUPS), search_cap=12)
+    with pytest.raises(BudgetExceeded, match="^8 generating 2-tuples x 2 masks exceed cap 12$"):
+        exact_real_law(ctx, honest_verifier(), 0, 2)
+
+
 def test_total_variation_basics():
     p = {"a": Fraction(1, 2), "b": Fraction(1, 2)}
     q = {"a": Fraction(1, 2), "c": Fraction(1, 2)}
@@ -636,7 +649,8 @@ def test_total_variation_basics():
 def test_simulate_budget_exceeded_under_side_detector():
     ctx = ctx_of(NO_M4)
     with pytest.raises(BudgetExceeded, match="restart cap"):
-        simulate(ctx, side_detector(), random.Random(0), k=2)
+        rng = random.Random(0)
+        simulate(ctx, side_detector(), rng, k=2, tape_seed=rng.getrandbits(64))
 
 
 def test_exact_sim_law_refuses_defeated_tape():
@@ -723,5 +737,5 @@ def test_restart_count_is_roughly_geometric():
     total = 0
     n = 300
     for _ in range(n):
-        total += simulate(ctx, honest_verifier(), rng, k=3).restarts
+        total += simulate(ctx, honest_verifier(), rng, k=3, tape_seed=rng.getrandbits(64)).restarts
     assert 1.6 <= total / n <= 2.4

@@ -211,8 +211,21 @@ class InstanceContext:
 
     def sample_commit(self, side: int, k: int, rng, mask: Permutation):
         """A uniform generating k-tuple of the side's group conjugated by
-        mask, drawn from that group's own table, and its sampling attempts."""
-        return random_generating_tuple(self.side_chain(side), k, rng, mask)
+        mask, drawn from that group's own table, and its sampling attempts.
+        The table conjugated by the mask is kept per (side, mask) while
+        _mask_tables(side) keeps any."""
+        chain, kept = self.side_chain(side), self._mask_tables(side)
+        tables = None if kept is None else kept.get(mask) or kept.setdefault(mask, chain._conjugated_sampling(mask))
+        return random_generating_tuple(chain, k, rng, mask, tables)
+
+    @_per_context
+    def _mask_tables(self, side: int) -> Optional[dict]:
+        """mask -> the side chain's sampling table conjugated by the mask,
+        filled as masks are drawn and kept for the life of the context: a
+        dict while |<U>| times the chain's representative count, a bound on
+        the entries' total size, is within search_cap, else None."""
+        reps = sum(n for n, _ in self.side_chain(side)._sampling[0])
+        return {} if self.chain_u.order() * reps <= self.search_cap else None
 
     def prover_draw(self, side: int, k: int, rng) -> tuple:
         """The prover's randomness for a side, drawn in this order: a mask

@@ -33,8 +33,10 @@ order, then composes deepest first: the deepest representative is composed
 with each shallower level's table in turn.  _random_images draws raw images,
 which random_elements wraps.  random_conjugates(rng, k, v) and
 random_generating_tuple(chain, k, rng, v) draw from G^v on G's draws, from
-the table _conjugated_sampling conjugates by v once per call; the tuple
-sampler tests raw images for generation and wraps only the accepted attempt.
+the table _conjugated_sampling conjugates by v once per call, or once per
+caller that keeps it (InstanceContext.sample_commit, while <U> is small);
+the tuple sampler tests raw images for generation and wraps only the
+accepted attempt.
 
 The generation test _generates_images(degree, imgs, order) is _fill on a
 membership chain of imgs, with no GeneratingSet, stopped as soon as the
@@ -384,14 +386,15 @@ class GeneratingTuple(NamedTuple):
     attempts: int = 1
 
 
-def random_generating_tuple(chain: StabilizerChain, k: int, rng, v: Permutation) -> GeneratingTuple:
+def random_generating_tuple(chain: StabilizerChain, k: int, rng, v: Permutation, _tables=None) -> GeneratingTuple:
     """Rejection-sample a uniform generating k-tuple of G^v, G the chain's
     group: G's tuple conjugated by v, on its draws and attempts (conjugation
     is an isomorphism).  For the trivial group the first draw, the
-    all-identity tuple, is the unique such tuple."""
+    all-identity tuple, is the unique such tuple.  _tables, when given, is
+    chain._conjugated_sampling(v) made once by a caller that keeps it."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    tables = chain._conjugated_sampling(v)
+    tables = _tables if _tables is not None else chain._conjugated_sampling(v)
     for attempt in range(1, DEFAULT_TUPLE_ATTEMPTS + 1):
         imgs = chain._draw(rng, k, tables)
         if _generates_images(chain.degree, imgs, chain.order()):

@@ -62,19 +62,81 @@ class TapePrefix:
     draws: int
 
 
-class RandomTape:
-    """Deterministic random stream for one party, with a draw counter.  The
-    stream is seeded on its first draw, so a tape nothing draws from costs
-    no seeding; the values drawn are those of random.Random(seed)."""
+class TapeWords:
+    """The 32-bit words of random.Random(seed)'s stream, in draw order: the
+    stream is seeded on the first word any tape reads and extended as reads
+    reach past the words drawn so far.  Every tape made by tape() reads them
+    from the first word, so it draws what a fresh RandomTape(seed) draws,
+    and all of them together seed one stream."""
+
+    __slots__ = ("seed", "_rng", "_words")
 
     def __init__(self, seed: int):
         self.seed = seed
+        self._rng = None
+        self._words = []
+
+    def word(self, i: int) -> int:
+        try:
+            return self._words[i]
+        except IndexError:
+            if self._rng is None:
+                self._rng = random.Random(self.seed)
+            while len(self._words) <= i:
+                self._words.append(self._rng.getrandbits(32))
+            return self._words[i]
+
+    def tape(self) -> "RandomTape":
+        return RandomTape(self.seed, self)
+
+
+class _WordStream:
+    """random.Random's getrandbits read off a TapeWords from its first word,
+    as CPython draws it: k <= 32 bits are the top k bits of one word; more
+    take ceil(k / 32) words, least significant first, the last keeping its
+    top bits.  randrange is random.Random's own, run on these draws."""
+
+    __slots__ = ("_words", "_pos")
+
+    randrange = random.Random.randrange
+    _randbelow = random.Random._randbelow_with_getrandbits
+
+    def __init__(self, words: TapeWords):
+        self._words = words
+        self._pos = 0
+
+    def getrandbits(self, k: int) -> int:
+        pos = self._pos
+        if 0 < k <= 32:
+            self._pos = pos + 1
+            return self._words.word(pos) >> (32 - k)
+        if k < 0:
+            raise ValueError("number of bits must be non-negative")
+        n = (k + 31) // 32
+        self._pos = pos + n
+        word = self._words.word
+        value = word(pos + n - 1) >> (32 * n - k) if n else 0
+        for i in range(pos + n - 2, pos - 1, -1):
+            value = value << 32 | word(i)
+        return value
+
+
+class RandomTape:
+    """Deterministic random stream for one party, with a draw counter.  The
+    stream is seeded on its first draw, so a tape nothing draws from costs
+    no seeding; the values drawn are those of random.Random(seed).  A tape
+    given words, the seed's TapeWords, reads them instead of seeding a
+    stream of its own, so tapes that replay one seed share one seeding."""
+
+    def __init__(self, seed: int, words: Optional[TapeWords] = None):
+        self.seed = seed
         self.consumed = 0
         self._rng = None
+        self._words = words
 
-    def _stream(self) -> random.Random:
+    def _stream(self):
         if self._rng is None:
-            self._rng = random.Random(self.seed)
+            self._rng = random.Random(self.seed) if self._words is None else _WordStream(self._words)
         return self._rng
 
     def randrange(self, n: int) -> int:

@@ -6,12 +6,14 @@ to a view, or to None (a restart) when the challenge misses the side.  The
 commitment is one for the side masked by the mask: simulate and real_view
 draw it from the masked group's own table (ctx.sample_commit), the exact
 checks read every (mask, commit) pair from ctx.masked_commits, made once per
-context.  Both maps replay the verifier through _replay; an exact check
-replays each distinct commitment once, through a table that lives for that
-call.  Exact laws push uniform randomness through these maps on tiny
-instances, randomness_of_view inverts the honest map onto the consistent
-views, recovering the mask from the response, and a two-sample test compares
-sampled views at larger sizes.  Everything runs on the context's protocol
+context.  Both maps replay the verifier through _replay, each replay on a
+fresh tape; every replay in one public call reads one _Replays, whose
+TapeWords draws the tape seed's stream once for the call, and an exact
+check's _Replays also keeps a table, so it replays each distinct commitment
+once.  Nothing of a call's replays outlives it.  Exact laws push uniform
+randomness through these maps on tiny instances, randomness_of_view
+inverts the honest map onto the consistent views, recovering the mask from
+the response, and a two-sample test compares sampled views at larger sizes.  Everything runs on the context's protocol
 methods, so group (InstanceContext) and element (ElementContext) instances
 are served alike, exact checks within the context's search_cap.  The
 consistent-view oracle walks ctx.candidate_commits, the commitments some
@@ -23,7 +25,6 @@ response by response.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .engine import BudgetExceeded
-from .framework import RandomTape, TapePrefix, VerifierProgram, challenge_bit
+from .framework import TapePrefix, TapeWords, VerifierProgram, challenge_bit
 from .conjugacy import InstanceContext, TUPLE_LENGTH_FACTOR
 
 DEFAULT_MAX_RESTARTS = 10 * 64
@@ -55,17 +56,36 @@ class SimulateResult:
     sample_attempts: int
 
 
+class _Replays:
+    """One public call's replays of the verifier on one tape seed.  Every
+    replay's tape reads words, the seed's stream drawn once for the call;
+    with a table (the exact checks), each distinct commitment is replayed
+    once.  The stat check keeps no table: hashing a k-tuple commitment costs
+    more than the replay it would save."""
+
+    __slots__ = ("words", "table")
+
+    def __init__(self, tape_seed: int, table: Optional[dict] = None):
+        self.words = TapeWords(tape_seed)
+        self.table = table
+
+
 def _replay(ctx: InstanceContext, program: VerifierProgram, tape_seed: int, commit, replays=None):
     """The verifier's move on a fresh tape: the consumed tape prefix and the
     challenge the program, a pure function of (instance, tape, commit), emits
-    on this commitment; kept in replays, one public call's table, if given."""
-    out = replays.get(commit) if replays is not None else None
+    on this commitment.  The tape reads replays' words of tape_seed, one
+    public call's, if given, and the answer is kept in its table if it has
+    one."""
+    if replays is None:
+        replays = _Replays(tape_seed)
+    table = replays.table
+    out = table.get(commit) if table is not None else None
     if out is None:
-        tape = RandomTape(tape_seed)
+        tape = replays.words.tape()
         challenge = program.challenge(ctx.instance, tape, commit)
         out = tape.prefix(), challenge
-        if replays is not None:
-            replays[commit] = out
+        if table is not None:
+            table[commit] = out
     return out
 
 
@@ -76,18 +96,21 @@ def simulate(
     *,
     k: int,
     tape_seed: int,
+    _replays=None,
 ) -> SimulateResult:
     """Simulate one session view without the witness: per attempt draw a
     mask, a side guess and a commitment for that side masked by it, in
     this order, and restart with fresh draws on the same tape until the
-    guess holds."""
+    guess holds.  Every attempt replays the verifier on the words of one
+    _Replays, the caller's or this call's own."""
+    replays = _replays if _replays is not None else _Replays(tape_seed)
     total_attempts = 0
     for restart in range(1, DEFAULT_MAX_RESTARTS + 1):
         mask = ctx.chain_u.random_element(rng)
         side = rng.randrange(2)
         commit, attempts = ctx.sample_commit(side, k, rng, mask)
         total_attempts += attempts
-        view = simulated_view(ctx, program, tape_seed, side, commit, mask)
+        view = simulated_view(ctx, program, tape_seed, side, commit, mask, _replays=replays)
         if view is not None:
             return SimulateResult(view, restart, total_attempts)
     raise BudgetExceeded(
@@ -141,11 +164,13 @@ def real_view(
     *,
     k: int,
     tape_seed: int,
+    _replays=None,
 ) -> SimulatedView:
     """Draw the honest prover's randomness as its commit does
-    (ctx.prover_draw) and record its view in the simulator's output shape."""
+    (ctx.prover_draw) and record its view in the simulator's output shape;
+    the verifier replays on _replays' words if given."""
     mask, commit, _ = ctx.prover_draw(1, k, rng)
-    return view_from_randomness(ctx, program, tape_seed, commit, mask)
+    return view_from_randomness(ctx, program, tape_seed, commit, mask, _replays=_replays)
 
 
 def enumerate_consistent_views(
@@ -164,9 +189,10 @@ def enumerate_consistent_views(
     simulator.  A commitment that no response makes acceptable under
     either challenge is not a candidate, so the program is not replayed on
     it (nor refused there for going over its tape budget)."""
+    replays = _replays if _replays is not None else _Replays(tape_seed)
     views = []
     for commit in ctx.candidate_commits(k):
-        prefix, challenge = _replay(ctx, program, tape_seed, commit, _replays)
+        prefix, challenge = _replay(ctx, program, tape_seed, commit, replays)
         for w in ctx.accepted_responses(commit, challenge):
             views.append(SimulatedView(prefix, commit, challenge, w))
     return tuple(views)
@@ -181,7 +207,7 @@ def verify_view_bijection(
     """Check that the honest-view map is a bijection from prover randomness
     (the (mask, commit) pairs of ctx.masked_commits for <A1>) onto the
     consistent-view set, with randomness_of_view as its inverse."""
-    replays: dict = {}
+    replays = _Replays(tape_seed, {})
     images = []
     for mask, commit in ctx.masked_commits(1, k):
         view = view_from_randomness(ctx, program, tape_seed, commit, mask, _replays=replays)
@@ -202,8 +228,9 @@ def exact_real_law(
     _replays=None,
 ) -> dict:
     """Exact law of the honest-prover view for a fixed verifier tape."""
+    replays = _replays if _replays is not None else _Replays(tape_seed)
     masked = ctx.masked_commits(1, k)
-    counts = Counter(view_from_randomness(ctx, program, tape_seed, commit, mask, _replays=_replays)
+    counts = Counter(view_from_randomness(ctx, program, tape_seed, commit, mask, _replays=replays)
                      for mask, commit in masked)
     return {view: Fraction(c, len(masked)) for view, c in counts.items()}
 
@@ -218,12 +245,13 @@ def exact_sim_law(
     """Exact law of the simulator's output for a fixed verifier tape: the
     per-attempt draw conditioned on the side guess matching the challenge,
     counted per side in integers: a view's challenge bit is its side."""
+    replays = _replays if _replays is not None else _Replays(tape_seed)
     sizes, counts = [], []
     for side in (0, 1):
         masked = ctx.masked_commits(side, k)
         sizes.append(len(masked))
         counts.append(Counter(filter(None, (
-            simulated_view(ctx, program, tape_seed, side, commit, mask, _replays=_replays)
+            simulated_view(ctx, program, tape_seed, side, commit, mask, _replays=replays)
             for mask, commit in masked))))
     total = counts[0].total() * sizes[1] + counts[1].total() * sizes[0]
     if total == 0:
@@ -242,11 +270,23 @@ def bucket_of_commit(commit) -> int:
     exactly): h mod 8 for h = h * 1000003 + image mod 2^32 over the 1-based
     images.  8 divides 2^32, 1000003 = 3 mod 8 and 3^2 = 1 mod 8, so an
     image at distance d from the end weighs 3^d = 1 (d even) or 3 (d odd);
-    summed in C over raw images, 1-based as 0-based sum plus count."""
-    imgs = [p._img for p in (commit if isinstance(commit, tuple) else (commit,))]
-    flat = tuple(itertools.chain.from_iterable(imgs)) if imgs and type(imgs[0]) is tuple else b"".join(imgs)
-    even, odd = flat[-1::-2], flat[-2::-2]
-    return (sum(even) + len(even) + 3 * (sum(odd) + len(odd))) % 8
+    summed in C over raw images, 1-based as 0-based sum plus count.  Bytes
+    images are joined and sliced once; tuple images (degree over 256) are
+    sliced entry by entry, an entry's slices trading parity when its offset
+    from the end is odd."""
+    perms = commit if isinstance(commit, tuple) else (commit,)
+    if perms and type(perms[0]._img) is bytes:
+        flat = b"".join([p._img for p in perms])
+        even, odd, length = sum(flat[-1::-2]), sum(flat[-2::-2]), len(flat)
+    else:
+        sums, length = [0, 0], 0
+        for p in reversed(perms):
+            img = p._img
+            sums[length & 1] += sum(img[-1::-2])
+            sums[~length & 1] += sum(img[-2::-2])
+            length += len(img)
+        even, odd = sums
+    return (even + (length + 1) // 2 + 3 * (odd + length // 2)) % 8
 
 
 def compare_view_distributions(
@@ -269,7 +309,7 @@ def compare_view_distributions(
         raise ValueError("zero-knowledge comparison applies to yes-instances only")
     k = k if k is not None else TUPLE_LENGTH_FACTOR * ctx.degree
     if exact:
-        replays: dict = {}
+        replays = _Replays(tape_seed, {})
         law_r = exact_real_law(ctx, program, tape_seed, k, _replays=replays)
         law_s = exact_sim_law(ctx, program, tape_seed, k, _replays=replays)
         consistent = enumerate_consistent_views(ctx, program, tape_seed, k, _replays=replays)
@@ -294,15 +334,17 @@ def compare_view_distributions(
     def cell(view: SimulatedView) -> tuple:
         return challenge_bit(view.challenge), view.response, bucket_of_commit(view.commit)
 
+    replays = _Replays(tape_seed)
     sim_counts = Counter()
     restarts = 0
     attempts = 0
     for _ in range(samples):
-        res = simulate(ctx, program, rng, k=k, tape_seed=tape_seed)
+        res = simulate(ctx, program, rng, k=k, tape_seed=tape_seed, _replays=replays)
         restarts += res.restarts
         attempts += res.sample_attempts
         sim_counts[cell(res.view)] += 1
-    real_counts = Counter(cell(real_view(ctx, program, rng, k=k, tape_seed=tape_seed)) for _ in range(samples))
+    real_counts = Counter(cell(real_view(ctx, program, rng, k=k, tape_seed=tape_seed, _replays=replays))
+                          for _ in range(samples))
     keys = sorted(set(sim_counts) | set(real_counts), key=repr)
     table = [
         [sim_counts.get(key, 0) for key in keys],

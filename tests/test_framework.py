@@ -115,6 +115,33 @@ def test_exact_checks_seed_no_tape_for_programs_that_never_draw(fixture, seeding
         assert (len(seedings) > 0) == (name == "honest"), name
 
 
+def test_warm_stat_check_seeds_one_verifier_stream_per_call(seedings):
+    # every simulator attempt and every real view replays the verifier on
+    # one tape seed; the call reads one buffer of that seed's words
+    ctx = InstanceContext(load_instance("fixtures/q2_groups.txt"))
+    program = honest_verifier()
+    compare_view_distributions(ctx, program, tape_seed=0, k=24, samples=200, rng=random.Random(0))
+    rngs = [random.Random(seed) for seed in range(1, 4)]
+    seedings.clear()
+    for tape_seed, rng in enumerate(rngs):
+        compare_view_distributions(ctx, program, tape_seed=tape_seed, k=24, samples=200, rng=rng)
+    assert len(seedings) == len(rngs)
+
+
+@pytest.mark.parametrize("fixture", ["tiny_cyclic", "q2_groups", "ec_yes_m3"])
+def test_honest_exact_checks_seed_one_verifier_stream_per_call(fixture, seedings):
+    inst = load_instance(f"fixtures/{fixture}.txt")
+    ctx = ElementContext(inst) if fixture.startswith("ec_") else InstanceContext(inst)
+    k = 1 if fixture.startswith("ec_") else 2
+    program = honest_verifier()
+    compare_view_distributions(ctx, program, tape_seed=0, k=k, exact=True)
+    seedings.clear()
+    for tape_seed in range(3):
+        compare_view_distributions(ctx, program, tape_seed=tape_seed, k=k, exact=True)
+        verify_view_bijection(ctx, program, tape_seed, k)
+    assert len(seedings) == 6
+
+
 def test_non_conjugacy_run_seeds_only_the_verifier_tapes(seedings):
     # the brute-force responder never reads its prover stream, so a t=2 run
     # seeds the two verifier tapes and nothing else

@@ -26,7 +26,7 @@ from permzk.conjugacy import (
     session,
 )
 from permzk.element import ElemConjInstance, ElementContext
-from permzk.engine import BudgetExceeded, GeneratingSet
+from permzk.engine import BudgetExceeded, GeneratingSet, StabilizerChain
 from permzk.framework import (
     STANDARD_VERIFIERS,
     RandomTape,
@@ -163,14 +163,19 @@ def test_simulated_and_real_views_are_consistent():
 
 
 def test_randomness_round_trip():
+    # the constant programs emit each challenge bit, so both of
+    # randomness_of_view's branches run, the witness branch included
     ctx = ctx_of(Q2_GROUPS)
-    program = honest_verifier()
     rng = random.Random(6)
     masked = ctx.masked_commits(1, 2)
-    for _ in range(25):
-        mask, commit = masked[rng.randrange(len(masked))]
-        view = view_from_randomness(ctx, program, 13, commit, mask)
-        assert randomness_of_view(ctx, view) == (mask, commit)
+    bits = set()
+    for program in (honest_verifier(), constant_verifier(0), constant_verifier(1)):
+        for _ in range(25):
+            mask, commit = masked[rng.randrange(len(masked))]
+            view = view_from_randomness(ctx, program, 13, commit, mask)
+            bits.add(challenge_bit(view.challenge))
+            assert randomness_of_view(ctx, view) == (mask, commit)
+    assert bits == {0, 1}
 
 
 # every yes-instance fixture; k = 2 and 3 have generating tuples on all
@@ -553,6 +558,26 @@ def test_live_draws_mask_no_commitment_entry_by_entry(instance, monkeypatch):
     assert calls == []
     ctx.masked_commits(1, 2)  # the spies see the calls that are made
     assert calls == ["masked_commits", "_u_conjugations"]
+
+
+def test_mask_tables_are_kept_per_context_within_the_search_cap(monkeypatch):
+    # q2_groups has |<U>| = 2 and 3 representatives on each side's chain:
+    # a cap of 6 keeps each (side, mask) conjugated table, made once for
+    # at most 2 x 2 pairs, and a cap of 5 keeps none; the draws are the same
+    instance = load_instance(Q2_GROUPS)
+    conjugated = []
+    real = StabilizerChain._conjugated_sampling
+    monkeypatch.setattr(StabilizerChain, "_conjugated_sampling", lambda chain, v: conjugated.append(v) or real(chain, v))
+    views, counts = [], []
+    for cap in (6, 5):
+        ctx = InstanceContext(instance, cap)
+        rng = random.Random(7)
+        conjugated.clear()
+        views.append([(simulate(ctx, honest_verifier(), rng, k=8, tape_seed=1).view,
+                       real_view(ctx, honest_verifier(), rng, k=8, tape_seed=1)) for _ in range(20)])
+        counts.append(len(conjugated))
+    assert views[0] == views[1]
+    assert counts[0] <= 4 and counts[1] >= 40
 
 
 def test_stat_checks_and_the_verifier_build_no_generating_set(monkeypatch):

@@ -33,6 +33,7 @@ from .framework import (
     PROVER,
     VERIFIER,
     RandomTape,
+    Replays,
     SessionRecord,
     VerifierProgram,
     View,
@@ -197,10 +198,11 @@ class InstanceContext:
 
     def find_witness(self) -> Optional[Permutation]:
         """First v in <U>, in enumeration order, with <A0>^v = <A1>; None
-        when no element works."""
-        self._check_search_budget()
+        when no element works, which sides of different orders answer
+        before the search budget is checked."""
         if self.chain_a0.order() != self.chain_a1.order():
             return None
+        self._check_search_budget()
         return next(self.conjugators(0, self.chain_a1), None)
 
     def read_commit(self, payload, k: int) -> Optional[tuple]:
@@ -461,16 +463,19 @@ def run_composed(ctx, params, prover, program, rng: random.Random, parallel: boo
 
 
 def replay_verdict(ctx: InstanceContext, params: ProtocolParams, program: VerifierProgram, view: View) -> bool:
-    """Re-run the session's verifier program on a recorded view: redraw its
-    challenge on a fresh tape of the recorded seed from the commitment
-    payload, as the live session does, and recheck the prover messages."""
+    """Re-decide a recorded view: its senders must be P, V, P, and its tape
+    prefix and challenge those of the session's verifier program replayed on
+    the recorded seed from the commitment payload, as the live session runs
+    it; then recheck the response."""
     msgs = view.messages
-    if len(msgs) < 3:
+    if tuple(m.sender for m in msgs) != (PROVER, VERIFIER, PROVER):
         return False
     commit = ctx.read_commit(msgs[0].payload, params.k)
     if commit is None:
         return False
-    challenge = program.challenge(ctx.instance, RandomTape(view.r_prefix.seed), msgs[0].payload)
+    prefix, challenge = Replays(view.r_prefix.seed).challenge(program, ctx.instance, msgs[0].payload)
+    if (prefix, challenge) != (view.r_prefix, msgs[1].payload):
+        return False
     return ctx.accepts(commit, challenge, msgs[2].payload)
 
 

@@ -1,10 +1,12 @@
 """Session plumbing shared by every protocol in the package: messages,
-deterministic random tapes, views, verifier programs, and the sequential and
-parallel composition runners.
+deterministic random tapes, views, verifier programs and their replays, and
+the sequential and parallel composition runners.
 
 A session is a generator that yields each Message as it is sent and returns
 a SessionOutcome.  The runners only drive generators and record events, so
-they work for any round schedule.
+they work for any round schedule.  Every replay of a verifier program, the
+simulator's rewinding as much as the re-decision of a recorded view, goes
+through one Replays of the tape seed.
 """
 
 from __future__ import annotations
@@ -62,17 +64,19 @@ class TapePrefix:
     draws: int
 
 
-class TapeWords:
-    """The 32-bit words of random.Random(seed)'s stream, in draw order: the
-    stream is seeded on the first word any tape reads and extended as reads
-    reach past the words drawn so far.  Every tape made by tape() reads them
-    from the first word, so it draws what a fresh RandomTape(seed) draws,
-    and all of them together seed one stream."""
+class Replays:
+    """Replays of verifier programs on one tape seed.  Each replay runs on
+    a fresh tape, so it draws what a fresh RandomTape(seed) draws, and all
+    the tapes read one buffer of the seed's 32-bit stream words, seeded on
+    the first word any tape reads and extended as reads reach past it.
+    With a table, which then serves one program, challenge() replays each
+    distinct commitment once."""
 
-    __slots__ = ("seed", "_rng", "_words")
+    __slots__ = ("seed", "table", "_rng", "_words")
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, table: Optional[dict] = None):
         self.seed = seed
+        self.table = table
         self._rng = None
         self._words = []
 
@@ -86,12 +90,23 @@ class TapeWords:
                 self._words.append(self._rng.getrandbits(32))
             return self._words[i]
 
-    def tape(self) -> "RandomTape":
-        return RandomTape(self.seed, self)
+    def challenge(self, program: VerifierProgram, instance, commit) -> tuple:
+        """The program's move on a fresh tape of the seed, a pure function
+        of (instance, tape, commit): (the consumed tape prefix, the
+        challenge)."""
+        table = self.table
+        out = table.get(commit) if table is not None else None
+        if out is None:
+            tape = RandomTape(self.seed, self)
+            challenge = program.challenge(instance, tape, commit)
+            out = tape.prefix(), challenge
+            if table is not None:
+                table[commit] = out
+        return out
 
 
 class _WordStream:
-    """random.Random's getrandbits read off a TapeWords from its first word,
+    """random.Random's getrandbits read off a Replays' words from the first,
     as CPython draws it: k <= 32 bits are the top k bits of one word; more
     take ceil(k / 32) words, least significant first, the last keeping its
     top bits.  randrange is random.Random's own, run on these draws."""
@@ -101,7 +116,7 @@ class _WordStream:
     randrange = random.Random.randrange
     _randbelow = random.Random._randbelow_with_getrandbits
 
-    def __init__(self, words: TapeWords):
+    def __init__(self, words: Replays):
         self._words = words
         self._pos = 0
 
@@ -125,10 +140,10 @@ class RandomTape:
     """Deterministic random stream for one party, with a draw counter.  The
     stream is seeded on its first draw, so a tape nothing draws from costs
     no seeding; the values drawn are those of random.Random(seed).  A tape
-    given words, the seed's TapeWords, reads them instead of seeding a
-    stream of its own, so tapes that replay one seed share one seeding."""
+    given words, the seed's Replays, reads them instead of seeding a stream
+    of its own, so tapes that replay one seed share one seeding."""
 
-    def __init__(self, seed: int, words: Optional[TapeWords] = None):
+    def __init__(self, seed: int, words: Optional[Replays] = None):
         self.seed = seed
         self.consumed = 0
         self._rng = None

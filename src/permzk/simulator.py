@@ -6,21 +6,22 @@ to a view, or to None (a restart) when the challenge misses the side.  The
 commitment is one for the side masked by the mask: simulate and real_view
 draw it from the masked group's own table (ctx.sample_commit), the exact
 checks read every (mask, commit) pair from ctx.masked_commits, made once per
-context.  Both maps replay the verifier through _replay, each replay on a
-fresh tape; every replay in one public call reads one _Replays, whose
-TapeWords draws the tape seed's stream once for the call, and an exact
-check's _Replays also keeps a table, so it replays each distinct commitment
-once.  Nothing of a call's replays outlives it.  Exact laws push uniform
-randomness through these maps on tiny instances, randomness_of_view
-inverts the honest map onto the consistent views, recovering the mask from
-the response, and a two-sample test compares sampled views at larger sizes.  Everything runs on the context's protocol
-methods, so group (InstanceContext) and element (ElementContext) instances
-are served alike, exact checks within the context's search_cap.  The
-consistent-view oracle walks ctx.candidate_commits, the commitments some
-response makes acceptable, and asks ctx.accepted_responses, which answers
-for every response in <U> at once, keeps each answer for the life of the
-context, and agrees with ctx.accepts, the live verifier's predicate,
-response by response.
+context.  Both maps replay the verifier with framework.Replays, each replay
+on a fresh tape.  Every function here that takes a tape_seed takes the seed
+or one call's Replays of it, so all the replays of one public call read one
+Replays, which draws the seed's stream once; an exact check's Replays also
+keeps a table, so it replays each distinct commitment once.  Nothing of a
+call's replays outlives it.  Exact laws push uniform randomness through
+these maps on tiny instances, randomness_of_view inverts the honest map onto
+the consistent views, recovering the mask from the response, and a
+two-sample test compares sampled views at larger sizes.  Everything runs on
+the context's protocol methods, so group (InstanceContext) and element
+(ElementContext) instances are served alike, exact checks within the
+context's search_cap.  The consistent-view oracle walks
+ctx.candidate_commits, the commitments some response makes acceptable, and
+asks ctx.accepted_responses, which answers for every response in <U> at
+once, keeps each answer for the life of the context, and agrees with
+ctx.accepts, the live verifier's predicate, response by response.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .engine import BudgetExceeded
-from .framework import TapePrefix, TapeWords, VerifierProgram, challenge_bit
+from .framework import Replays, TapePrefix, VerifierProgram, challenge_bit
 from .conjugacy import InstanceContext, TUPLE_LENGTH_FACTOR
 
 DEFAULT_MAX_RESTARTS = 10 * 64
@@ -56,61 +57,26 @@ class SimulateResult:
     sample_attempts: int
 
 
-class _Replays:
-    """One public call's replays of the verifier on one tape seed.  Every
-    replay's tape reads words, the seed's stream drawn once for the call;
-    with a table (the exact checks), each distinct commitment is replayed
-    once.  The stat check keeps no table: hashing a k-tuple commitment costs
-    more than the replay it would save."""
-
-    __slots__ = ("words", "table")
-
-    def __init__(self, tape_seed: int, table: Optional[dict] = None):
-        self.words = TapeWords(tape_seed)
-        self.table = table
-
-
-def _replay(ctx: InstanceContext, program: VerifierProgram, tape_seed: int, commit, replays=None):
-    """The verifier's move on a fresh tape: the consumed tape prefix and the
-    challenge the program, a pure function of (instance, tape, commit), emits
-    on this commitment.  The tape reads replays' words of tape_seed, one
-    public call's, if given, and the answer is kept in its table if it has
-    one."""
-    if replays is None:
-        replays = _Replays(tape_seed)
-    table = replays.table
-    out = table.get(commit) if table is not None else None
-    if out is None:
-        tape = replays.words.tape()
-        challenge = program.challenge(ctx.instance, tape, commit)
-        out = tape.prefix(), challenge
-        if table is not None:
-            table[commit] = out
-    return out
-
-
 def simulate(
     ctx: InstanceContext,
     program: VerifierProgram,
     rng: random.Random,
     *,
     k: int,
-    tape_seed: int,
-    _replays=None,
+    tape_seed: int | Replays,
 ) -> SimulateResult:
     """Simulate one session view without the witness: per attempt draw a
     mask, a side guess and a commitment for that side masked by it, in
     this order, and restart with fresh draws on the same tape until the
-    guess holds.  Every attempt replays the verifier on the words of one
-    _Replays, the caller's or this call's own."""
-    replays = _replays if _replays is not None else _Replays(tape_seed)
+    guess holds.  Every attempt replays the verifier on one Replays."""
+    replays = tape_seed if type(tape_seed) is Replays else Replays(tape_seed)
     total_attempts = 0
     for restart in range(1, DEFAULT_MAX_RESTARTS + 1):
         mask = ctx.chain_u.random_element(rng)
         side = rng.randrange(2)
         commit, attempts = ctx.sample_commit(side, k, rng, mask)
         total_attempts += attempts
-        view = simulated_view(ctx, program, tape_seed, side, commit, mask, _replays=replays)
+        view = simulated_view(ctx, program, replays, side, commit, mask)
         if view is not None:
             return SimulateResult(view, restart, total_attempts)
     raise BudgetExceeded(
@@ -120,12 +86,13 @@ def simulate(
 
 
 def simulated_view(
-    ctx: InstanceContext, program: VerifierProgram, tape_seed: int, side: int, commit, mask, _replays=None,
+    ctx: InstanceContext, program: VerifierProgram, tape_seed: int | Replays, side: int, commit, mask,
 ) -> Optional[SimulatedView]:
     """One simulator attempt as a function of its randomness (a side guess,
     a mask from <U> and a commitment for that side masked by it): the view
     revealing the mask, or None when the challenge misses the side."""
-    prefix, challenge = _replay(ctx, program, tape_seed, commit, _replays)
+    replays = tape_seed if type(tape_seed) is Replays else Replays(tape_seed)
+    prefix, challenge = replays.challenge(program, ctx.instance, commit)
     if challenge_bit(challenge) != side:
         return None
     return SimulatedView(prefix, commit, challenge, mask)
@@ -134,17 +101,17 @@ def simulated_view(
 def view_from_randomness(
     ctx: InstanceContext,
     program: VerifierProgram,
-    tape_seed: int,
+    tape_seed: int | Replays,
     commit,
     mask,
-    _replays=None,
 ) -> SimulatedView:
     """The honest-prover view as a function of the prover's randomness: a
     mask from <U> and a commitment for <A1> masked by it (a generating tuple
     of <A1>, or a1 itself, conjugated by the mask).  This is exactly the map
     the real protocol computes, so real_view() samples its inputs and then
     calls it."""
-    prefix, challenge = _replay(ctx, program, tape_seed, commit, _replays)
+    replays = tape_seed if type(tape_seed) is Replays else Replays(tape_seed)
+    prefix, challenge = replays.challenge(program, ctx.instance, commit)
     response = mask if challenge_bit(challenge) else ctx.witness() * mask
     return SimulatedView(prefix, commit, challenge, response)
 
@@ -163,22 +130,19 @@ def real_view(
     rng: random.Random,
     *,
     k: int,
-    tape_seed: int,
-    _replays=None,
+    tape_seed: int | Replays,
 ) -> SimulatedView:
     """Draw the honest prover's randomness as its commit does
-    (ctx.prover_draw) and record its view in the simulator's output shape;
-    the verifier replays on _replays' words if given."""
+    (ctx.prover_draw) and record its view in the simulator's output shape."""
     mask, commit, _ = ctx.prover_draw(1, k, rng)
-    return view_from_randomness(ctx, program, tape_seed, commit, mask, _replays=_replays)
+    return view_from_randomness(ctx, program, tape_seed, commit, mask)
 
 
 def enumerate_consistent_views(
     ctx: InstanceContext,
     program: VerifierProgram,
-    tape_seed: int,
+    tape_seed: int | Replays,
     k: int,
-    _replays=None,
 ) -> tuple:
     """Every view (commit, challenge, response) that the honest verifier
     accepts and whose challenge the program actually emits on this tape:
@@ -189,10 +153,10 @@ def enumerate_consistent_views(
     simulator.  A commitment that no response makes acceptable under
     either challenge is not a candidate, so the program is not replayed on
     it (nor refused there for going over its tape budget)."""
-    replays = _replays if _replays is not None else _Replays(tape_seed)
+    replays = tape_seed if type(tape_seed) is Replays else Replays(tape_seed)
     views = []
     for commit in ctx.candidate_commits(k):
-        prefix, challenge = _replay(ctx, program, tape_seed, commit, replays)
+        prefix, challenge = replays.challenge(program, ctx.instance, commit)
         for w in ctx.accepted_responses(commit, challenge):
             views.append(SimulatedView(prefix, commit, challenge, w))
     return tuple(views)
@@ -207,52 +171,48 @@ def verify_view_bijection(
     """Check that the honest-view map is a bijection from prover randomness
     (the (mask, commit) pairs of ctx.masked_commits for <A1>) onto the
     consistent-view set, with randomness_of_view as its inverse."""
-    replays = _Replays(tape_seed, {})
+    replays = Replays(tape_seed, {})
     images = []
     for mask, commit in ctx.masked_commits(1, k):
-        view = view_from_randomness(ctx, program, tape_seed, commit, mask, _replays=replays)
+        view = view_from_randomness(ctx, program, replays, commit, mask)
         if randomness_of_view(ctx, view) != (mask, commit):
             return False
         images.append(view)
     distinct = set(images)
     return len(distinct) == len(images) and distinct == set(
-        enumerate_consistent_views(ctx, program, tape_seed, k, _replays=replays)
+        enumerate_consistent_views(ctx, program, replays, k)
     )
 
 
 def exact_real_law(
     ctx: InstanceContext,
     program: VerifierProgram,
-    tape_seed: int,
+    tape_seed: int | Replays,
     k: int,
-    _replays=None,
 ) -> dict:
     """Exact law of the honest-prover view for a fixed verifier tape."""
-    replays = _replays if _replays is not None else _Replays(tape_seed)
+    replays = tape_seed if type(tape_seed) is Replays else Replays(tape_seed)
     masked = ctx.masked_commits(1, k)
-    counts = Counter(view_from_randomness(ctx, program, tape_seed, commit, mask, _replays=replays)
-                     for mask, commit in masked)
+    counts = Counter(view_from_randomness(ctx, program, replays, commit, mask) for mask, commit in masked)
     return {view: Fraction(c, len(masked)) for view, c in counts.items()}
 
 
 def exact_sim_law(
     ctx: InstanceContext,
     program: VerifierProgram,
-    tape_seed: int,
+    tape_seed: int | Replays,
     k: int,
-    _replays=None,
 ) -> dict:
     """Exact law of the simulator's output for a fixed verifier tape: the
     per-attempt draw conditioned on the side guess matching the challenge,
     counted per side in integers: a view's challenge bit is its side."""
-    replays = _replays if _replays is not None else _Replays(tape_seed)
+    replays = tape_seed if type(tape_seed) is Replays else Replays(tape_seed)
     sizes, counts = [], []
     for side in (0, 1):
         masked = ctx.masked_commits(side, k)
         sizes.append(len(masked))
         counts.append(Counter(filter(None, (
-            simulated_view(ctx, program, tape_seed, side, commit, mask, _replays=replays)
-            for mask, commit in masked))))
+            simulated_view(ctx, program, replays, side, commit, mask) for mask, commit in masked))))
     total = counts[0].total() * sizes[1] + counts[1].total() * sizes[0]
     if total == 0:
         raise BudgetExceeded("the verifier program defeats every side guess on this tape")
@@ -309,10 +269,10 @@ def compare_view_distributions(
         raise ValueError("zero-knowledge comparison applies to yes-instances only")
     k = k if k is not None else TUPLE_LENGTH_FACTOR * ctx.degree
     if exact:
-        replays = _Replays(tape_seed, {})
-        law_r = exact_real_law(ctx, program, tape_seed, k, _replays=replays)
-        law_s = exact_sim_law(ctx, program, tape_seed, k, _replays=replays)
-        consistent = enumerate_consistent_views(ctx, program, tape_seed, k, _replays=replays)
+        replays = Replays(tape_seed, {})
+        law_r = exact_real_law(ctx, program, replays, k)
+        law_s = exact_sim_law(ctx, program, replays, k)
+        consistent = enumerate_consistent_views(ctx, program, replays, k)
         uniform = Fraction(1, len(consistent))
         equal = law_r == law_s
         return {
@@ -334,17 +294,17 @@ def compare_view_distributions(
     def cell(view: SimulatedView) -> tuple:
         return challenge_bit(view.challenge), view.response, bucket_of_commit(view.commit)
 
-    replays = _Replays(tape_seed)
+    # no table: hashing a k-tuple commitment costs more than the replay it saves
+    replays = Replays(tape_seed)
     sim_counts = Counter()
     restarts = 0
     attempts = 0
     for _ in range(samples):
-        res = simulate(ctx, program, rng, k=k, tape_seed=tape_seed, _replays=replays)
+        res = simulate(ctx, program, rng, k=k, tape_seed=replays)
         restarts += res.restarts
         attempts += res.sample_attempts
         sim_counts[cell(res.view)] += 1
-    real_counts = Counter(cell(real_view(ctx, program, rng, k=k, tape_seed=tape_seed, _replays=replays))
-                          for _ in range(samples))
+    real_counts = Counter(cell(real_view(ctx, program, rng, k=k, tape_seed=replays)) for _ in range(samples))
     keys = sorted(set(sim_counts) | set(real_counts), key=repr)
     table = [
         [sim_counts.get(key, 0) for key in keys],

@@ -9,7 +9,6 @@ checks must catch."""
 import math
 from fractions import Fraction
 
-from permzk import simulator
 from permzk.conjugacy import DEFAULT_SEARCH_CAP, GroupConjInstance, InstanceContext
 from permzk.element import CosetIntersectionInstance
 from permzk.engine import (
@@ -20,7 +19,7 @@ from permzk.engine import (
     enumerate_elements,
     membership_chain,
 )
-from permzk.framework import SessionOutcome, challenge_bit
+from permzk.framework import Replays, SessionOutcome, challenge_bit
 from permzk.perm import Permutation, format_perm
 from permzk.simulator import SimulatedView, simulated_view, view_from_randomness
 
@@ -147,26 +146,34 @@ class IdentityWitnessContext(InstanceContext):
         return Permutation.identity(self.degree)
 
 
-def simulated_view_without_restarts(ctx, program, tape_seed, side, commit, mask, _replays=None):
+def replay(ctx, program, tape_seed, commit) -> tuple:
+    """The verifier's (tape prefix, challenge) on commit, replayed as the
+    simulator's maps replay it: on tape_seed if it is a Replays, else on a
+    fresh Replays of the seed."""
+    replays = tape_seed if type(tape_seed) is Replays else Replays(tape_seed)
+    return replays.challenge(program, ctx.instance, commit)
+
+
+def simulated_view_without_restarts(ctx, program, tape_seed, side, commit, mask):
     """simulator.simulated_view with its restart taken out: the attempt's
     view is kept even when the challenge misses the guessed side."""
-    prefix, challenge = simulator._replay(ctx, program, tape_seed, commit, _replays)
+    prefix, challenge = replay(ctx, program, tape_seed, commit)
     return SimulatedView(prefix, commit, challenge, mask)
 
 
-def simulated_view_keeping_misses(ctx, program, tape_seed, side, commit, mask, _replays=None):
+def simulated_view_keeping_misses(ctx, program, tape_seed, side, commit, mask):
     """simulator.simulated_view with its test turned round: the attempt's
     view is kept exactly when the challenge misses the guessed side, which
     is the simulator drawing its base for the guessed side's opposite."""
-    prefix, challenge = simulator._replay(ctx, program, tape_seed, commit, _replays)
+    prefix, challenge = replay(ctx, program, tape_seed, commit)
     if challenge_bit(challenge) == side:
         return None
     return SimulatedView(prefix, commit, challenge, mask)
 
 
-def view_revealing_the_bare_mask(ctx, program, tape_seed, commit, mask, _replays=None):
+def view_revealing_the_bare_mask(ctx, program, tape_seed, commit, mask):
     """simulator.view_from_randomness for a prover that reveals the bare
     mask whatever the challenge: the honest prover's view wherever the
     challenge is 1, a response that the verifier refuses where it is 0."""
-    prefix, challenge = simulator._replay(ctx, program, tape_seed, commit, _replays)
+    prefix, challenge = replay(ctx, program, tape_seed, commit)
     return SimulatedView(prefix, commit, challenge, mask)

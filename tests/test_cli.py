@@ -367,6 +367,16 @@ def test_bad_witness_fails_first_on_every_command(tmp_path, capsys, variant, com
     assert run_main(capsys, command[0], "--instance", str(path), *command[1:]) == (EXIT_ERROR, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("keys", [("A0", "A1"), ("a0", "a1")], ids=["group", "element"])
+def test_decide_answers_sides_of_different_orders_under_a_small_cap(tmp_path, capsys, keys):
+    # <(1 2)> and <(1 2 3)> differ in order (and (1 2), (1 2 3) in cycle
+    # type), so the answer needs no scan of <U> = S_6, and a cap under its
+    # 720 elements refuses nothing
+    path = tmp_path / "orders.txt"
+    path.write_text(f"degree: 6\n{keys[0]}: 2 1 3 4 5 6\n{keys[1]}: 2 3 1 4 5 6\nU: 2 1 3 4 5 6;2 3 4 5 6 1\n")
+    assert run_main(capsys, "decide", "--instance", str(path), "--cap", "10") == (EXIT_REJECT, "answer=no\n", "")
+
+
 @pytest.mark.parametrize(
     "argv,flag",
     [

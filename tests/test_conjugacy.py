@@ -18,10 +18,17 @@ from permzk.conjugacy import (
     run_composed,
     session,
 )
+from permzk.element import ElemConjInstance, ElementContext
 from permzk.engine import BudgetExceeded, GeneratingSet, build_chain, group_equal, parse_generating_set
 from permzk.framework import (
     STANDARD_VERIFIERS,
+    VERIFIER,
+    Message,
     RandomTape,
+    TapePrefix,
+    View,
+    bit_payload,
+    challenge_bit,
     constant_verifier,
     honest_verifier,
 )
@@ -47,6 +54,7 @@ TINY = "fixtures/tiny_cyclic.txt"
 Q2_GROUPS = "fixtures/q2_groups.txt"
 S4_PAIR = "fixtures/s4_pair.txt"
 NO_M4 = "fixtures/no_m4.txt"
+EC_YES = "fixtures/ec_yes_m3.txt"
 
 
 def test_instance_validation():
@@ -278,6 +286,38 @@ def test_replay_verdict_matches_live_run_under_each_program(name, prover_class):
         verdicts.add(out.accepted)
     assert verdicts == ({True} if prover_class is HonestProver else {True, False})
     assert not replay_verdict(ctx, params, program, out.view.__class__(out.view.r_prefix, ()))
+
+
+def altered_views(view: View) -> dict:
+    """Four alterations of a recorded P, V, P view, none of which the
+    verifier program's replay on the recorded tape gives."""
+    commit, challenge, response = view.messages
+    flipped = Message(VERIFIER, bit_payload(1 - challenge_bit(challenge.payload)))
+    return {
+        "challenge flipped": View(view.r_prefix, (commit, flipped, response)),
+        "99 tape draws": View(TapePrefix(view.r_prefix.seed, 99), view.messages),
+        "fourth message": View(view.r_prefix, view.messages + (response,)),
+        "third message from V": View(view.r_prefix, (commit, challenge, Message(VERIFIER, response.payload))),
+    }
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["seq", "par"])
+@pytest.mark.parametrize("path", [Q2_GROUPS, EC_YES])
+def test_replay_verdict_refuses_altered_views(path, parallel):
+    # a replay re-decides the whole record: an accepted view whose challenge,
+    # tape prefix or message senders the replay does not give is refused
+    inst = load_instance(path)
+    ctx = (ElementContext if isinstance(inst, ElemConjInstance) else InstanceContext)(inst)
+    params = ProtocolParams(2, 3)
+    prover = HonestProver(ctx, params)
+    for name in sorted(STANDARD_VERIFIERS):
+        program = STANDARD_VERIFIERS[name]()
+        for seed in range(4):
+            run = run_composed(ctx, params, prover, program, random.Random(seed), parallel=parallel)
+            for out in run.outcomes:
+                assert out.accepted and replay_verdict(ctx, params, program, out.view)
+                for alteration, view in altered_views(out.view).items():
+                    assert not replay_verdict(ctx, params, program, view), (name, seed, alteration)
 
 
 def test_extract_witness_from_two_responses():

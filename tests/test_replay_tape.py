@@ -1,18 +1,18 @@
 """Replay tapes draw exactly what random.Random draws.
 
-A tape made by TapeWords(seed).tape() reads the seed's 32-bit Mersenne
-Twister words from one shared buffer instead of seeding its own stream, and
-rebuilds getrandbits from them as CPython does.  These checks compare every
-draw with random.Random(seed), so they fail on a Python release that changes
-how getrandbits or randrange consume the stream.  They use the standard
-library only, so they also run without pytest:
+A tape made by RandomTape(seed, Replays(seed)) reads the seed's 32-bit
+Mersenne Twister words from one shared buffer instead of seeding its own
+stream, and rebuilds getrandbits from them as CPython does.  These checks
+compare every draw with random.Random(seed), so they fail on a Python
+release that changes how getrandbits or randrange consume the stream.  They
+use the standard library only, so they also run without pytest:
 
     PYTHONPATH=src python3 tests/test_replay_tape.py
 """
 
 import random
 
-from permzk.framework import RandomTape, TapePrefix, TapeWords
+from permzk.framework import RandomTape, Replays, TapePrefix
 
 SEEDS = (0, 1, 13, 2**32 - 1, 2**32, 2**64 - 1)
 # 1 to past 2^64: every n to 300, powers of two and their neighbours, and
@@ -27,11 +27,11 @@ BITS = (0, 1, 31, 32, 33, 64, 100)
 
 def test_randrange_matches_random_at_every_size():
     for seed in SEEDS:
-        words = TapeWords(seed)
+        words = Replays(seed)
         for n in SIZES:
             # each size on its own tape, from the start of the shared words
-            assert words.tape().randrange(n) == random.Random(seed).randrange(n), (seed, n)
-        tape, stdlib = words.tape(), random.Random(seed)
+            assert RandomTape(seed, words).randrange(n) == random.Random(seed).randrange(n), (seed, n)
+        tape, stdlib = RandomTape(seed, words), random.Random(seed)
         assert [tape.randrange(n) for n in SIZES] == [stdlib.randrange(n) for n in SIZES], seed
 
 
@@ -43,7 +43,7 @@ def test_randrange_refuses_what_random_refuses():
             expected = str(err)
         else:
             raise AssertionError(f"random.Random accepted randrange({n})")
-        tape = TapeWords(0).tape()
+        tape = RandomTape(0, Replays(0))
         try:
             tape.randrange(n)
         except ValueError as err:
@@ -54,18 +54,18 @@ def test_randrange_refuses_what_random_refuses():
 
 def test_getrandbits_and_bit_match_random():
     for seed in SEEDS:
-        words = TapeWords(seed)
+        words = Replays(seed)
         for k in BITS:
-            assert words.tape().getrandbits(k) == random.Random(seed).getrandbits(k), (seed, k)
-        tape, stdlib = words.tape(), random.Random(seed)
+            assert RandomTape(seed, words).getrandbits(k) == random.Random(seed).getrandbits(k), (seed, k)
+        tape, stdlib = RandomTape(seed, words), random.Random(seed)
         assert [tape.getrandbits(k) for k in BITS * 3] == [stdlib.getrandbits(k) for k in BITS * 3]
-        tape, stdlib = words.tape(), random.Random(seed)
+        tape, stdlib = RandomTape(seed, words), random.Random(seed)
         assert [tape.bit() for _ in range(64)] == [stdlib.randrange(2) for _ in range(64)]
 
 
 def test_index_draws_match_random_with_the_same_counts():
     for seed in SEEDS:
-        tape, fresh, stdlib = TapeWords(seed).tape(), RandomTape(seed), random.Random(seed)
+        tape, fresh, stdlib = RandomTape(seed, Replays(seed)), RandomTape(seed), random.Random(seed)
         for draws, k in ((3, 2), (0, 5), (5, 33), (2, 64)):
             ours, theirs = tape.index_draws(draws), fresh.index_draws(draws)
             expected = [stdlib.getrandbits(k) for _ in range(draws)]
@@ -80,7 +80,7 @@ def test_interleaved_draws_match_random():
     ops += [("getrandbits", k) for k in BITS] + [("bit", None), ("index_draws", 3)]
     rng = random.Random(4)
     for seed in SEEDS:
-        tape, fresh, stdlib = TapeWords(seed).tape(), RandomTape(seed), random.Random(seed)
+        tape, fresh, stdlib = RandomTape(seed, Replays(seed)), RandomTape(seed), random.Random(seed)
         for _ in range(200):
             op, n = ops[rng.randrange(len(ops))]
             if op == "index_draws":
@@ -101,16 +101,16 @@ def test_tapes_sharing_words_read_different_lengths():
     # tapes on one buffer, each reading a different number of draws in a
     # different order of lengths, all read the seed's stream from its start
     for seed in SEEDS:
-        words = TapeWords(seed)
+        words = Replays(seed)
         for length in (5, 1, 40, 0, 17, 40, 3):
-            tape, stdlib = words.tape(), random.Random(seed)
+            tape, stdlib = RandomTape(seed, words), random.Random(seed)
             assert [tape.randrange(1000) for _ in range(length)] == [stdlib.randrange(1000) for _ in range(length)]
             assert tape.prefix() == TapePrefix(seed, length)
 
 
 def test_words_seed_nothing_until_a_tape_draws():
-    words = TapeWords(5)
-    tapes = [words.tape() for _ in range(3)]
+    words = Replays(5)
+    tapes = [RandomTape(5, words) for _ in range(3)]
     assert words._rng is None
     assert tapes[0].prefix() == TapePrefix(5, 0)
     tapes[1].getrandbits(0)

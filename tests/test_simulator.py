@@ -30,6 +30,7 @@ from permzk.engine import BudgetExceeded, GeneratingSet, StabilizerChain
 from permzk.framework import (
     STANDARD_VERIFIERS,
     RandomTape,
+    Replays,
     TapePrefix,
     VerifierProgram,
     bit_payload,
@@ -253,6 +254,23 @@ def test_simulated_view_restarts_exactly_when_the_challenge_misses_the_side(case
         assert (view.commit, view.challenge, view.response) == (commit, challenge, mask)
         # on side 1 the simulator's map and the honest prover's map agree
         assert side == 0 or view == view_from_randomness(ctx, program, tape_seed, commit, mask)
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD_VERIFIERS))
+def test_maps_take_a_seed_or_its_replays_alike(name):
+    # a seed replays on a fresh Replays per call; the Replays kept across
+    # every (mask, commit) pair, with or without a table, must give the same
+    ctx = yes_context(Q2_GROUPS)
+    program = STANDARD_VERIFIERS[name]()
+    for tape_seed in range(3):
+        tapes = (tape_seed, Replays(tape_seed), Replays(tape_seed, {}))
+        for side in (0, 1):
+            for mask, commit in ctx.masked_commits(side, 2):
+                views = [simulated_view(ctx, program, tape, side, commit, mask) for tape in tapes]
+                assert len(set(views)) == 1, (tape_seed, side)
+                if side:
+                    views = [view_from_randomness(ctx, program, tape, commit, mask) for tape in tapes]
+                    assert len(set(views)) == 1, tape_seed
 
 
 def test_view_from_randomness_matches_real_protocol():

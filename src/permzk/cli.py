@@ -27,7 +27,7 @@ from .conjugacy import (
     run_composed,
 )
 from .element import ElemConjInstance, ElementContext
-from .engine import BudgetExceeded, _generates_images, build_chain
+from .engine import BudgetExceeded, _generation_test, build_chain
 from .framework import STANDARD_VERIFIERS
 from .instances import InstanceError, load_group_file, load_instance
 from .perm import format_perm
@@ -181,10 +181,8 @@ def cmd_stats_genlemma(args) -> int:
     gset = load_group_file(args.group)
     chain = build_chain(gset)
     rng = random.Random(_seed_of(args))
-    target = chain.order()
-    hits = 0
-    for _ in range(args.trials):
-        hits += _generates_images(gset.degree, chain._random_images(rng, args.k), target)
+    target, generates = chain.order(), _generation_test(chain)
+    hits = sum(generates(chain._random_images(rng, args.k)) for _ in range(args.trials))
     frequency = hits / args.trials
     bound = genlemma_bound(gset.degree, args.k)
     passed = bound is None or frequency > bound

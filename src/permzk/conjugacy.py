@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property, reduce, wraps
+from operator import and_
 from typing import Optional
 
 from .engine import (
@@ -24,6 +25,7 @@ from .engine import (
     StabilizerChain,
     build_chain,
     _generates_images,
+    _tuple_tables,
     enumerate_elements,
     generating_tuples,
     group_profile,
@@ -214,20 +216,22 @@ class InstanceContext:
     def sample_commit(self, side: int, k: int, rng, mask: Permutation):
         """A uniform generating k-tuple of the side's group conjugated by
         mask, drawn from that group's own table, and its sampling attempts.
-        The table conjugated by the mask is kept per (side, mask) while
+        The sampler's tables for the mask are kept per (side, mask) while
         _mask_tables(side) keeps any."""
         chain, kept = self.side_chain(side), self._mask_tables(side)
-        tables = None if kept is None else kept.get(mask) or kept.setdefault(mask, chain._conjugated_sampling(mask))
+        tables = None if kept is None else kept.get(mask) or kept.setdefault(mask, _tuple_tables(chain, mask))
         return random_generating_tuple(chain, k, rng, mask, tables)
 
     @_per_context
     def _mask_tables(self, side: int) -> Optional[dict]:
-        """mask -> the side chain's sampling table conjugated by the mask,
-        filled as masks are drawn and kept for the life of the context: a
-        dict while |<U>| times the chain's representative count, a bound on
-        the entries' total size, is within search_cap, else None."""
-        reps = sum(n for n, _ in self.side_chain(side)._sampling[0])
-        return {} if self.chain_u.order() * reps <= self.search_cap else None
+        """mask -> engine._tuple_tables(side chain, mask), filled as masks
+        are drawn and kept for the life of the context: a dict while |<U>|
+        times an entry's size is within search_cap, else None.  The size is
+        |G| where the chain has maximal-subgroup masks (two dicts over the
+        masked group), else the chain's representative count, at most |G|."""
+        chain = self.side_chain(side)
+        size = chain.order() if chain._maximal_masks is not None else sum(n for n, _ in chain._sampling[0])
+        return {} if self.chain_u.order() * size <= self.search_cap else None
 
     def prover_draw(self, side: int, k: int, rng) -> tuple:
         """The prover's randomness for a side, drawn in this order: a mask
@@ -389,16 +393,22 @@ def coerce_commit(degree: int, k: int, payload) -> Optional[tuple]:
 
 
 def response_accepted(ctx: InstanceContext, commit: tuple, challenge, response) -> bool:
-    """The verifier's final checks: the response is a permutation in <U>
-    and the committed tuple generates the challenged group conjugated by it.
-    Containment is tested before the tuple's chain is built, so a response
-    that fails it costs no chain."""
+    """The verifier's final checks: the response w is a permutation in <U>
+    and the committed tuple generates the challenged group G conjugated by
+    it.  The entries, conjugated back by w, must lie in G and generate it:
+    where G has maximal-subgroup masks, one dict read per entry tests both;
+    otherwise containment is tested before the tuple's chain is built, so
+    a response that fails it costs no chain."""
     w = _coerce_perm(response, ctx.degree)
     if w is None or not ctx.chain_u.contains(w):
         return False
     side_chain = ctx.side_chain(challenge_bit(challenge))
-    conj = conjugation(invert_images(w._img))
-    if not all(map(side_chain.contains, map(Permutation._raw, (conj(x._img) for x in commit)))):
+    conj, masks = conjugation(invert_images(w._img)), side_chain._maximal_masks
+    back = [conj(x._img) for x in commit]
+    if masks is not None:
+        found = list(map(masks.get, back))
+        return None not in found and not reduce(and_, found)
+    if not all(map(side_chain.contains, map(Permutation._raw, back))):
         return False
     return _generates_images(ctx.degree, [x._img for x in commit], side_chain.order())
 

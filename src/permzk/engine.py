@@ -34,14 +34,16 @@ with each shallower level's table in turn.  _random_images draws raw images,
 which random_elements wraps.  random_conjugates(rng, k, v) and
 random_generating_tuple(chain, k, rng, v) draw from G^v on G's draws, from
 the table _conjugated_sampling conjugates by v once per call, or once per
-caller that keeps it (InstanceContext.sample_commit, while <U> is small);
-the tuple sampler tests raw images for generation and wraps only the
-accepted attempt.
+caller that keeps it (InstanceContext.sample_commit, while <U> is small).
 
-The generation test _generates_images(degree, imgs, order) is _fill on a
-membership chain of imgs, with no GeneratingSet, stopped as soon as the
-product of the transversal sizes reaches order.  That is exact under one
-precondition, which its docstring states with how each caller meets it.
+There are two exact generation tests for raw images inside G.  When |G|^2
+is within DEFAULT_SEARCH_CAP and a walk of G's subgroup lattice stays
+within it too, _maximal_masks keeps per element the bitmask of the maximal
+subgroups holding it, and a tuple generates G exactly when its masks AND
+to 0.  Otherwise _generates_images(degree, imgs, order) fills a membership
+chain of imgs and stops once the transversal product reaches order.
+_generation_test picks one; the tuple sampler reads G^v's masks and one
+interned Permutation per element of G^v, so an attempt wraps nothing.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 from typing import NamedTuple, Optional
 
 from .perm import Permutation, composer, conjugation, identity_images, inverse_table, parse_perm, raw_images, table
@@ -199,6 +202,52 @@ class StabilizerChain:
         reps = [[lvl.transversal[p] for p in lvl.points] for lvl in self._levels]
         sizes = tuple((len(r), len(r).bit_length()) for r in reps)
         return (sizes, reps[-1], [list(map(table, r)) for r in reps[-2::-1]]) if reps else ((), [], [])
+
+    @cached_property
+    def _maximal_masks(self) -> Optional[dict]:
+        """Raw images of each element of G, the chain's group, mapped to the
+        bitmask of G's maximal subgroups that hold it: k elements generate G
+        exactly when their masks AND to 0, since a proper subgroup lies in a
+        maximal one (P. Hall, 1936).  Subgroups are bitmasks over element
+        indices.  From the trivial group on, the walk extends each subgroup H
+        found by one g per right coset Hg outside it, closing <H, g> coset by
+        coset over a table of products (Dimino's method); H is maximal when
+        every such <H, g> is G.  None, and the group keeps _generates_images,
+        when |G|^2, the table's size, or the products the walk reads exceed
+        DEFAULT_SEARCH_CAP: C_2^6 (2,825 subgroups) stops within that budget."""
+        n = self.order()
+        if n * n > DEFAULT_SEARCH_CAP:
+            return None
+        elems = [p._img for p in enumerate_elements(self)]
+        index = {x: i for i, x in enumerate(elems)}
+        mul = [[index[self._then(a, table(b))] for b in elems] for a in elems]
+        full, budget = (1 << n) - 1, DEFAULT_SEARCH_CAP
+        queue, seen, maximal = [(1, ())], {1}, []
+        for h, gens in queue:  # grows while it is read
+            members = [i for i in range(n) if h >> i & 1]
+            coset = lambda x: sum(1 << mul[y][x] for y in members)
+            done, top = h, h != full
+            for g in range(n):
+                if done >> g & 1:
+                    continue
+                done |= coset(g)
+                k, reps, gens_k = h, [0], gens + (g,)
+                for r in reps:  # grows while it is read: one per right coset of H
+                    for x in map(mul[r].__getitem__, gens_k):
+                        if not k >> x & 1:
+                            k |= coset(x)
+                            reps.append(x)
+                budget -= len(reps) * (len(gens_k) + len(members))
+                if budget < 0:
+                    return None
+                if k != full:
+                    top = False
+                    if k not in seen:
+                        seen.add(k)
+                        queue.append((k, gens_k))
+            if top:
+                maximal.append(h)
+        return {x: sum(1 << j for j, m in enumerate(maximal) if m >> i & 1) for i, x in enumerate(elems)}
 
     def _draw(self, rng, k: int, tables: tuple) -> tuple:
         """k raw images drawn from a table of _sampling's shape."""
@@ -360,23 +409,30 @@ def _generates_images(degree: int, imgs, order: int) -> bool:
     they entered the program, generate a group of the given order.
 
     Precondition: imgs lie in a group G of that order, so True means they
-    generate G.  Every caller meets it: random_generating_tuple (which draws
-    from G^v, a group of order |G|), generating_tuples (which enumerates G),
-    conjugacy.response_accepted (which checks containment first),
-    InstanceContext.accepted_responses (whose mask AND puts imgs inside
-    side^w, and which keeps each verdict for the life of its context),
-    nonconjugacy.matched_sides (which first finds a
-    U-conjugate of the side, a group of its order, holding every entry)
-    and cli.cmd_stats_genlemma (which samples from G).  The test fills a
-    membership chain from imgs, less duplicates and identities, and stops
-    as soon as the product of the transversal sizes equals order, after a
-    placement during ingestion or while closing.
+    generate G.  Each caller meets it: the samplers draw from G or G^v,
+    generating_tuples enumerates G, response_accepted checks containment
+    first, InstanceContext.accepted_responses's mask AND and
+    nonconjugacy.matched_sides's subset test put imgs inside a conjugate of
+    G.  The test fills a membership chain from imgs, less duplicates and
+    identities, and stops as soon as the product of the transversal sizes
+    equals order, after a placement during ingestion or while closing.
     This is exact, not Monte Carlo: each level's orbit is an orbit of a
     subgroup of the matching stabilizer in H = <imgs>, so the product never
     exceeds |H|, and |H| <= |G|.  It draws nothing from any random stream,
     so which representatives the chain picks cannot show in a transcript."""
     chain = _MembershipChain(degree, imgs)
     return _fill(chain, order) or chain.order() == order
+
+
+def _generation_test(chain: StabilizerChain, masks: Optional[dict] = None):
+    """imgs -> whether raw images imgs, all in G, generate G: the AND of
+    their masks where chain._maximal_masks has them, else _generates_images.
+    masks, when given, are G^v's, for imgs in G^v."""
+    masks = chain._maximal_masks if masks is None else masks
+    if masks is None:
+        degree, order = chain.degree, chain.order()
+        return lambda imgs: _generates_images(degree, imgs, order)
+    return lambda imgs: not reduce(and_, map(masks.__getitem__, imgs))
 
 
 class GeneratingTuple(NamedTuple):
@@ -386,19 +442,34 @@ class GeneratingTuple(NamedTuple):
     attempts: int = 1
 
 
+def _tuple_tables(chain: StabilizerChain, v: Permutation) -> tuple:
+    """What random_generating_tuple samples G^v with: the conjugated
+    sampling table, the generation test for its draws and the map that
+    wraps the accepted one.  With masks, both read dicts over G^v's
+    elements, and the map one interned Permutation per element."""
+    sampling, masks = chain._conjugated_sampling(v), chain._maximal_masks
+    if masks is None:
+        return sampling, _generation_test(chain), lambda imgs: tuple(map(Permutation._raw, imgs))
+    conj = conjugation(v._img)
+    masks = {conj(x): bits for x, bits in masks.items()}
+    perms = {x: Permutation._raw(x) for x in masks}
+    return sampling, _generation_test(chain, masks), lambda imgs: tuple(map(perms.__getitem__, imgs))
+
+
 def random_generating_tuple(chain: StabilizerChain, k: int, rng, v: Permutation, _tables=None) -> GeneratingTuple:
     """Rejection-sample a uniform generating k-tuple of G^v, G the chain's
     group: G's tuple conjugated by v, on its draws and attempts (conjugation
     is an isomorphism).  For the trivial group the first draw, the
-    all-identity tuple, is the unique such tuple.  _tables, when given, is
-    chain._conjugated_sampling(v) made once by a caller that keeps it."""
+    all-identity tuple, is the unique such tuple.  Each attempt is tested
+    and the accepted one wrapped by _tuple_tables(chain, v), which _tables
+    is when a caller keeps it."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    tables = _tables if _tables is not None else chain._conjugated_sampling(v)
+    tables, generates, wrap = _tables if _tables is not None else _tuple_tables(chain, v)
     for attempt in range(1, DEFAULT_TUPLE_ATTEMPTS + 1):
         imgs = chain._draw(rng, k, tables)
-        if _generates_images(chain.degree, imgs, chain.order()):
-            return GeneratingTuple(tuple(map(Permutation._raw, imgs)), attempt)
+        if generates(imgs):
+            return GeneratingTuple(wrap(imgs), attempt)
     raise BudgetExceeded(
         f"no generating {k}-tuple found in {DEFAULT_TUPLE_ATTEMPTS} attempts; k may be too small for this group"
     )
@@ -439,8 +510,8 @@ def generating_tuples(chain: StabilizerChain, k: int, cap: int = DEFAULT_SEARCH_
     elems = enumerate_elements(chain, cap)
     if len(elems) ** k > cap:
         raise BudgetExceeded(f"{len(elems)}^{k} candidate tuples exceed cap {cap}")
-    candidates = itertools.product(elems, repeat=k)
-    return tuple(tup for tup in candidates if _generates_images(chain.degree, [p._img for p in tup], len(elems)))
+    generates = _generation_test(chain)
+    return tuple(tup for tup in itertools.product(elems, repeat=k) if generates([p._img for p in tup]))
 
 
 def group_profile(chain: StabilizerChain, cap: int = DEFAULT_SEARCH_CAP) -> Optional[tuple]:

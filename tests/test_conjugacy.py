@@ -19,7 +19,7 @@ from permzk.conjugacy import (
     session,
 )
 from permzk.element import ElemConjInstance, ElementContext
-from permzk.engine import BudgetExceeded, GeneratingSet, build_chain, group_equal, parse_generating_set
+from permzk.engine import BudgetExceeded, GeneratingSet, _generates_images, build_chain, group_equal, parse_generating_set
 from permzk.framework import (
     STANDARD_VERIFIERS,
     VERIFIER,
@@ -184,6 +184,35 @@ def test_response_accepted_checks_membership_and_generation():
     small = (Permutation.identity(3),) * 2
     assert not response_accepted(ctx, small, b"1", Permutation.identity(3))
 
+
+
+def chain_verdict(ctx, commit, challenge, w) -> bool:
+    """response_accepted by membership chains alone: w in <U>, each entry
+    conjugated back by w in the challenged group G, and the entries
+    generating a group of G's order."""
+    chain = ctx.side_chain(challenge_bit(challenge))
+    back = [x.conjugated_by(w.inverse()) for x in commit]
+    return (ctx.chain_u.contains(w) and all(map(chain.contains, back))
+            and _generates_images(ctx.degree, [x._img for x in commit], chain.order()))
+
+
+@pytest.mark.parametrize("path", ["fixtures/embed_s3.txt", S4_PAIR, NO_M4, Q2_GROUPS])
+def test_response_accepted_by_masks_agrees_with_membership_chains(path):
+    # each side has maximal-subgroup masks; every candidate pair, and pairs
+    # with an entry from outside, against every w in <U> and a few others
+    ctx = ctx_of(path)
+    assert all(ctx.side_chain(side)._maximal_masks is not None for side in (0, 1))
+    rng = random.Random(5)
+    outside = [Permutation(rng.sample(range(1, ctx.degree + 1), ctx.degree)) for _ in range(4)]
+    commits = list(ctx.candidate_commits(2)) + [(x, y) for x in outside for y in ctx.side_members(0)]
+    verdicts = set()
+    for commit in commits:
+        for w in ctx.u_elements() + tuple(outside):
+            for challenge in (b"0", b"1"):
+                verdict = response_accepted(ctx, commit, challenge, w)
+                assert verdict == chain_verdict(ctx, commit, challenge, w), (commit, challenge, w)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 def run_once(ctx, params, prover, program, seed):
     return run_session(session(ctx, params, prover, program, random.Random(seed), RandomTape(seed + 1)))

@@ -5,12 +5,16 @@ never looks at transversals, and against textbook group orders.
 """
 
 import collections
+import functools
 import hashlib
 import importlib.util
 import itertools
 import math
+import operator
 import pathlib
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,11 +36,12 @@ from permzk.engine import (
     random_generating_tuple,
     _generates_images,
 )
+from permzk.cli import genlemma_bound
 from permzk.conjugacy import InstanceContext
 from permzk.element import ElementContext
 from permzk.framework import RandomTape
 from permzk.instances import load_group_file, load_instance, parse_instance_text
-from permzk.perm import Permutation, raw_images
+from permzk.perm import Permutation, conjugation, raw_images
 
 from helpers import base_points, centralizer_order_in_sym, conjugated_set, format_generating_set, symmetric_group
 
@@ -758,10 +763,8 @@ def test_random_elements_wrap_the_raw_draws():
         assert ours.prefix() == theirs.prefix()
 
 
-def test_random_generating_tuple_wraps_only_the_accepted_attempt(monkeypatch):
-    # S_3 at k=2 rejects half its draws (18 of 36 pairs generate), so
-    # some seeds take several attempts; only the accepted one is wrapped
-    chain, ident = build_chain(symmetric_group(3)), Permutation.identity(3)
+def count_wraps(monkeypatch) -> list:
+    """Route Permutation._raw through a counter: the raw images it wraps."""
     raw = Permutation._raw.__func__
     made = []
 
@@ -770,11 +773,193 @@ def test_random_generating_tuple_wraps_only_the_accepted_attempt(monkeypatch):
         return raw(cls, img)
 
     monkeypatch.setattr(Permutation, "_raw", classmethod(counted))
+    return made
+
+
+def test_random_generating_tuple_wraps_only_the_accepted_attempt(monkeypatch):
+    # S_5 at k=2 rejects about a third of its draws, so some seeds take several
+    # attempts; |S_5|^2 is over the search cap, so there are no masks and
+    # only the accepted attempt is wrapped
+    chain, ident = build_chain(symmetric_group(5)), Permutation.identity(5)
+    assert chain._maximal_masks is None
+    made = count_wraps(monkeypatch)
     attempts = []
     for seed in range(20):
         made.clear()
         gt = random_generating_tuple(chain, 2, random.Random(seed), ident)
-        assert len(made) == 2
         assert tuple(made) == tuple(p._img for p in gt.perms)
         attempts.append(gt.attempts)
     assert max(attempts) >= 3
+
+
+def test_random_generating_tuple_wraps_no_attempt_once_a_mask_has_its_lookup(monkeypatch):
+    # S_3 at k=2 rejects half its draws (18 of 36 pairs generate).  Its
+    # masks wrap the 6 elements once per chain, and the lookup for a mask
+    # interns the 6 elements of S_3^v: once per call without kept tables,
+    # once per mask with them, and no attempt wraps anything
+    chain, v = build_chain(symmetric_group(3)), Permutation.from_cycles(3, (1, 3))
+    made = count_wraps(monkeypatch)
+    tables = engine._tuple_tables(chain, v)
+    assert len(made) == 12
+    attempts = []
+    for seed in range(20):
+        made.clear()
+        gt = random_generating_tuple(chain, 2, random.Random(seed), v)
+        assert len(made) == 6
+        made.clear()
+        assert random_generating_tuple(chain, 2, random.Random(seed), v, tables) == gt
+        assert made == []
+        attempts.append(gt.attempts)
+    assert max(attempts) >= 3
+
+
+# -- the generation test by maximal-subgroup masks -------------------------
+#
+# A chain of a group G with |G|^2 within the search cap keeps, per element,
+# the bitmask of G's maximal subgroups that hold it, unless walking G's
+# subgroup lattice would read more products than the cap; k elements
+# generate G exactly when their masks AND to 0.  _generation_test(chain)
+# uses the masks where they exist and _generates_images otherwise.
+
+
+def elementary_abelian_2(r: int) -> GeneratingSet:
+    """C_2^r as r disjoint transpositions on 2r points."""
+    return GeneratingSet(2 * r, tuple(Permutation.from_cycles(2 * r, (2 * i + 1, 2 * i + 2)) for i in range(r)))
+
+
+def test_lookup_agrees_with_the_chain_test_on_every_short_tuple_of_every_fixture_group():
+    # every fixture group but no_m6's U (S_6, 720^2 over the cap) has masks
+    checked = 0
+    for chain in fixture_chains():
+        n = chain.order()
+        if n * n > engine.DEFAULT_SEARCH_CAP:
+            assert chain._maximal_masks is None and n == 720
+            continue
+        assert chain._maximal_masks is not None
+        elems, lookup = [p._img for p in enumerate_elements(chain)], engine._generation_test(chain)
+        for k in (1, 2, 3):
+            for imgs in itertools.product(elems, repeat=k):
+                assert lookup(imgs) == _generates_images(chain.degree, imgs, n), imgs
+                checked += 1
+    assert checked == 47_242
+
+
+@st.composite
+def group_and_subgroup_draws(draw):
+    """A group G of degree m at most 5 with masks, a conjugator v, and 4m
+    elements drawn from a subgroup of G: G itself, or the group of one or
+    two elements of G, so that both answers come up."""
+    m = draw(st.integers(1, 5))
+    perm = st.permutations(range(1, m + 1)).map(Permutation)
+    chain = build_chain(GeneratingSet(m, tuple(draw(st.lists(perm, min_size=1, max_size=3)))))
+    if chain._maximal_masks is None:
+        chain = build_chain(GeneratingSet(m, (draw(perm),)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sub = chain if draw(st.booleans()) else build_chain(GeneratingSet(m, chain.random_elements(rng, draw(st.integers(1, 2)))))
+    return chain, draw(perm), [x._img for x in sub.random_elements(rng, 4 * m)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(group_and_subgroup_draws())
+def test_lookup_agrees_with_the_chain_test_at_k_4m(case):
+    # on G's own draws and, through the sampler's tables, on G^v's
+    chain, v, imgs = case
+    n = chain.order()
+    assert chain._maximal_masks is not None
+    assert engine._generation_test(chain)(imgs) == _generates_images(chain.degree, imgs, n)
+    masked = list(map(conjugation(v._img), imgs))
+    _, generates, wrap = engine._tuple_tables(chain, v)
+    assert generates(masked) == _generates_images(chain.degree, masked, n)
+    assert wrap(masked) == tuple(map(Permutation._raw, masked))
+
+
+def test_random_generating_tuple_keeps_the_chain_paths_draws_and_attempts():
+    # the lookup's tuples against unmasked_generating_tuple, which tests
+    # each attempt with _generates_images: same perms, attempts and stream
+    masks = [build_chain(symmetric_group(m)).random_elements(random.Random(m), 3) for m in range(1, 7)]
+    for chain in fixture_chains():
+        if chain._maximal_masks is None:
+            continue
+        m = chain.degree
+        for seed, v in enumerate(masks[m - 1] + (Permutation.identity(m),)):
+            for k in (2, 3, 4 * m):
+                assert_tuple_draws_are_conjugated(chain, v, seed, k)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from((4, 6)), st.integers(0, 2**32), st.integers(1, 4))
+def test_lattice_walk_stays_within_its_budget_on_elementary_abelian_groups(r, seed, gens):
+    # C_2^6 has 2,825 subgroups: its walk stops at the product budget and
+    # the chain keeps _generates_images; C_2^4 (67 subgroups, 15 maximal)
+    # finishes.  Either way the answer is the chain test's, on the tuples
+    # of a random subgroup at k = 4m
+    chain = build_chain(elementary_abelian_2(r))
+    started = time.perf_counter()
+    masks = chain._maximal_masks
+    assert time.perf_counter() - started < 0.2
+    assert (masks is None) == (r == 6)
+    if masks is not None:
+        assert functools.reduce(operator.or_, masks.values()) == 2**15 - 1
+    rng = random.Random(seed)
+    sub = build_chain(GeneratingSet(2 * r, chain.random_elements(rng, gens)))
+    imgs = [x._img for x in sub.random_elements(rng, 8 * r)]
+    assert engine._generation_test(chain)(imgs) == _generates_images(2 * r, imgs, chain.order())
+
+
+def brute_force_subgroups(elems) -> list:
+    """Every subgroup of the group whose elements are elems, as frozensets
+    of Permutations: from the trivial group, close each subgroup found with
+    one more element at a time, multiplying pairs until nothing is new."""
+    ident = elems[0]
+
+    def close(members):
+        members = set(members)
+        while True:
+            new = {a * b for a in members for b in members} - members
+            if not new:
+                return frozenset(members)
+            members |= new
+
+    found = {frozenset([ident])}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in elems:
+                if g not in h:
+                    k = close(h | {g})
+                    if k not in found:
+                        found.add(k)
+                        nxt.append(k)
+        frontier = nxt
+    return sorted(found, key=len)
+
+
+def eulerian_function(subgroups, k: int) -> int:
+    """P. Hall's phi_k(G) = sum over H <= G of mu(H, G) |H|^k, mu the
+    Moebius function of the lattice: mu(G, G) = 1, and for H < G minus the
+    sum of mu(K, G) over H < K <= G.  subgroups is sorted by order."""
+    mu = {}
+    for h in reversed(subgroups):
+        mu[h] = 1 if h is subgroups[-1] else -sum(mu[k] for k in mu if h < k)
+    return sum(mu[h] * len(h) ** k for h in subgroups)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (BENCH.parent / "fixtures").glob("group_*.txt")))
+def test_generating_tuples_count_hall_eulerian_function(name):
+    # phi_k counts the generating k-tuples (P. Hall, 1936), from a lattice
+    # that neither masks nor chains helped to find; at k = 4m and 8m, where
+    # no enumeration reaches, phi_k / |G|^k is the exact generation
+    # probability, above the bounds of criterion 3 and stats-genlemma
+    gset = load_group_file(f"fixtures/{name}")
+    chain, m = build_chain(gset), gset.degree
+    subgroups = brute_force_subgroups(enumerate_elements(chain))
+    n = len(subgroups[-1])
+    assert n == chain.order()
+    for k in (1, 2, 3):
+        assert eulerian_function(subgroups, k) == len(generating_tuples(chain, k, cap=n**k))
+    for k in (4 * m, 8 * m):
+        assert Fraction(eulerian_function(subgroups, k), n**k) > genlemma_bound(m, k)
+    pinned = {24: 10_080, 12: 1_560}
+    if n in pinned:
+        assert eulerian_function(subgroups, 3) == pinned[n]

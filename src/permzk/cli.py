@@ -207,9 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, cap=True):
         p.add_argument("--seed", type=int, default=None, help=f"RNG seed (default ${ENV_SEED} or 0)")
-        p.add_argument("--cap", type=int, default=DEFAULT_SEARCH_CAP, help="enumeration budget")
+        if cap:  # the budget of an instance context, which stats-genlemma does not build
+            p.add_argument("--cap", type=int, default=DEFAULT_SEARCH_CAP, help="enumeration budget")
         p.add_argument("--out", default=None, help="also write the output to this file")
 
     p = sub.add_parser("decide", help="brute-force answer with witness")
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, help="group file with a 'G:' line")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
-    common(p)
+    common(p, cap=False)
     p.set_defaults(func=cmd_stats_genlemma)
 
     return parser

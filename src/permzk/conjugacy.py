@@ -213,6 +213,19 @@ class InstanceContext:
     def accepts(self, commit, challenge, response) -> bool:
         return response_accepted(self, commit, challenge, response)
 
+    def accepted_responses(self, commit, challenge) -> tuple:
+        """Every w in <U>, in enumeration order, with accepts(commit,
+        challenge, w): the live verifier is asked once per w on the first
+        call for a commitment and challenge bit, the only part of the
+        challenge it reads, and the answer is kept for the life of the
+        context."""
+        key = ("accepted_responses", commit, challenge_bit(challenge))
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = tuple([w for w in self.u_elements() if self.accepts(commit, challenge, w)])
+            return value
+
     def sample_commit(self, side: int, k: int, rng, mask: Permutation):
         """A uniform generating k-tuple of the side's group conjugated by
         mask, drawn from that group's own table, and its sampling attempts.
@@ -225,13 +238,13 @@ class InstanceContext:
     @_per_context
     def _mask_tables(self, side: int) -> Optional[dict]:
         """mask -> engine._tuple_tables(side chain, mask), filled as masks
-        are drawn and kept for the life of the context: a dict while |<U>|
-        times an entry's size is within search_cap, else None.  The size is
-        |G| where the chain has maximal-subgroup masks (two dicts over the
-        masked group), else the chain's representative count, at most |G|."""
+        are drawn and kept for the life of the context: a dict where the
+        side's chain has maximal-subgroup masks and |<U>| times |G| (an
+        entry holds two dicts over the masked group) is within search_cap,
+        else None."""
         chain = self.side_chain(side)
-        size = chain.order() if chain._maximal_masks is not None else sum(n for n, _ in chain._sampling[0])
-        return {} if self.chain_u.order() * size <= self.search_cap else None
+        kept = chain._maximal_masks is not None and self.chain_u.order() * chain.order() <= self.search_cap
+        return {} if kept else None
 
     def prover_draw(self, side: int, k: int, rng) -> tuple:
         """The prover's randomness for a side, drawn in this order: a mask
@@ -294,7 +307,8 @@ class InstanceContext:
         """Raw images of every conjugate g^w, for g in side_members(side)
         and w in <U>, mapped to a bitmask over the indices of u_elements():
         bit i is set iff the conjugate lies in the side conjugated by the
-        i-th element."""
+        i-th element.  candidate_commits prunes with it and
+        _conjugates_of_sides lists its keys."""
         members = [g._img for g in self.side_members(side)]
         masks: dict = {}
         for i, conj in enumerate(self._u_conjugations()):
@@ -303,35 +317,6 @@ class InstanceContext:
                 x = conj(g)
                 masks[x] = masks.get(x, 0) | bit
         return masks
-
-    def _responses(self, bits: int) -> list:
-        """The elements of <U> whose bits are set, in enumeration order."""
-        u_elems = self.u_elements()
-        out = []
-        while bits:
-            low = bits & -bits
-            out.append(u_elems[low.bit_length() - 1])
-            bits ^= low
-        return out
-
-    def accepted_responses(self, commit: tuple, challenge) -> list:
-        """Every w in <U>, in enumeration order, with accepts(commit,
-        challenge, w): the AND of the entries' masks leaves the w with the
-        commitment inside the side conjugated by w, a group of the side's
-        order, and one generation test, which does not depend on w, decides
-        them all.  The answer is kept per (side, raw images of the
-        commitment), so each runs the test once per context."""
-        return list(self._accepted(challenge_bit(challenge), tuple([x._img for x in commit])))
-
-    @_per_context
-    def _accepted(self, side: int, imgs: tuple) -> tuple:
-        masks = self.side_masks(side)
-        bits = (1 << len(self.u_elements())) - 1
-        for x in imgs:
-            bits &= masks.get(x, 0)
-        if bits and not _generates_images(self.degree, imgs, self.side_chain(side).order()):
-            bits = 0
-        return tuple(self._responses(bits))
 
     def _conjugates_of_sides(self) -> list:
         """Every conjugate of either side's members by <U>, sorted."""

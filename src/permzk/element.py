@@ -102,11 +102,6 @@ class ElementContext(InstanceContext):
     def side_members(self, side: int) -> tuple:
         return (self.instance.side(side),)
 
-    def accepted_responses(self, commit: Permutation, challenge) -> list:
-        """The commitment is one permutation and there is no generation
-        test: its mask alone names the accepted responses."""
-        return self._responses(self.side_masks(challenge_bit(challenge)).get(commit._img, 0))
-
     def candidate_commits(self, k: int):
         return self._conjugates_of_sides()
 

@@ -410,16 +410,17 @@ def _generates_images(degree: int, imgs, order: int) -> bool:
 
     Precondition: imgs lie in a group G of that order, so True means they
     generate G.  Each caller meets it: the samplers draw from G or G^v,
-    generating_tuples enumerates G, response_accepted checks containment
-    first, InstanceContext.accepted_responses's mask AND and
-    nonconjugacy.matched_sides's subset test put imgs inside a conjugate of
-    G.  The test fills a membership chain from imgs, less duplicates and
-    identities, and stops as soon as the product of the transversal sizes
-    equals order, after a placement during ingestion or while closing.
-    This is exact, not Monte Carlo: each level's orbit is an orbit of a
-    subgroup of the matching stabilizer in H = <imgs>, so the product never
-    exceeds |H|, and |H| <= |G|.  It draws nothing from any random stream,
-    so which representatives the chain picks cannot show in a transcript."""
+    generating_tuples enumerates G, response_accepted (which the exact
+    checks' InstanceContext.accepted_responses asks too) checks containment
+    first, and nonconjugacy.matched_sides's subset test puts imgs inside a
+    conjugate of G.  The test fills a membership chain from imgs, less
+    duplicates and identities, and stops as soon as the product of the
+    transversal sizes equals order, after a placement during ingestion or
+    while closing.  This is exact, not Monte Carlo: each level's orbit is
+    an orbit of a subgroup of the matching stabilizer in H = <imgs>, so the
+    product never exceeds |H|, and |H| <= |G|.  It draws nothing from any
+    random stream, so which representatives the chain picks cannot show in
+    a transcript."""
     chain = _MembershipChain(degree, imgs)
     return _fill(chain, order) or chain.order() == order
 

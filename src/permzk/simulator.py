@@ -19,9 +19,9 @@ the context's protocol methods, so group (InstanceContext) and element
 (ElementContext) instances are served alike, exact checks within the
 context's search_cap.  The consistent-view oracle walks
 ctx.candidate_commits, the commitments some response makes acceptable, and
-asks ctx.accepted_responses, which answers for every response in <U> at
-once, keeps each answer for the life of the context, and agrees with
-ctx.accepts, the live verifier's predicate, response by response.
+asks ctx.accepted_responses, which puts every response in <U> to ctx.accepts,
+the live verifier's predicate, and keeps the answer for the life of the
+context.
 """
 
 from __future__ import annotations
@@ -147,8 +147,8 @@ def enumerate_consistent_views(
     """Every view (commit, challenge, response) that the honest verifier
     accepts and whose challenge the program actually emits on this tape:
     for each candidate commitment, challenge = program(commit) and every
-    response w that ctx.accepted_responses returns, which are the w in <U>
-    that the verifier's predicate accepts, in enumeration order.
+    response w that ctx.accepted_responses returns: the w in <U>, in
+    enumeration order, that ctx.accepts, the live verifier, accepts.
     Enumerated directly from the definition, not through the prover or the
     simulator.  A commitment that no response makes acceptable under
     either challenge is not a candidate, so the program is not replayed on
@@ -273,14 +273,15 @@ def compare_view_distributions(
         law_r = exact_real_law(ctx, program, replays, k)
         law_s = exact_sim_law(ctx, program, replays, k)
         consistent = enumerate_consistent_views(ctx, program, replays, k)
-        uniform = Fraction(1, len(consistent))
+        # a verifier that accepts no view leaves nothing to be uniform on
+        uniform = Fraction(1, len(consistent)) if consistent else None
         equal = law_r == law_s
         return {
             "mode": "exact",
             "domain": len(consistent),
             "laws_equal": equal,
-            "uniform_on_consistent": all(law_r.get(v) == uniform for v in consistent)
-            and len(law_r) == len(consistent),
+            "uniform_on_consistent": uniform is not None and len(law_r) == len(consistent)
+            and all(law_r.get(v) == uniform for v in consistent),
             "tv_distance_upper": 0.0 if equal else float(total_variation(law_r, law_s)),
         }
 

@@ -3,8 +3,8 @@ generating sets and instances back out as text, conjugating a generating
 set, two chain facts read from outside, generators of the full symmetric
 group, a degree-300 instance, an oracle for the coset-intersection test, the
 exact laws summed one Fraction per masked commitment, as a reference for the
-simulator's integer counts, and planted defects that the zero-knowledge
-checks must catch."""
+simulator's integer counts, and planted defects, in the prover, the
+simulator or the verifier, that the zero-knowledge checks must catch."""
 
 import math
 from fractions import Fraction
@@ -144,6 +144,18 @@ class IdentityWitnessContext(InstanceContext):
 
     def witness(self) -> Permutation:
         return Permutation.identity(self.degree)
+
+
+def refusing_the_identity(context_class):
+    """context_class with its verifier's accepts refusing the identity
+    response, which the honest prover reveals when its mask is the identity
+    and the challenge is 1, or the witness's inverse and it is 0."""
+
+    class IdentityRefusingContext(context_class):
+        def accepts(self, commit, challenge, response) -> bool:
+            return response != Permutation.identity(self.degree) and super().accepts(commit, challenge, response)
+
+    return IdentityRefusingContext
 
 
 def replay(ctx, program, tape_seed, commit) -> tuple:

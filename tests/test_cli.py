@@ -256,6 +256,16 @@ def test_stats_genlemma_no_bound_below_4m(capsys):
     assert "verdict=PASS" in out
 
 
+def test_stats_genlemma_takes_no_cap(capsys):
+    # it builds no instance context, so a budget would be read by nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["stats-genlemma", "--group", "fixtures/group_c3.txt", "--k", "2", "--trials", "5", "--cap", "0"])
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_ERROR
+    assert captured.out == ""
+    assert "unrecognized arguments: --cap" in captured.err
+
+
 def test_genlemma_bound_thresholds():
     assert genlemma_bound(3, 11) is None
     assert genlemma_bound(3, 12) == 0.5
@@ -556,11 +566,11 @@ VALUES = {
     "--verifier": tuple(sorted(STANDARD_VERIFIERS)),
     "--compose": ("seq", "par"),
 }
-COMMON = ("--seed", "--cap", "--out")
+COMMON = ("--seed", "--out")
 FLAGS = {
-    "decide": ("--instance", *COMMON),
-    "prove": ("--instance", "--protocol", "--rounds", "--k", "--trials", "--prover", "--verifier", "--compose", *COMMON),
-    "simulate": ("--instance", "--k", "--samples", "--exact", "--verifier", "--tape-seed", *COMMON),
+    "decide": ("--instance", "--cap", *COMMON),
+    "prove": ("--instance", "--protocol", "--rounds", "--k", "--trials", "--prover", "--verifier", "--compose", "--cap", *COMMON),
+    "simulate": ("--instance", "--k", "--samples", "--exact", "--verifier", "--tape-seed", "--cap", *COMMON),
     "stats-genlemma": ("--group", "--k", "--trials", *COMMON),
 }
 REQUIRED = {"decide": ("--instance",), "prove": ("--instance",), "simulate": ("--instance",), "stats-genlemma": ("--group", "--k")}

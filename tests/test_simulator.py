@@ -1,10 +1,10 @@
 """Rewinding simulator and its perfect zero-knowledge guarantees.
 
 The exact-mode checks rely on enumerate_consistent_views, which builds the
-consistent-view set from the verifier's conditions alone and knows nothing
-about the prover or the simulator: ctx.accepted_responses answers for every
-response at once, and it is checked here against ctx.accepts, the live
-verifier's predicate, one response at a time.
+consistent-view set from the verifier alone and knows nothing about the
+prover or the simulator: ctx.accepted_responses asks ctx.accepts, the live
+verifier's predicate, of every response in <U>, so a planted verifier
+defect shows in the exact check.
 """
 
 import hashlib
@@ -61,6 +61,7 @@ from helpers import (
     IdentityWitnessContext,
     reference_exact_real_law,
     reference_exact_sim_law,
+    refusing_the_identity,
     run_session,
     simulated_view_keeping_misses,
     simulated_view_without_restarts,
@@ -335,7 +336,7 @@ def test_accepted_responses_agree_with_accepts(fixture, k):
     elems = ctx._conjugates_of_sides()
     for commit in elems if isinstance(ctx, ElementContext) else itertools.product(elems, repeat=k):
         for challenge in (bit_payload(0), bit_payload(1)):
-            expected = [w for w in ctx.u_elements() if ctx.accepts(commit, challenge, w)]
+            expected = tuple(w for w in ctx.u_elements() if ctx.accepts(commit, challenge, w))
             assert ctx.accepted_responses(commit, challenge) == expected
             accepted += len(expected)
     assert accepted > 0
@@ -512,6 +513,31 @@ def test_exact_check_catches_a_prover_that_always_reveals_the_bare_mask(fixture,
             never_zero = name == "const1" or (name, tape_seed) == ("honest", 0)
             verdicts = (report["laws_equal"], report["uniform_on_consistent"], report["bijection"])
             assert verdicts == (never_zero,) * 3, (name, tape_seed)
+
+
+@pytest.mark.parametrize("fixture, k", [("tiny_cyclic", 2), ("q2_groups", 2), ("embed_s3", 2), ("ec_yes_m3", 1)])
+def test_exact_check_catches_a_verifier_that_refuses_the_identity(fixture, k):
+    # the honest prover's law keeps the views revealing the identity; the
+    # oracle asks the live verifier, which refuses them, so every program
+    # that challenges either bit leaves them outside the consistent views
+    inst = load_instance(f"fixtures/{fixture}.txt")
+    ctx = refusing_the_identity(ElementContext if isinstance(inst, ElemConjInstance) else InstanceContext)(inst)
+    for name in sorted(STANDARD_VERIFIERS):
+        report = exact_report(ctx, STANDARD_VERIFIERS[name](), 0, k)
+        assert not (report["bijection"] and report["laws_equal"] and report["uniform_on_consistent"]), name
+
+
+def test_exact_report_on_a_verifier_that_accepts_no_view():
+    # the honest program on tape 1 challenges 0 on every q2_groups
+    # commitment, and this verifier refuses every response to a 0
+    class RefusingChallengeZero(InstanceContext):
+        def accepts(self, commit, challenge, response) -> bool:
+            return challenge_bit(challenge) == 1 and super().accepts(commit, challenge, response)
+
+    ctx = RefusingChallengeZero(load_instance(Q2_GROUPS))
+    report = compare_view_distributions(ctx, honest_verifier(), tape_seed=1, k=2, exact=True)
+    assert (report["domain"], report["uniform_on_consistent"], report["laws_equal"]) == (0, False, True)
+    assert not verify_view_bijection(ctx, honest_verifier(), 1, 2)
 
 
 def test_exact_checks_on_a_warm_context_match_a_fresh_context_per_call():

@@ -276,70 +276,61 @@ class InstanceContext:
         return enumerate_elements(self.side_chain(side), self.search_cap)
 
     @_per_context
-    def side_conjugates(self, side: int) -> Optional[tuple]:
-        """The distinct groups side^u for u in <U>, each as the frozenset of
-        its members' raw images, the side's own group first.  The list is
-        the closure of side_members(side) under conjugation by the raw
-        generators of U's chain, which reaches side^u for every u in <U>; a
-        member set is an exact key for a group, so <U> is neither enumerated
-        nor tested for membership.  None when |<U>|, the side's order or the table's
-        total number of permutations exceeds search_cap: callers then scan
-        <U> with conjugators(), which refuses when |<U>| is over the cap."""
+    def side_conjugates(self, side: int) -> Optional[dict]:
+        """The distinct groups side^u for u in <U>, as a dict from each raw
+        image in one of them to the bitmask of those holding it, bit 0 the
+        side itself: one of them holds every entry of a list iff the
+        entries' masks AND to non-zero.  Closed under conjugation by U's raw
+        generators from side_members(side), so <U> is neither enumerated
+        nor tested for membership.  None when |<U>|, the side's order or the
+        groups' total size exceeds search_cap."""
         cap = self.search_cap
-        order = self.side_chain(side).order()
-        if self.chain_u.order() > cap or order > cap:
+        if self.chain_u.order() > cap:
+            return None
+        try:
+            first = frozenset(g._img for g in self.side_members(side))
+        except BudgetExceeded:
             return None
         conjs = [conjugation(g) for g in self.chain_u.gens]
-        table = [frozenset(g._img for g in self.side_members(side))]
-        seen = set(table)
+        table, seen = [first], {first}
         for members in table:  # grows while it is read: a breadth-first closure
             for conj in conjs:
                 image = frozenset(map(conj, members))
                 if image not in seen:
-                    if (len(table) + 1) * order > cap:
+                    if (len(table) + 1) * len(first) > cap:
                         return None
                     seen.add(image)
                     table.append(image)
-        return tuple(table)
-
-    @_per_context
-    def side_masks(self, side: int) -> dict:
-        """Raw images of every conjugate g^w, for g in side_members(side)
-        and w in <U>, mapped to a bitmask over the indices of u_elements():
-        bit i is set iff the conjugate lies in the side conjugated by the
-        i-th element.  candidate_commits prunes with it and
-        _conjugates_of_sides lists its keys."""
-        members = [g._img for g in self.side_members(side)]
-        masks: dict = {}
-        for i, conj in enumerate(self._u_conjugations()):
-            bit = 1 << i
-            for g in members:
-                x = conj(g)
-                masks[x] = masks.get(x, 0) | bit
-        return masks
+        bits: dict = {}
+        for i, members in enumerate(table):
+            for x in members:
+                bits[x] = bits.get(x, 0) | 1 << i
+        return bits
 
     def _conjugates_of_sides(self) -> list:
-        """Every conjugate of either side's members by <U>, sorted."""
-        images = self.side_masks(0).keys() | self.side_masks(1).keys()
-        return list(map(Permutation._raw, sorted(images)))
+        """Every member of a U-conjugate of either side, sorted."""
+        tables = self.side_conjugates(0), self.side_conjugates(1)
+        if None in tables:
+            raise BudgetExceeded(f"the sides' U-conjugates exceed cap {self.search_cap}")
+        return list(map(Permutation._raw, sorted(tables[0].keys() | tables[1].keys())))
 
     @_per_context
     def candidate_commits(self, k: int) -> tuple:
         """Every well-formed commitment that some response could make
-        acceptable, in itertools.product order: the k-tuples over the
-        conjugates of either side's elements by <U> whose entries' masks AND
-        to non-zero on side 0 or side 1, so the simulator replays no other.
-        The cap counts all k-tuples; the identity keeps every mask, so no
+        acceptable, in itertools.product order: the k-tuples over
+        _conjugates_of_sides() that one U-conjugate of a side holds, so the
+        simulator replays no other.  The cap counts all k-tuples times
+        |<U>|, read off U's chain; the identity keeps every mask, so no
         level of the walk outgrows the result.  Walked once per context and k."""
         if k < 1:
             raise ValueError("k must be at least 1")
         elems = self._conjugates_of_sides()
-        u_count = len(self.u_elements())
-        if len(elems) ** k * u_count > self.search_cap:
+        u_order = self.chain_u.order()
+        if len(elems) ** k * u_order > self.search_cap:
             raise BudgetExceeded(
-                f"{len(elems)}^{k} x {u_count} candidate views exceed cap {self.search_cap}"
+                f"{len(elems)}^{k} x {u_order} candidate views exceed cap {self.search_cap}"
             )
-        m0, m1 = self.side_masks(0), self.side_masks(1)
+        m0, m1 = self.side_conjugates(0), self.side_conjugates(1)
         entries = [(p, m0.get(p._img, 0), m1.get(p._img, 0)) for p in elems]
         level = [((), -1, -1)]  # -1 has every bit set
         for _ in range(k):

@@ -43,10 +43,8 @@ def _collect(text: str) -> dict:
     return fields
 
 
-def parse_instance_text(text: str) -> Union[GroupConjInstance, ElemConjInstance]:
-    """Parse one instance, group or element variant, from the text alone:
-    the context built on it checks a declared witness."""
-    fields = _collect(text)
+def _pop_degree(fields: dict) -> int:
+    """The degree line both file kinds carry: a positive integer."""
     if "degree" not in fields:
         raise InstanceError("missing 'degree' line")
     try:
@@ -55,6 +53,14 @@ def parse_instance_text(text: str) -> Union[GroupConjInstance, ElemConjInstance]
         raise InstanceError("degree is not an integer") from None
     if degree < 1:
         raise InstanceError("degree must be positive")
+    return degree
+
+
+def parse_instance_text(text: str) -> Union[GroupConjInstance, ElemConjInstance]:
+    """Parse one instance, group or element variant, from the text alone:
+    the context built on it checks a declared witness."""
+    fields = _collect(text)
+    degree = _pop_degree(fields)
 
     has_group = any(k in fields for k in GROUP_KEYS)
     has_elem = any(k in fields for k in ELEMENT_KEYS)
@@ -101,12 +107,7 @@ def parse_group_text(text: str) -> GeneratingSet:
     """Group files carry a single generating set under 'G' (or 'A0', so an
     instance file works where a group is expected)."""
     fields = _collect(text)
-    if "degree" not in fields:
-        raise InstanceError("missing 'degree' line")
-    try:
-        degree = int(fields["degree"])
-    except ValueError:
-        raise InstanceError("degree is not an integer") from None
+    degree = _pop_degree(fields)
     for key in ("G", "A0"):
         if key in fields:
             try:

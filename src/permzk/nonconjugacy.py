@@ -65,23 +65,25 @@ def challenge_matched(side: int, response) -> bool:
 def matched_sides(ctx: InstanceContext, payload: tuple) -> tuple:
     """Sides whose group is conjugate to P = <payload> by some element of <U>:
     "|<payload>| = |side| and side^v is in <payload> for some v".  Decided
-    from each side's table of U-conjugates, built once per context, with one
-    subset test per conjugate and at most one generation test per side: the
-    first conjugate whose member set holds every entry contains P, so the
-    generation test's precondition holds, and P is that conjugate iff it has
-    the side's order; when it has not, P equals no conjugate of that order.
-    No conjugate holding the entries means P is none of them.  When either
-    table is over the search cap, <U> is scanned instead (scan_matched_sides)."""
+    from each side's table of U-conjugates (ctx.side_conjugates), built once
+    per context, with one AND of the entries' masks and at most one
+    generation test per side: a non-zero AND names a conjugate of the side
+    that contains P, so the generation test's precondition holds, and P is
+    that conjugate iff it has the side's order; when it has not, P equals
+    no conjugate of that order.  A zero AND means no conjugate holds the
+    entries, so P is none of them.  When either table is over the search
+    cap, <U> is scanned instead (scan_matched_sides)."""
     tables = (ctx.side_conjugates(0), ctx.side_conjugates(1))
     if None in tables:
         return scan_matched_sides(ctx, payload)
     imgs = [x._img for x in payload]
     entries = set(imgs)
     out = []
-    for side, table in enumerate(tables):
-        if any(entries <= members for members in table) and _generates_images(
-            ctx.degree, imgs, ctx.side_chain(side).order()
-        ):
+    for side, masks in enumerate(tables):
+        held = -1  # the bits of the conjugates holding every entry so far
+        for x in entries:
+            held &= masks.get(x, 0)
+        if held and _generates_images(ctx.degree, imgs, ctx.side_chain(side).order()):
             out.append(side)
     return tuple(out)
 

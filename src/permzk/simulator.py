@@ -18,8 +18,10 @@ two-sample test compares sampled views at larger sizes.  Everything runs on
 the context's protocol methods, so group (InstanceContext) and element
 (ElementContext) instances are served alike, exact checks within the
 context's search_cap.  The consistent-view oracle walks
-ctx.candidate_commits, the commitments some response makes acceptable, and
-asks ctx.accepted_responses, which puts every response in <U> to ctx.accepts,
+ctx.candidate_commits, the commitments that one U-conjugate of a side
+holds entry by entry (read off each side's table, ctx.side_conjugates),
+as only those can have an accepted response, and asks
+ctx.accepted_responses, which puts every response in <U> to ctx.accepts,
 the live verifier's predicate, and keeps the answer for the life of the
 context.
 """

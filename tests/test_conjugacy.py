@@ -374,24 +374,38 @@ def test_parallel_matches_sequential():
         assert sorted(seq.events) == sorted(par.events)
 
 
+def conjugate_member_sets(masks: dict) -> list:
+    """Read a side_conjugates table back as one member set per bit, bit 0
+    first; every bit up to the highest must be used."""
+    sets: dict = {}
+    for x, mask in masks.items():
+        for i in range(mask.bit_length()):
+            if mask >> i & 1:
+                sets.setdefault(i, set()).add(x)
+    assert sorted(sets) == list(range(len(sets)))
+    return [frozenset(sets[i]) for i in range(len(sets))]
+
+
 @pytest.mark.parametrize(
     "path",
     ["fixtures/no_m3.txt", "fixtures/no_m4.txt", "fixtures/no_m6.txt", "fixtures/tiny_cyclic.txt",
-     "fixtures/q2_groups.txt", "fixtures/s4_pair.txt", "fixtures/trans_pair.txt"],
+     "fixtures/q2_groups.txt", "fixtures/s4_pair.txt", "fixtures/trans_pair.txt", EC_YES,
+     "fixtures/q2_elements.txt"],
 )
 def test_side_conjugates_are_the_distinct_u_conjugates(path):
     # oracle: conjugate the side's members by every element of <U>
-    ctx = ctx_of(path)
+    inst = load_instance(path)
+    ctx = (ElementContext if isinstance(inst, ElemConjInstance) else InstanceContext)(inst)
     for side in (0, 1):
         members = ctx.side_members(side)
         expected = {frozenset(x.conjugated_by(v)._img for x in members) for v in ctx.u_elements()}
-        table = ctx.side_conjugates(side)
-        assert table[0] == frozenset(x._img for x in members)
-        assert len(set(table)) == len(table) and set(table) == expected
-        # orbit-stabilizer: each conjugate is side^u for |U| / len(table) elements u
-        assert ctx.chain_u.order() % len(table) == 0
+        conjugates = conjugate_member_sets(ctx.side_conjugates(side))
+        assert conjugates[0] == frozenset(x._img for x in members)
+        assert len(set(conjugates)) == len(conjugates) and set(conjugates) == expected
+        # orbit-stabilizer: each conjugate is side^u for |U| / len(conjugates) elements u
+        assert ctx.chain_u.order() % len(conjugates) == 0
     if path == "fixtures/no_m6.txt":
-        assert [len(ctx.side_conjugates(side)) for side in (0, 1)] == [15, 45]
+        assert [len(conjugate_member_sets(ctx.side_conjugates(side))) for side in (0, 1)] == [15, 45]
 
 
 def test_side_conjugates_are_refused_over_the_cap():
@@ -400,9 +414,9 @@ def test_side_conjugates_are_refused_over_the_cap():
     # <(1 2)> under <(1 2 3 4)>: four conjugates of two elements, 8 permutations
     inst = GroupConjInstance(4, gset(4, "2 1 3 4"), gset(4, "2 1 3 4"), gset(4, "2 3 4 1"))
     assert InstanceContext(inst, 7).side_conjugates(0) is None
-    assert len(InstanceContext(inst, 8).side_conjugates(0)) == 4
+    assert len(conjugate_member_sets(InstanceContext(inst, 8).side_conjugates(0))) == 4
     # the side itself over the cap: S_4 with a cap of 23
     s4 = GroupConjInstance(4, gset(4, "2 1 3 4", "2 3 4 1"), gset(4, "2 1 3 4"), gset(4))
     assert InstanceContext(s4, 23).side_conjugates(0) is None
-    (table,) = InstanceContext(s4, 24).side_conjugates(0)
-    assert len(table) == 24
+    (members,) = conjugate_member_sets(InstanceContext(s4, 24).side_conjugates(0))
+    assert len(members) == 24

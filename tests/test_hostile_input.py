@@ -159,6 +159,14 @@ def test_the_boundary_still_refuses_a_bad_entry(entry, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("degree", [0, -2])
+@pytest.mark.parametrize("body", ["A0:\nA1:\nU:\n", "a0: 1\na1: 1\nU:\n", "G:\n"])
+def test_a_degree_below_one_is_refused_by_both_parsers(degree, body):
+    parse = parse_group_text if body.startswith("G") else parse_instance_text
+    with pytest.raises(InstanceError, match="^degree must be positive$"):
+        parse(f"degree: {degree}\n{body}")
+
+
 HUGE = 10**18
 
 

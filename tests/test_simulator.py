@@ -344,19 +344,24 @@ def test_accepted_responses_agree_with_accepts(fixture, k):
 
 @pytest.mark.parametrize("fixture, k", ORACLE_FAMILIES)
 def test_candidate_commits_are_the_product_less_empty_masks(fixture, k):
-    # the unpruned commitments: every k-tuple over the conjugates of the
-    # sides, or, for the element protocol, every conjugate alone
+    # oracle over <U>: a candidate is a k-tuple that some u in <U> puts
+    # inside side 0 or side 1 conjugated by u, or, for the element
+    # protocol, a lone conjugate; listed in itertools.product order over
+    # the sorted conjugates of the sides' members
     ctx = yes_context(f"fixtures/{fixture}.txt")
-    elems = ctx._conjugates_of_sides()
-    unpruned = elems if isinstance(ctx, ElementContext) else list(itertools.product(elems, repeat=k))
+    element = isinstance(ctx, ElementContext)
+    conjugates = [sorted(x.conjugated_by(u)._img for x in ctx.side_members(side))
+                  for side in (0, 1) for u in ctx.u_elements()]
+    length = 1 if element else k
+    tuples = list(itertools.product(sorted({x for members in conjugates for x in members}), repeat=length))
+    held = {t for members in conjugates for t in itertools.product(members, repeat=length)}
 
-    def acceptable_on(side, commit):
-        bits, masks = -1, ctx.side_masks(side)
-        for p in commit if isinstance(commit, tuple) else (commit,):
-            bits &= masks.get(p._img, 0)
-        return bits != 0
+    def as_commit(images):
+        perms = tuple(map(Permutation._raw, images))
+        return perms[0] if element else perms
 
-    expected = [c for c in unpruned if acceptable_on(0, c) or acceptable_on(1, c)]
+    unpruned = list(map(as_commit, tuples))
+    expected = [as_commit(t) for t in tuples if t in held]
     assert list(ctx.candidate_commits(k)) == expected
     # every commitment left out has no accepted response on either side
     for commit in set(unpruned) - set(expected):
@@ -706,6 +711,21 @@ def test_masked_commits_refuse_a_table_over_the_search_cap():
     ctx = InstanceContext(load_instance(Q2_GROUPS), search_cap=12)
     with pytest.raises(BudgetExceeded, match="^8 generating 2-tuples x 2 masks exceed cap 12$"):
         exact_real_law(ctx, honest_verifier(), 0, 2)
+
+
+def test_candidate_views_are_refused_without_enumerating_u(monkeypatch):
+    # A0 = A1 = U = S_6: 720 members of the sides' one conjugate x |<U>| = 720 is over
+    # the default cap, and the refusal must count <U> off its chain
+    s6 = parse_instance_text("degree: 6\nA0: 2 1 3 4 5 6; 2 3 4 5 6 1\n"
+                             "A1: 2 1 3 4 5 6; 2 3 4 5 6 1\nU: 2 1 3 4 5 6; 2 3 4 5 6 1\n")
+    ctx = InstanceContext(s6)
+
+    def refuse(self):
+        raise AssertionError("<U> enumerated")
+
+    monkeypatch.setattr(InstanceContext, "u_elements", refuse)
+    with pytest.raises(BudgetExceeded, match="^720\\^1 x 720 candidate views exceed cap 10000$"):
+        enumerate_consistent_views(ctx, honest_verifier(), 0, k=1)
 
 
 def test_total_variation_basics():

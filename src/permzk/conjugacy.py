@@ -228,9 +228,9 @@ class InstanceContext:
 
     def sample_commit(self, side: int, k: int, rng, mask: Permutation):
         """A uniform generating k-tuple of the side's group conjugated by
-        mask, drawn from that group's own table, and its sampling attempts.
-        The sampler's tables for the mask are kept per (side, mask) while
-        _mask_tables(side) keeps any."""
+        mask, drawn and tested in that group and then conjugated, and its
+        sampling attempts.  The sampler's tables for the mask are kept per
+        (side, mask) while _mask_tables(side) keeps any."""
         chain, kept = self.side_chain(side), self._mask_tables(side)
         tables = None if kept is None else kept.get(mask) or kept.setdefault(mask, _tuple_tables(chain, mask))
         return random_generating_tuple(chain, k, rng, mask, tables)
@@ -240,8 +240,8 @@ class InstanceContext:
         """mask -> engine._tuple_tables(side chain, mask), filled as masks
         are drawn and kept for the life of the context: a dict where the
         side's chain has maximal-subgroup masks and |<U>| times |G| (an
-        entry holds two dicts over the masked group) is within search_cap,
-        else None."""
+        entry holds one dict over G, from its raw images to the interned
+        elements of G^mask) is within search_cap, else None."""
         chain = self.side_chain(side)
         kept = chain._maximal_masks is not None and self.chain_u.order() * chain.order() <= self.search_cap
         return {} if kept else None

@@ -31,10 +31,10 @@ below n, so the draws and the stream's state match one randrange per level
 (test_table_draw_is_cpython_randrange).  A draw takes its indices in level
 order, then composes deepest first: the deepest representative is composed
 with each shallower level's table in turn.  _random_images draws raw images,
-which random_elements wraps.  random_conjugates(rng, k, v) and
-random_generating_tuple(chain, k, rng, v) draw from G^v on G's draws, from
-the table _conjugated_sampling conjugates by v once per call, or once per
-caller that keeps it (InstanceContext.sample_commit, while <U> is small).
+which random_elements wraps.  random_conjugates(rng, k, v) draws from G^v
+on G's draws, from _sampling conjugated by v once per call.
+random_generating_tuple(chain, k, rng, v) draws and tests every attempt in
+G and conjugates only the accepted tuple by v.
 
 There are two exact generation tests for raw images inside G.  When |G|^2
 is within DEFAULT_SEARCH_CAP and a walk of G's subgroup lattice stays
@@ -42,8 +42,9 @@ within it too, _maximal_masks keeps per element the bitmask of the maximal
 subgroups holding it, and a tuple generates G exactly when its masks AND
 to 0.  Otherwise _generates_images(degree, imgs, order) fills a membership
 chain of imgs and stops once the transversal product reaches order.
-_generation_test picks one; the tuple sampler reads G^v's masks and one
-interned Permutation per element of G^v, so an attempt wraps nothing.
+_generation_test picks one; with masks, the tuple sampler reads G's masks
+and one interned Permutation of G^v per element of G, so an attempt wraps
+nothing.
 """
 
 from __future__ import annotations
@@ -180,16 +181,13 @@ class StabilizerChain:
     def random_conjugates(self, rng, k: int, v: Permutation) -> tuple:
         """random_elements(rng, k) conjugated by v, on the same draws: k
         exactly uniform elements of G^v.  Conjugation is a homomorphism, so
-        conjugating the sampling table once per call conjugates every draw."""
-        return tuple(map(Permutation._raw, self._draw(rng, k, self._conjugated_sampling(v))))
-
-    def _conjugated_sampling(self, v: Permutation) -> tuple:
-        """_sampling conjugated by v: its draws are G's conjugated by v."""
+        the draws come from _sampling conjugated by v once per call."""
         if len(v._img) != self.degree:
             raise ValueError(f"degree mismatch: {v.degree} vs {self.degree}")
         sizes, deepest, shallower = self._sampling
         conj, n = conjugation(v._img), self.degree
-        return sizes, list(map(conj, deepest)), [[table(conj(t[:n])) for t in reps] for reps in shallower]
+        tables = sizes, list(map(conj, deepest)), [[table(conj(t[:n])) for t in reps] for reps in shallower]
+        return tuple(map(Permutation._raw, self._draw(rng, k, tables)))
 
     def _random_images(self, rng, k: int) -> tuple:
         """random_elements(rng, k) as raw images, on the same draws."""
@@ -409,7 +407,7 @@ def _generates_images(degree: int, imgs, order: int) -> bool:
     they entered the program, generate a group of the given order.
 
     Precondition: imgs lie in a group G of that order, so True means they
-    generate G.  Each caller meets it: the samplers draw from G or G^v,
+    generate G.  Each caller meets it: the tuple sampler draws from G,
     generating_tuples enumerates G, response_accepted (which the exact
     checks' InstanceContext.accepted_responses asks too) checks containment
     first, and nonconjugacy.matched_sides's subset test puts imgs inside a
@@ -425,11 +423,10 @@ def _generates_images(degree: int, imgs, order: int) -> bool:
     return _fill(chain, order) or chain.order() == order
 
 
-def _generation_test(chain: StabilizerChain, masks: Optional[dict] = None):
+def _generation_test(chain: StabilizerChain):
     """imgs -> whether raw images imgs, all in G, generate G: the AND of
-    their masks where chain._maximal_masks has them, else _generates_images.
-    masks, when given, are G^v's, for imgs in G^v."""
-    masks = chain._maximal_masks if masks is None else masks
+    their masks where chain._maximal_masks has them, else _generates_images."""
+    masks = chain._maximal_masks
     if masks is None:
         degree, order = chain.degree, chain.order()
         return lambda imgs: _generates_images(degree, imgs, order)
@@ -444,26 +441,29 @@ class GeneratingTuple(NamedTuple):
 
 
 def _tuple_tables(chain: StabilizerChain, v: Permutation) -> tuple:
-    """What random_generating_tuple samples G^v with: the conjugated
-    sampling table, the generation test for its draws and the map that
-    wraps the accepted one.  With masks, both read dicts over G^v's
-    elements, and the map one interned Permutation per element."""
-    sampling, masks = chain._conjugated_sampling(v), chain._maximal_masks
+    """What random_generating_tuple samples G^v with: G's own sampling
+    table and generation test, which every attempt is drawn and tested
+    by, and the map that conjugates the accepted draw by v and wraps it.
+    With masks, that map reads one interned Permutation of G^v per
+    element of G, keyed by G's raw images."""
+    if len(v._img) != chain.degree:
+        raise ValueError(f"degree mismatch: {v.degree} vs {chain.degree}")
+    conj, masks = conjugation(v._img), chain._maximal_masks
     if masks is None:
-        return sampling, _generation_test(chain), lambda imgs: tuple(map(Permutation._raw, imgs))
-    conj = conjugation(v._img)
-    masks = {conj(x): bits for x, bits in masks.items()}
-    perms = {x: Permutation._raw(x) for x in masks}
-    return sampling, _generation_test(chain, masks), lambda imgs: tuple(map(perms.__getitem__, imgs))
+        wrap = lambda imgs: tuple(map(Permutation._raw, map(conj, imgs)))
+    else:
+        perms = {x: Permutation._raw(conj(x)) for x in masks}
+        wrap = lambda imgs: tuple(map(perms.__getitem__, imgs))
+    return chain._sampling, _generation_test(chain), wrap
 
 
 def random_generating_tuple(chain: StabilizerChain, k: int, rng, v: Permutation, _tables=None) -> GeneratingTuple:
     """Rejection-sample a uniform generating k-tuple of G^v, G the chain's
     group: G's tuple conjugated by v, on its draws and attempts (conjugation
     is an isomorphism).  For the trivial group the first draw, the
-    all-identity tuple, is the unique such tuple.  Each attempt is tested
-    and the accepted one wrapped by _tuple_tables(chain, v), which _tables
-    is when a caller keeps it."""
+    all-identity tuple, is the unique such tuple.  Each attempt is drawn
+    and tested in G, and only the accepted one is conjugated and wrapped,
+    all by _tuple_tables(chain, v), which _tables is when a caller keeps it."""
     if k < 1:
         raise ValueError("k must be at least 1")
     tables, generates, wrap = _tables if _tables is not None else _tuple_tables(chain, v)

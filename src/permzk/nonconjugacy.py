@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .engine import _fill, _generates_images, _MembershipChain, group_profile
+from .engine import GeneratingSet, _generates_images, group_profile, membership_chain
 from .framework import (
     PROVER,
     VERIFIER,
@@ -94,8 +94,7 @@ def scan_matched_sides(ctx: InstanceContext, payload: tuple) -> tuple:
     order and by the conjugation-invariant cycle-type profile; the payload
     may be long, so the symmetric test would be far slower."""
     ctx.u_elements()  # refuses a |<U>| over the cap before the batch is read
-    chain_p = _MembershipChain(ctx.degree, [x._img for x in payload])
-    _fill(chain_p)
+    chain_p = membership_chain(GeneratingSet(ctx.degree, payload))
     profile_p = group_profile(chain_p, ctx.search_cap)
     out = []
     for side in (0, 1):

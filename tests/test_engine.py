@@ -41,7 +41,7 @@ from permzk.conjugacy import InstanceContext
 from permzk.element import ElementContext
 from permzk.framework import RandomTape
 from permzk.instances import load_group_file, load_instance, parse_instance_text
-from permzk.perm import Permutation, conjugation, raw_images
+from permzk.perm import Permutation, raw_images
 
 from helpers import base_points, centralizer_order_in_sym, conjugated_set, format_generating_set, symmetric_group
 
@@ -813,6 +813,39 @@ def test_random_generating_tuple_wraps_no_attempt_once_a_mask_has_its_lookup(mon
     assert max(attempts) >= 3
 
 
+def test_random_generating_tuple_tests_every_attempt_in_g(monkeypatch):
+    # S_3 (masks) and S_5 (no masks) on 1..m inside S_{m+1}, and v = (1 m+1),
+    # which moves G off itself: every image the generation test reads, in
+    # the mask lookups or in _generates_images, lies in G, while the
+    # accepted tuple, which generates G^v, does not
+    read = []
+
+    class ReadMasks(dict):
+        def __getitem__(self, x):
+            read.append(x)
+            return super().__getitem__(x)
+
+    real = engine._generates_images
+    monkeypatch.setattr(engine, "_generates_images", lambda degree, imgs, order: read.extend(imgs) or real(degree, imgs, order))
+    for m in (3, 5):
+        n = m + 1
+        chain = build_chain(GeneratingSet(n, (Permutation.from_cycles(n, (1, 2)), Permutation.from_cycles(n, tuple(range(1, n))))))
+        assert (chain._maximal_masks is not None) == (m == 3)
+        if m == 3:
+            chain.__dict__["_maximal_masks"] = ReadMasks(chain._maximal_masks)
+        v = Permutation.from_cycles(n, (1, n))
+        attempts = []
+        for seed in range(20):
+            for tables in (None, engine._tuple_tables(chain, v)):
+                read.clear()
+                gt = random_generating_tuple(chain, 2, random.Random(seed), v, tables)
+                assert len(read) == 2 * gt.attempts
+                assert all(chain.contains(Permutation._raw(x)) for x in read)
+                assert not all(map(chain.contains, gt.perms))
+            attempts.append(gt.attempts)
+        assert max(attempts) >= 3
+
+
 # -- the generation test by maximal-subgroup masks -------------------------
 #
 # A chain of a group G with |G|^2 within the search cap keeps, per element,
@@ -862,15 +895,15 @@ def group_and_subgroup_draws(draw):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(group_and_subgroup_draws())
 def test_lookup_agrees_with_the_chain_test_at_k_4m(case):
-    # on G's own draws and, through the sampler's tables, on G^v's
+    # on G's own draws, which the sampler's tables for v test as they are
+    # and wrap as their conjugates by v
     chain, v, imgs = case
     n = chain.order()
     assert chain._maximal_masks is not None
-    assert engine._generation_test(chain)(imgs) == _generates_images(chain.degree, imgs, n)
-    masked = list(map(conjugation(v._img), imgs))
     _, generates, wrap = engine._tuple_tables(chain, v)
-    assert generates(masked) == _generates_images(chain.degree, masked, n)
-    assert wrap(masked) == tuple(map(Permutation._raw, masked))
+    for test in (engine._generation_test(chain), generates):
+        assert test(imgs) == _generates_images(chain.degree, imgs, n)
+    assert wrap(imgs) == tuple(Permutation._raw(x).conjugated_by(v) for x in imgs)
 
 
 def test_random_generating_tuple_keeps_the_chain_paths_draws_and_attempts():

@@ -30,6 +30,8 @@ NO_M3 = "fixtures/no_m3.txt"
 NO_M4 = "fixtures/no_m4.txt"
 NO_M6 = "fixtures/no_m6.txt"
 S5_SHIFT = "S_5 on 1..5 and on 2..6, cap 100"
+KLEIN = "<(1 2), (3 4)> and the normal Klein four-group, U = S_4"
+KLEIN_PAYLOAD = (Permutation.from_cycles(4, (1, 2), (3, 4)), Permutation.from_cycles(4, (1, 3), (2, 4)))
 
 
 def s5_shift_ctx():
@@ -42,9 +44,21 @@ def s5_shift_ctx():
     return InstanceContext(GroupConjInstance(6, a0, a1, u), search_cap=100)
 
 
+def klein_ctx():
+    """<(1 2), (3 4)> against V = <(1 2)(3 4), (1 3)(2 4)>, the normal Klein
+    four-group, with U = S_4: two groups of order 4 that are not conjugate.
+    V's generators lie in two different U-conjugates of side 0, so on the
+    payload V only the AND of their masks rules side 0 out."""
+    a0 = GeneratingSet(4, (Permutation.from_cycles(4, (1, 2)), Permutation.from_cycles(4, (3, 4))))
+    u = GeneratingSet(4, (Permutation.from_cycles(4, (1, 2)), Permutation.from_cycles(4, (1, 2, 3, 4))))
+    return InstanceContext(GroupConjInstance(4, a0, GeneratingSet(4, KLEIN_PAYLOAD), u))
+
+
 def ctx_of(path):
     if path == S5_SHIFT:
         return s5_shift_ctx()
+    if path == KLEIN:
+        return klein_ctx()
     return InstanceContext(load_instance(path))
 
 
@@ -137,24 +151,29 @@ AGREEMENT_FIXTURES = ["no_m3", "no_m4", "no_m6", "tiny_cyclic", "q2_groups", "tr
 def test_matched_sides_agrees_with_direct_definition():
     # oracle: conjugate the payload group by every v and compare group
     # equality on the nose, the slow symmetric formulation; the fixtures
-    # take the table path, S5_SHIFT the scan
-    for path in [f"fixtures/{name}.txt" for name in AGREEMENT_FIXTURES] + [S5_SHIFT]:
+    # and KLEIN take the table path, S5_SHIFT the scan.  The drawn batches
+    # never spread over two U-conjugates of a side of their order, so
+    # KLEIN's hand-built payload is the case where the AND decides
+    for path in [f"fixtures/{name}.txt" for name in AGREEMENT_FIXTURES] + [S5_SHIFT, KLEIN]:
         ctx = ctx_of(path)
-        for k in (1, 2, 8 * ctx.degree):
-            for seed in range(4):
-                ch = draw_challenge(ctx, k, RandomTape(seed))
-                gset_p = GeneratingSet(ctx.degree, ch.payload)
-                slow = tuple(
-                    side
-                    for side in (0, 1)
-                    if any(
-                        group_equal(conjugated_set(gset_p, v.inverse()), ctx.instance.side(side))
-                        for v in ctx.u_elements()
-                    )
+        if path == KLEIN:
+            payloads = [KLEIN_PAYLOAD]
+        else:
+            payloads = [draw_challenge(ctx, k, RandomTape(seed)).payload for k in (1, 2, 8 * ctx.degree) for seed in range(4)]
+        for payload in payloads:
+            gset_p = GeneratingSet(ctx.degree, payload)
+            slow = tuple(
+                side
+                for side in (0, 1)
+                if any(
+                    group_equal(conjugated_set(gset_p, v.inverse()), ctx.instance.side(side))
+                    for v in ctx.u_elements()
                 )
-                assert matched_sides(ctx, ch.payload) == scan_matched_sides(ctx, ch.payload) == slow
+            )
+            assert matched_sides(ctx, payload) == scan_matched_sides(ctx, payload) == slow
         has_tables = [ctx.side_conjugates(side) is not None for side in (0, 1)]
         assert has_tables == ([False, False] if path == S5_SHIFT else [True, True])
+    assert matched_sides(klein_ctx(), KLEIN_PAYLOAD) == (1,)
 
 
 # StabilizerChain.contains calls that scan_matched_sides makes on the

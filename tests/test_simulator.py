@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permzk import conjugacy, simulator
+from permzk import conjugacy, engine, simulator
 from permzk.conjugacy import (
     TUPLE_LENGTH_FACTOR,
     GroupConjInstance,
@@ -26,7 +26,7 @@ from permzk.conjugacy import (
     session,
 )
 from permzk.element import ElemConjInstance, ElementContext
-from permzk.engine import BudgetExceeded, GeneratingSet, StabilizerChain
+from permzk.engine import BudgetExceeded, GeneratingSet
 from permzk.framework import (
     STANDARD_VERIFIERS,
     RandomTape,
@@ -610,21 +610,24 @@ def test_live_draws_mask_no_commitment_entry_by_entry(instance, monkeypatch):
 
 
 def test_mask_tables_are_kept_per_context_within_the_search_cap(monkeypatch):
-    # q2_groups has |<U>| = 2 and 3 representatives on each side's chain:
-    # a cap of 6 keeps each (side, mask) conjugated table, made once for
-    # at most 2 x 2 pairs, and a cap of 5 keeps none; the draws are the same
+    # q2_groups has |<U>| = 2 and sides of order 3: a cap of 6 keeps each
+    # (side, mask) triple of _tuple_tables, made once for at most 2 x 2
+    # pairs, and a cap of 5 keeps none, so each draw makes its own; the
+    # draws are the same.  The spy sits where both the context and the
+    # sampler read _tuple_tables
     instance = load_instance(Q2_GROUPS)
-    conjugated = []
-    real = StabilizerChain._conjugated_sampling
-    monkeypatch.setattr(StabilizerChain, "_conjugated_sampling", lambda chain, v: conjugated.append(v) or real(chain, v))
+    made = []
+    real = engine._tuple_tables
+    for module in (engine, conjugacy):
+        monkeypatch.setattr(module, "_tuple_tables", lambda chain, v: made.append(v) or real(chain, v))
     views, counts = [], []
     for cap in (6, 5):
         ctx = InstanceContext(instance, cap)
         rng = random.Random(7)
-        conjugated.clear()
+        made.clear()
         views.append([(simulate(ctx, honest_verifier(), rng, k=8, tape_seed=1).view,
                        real_view(ctx, honest_verifier(), rng, k=8, tape_seed=1)) for _ in range(20)])
-        counts.append(len(conjugated))
+        counts.append(len(made))
     assert views[0] == views[1]
     assert counts[0] <= 4 and counts[1] >= 40
 

@@ -43,7 +43,7 @@ from .framework import (
     run_parallel,
     run_sequential,
 )
-from .perm import Permutation, conjugation, invert_images, is_positive_int, parse_perm
+from .perm import Permutation, composer, conjugation, inverse_table, is_positive_int, parse_perm, table
 
 TUPLE_LENGTH_FACTOR = 4
 
@@ -379,8 +379,8 @@ def response_accepted(ctx: InstanceContext, commit: tuple, challenge, response) 
     if w is None or not ctx.chain_u.contains(w):
         return False
     side_chain = ctx.side_chain(challenge_bit(challenge))
-    conj, masks = conjugation(invert_images(w._img)), side_chain._maximal_masks
-    back = [conj(x._img) for x in commit]
+    then, wi, masks = composer(ctx.degree), inverse_table(w._img), side_chain._maximal_masks
+    back = [then(then(w._img, table(x._img)), wi) for x in commit]
     if masks is not None:
         found = list(map(masks.get, back))
         return None not in found and not reduce(and_, found)

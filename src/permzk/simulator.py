@@ -7,8 +7,9 @@ commitment is one for the side masked by the mask: simulate and real_view
 draw it from the masked group's own table (ctx.sample_commit), the exact
 checks read every (mask, commit) pair from ctx.masked_commits, made once per
 context.  Both maps replay the verifier with framework.Replays, each replay
-on a fresh tape.  Every function here that takes a tape_seed takes the seed
-or one call's Replays of it, so all the replays of one public call read one
+on a fresh tape.  The maps take one call's Replays, which only the two
+entry points, compare_view_distributions and verify_view_bijection, build
+from their tape_seed, so all the replays of one public call read one
 Replays, which draws the seed's stream once; an exact check's Replays also
 keeps a table, so it replays each distinct commitment once.  Nothing of a
 call's replays outlives it.  Exact laws push uniform randomness through
@@ -65,13 +66,12 @@ def simulate(
     rng: random.Random,
     *,
     k: int,
-    tape_seed: int | Replays,
+    replays: Replays,
 ) -> SimulateResult:
     """Simulate one session view without the witness: per attempt draw a
     mask, a side guess and a commitment for that side masked by it, in
     this order, and restart with fresh draws on the same tape until the
-    guess holds.  Every attempt replays the verifier on one Replays."""
-    replays = tape_seed if type(tape_seed) is Replays else Replays(tape_seed)
+    guess holds.  Every attempt replays the verifier through replays."""
     total_attempts = 0
     for restart in range(1, DEFAULT_MAX_RESTARTS + 1):
         mask = ctx.chain_u.random_element(rng)
@@ -88,12 +88,12 @@ def simulate(
 
 
 def simulated_view(
-    ctx: InstanceContext, program: VerifierProgram, tape_seed: int | Replays, side: int, commit, mask,
+    ctx: InstanceContext, program: VerifierProgram, replays: Replays, side: int, commit, mask,
 ) -> Optional[SimulatedView]:
     """One simulator attempt as a function of its randomness (a side guess,
-    a mask from <U> and a commitment for that side masked by it): the view
-    revealing the mask, or None when the challenge misses the side."""
-    replays = tape_seed if type(tape_seed) is Replays else Replays(tape_seed)
+    a mask from <U> and a commitment for that side masked by it), with the
+    verifier replayed through replays: the view revealing the mask, or None
+    when the challenge misses the side."""
     prefix, challenge = replays.challenge(program, ctx.instance, commit)
     if challenge_bit(challenge) != side:
         return None
@@ -103,16 +103,15 @@ def simulated_view(
 def view_from_randomness(
     ctx: InstanceContext,
     program: VerifierProgram,
-    tape_seed: int | Replays,
+    replays: Replays,
     commit,
     mask,
 ) -> SimulatedView:
     """The honest-prover view as a function of the prover's randomness: a
     mask from <U> and a commitment for <A1> masked by it (a generating tuple
-    of <A1>, or a1 itself, conjugated by the mask).  This is exactly the map
-    the real protocol computes, so real_view() samples its inputs and then
-    calls it."""
-    replays = tape_seed if type(tape_seed) is Replays else Replays(tape_seed)
+    of <A1>, or a1 itself, conjugated by the mask), with the verifier
+    replayed through replays.  This is exactly the map the real protocol
+    computes, so real_view() samples its inputs and then calls it."""
     prefix, challenge = replays.challenge(program, ctx.instance, commit)
     response = mask if challenge_bit(challenge) else ctx.witness() * mask
     return SimulatedView(prefix, commit, challenge, response)
@@ -132,22 +131,23 @@ def real_view(
     rng: random.Random,
     *,
     k: int,
-    tape_seed: int | Replays,
+    replays: Replays,
 ) -> SimulatedView:
     """Draw the honest prover's randomness as its commit does
-    (ctx.prover_draw) and record its view in the simulator's output shape."""
+    (ctx.prover_draw) and record its view, replayed through replays, in the
+    simulator's output shape."""
     mask, commit, _ = ctx.prover_draw(1, k, rng)
-    return view_from_randomness(ctx, program, tape_seed, commit, mask)
+    return view_from_randomness(ctx, program, replays, commit, mask)
 
 
 def enumerate_consistent_views(
     ctx: InstanceContext,
     program: VerifierProgram,
-    tape_seed: int | Replays,
+    replays: Replays,
     k: int,
 ) -> tuple:
     """Every view (commit, challenge, response) that the honest verifier
-    accepts and whose challenge the program actually emits on this tape:
+    accepts and whose challenge the program emits on replays' tape:
     for each candidate commitment, challenge = program(commit) and every
     response w that ctx.accepted_responses returns: the w in <U>, in
     enumeration order, that ctx.accepts, the live verifier, accepts.
@@ -155,7 +155,6 @@ def enumerate_consistent_views(
     simulator.  A commitment that no response makes acceptable under
     either challenge is not a candidate, so the program is not replayed on
     it (nor refused there for going over its tape budget)."""
-    replays = tape_seed if type(tape_seed) is Replays else Replays(tape_seed)
     views = []
     for commit in ctx.candidate_commits(k):
         prefix, challenge = replays.challenge(program, ctx.instance, commit)
@@ -189,11 +188,10 @@ def verify_view_bijection(
 def exact_real_law(
     ctx: InstanceContext,
     program: VerifierProgram,
-    tape_seed: int | Replays,
+    replays: Replays,
     k: int,
 ) -> dict:
-    """Exact law of the honest-prover view for a fixed verifier tape."""
-    replays = tape_seed if type(tape_seed) is Replays else Replays(tape_seed)
+    """Exact law of the honest-prover view on replays' verifier tape."""
     masked = ctx.masked_commits(1, k)
     counts = Counter(view_from_randomness(ctx, program, replays, commit, mask) for mask, commit in masked)
     return {view: Fraction(c, len(masked)) for view, c in counts.items()}
@@ -202,13 +200,12 @@ def exact_real_law(
 def exact_sim_law(
     ctx: InstanceContext,
     program: VerifierProgram,
-    tape_seed: int | Replays,
+    replays: Replays,
     k: int,
 ) -> dict:
-    """Exact law of the simulator's output for a fixed verifier tape: the
+    """Exact law of the simulator's output on replays' verifier tape: the
     per-attempt draw conditioned on the side guess matching the challenge,
     counted per side in integers: a view's challenge bit is its side."""
-    replays = tape_seed if type(tape_seed) is Replays else Replays(tape_seed)
     sizes, counts = [], []
     for side in (0, 1):
         masked = ctx.masked_commits(side, k)
@@ -303,11 +300,11 @@ def compare_view_distributions(
     restarts = 0
     attempts = 0
     for _ in range(samples):
-        res = simulate(ctx, program, rng, k=k, tape_seed=replays)
+        res = simulate(ctx, program, rng, k=k, replays=replays)
         restarts += res.restarts
         attempts += res.sample_attempts
         sim_counts[cell(res.view)] += 1
-    real_counts = Counter(cell(real_view(ctx, program, rng, k=k, tape_seed=replays)) for _ in range(samples))
+    real_counts = Counter(cell(real_view(ctx, program, rng, k=k, replays=replays)) for _ in range(samples))
     keys = sorted(set(sim_counts) | set(real_counts), key=repr)
     table = [
         [sim_counts.get(key, 0) for key in keys],

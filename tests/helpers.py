@@ -108,11 +108,11 @@ def symmetric_group(m: int) -> GeneratingSet:
 
 def reference_exact_real_law(ctx, program, tape_seed: int, k: int) -> dict:
     """exact_real_law as a sum of one Fraction per masked commitment."""
-    masked = ctx.masked_commits(1, k)
+    masked, replays = ctx.masked_commits(1, k), Replays(tape_seed)
     weight = Fraction(1, len(masked))
     law: dict = {}
     for mask, commit in masked:
-        view = view_from_randomness(ctx, program, tape_seed, commit, mask)
+        view = view_from_randomness(ctx, program, replays, commit, mask)
         law[view] = law.get(view, Fraction(0)) + weight
     return law
 
@@ -121,12 +121,12 @@ def reference_exact_sim_law(ctx, program, tape_seed: int, k: int) -> dict:
     """exact_sim_law as a sum of one Fraction per masked commitment on each
     side, then a division by the total mass."""
     mass: dict = {}
-    total = Fraction(0)
+    total, replays = Fraction(0), Replays(tape_seed)
     for side in (0, 1):
         masked = ctx.masked_commits(side, k)
         weight = Fraction(1, 2 * len(masked))
         for mask, commit in masked:
-            view = simulated_view(ctx, program, tape_seed, side, commit, mask)
+            view = simulated_view(ctx, program, replays, side, commit, mask)
             if view is not None:
                 mass[view] = mass.get(view, Fraction(0)) + weight
                 total += weight
@@ -158,34 +158,26 @@ def refusing_the_identity(context_class):
     return IdentityRefusingContext
 
 
-def replay(ctx, program, tape_seed, commit) -> tuple:
-    """The verifier's (tape prefix, challenge) on commit, replayed as the
-    simulator's maps replay it: on tape_seed if it is a Replays, else on a
-    fresh Replays of the seed."""
-    replays = tape_seed if type(tape_seed) is Replays else Replays(tape_seed)
-    return replays.challenge(program, ctx.instance, commit)
-
-
-def simulated_view_without_restarts(ctx, program, tape_seed, side, commit, mask):
+def simulated_view_without_restarts(ctx, program, replays, side, commit, mask):
     """simulator.simulated_view with its restart taken out: the attempt's
     view is kept even when the challenge misses the guessed side."""
-    prefix, challenge = replay(ctx, program, tape_seed, commit)
+    prefix, challenge = replays.challenge(program, ctx.instance, commit)
     return SimulatedView(prefix, commit, challenge, mask)
 
 
-def simulated_view_keeping_misses(ctx, program, tape_seed, side, commit, mask):
+def simulated_view_keeping_misses(ctx, program, replays, side, commit, mask):
     """simulator.simulated_view with its test turned round: the attempt's
     view is kept exactly when the challenge misses the guessed side, which
     is the simulator drawing its base for the guessed side's opposite."""
-    prefix, challenge = replay(ctx, program, tape_seed, commit)
+    prefix, challenge = replays.challenge(program, ctx.instance, commit)
     if challenge_bit(challenge) == side:
         return None
     return SimulatedView(prefix, commit, challenge, mask)
 
 
-def view_revealing_the_bare_mask(ctx, program, tape_seed, commit, mask):
+def view_revealing_the_bare_mask(ctx, program, replays, commit, mask):
     """simulator.view_from_randomness for a prover that reveals the bare
     mask whatever the challenge: the honest prover's view wherever the
     challenge is 1, a response that the verifier refuses where it is 0."""
-    prefix, challenge = replay(ctx, program, tape_seed, commit)
+    prefix, challenge = replays.challenge(program, ctx.instance, commit)
     return SimulatedView(prefix, commit, challenge, mask)

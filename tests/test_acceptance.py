@@ -39,7 +39,7 @@ from permzk.engine import (
     group_equal,
     parse_generating_set,
 )
-from permzk.framework import STANDARD_VERIFIERS, honest_verifier
+from permzk.framework import STANDARD_VERIFIERS, Replays, honest_verifier
 from permzk.instances import load_group_file, load_instance
 from permzk.perm import Permutation
 from permzk.simulator import (
@@ -270,7 +270,7 @@ def test_criterion_07_simulator_restart_budget():
     restarts = 0
     attempts = 0
     for _ in range(n):
-        res = simulate(ctx, program, rng, k=24, tape_seed=rng.getrandbits(64))
+        res = simulate(ctx, program, rng, k=24, replays=Replays(rng.getrandbits(64)))
         restarts += res.restarts
         attempts += res.sample_attempts
     mean_restarts = restarts / n

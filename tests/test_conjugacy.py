@@ -183,6 +183,21 @@ def test_response_accepted_checks_membership_and_generation():
     # a tuple that fails to generate the challenged group
     small = (Permutation.identity(3),) * 2
     assert not response_accepted(ctx, small, b"1", Permutation.identity(3))
+    # a response of the right degree outside <U>: refused under a trivial U,
+    # accepted once U holds it.  w conjugates A1's generators back onto
+    # generators of <A0>, which challenge 0 names.  The sides of no_m3 have
+    # maximal-subgroup masks; two copies of S_5 in S_6, A0 = <(1 2),
+    # (1 2 3 4 5)> and A1 = <(2 3), (2 3 4 5 6)>, have none
+    no_m3 = load_instance("fixtures/no_m3.txt")
+    s5_pair = (gset(6, "2 1 3 4 5 6", "2 3 4 5 1 6"), gset(6, "1 3 2 4 5 6", "1 3 4 5 6 2"))
+    for (a0, a1), w, masked in (((no_m3.a0, no_m3.a1), Permutation([1, 3, 2]), True),
+                                (s5_pair, Permutation([2, 3, 4, 5, 6, 1]), False)):
+        verdicts = []
+        for u in (gset(a0.degree, ""), GeneratingSet(a0.degree, (w,))):
+            sides = InstanceContext(GroupConjInstance(a0.degree, a0, a1, u))
+            assert all(sides.side_chain(side)._maximal_masks is not None for side in (0, 1)) == masked
+            verdicts.append(response_accepted(sides, a1.gens, b"0", w))
+        assert verdicts == [False, True], masked
 
 
 

@@ -26,6 +26,7 @@ from permzk.engine import BudgetExceeded, GeneratingSet, build_chain, parse_gene
 from permzk.framework import (
     STANDARD_VERIFIERS,
     RandomTape,
+    Replays,
     VerifierProgram,
     constant_verifier,
     honest_verifier,
@@ -285,19 +286,19 @@ def test_simulate_element_budget_exceeded():
     ctx = ctx_of(Q2_ELEMENTS)
     with pytest.raises(BudgetExceeded, match="restart cap"):
         rng = random.Random(0)
-        simulate(ctx, element_side_detector(ctx), rng, k=1, tape_seed=rng.getrandbits(64))
+        simulate(ctx, element_side_detector(ctx), rng, k=1, replays=Replays(rng.getrandbits(64)))
     with pytest.raises(BudgetExceeded, match="defeats every side guess"):
-        exact_sim_law(ctx, element_side_detector(ctx), 0, 1)
+        exact_sim_law(ctx, element_side_detector(ctx), Replays(0), 1)
 
 
 def test_simulate_element_views_are_consistent():
     ctx = ctx_of(EC_YES)
     program = honest_verifier()
-    consistent = set(enumerate_consistent_views(ctx, program, 19, 1))
+    consistent = set(enumerate_consistent_views(ctx, program, Replays(19), 1))
     rng = random.Random(5)
     for _ in range(10):
-        assert simulate(ctx, program, rng, k=1, tape_seed=19).view in consistent
-        assert real_view(ctx, program, rng, k=1, tape_seed=19) in consistent
+        assert simulate(ctx, program, rng, k=1, replays=Replays(19)).view in consistent
+        assert real_view(ctx, program, rng, k=1, replays=Replays(19)) in consistent
 
 
 def test_element_randomness_round_trip():
@@ -306,7 +307,7 @@ def test_element_randomness_round_trip():
     assert masked == tuple((w, ctx.instance.a1.conjugated_by(w)) for w in ctx.u_elements())
     for program in (honest_verifier(), parity_verifier()):
         for mask, commit in masked:
-            view = view_from_randomness(ctx, program, 3, commit, mask)
+            view = view_from_randomness(ctx, program, Replays(3), commit, mask)
             assert randomness_of_view(ctx, view) == (mask, commit)
 
 
@@ -316,8 +317,8 @@ def test_element_bijection_and_exact_laws(maker):
     for tape_seed in (0, 1, 2):
         program = maker()
         assert verify_element_bijection(ctx, program, tape_seed)
-        law_r = exact_real_law(ctx, program, tape_seed, 1)
-        law_s = exact_sim_law(ctx, program, tape_seed, 1)
+        law_r = exact_real_law(ctx, program, Replays(tape_seed), 1)
+        law_s = exact_sim_law(ctx, program, Replays(tape_seed), 1)
         assert law_r == law_s
         # the view space has exactly |<U>| members, all equally likely
         assert len(law_r) == len(ctx.u_elements())
@@ -360,6 +361,6 @@ def test_simulator_success_probability_is_exactly_half():
         n = 400
         rng = random.Random(55)
         for _ in range(n):
-            res = simulate(ctx, program, rng, k=1, tape_seed=4)
+            res = simulate(ctx, program, rng, k=1, replays=Replays(4))
             wins += res.restarts == 1
         assert abs(wins / n - 0.5) < 0.08, program.name

@@ -122,7 +122,7 @@ class AttemptRecordingContext(InstanceContext):
 def test_simulate_reuses_one_tape_seed_across_restarts():
     ctx = AttemptRecordingContext(load_instance(TINY))
     spy, calls = tape_spy(honest_verifier())
-    res = simulate(ctx, spy, random.Random(3), k=TUPLE_LENGTH_FACTOR * ctx.degree, tape_seed=77)
+    res = simulate(ctx, spy, random.Random(3), k=TUPLE_LENGTH_FACTOR * ctx.degree, replays=Replays(77))
     assert len(calls) == len(ctx.sides) == len(ctx.masks) == res.restarts
     assert all(seed == 77 for seed, _, _ in calls)
     # each attempt gets a fresh tape, so the draw counter never accumulates
@@ -132,8 +132,8 @@ def test_simulate_reuses_one_tape_seed_across_restarts():
 
 def test_simulate_is_deterministic_in_rng_and_tape():
     ctx = ctx_of(Q2_GROUPS)
-    a = simulate(ctx, honest_verifier(), random.Random(8), k=4, tape_seed=5)
-    b = simulate(ctx, honest_verifier(), random.Random(8), k=4, tape_seed=5)
+    a = simulate(ctx, honest_verifier(), random.Random(8), k=4, replays=Replays(5))
+    b = simulate(ctx, honest_verifier(), random.Random(8), k=4, replays=Replays(5))
     assert a.view == b.view
     assert (a.restarts, a.sample_attempts) == (b.restarts, b.sample_attempts)
 
@@ -141,7 +141,7 @@ def test_simulate_is_deterministic_in_rng_and_tape():
 def test_simulate_stops_on_matching_side():
     ctx = AttemptRecordingContext(load_instance(TINY))
     program = honest_verifier()
-    res = simulate(ctx, program, random.Random(1), k=TUPLE_LENGTH_FACTOR * ctx.degree, tape_seed=9)
+    res = simulate(ctx, program, random.Random(1), k=TUPLE_LENGTH_FACTOR * ctx.degree, replays=Replays(9))
     assert len(ctx.sides) == len(ctx.masks) == res.restarts
     bits = [challenge_bit(program.challenge(ctx.instance, RandomTape(9), commit)) for _, commit in ctx.masks]
     assert bits[-1] == ctx.sides[-1]
@@ -157,11 +157,11 @@ def test_simulated_and_real_views_are_consistent():
     ctx = ctx_of(TINY)
     k = 3
     for program in (honest_verifier(), constant_verifier(0), parity_verifier()):
-        consistent = set(enumerate_consistent_views(ctx, program, 11, k))
+        consistent = set(enumerate_consistent_views(ctx, program, Replays(11), k))
         rng = random.Random(4)
         for _ in range(10):
-            assert simulate(ctx, program, rng, k=k, tape_seed=11).view in consistent
-            assert real_view(ctx, program, rng, k=k, tape_seed=11) in consistent
+            assert simulate(ctx, program, rng, k=k, replays=Replays(11)).view in consistent
+            assert real_view(ctx, program, rng, k=k, replays=Replays(11)) in consistent
 
 
 def test_randomness_round_trip():
@@ -174,7 +174,7 @@ def test_randomness_round_trip():
     for program in (honest_verifier(), constant_verifier(0), constant_verifier(1)):
         for _ in range(25):
             mask, commit = masked[rng.randrange(len(masked))]
-            view = view_from_randomness(ctx, program, 13, commit, mask)
+            view = view_from_randomness(ctx, program, Replays(13), commit, mask)
             bits.add(challenge_bit(view.challenge))
             assert randomness_of_view(ctx, view) == (mask, commit)
     assert bits == {0, 1}
@@ -227,7 +227,7 @@ def prover_randomness(draw):
 @given(prover_randomness())
 def test_randomness_of_view_inverts_view_from_randomness(case):
     ctx, program, tape_seed, mask, commit = case
-    view = view_from_randomness(ctx, program, tape_seed, commit, mask)
+    view = view_from_randomness(ctx, program, Replays(tape_seed), commit, mask)
     assert randomness_of_view(ctx, view) == (mask, commit)
 
 
@@ -248,23 +248,24 @@ def simulator_randomness(draw):
 @given(simulator_randomness())
 def test_simulated_view_restarts_exactly_when_the_challenge_misses_the_side(case):
     ctx, program, tape_seed, side, mask, commit = case
-    view = simulated_view(ctx, program, tape_seed, side, commit, mask)
+    view = simulated_view(ctx, program, Replays(tape_seed), side, commit, mask)
     challenge = program.challenge(ctx.instance, RandomTape(tape_seed), commit)
     assert (view is None) == (challenge_bit(challenge) != side)
     if view is not None:
         assert (view.commit, view.challenge, view.response) == (commit, challenge, mask)
         # on side 1 the simulator's map and the honest prover's map agree
-        assert side == 0 or view == view_from_randomness(ctx, program, tape_seed, commit, mask)
+        assert side == 0 or view == view_from_randomness(ctx, program, Replays(tape_seed), commit, mask)
 
 
 @pytest.mark.parametrize("name", sorted(STANDARD_VERIFIERS))
-def test_maps_take_a_seed_or_its_replays_alike(name):
-    # a seed replays on a fresh Replays per call; the Replays kept across
-    # every (mask, commit) pair, with or without a table, must give the same
+def test_maps_read_a_replays_with_or_without_its_table_alike(name):
+    # one Replays kept across every (mask, commit) pair replays the program
+    # afresh each time without a table and once per commitment with one;
+    # the views must be the same
     ctx = yes_context(Q2_GROUPS)
     program = STANDARD_VERIFIERS[name]()
     for tape_seed in range(3):
-        tapes = (tape_seed, Replays(tape_seed), Replays(tape_seed, {}))
+        tapes = (Replays(tape_seed), Replays(tape_seed, {}))
         for side in (0, 1):
             for mask, commit in ctx.masked_commits(side, 2):
                 views = [simulated_view(ctx, program, tape, side, commit, mask) for tape in tapes]
@@ -281,10 +282,10 @@ def test_view_from_randomness_matches_real_protocol():
     program = parity_verifier()
     rng = random.Random(21)
     for _ in range(10):
-        view = real_view(ctx, program, rng, k=3, tape_seed=2)
+        view = real_view(ctx, program, rng, k=3, replays=Replays(2))
         mask, commit = randomness_of_view(ctx, view)
         assert (mask, commit) in ctx.masked_commits(1, 3)
-        assert view_from_randomness(ctx, program, 2, commit, mask) == view
+        assert view_from_randomness(ctx, program, Replays(2), commit, mask) == view
 
 
 @pytest.mark.parametrize("maker", [honest_verifier, lambda: constant_verifier(0), lambda: constant_verifier(1), parity_verifier])
@@ -315,8 +316,8 @@ ORACLE_FAMILIES = (
     ("ec_yes_m3", 1),
 )
 
-# sha256 over repr(enumerate_consistent_views(ctx, program, tape_seed, k)) for
-# the programs of STANDARD_VERIFIERS in sorted order, tape seeds 0-2 each,
+# sha256 over repr(enumerate_consistent_views(ctx, program, Replays(seed), k))
+# for the programs of STANDARD_VERIFIERS in sorted order, seeds 0-2 each,
 # taken from the per-response oracle that called ctx.accepts for every
 # (candidate commitment, w in <U>) pair
 GOLDEN_VIEW_SETS = {
@@ -376,7 +377,7 @@ def test_consistent_view_sets_match_golden_digests(fixture, k):
     count = 0
     for name in sorted(STANDARD_VERIFIERS):
         for tape_seed in range(3):
-            views = enumerate_consistent_views(ctx, STANDARD_VERIFIERS[name](), tape_seed, k)
+            views = enumerate_consistent_views(ctx, STANDARD_VERIFIERS[name](), Replays(tape_seed), k)
             count += len(views)
             digest.update(repr(views).encode())
     assert (count, digest.hexdigest()) == GOLDEN_VIEW_SETS[fixture, k]
@@ -602,8 +603,8 @@ def test_live_draws_mask_no_commitment_entry_by_entry(instance, monkeypatch):
             _, commit = prover.commit(rng)
             assert len(commit) == params.k and all(p.degree == ctx.degree for p in commit)
     for _ in range(3):
-        simulate(ctx, honest_verifier(), rng, k=params.k, tape_seed=1)
-        real_view(ctx, honest_verifier(), rng, k=params.k, tape_seed=1)
+        simulate(ctx, honest_verifier(), rng, k=params.k, replays=Replays(1))
+        real_view(ctx, honest_verifier(), rng, k=params.k, replays=Replays(1))
     assert calls == []
     ctx.masked_commits(1, 2)  # the spies see the calls that are made
     assert calls == ["masked_commits", "_u_conjugations"]
@@ -625,8 +626,8 @@ def test_mask_tables_are_kept_per_context_within_the_search_cap(monkeypatch):
         ctx = InstanceContext(instance, cap)
         rng = random.Random(7)
         made.clear()
-        views.append([(simulate(ctx, honest_verifier(), rng, k=8, tape_seed=1).view,
-                       real_view(ctx, honest_verifier(), rng, k=8, tape_seed=1)) for _ in range(20)])
+        views.append([(simulate(ctx, honest_verifier(), rng, k=8, replays=Replays(1)).view,
+                       real_view(ctx, honest_verifier(), rng, k=8, replays=Replays(1))) for _ in range(20)])
         counts.append(len(made))
     assert views[0] == views[1]
     assert counts[0] <= 4 and counts[1] >= 40
@@ -665,11 +666,11 @@ def test_exact_laws_match_and_are_uniform():
     ctx = ctx_of(TINY)
     k = 3
     for program in (honest_verifier(), constant_verifier(1), parity_verifier()):
-        law_r = exact_real_law(ctx, program, 7, k)
-        law_s = exact_sim_law(ctx, program, 7, k)
+        law_r = exact_real_law(ctx, program, Replays(7), k)
+        law_s = exact_sim_law(ctx, program, Replays(7), k)
         assert law_r == law_s
         assert total_variation(law_r, law_s) == 0
-        consistent = enumerate_consistent_views(ctx, program, 7, k)
+        consistent = enumerate_consistent_views(ctx, program, Replays(7), k)
         uniform = Fraction(1, len(consistent))
         assert set(law_r) == set(consistent)
         assert all(p == uniform for p in law_r.values())
@@ -687,7 +688,7 @@ def assert_laws_match_the_fraction_sums(ctx, k, laws):
     for program in [STANDARD_VERIFIERS[name]() for name in sorted(STANDARD_VERIFIERS)] + [junk_verifier()]:
         for tape_seed in range(3):
             for law, reference in laws:
-                got = law(ctx, program, tape_seed, k)
+                got = law(ctx, program, Replays(tape_seed), k)
                 assert list(got.items()) == list(reference(ctx, program, tape_seed, k).items())
 
 
@@ -713,7 +714,7 @@ def test_masked_commits_refuse_a_table_over_the_search_cap():
     # walk would refuse the check
     ctx = InstanceContext(load_instance(Q2_GROUPS), search_cap=12)
     with pytest.raises(BudgetExceeded, match="^8 generating 2-tuples x 2 masks exceed cap 12$"):
-        exact_real_law(ctx, honest_verifier(), 0, 2)
+        exact_real_law(ctx, honest_verifier(), Replays(0), 2)
 
 
 def test_candidate_views_are_refused_without_enumerating_u(monkeypatch):
@@ -728,7 +729,7 @@ def test_candidate_views_are_refused_without_enumerating_u(monkeypatch):
 
     monkeypatch.setattr(InstanceContext, "u_elements", refuse)
     with pytest.raises(BudgetExceeded, match="^720\\^1 x 720 candidate views exceed cap 10000$"):
-        enumerate_consistent_views(ctx, honest_verifier(), 0, k=1)
+        enumerate_consistent_views(ctx, honest_verifier(), Replays(0), k=1)
 
 
 def test_total_variation_basics():
@@ -742,13 +743,13 @@ def test_simulate_budget_exceeded_under_side_detector():
     ctx = ctx_of(NO_M4)
     with pytest.raises(BudgetExceeded, match="restart cap"):
         rng = random.Random(0)
-        simulate(ctx, side_detector(), rng, k=2, tape_seed=rng.getrandbits(64))
+        simulate(ctx, side_detector(), rng, k=2, replays=Replays(rng.getrandbits(64)))
 
 
 def test_exact_sim_law_refuses_defeated_tape():
     ctx = ctx_of(NO_M4)
     with pytest.raises(BudgetExceeded, match="defeats every side guess"):
-        exact_sim_law(ctx, side_detector(), 0, k=2)
+        exact_sim_law(ctx, side_detector(), Replays(0), k=2)
 
 
 def test_compare_refuses_no_instances():
@@ -829,5 +830,5 @@ def test_restart_count_is_roughly_geometric():
     total = 0
     n = 300
     for _ in range(n):
-        total += simulate(ctx, honest_verifier(), rng, k=3, tape_seed=rng.getrandbits(64)).restarts
+        total += simulate(ctx, honest_verifier(), rng, k=3, replays=Replays(rng.getrandbits(64))).restarts
     assert 1.6 <= total / n <= 2.4

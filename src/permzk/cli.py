@@ -27,7 +27,7 @@ from .conjugacy import (
     run_composed,
 )
 from .element import ElemConjInstance, ElementContext
-from .engine import BudgetExceeded, _generation_test, build_chain
+from .engine import BudgetExceeded, build_chain
 from .framework import STANDARD_VERIFIERS
 from .instances import InstanceError, load_group_file, load_instance
 from .perm import format_perm
@@ -181,7 +181,7 @@ def cmd_stats_genlemma(args) -> int:
     gset = load_group_file(args.group)
     chain = build_chain(gset)
     rng = random.Random(_seed_of(args))
-    target, generates = chain.order(), _generation_test(chain)
+    target, generates = chain.order(), chain._generates
     hits = sum(generates(chain._random_images(rng, args.k)) for _ in range(args.trials))
     frequency = hits / args.trials
     bound = genlemma_bound(gset.degree, args.k)

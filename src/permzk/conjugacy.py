@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, reduce, wraps
-from operator import and_
+from functools import cached_property, wraps
 from typing import Optional
 
 from .engine import (
@@ -24,8 +23,6 @@ from .engine import (
     GeneratingSet,
     StabilizerChain,
     build_chain,
-    _generates_images,
-    _tuple_tables,
     enumerate_elements,
     generating_tuples,
     group_profile,
@@ -229,22 +226,8 @@ class InstanceContext:
     def sample_commit(self, side: int, k: int, rng, mask: Permutation):
         """A uniform generating k-tuple of the side's group conjugated by
         mask, drawn and tested in that group and then conjugated, and its
-        sampling attempts.  The sampler's tables for the mask are kept per
-        (side, mask) while _mask_tables(side) keeps any."""
-        chain, kept = self.side_chain(side), self._mask_tables(side)
-        tables = None if kept is None else kept.get(mask) or kept.setdefault(mask, _tuple_tables(chain, mask))
-        return random_generating_tuple(chain, k, rng, mask, tables)
-
-    @_per_context
-    def _mask_tables(self, side: int) -> Optional[dict]:
-        """mask -> engine._tuple_tables(side chain, mask), filled as masks
-        are drawn and kept for the life of the context: a dict where the
-        side's chain has maximal-subgroup masks and |<U>| times |G| (an
-        entry holds one dict over G, from its raw images to the interned
-        elements of G^mask) is within search_cap, else None."""
-        chain = self.side_chain(side)
-        kept = chain._maximal_masks is not None and self.chain_u.order() * chain.order() <= self.search_cap
-        return {} if kept else None
+        sampling attempts."""
+        return random_generating_tuple(self.side_chain(side), k, rng, mask)
 
     def prover_draw(self, side: int, k: int, rng) -> tuple:
         """The prover's randomness for a side, drawn in this order: a mask
@@ -371,22 +354,14 @@ def coerce_commit(degree: int, k: int, payload) -> Optional[tuple]:
 def response_accepted(ctx: InstanceContext, commit: tuple, challenge, response) -> bool:
     """The verifier's final checks: the response w is a permutation in <U>
     and the committed tuple generates the challenged group G conjugated by
-    it.  The entries, conjugated back by w, must lie in G and generate it:
-    where G has maximal-subgroup masks, one dict read per entry tests both;
-    otherwise containment is tested before the tuple's chain is built, so
-    a response that fails it costs no chain."""
+    it, that is, the entries conjugated back by w lie in G and generate it
+    (StabilizerChain._generated_by)."""
     w = _coerce_perm(response, ctx.degree)
     if w is None or not ctx.chain_u.contains(w):
         return False
-    side_chain = ctx.side_chain(challenge_bit(challenge))
-    then, wi, masks = composer(ctx.degree), inverse_table(w._img), side_chain._maximal_masks
+    then, wi = composer(ctx.degree), inverse_table(w._img)
     back = [then(then(w._img, table(x._img)), wi) for x in commit]
-    if masks is not None:
-        found = list(map(masks.get, back))
-        return None not in found and not reduce(and_, found)
-    if not all(map(side_chain.contains, map(Permutation._raw, back))):
-        return False
-    return _generates_images(ctx.degree, [x._img for x in commit], side_chain.order())
+    return ctx.side_chain(challenge_bit(challenge))._generated_by(back)
 
 
 class HonestProver:

@@ -36,15 +36,16 @@ on G's draws, from _sampling conjugated by v once per call.
 random_generating_tuple(chain, k, rng, v) draws and tests every attempt in
 G and conjugates only the accepted tuple by v.
 
-There are two exact generation tests for raw images inside G.  When |G|^2
-is within DEFAULT_SEARCH_CAP and a walk of G's subgroup lattice stays
-within it too, _maximal_masks keeps per element the bitmask of the maximal
-subgroups holding it, and a tuple generates G exactly when its masks AND
-to 0.  Otherwise _generates_images(degree, imgs, order) fills a membership
-chain of imgs and stops once the transversal product reaches order.
-_generation_test picks one; with masks, the tuple sampler reads G's masks
-and one interned Permutation of G^v per element of G, so an attempt wraps
-nothing.
+The chain alone decides how "generates G" is tested.  When |G|^2 is within
+DEFAULT_SEARCH_CAP and a walk of G's subgroup lattice stays within it too,
+_maximal_masks keeps per element the bitmask of the maximal subgroups
+holding it, and a tuple generates G exactly when its masks AND to 0.
+Otherwise _generates_images(degree, imgs, order) fills a membership chain
+of imgs and stops once the transversal product reaches order.  The chain's
+_generates, chosen once per chain, tests images already in G; its
+_generated_by tests images from anywhere in S_m, as the verifier needs.
+With masks, the chain keeps per v a map from G's raw images to interned
+Permutations of G^v, which _conjugates reads, so an attempt wraps nothing.
 """
 
 from __future__ import annotations
@@ -155,6 +156,7 @@ class StabilizerChain:
         self.gens = tuple(unique)
         self._levels: list = []
         self._order: Optional[int] = None
+        self._maps: dict = {}  # v's raw images -> _conjugates' map for G^v
 
     # -- queries ----------------------------------------------------------
 
@@ -246,6 +248,44 @@ class StabilizerChain:
             if top:
                 maximal.append(h)
         return {x: sum(1 << j for j, m in enumerate(maximal) if m >> i & 1) for i, x in enumerate(elems)}
+
+    @cached_property
+    def _generates(self):
+        """imgs -> whether raw images imgs, all in G, generate G: the AND of
+        their masks where _maximal_masks has them, else _generates_images.
+        Chosen once per chain."""
+        masks = self._maximal_masks
+        if masks is None:
+            degree, order = self.degree, self.order()
+            return lambda imgs: _generates_images(degree, imgs, order)
+        return lambda imgs: not reduce(and_, map(masks.__getitem__, imgs))
+
+    def _generated_by(self, imgs) -> bool:
+        """Whether raw images imgs, from anywhere in S_m, lie in G and
+        generate it.  With masks one dict read per image tests both;
+        otherwise each image is sifted before _generates builds a chain, so
+        an image outside G costs no chain."""
+        masks = self._maximal_masks
+        if masks is None:
+            ident = self._ident
+            return all(self._strip(x)[0] == ident for x in imgs) and self._generates(imgs)
+        found = list(map(masks.get, imgs))
+        return None not in found and not reduce(and_, found)
+
+    def _conjugates(self, imgs, v: Permutation) -> tuple:
+        """Raw images imgs of G conjugated by v, as Permutations of G^v.
+        Where G has masks they are read from one map per v, from G's raw
+        images to interned Permutations of G^v, kept on the chain while all
+        kept maps together hold at most DEFAULT_SEARCH_CAP elements."""
+        perms = self._maps.get(v._img)
+        if perms is None:
+            conj, masks = conjugation(v._img), self._maximal_masks
+            if masks is None:
+                return tuple(map(Permutation._raw, map(conj, imgs)))
+            perms = {x: Permutation._raw(conj(x)) for x in masks}
+            if (len(self._maps) + 1) * len(masks) <= DEFAULT_SEARCH_CAP:
+                self._maps[v._img] = perms
+        return tuple(map(perms.__getitem__, imgs))
 
     def _draw(self, rng, k: int, tables: tuple) -> tuple:
         """k raw images drawn from a table of _sampling's shape."""
@@ -407,11 +447,11 @@ def _generates_images(degree: int, imgs, order: int) -> bool:
     they entered the program, generate a group of the given order.
 
     Precondition: imgs lie in a group G of that order, so True means they
-    generate G.  Each caller meets it: the tuple sampler draws from G,
-    generating_tuples enumerates G, response_accepted (which the exact
-    checks' InstanceContext.accepted_responses asks too) checks containment
-    first, and nonconjugacy.matched_sides's subset test puts imgs inside a
-    conjugate of G.  The test fills a membership chain from imgs, less
+    generate G.  Each caller meets it: StabilizerChain._generates is asked
+    for images of G (the tuple sampler's draws, generating_tuples' tuples,
+    and the verifier's entries once _generated_by has sifted them), and
+    nonconjugacy.matched_sides's subset test puts imgs inside a conjugate
+    of G.  The test fills a membership chain from imgs, less
     duplicates and identities, and stops as soon as the product of the
     transversal sizes equals order, after a placement during ingestion or
     while closing.  This is exact, not Monte Carlo: each level's orbit is
@@ -423,16 +463,6 @@ def _generates_images(degree: int, imgs, order: int) -> bool:
     return _fill(chain, order) or chain.order() == order
 
 
-def _generation_test(chain: StabilizerChain):
-    """imgs -> whether raw images imgs, all in G, generate G: the AND of
-    their masks where chain._maximal_masks has them, else _generates_images."""
-    masks = chain._maximal_masks
-    if masks is None:
-        degree, order = chain.degree, chain.order()
-        return lambda imgs: _generates_images(degree, imgs, order)
-    return lambda imgs: not reduce(and_, map(masks.__getitem__, imgs))
-
-
 class GeneratingTuple(NamedTuple):
     """A k-tuple that generates the whole target group G^v, and the draws it took."""
 
@@ -440,37 +470,21 @@ class GeneratingTuple(NamedTuple):
     attempts: int = 1
 
 
-def _tuple_tables(chain: StabilizerChain, v: Permutation) -> tuple:
-    """What random_generating_tuple samples G^v with: G's own sampling
-    table and generation test, which every attempt is drawn and tested
-    by, and the map that conjugates the accepted draw by v and wraps it.
-    With masks, that map reads one interned Permutation of G^v per
-    element of G, keyed by G's raw images."""
-    if len(v._img) != chain.degree:
-        raise ValueError(f"degree mismatch: {v.degree} vs {chain.degree}")
-    conj, masks = conjugation(v._img), chain._maximal_masks
-    if masks is None:
-        wrap = lambda imgs: tuple(map(Permutation._raw, map(conj, imgs)))
-    else:
-        perms = {x: Permutation._raw(conj(x)) for x in masks}
-        wrap = lambda imgs: tuple(map(perms.__getitem__, imgs))
-    return chain._sampling, _generation_test(chain), wrap
-
-
-def random_generating_tuple(chain: StabilizerChain, k: int, rng, v: Permutation, _tables=None) -> GeneratingTuple:
+def random_generating_tuple(chain: StabilizerChain, k: int, rng, v: Permutation) -> GeneratingTuple:
     """Rejection-sample a uniform generating k-tuple of G^v, G the chain's
     group: G's tuple conjugated by v, on its draws and attempts (conjugation
     is an isomorphism).  For the trivial group the first draw, the
     all-identity tuple, is the unique such tuple.  Each attempt is drawn
-    and tested in G, and only the accepted one is conjugated and wrapped,
-    all by _tuple_tables(chain, v), which _tables is when a caller keeps it."""
+    from G's own table and tested by chain._generates, and only the
+    accepted one is conjugated and wrapped, by chain._conjugates."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    tables, generates, wrap = _tables if _tables is not None else _tuple_tables(chain, v)
+    if len(v._img) != chain.degree:
+        raise ValueError(f"degree mismatch: {v.degree} vs {chain.degree}")
     for attempt in range(1, DEFAULT_TUPLE_ATTEMPTS + 1):
-        imgs = chain._draw(rng, k, tables)
-        if generates(imgs):
-            return GeneratingTuple(wrap(imgs), attempt)
+        imgs = chain._random_images(rng, k)
+        if chain._generates(imgs):
+            return GeneratingTuple(chain._conjugates(imgs, v), attempt)
     raise BudgetExceeded(
         f"no generating {k}-tuple found in {DEFAULT_TUPLE_ATTEMPTS} attempts; k may be too small for this group"
     )
@@ -511,8 +525,7 @@ def generating_tuples(chain: StabilizerChain, k: int, cap: int = DEFAULT_SEARCH_
     elems = enumerate_elements(chain, cap)
     if len(elems) ** k > cap:
         raise BudgetExceeded(f"{len(elems)}^{k} candidate tuples exceed cap {cap}")
-    generates = _generation_test(chain)
-    return tuple(tup for tup in itertools.product(elems, repeat=k) if generates([p._img for p in tup]))
+    return tuple(tup for tup in itertools.product(elems, repeat=k) if chain._generates([p._img for p in tup]))
 
 
 def group_profile(chain: StabilizerChain, cap: int = DEFAULT_SEARCH_CAP) -> Optional[tuple]:

@@ -198,6 +198,11 @@ def test_response_accepted_checks_membership_and_generation():
             assert all(sides.side_chain(side)._maximal_masks is not None for side in (0, 1)) == masked
             verdicts.append(response_accepted(sides, a1.gens, b"0", w))
         assert verdicts == [False, True], masked
+        # under the trivial U the identity leaves A1's generators as they
+        # are: they generate a group of <A0>'s order but do not lie in
+        # <A0>, so the verifier's test that they lie in G refuses them
+        trivial = InstanceContext(GroupConjInstance(a0.degree, a0, a1, gset(a0.degree, "")))
+        assert not response_accepted(trivial, a1.gens, b"0", Permutation.identity(a0.degree)), masked
 
 
 

@@ -33,7 +33,7 @@ from permzk.framework import (
     parity_verifier,
 )
 from permzk.instances import load_instance
-from permzk.perm import Permutation, parse_perm
+from permzk.perm import Permutation, conjugator_in_sym, parse_perm
 from permzk.simulator import (
     compare_view_distributions,
     enumerate_consistent_views,
@@ -124,8 +124,18 @@ def test_response_accepted():
     assert response_accepted(ctx, commit1, b"1", mask)
     assert response_accepted(ctx, commit1, b"0", ctx.witness())
     assert not response_accepted(ctx, commit1, b"0", mask)
-    assert not response_accepted(ctx, commit1, b"1", perm("2 1 3"))  # not in <U>
+    assert not response_accepted(ctx, commit1, b"1", perm("2 1 3"))  # not in <U>, nor a1 conjugated
     assert not response_accepted(ctx, commit1, b"1", "junk")
+    # w outside <U> for which the commitment is the challenged side
+    # conjugated by w: only the test that w lies in <U> refuses these.
+    # (1 3) centralizes a1 = (1 3) and U = <(2 3)> does not hold it; on the
+    # no-instance q2_elements the conjugator of a0 onto a1 in the full
+    # symmetric group is no element of <U>
+    assert not response_accepted(ctx, commit1, b"1", perm("3 2 1"))
+    ctx = ctx_of(Q2_ELEMENTS)
+    a0, a1 = ctx.instance.a0, ctx.instance.a1
+    assert not response_accepted(ctx, a1, b"0", conjugator_in_sym(a0, a1))
+    assert response_accepted(ctx, a1, b"1", Permutation.identity(ctx.degree))
 
 
 @pytest.mark.parametrize("maker", [honest_verifier, lambda: constant_verifier(0), lambda: constant_verifier(1)])

@@ -792,25 +792,50 @@ def test_random_generating_tuple_wraps_only_the_accepted_attempt(monkeypatch):
     assert max(attempts) >= 3
 
 
-def test_random_generating_tuple_wraps_no_attempt_once_a_mask_has_its_lookup(monkeypatch):
+def test_random_generating_tuple_wraps_no_attempt_once_a_mask_has_its_map(monkeypatch):
     # S_3 at k=2 rejects half its draws (18 of 36 pairs generate).  Its
-    # masks wrap the 6 elements once per chain, and the lookup for a mask
-    # interns the 6 elements of S_3^v: once per call without kept tables,
-    # once per mask with them, and no attempt wraps anything
-    chain, v = build_chain(symmetric_group(3)), Permutation.from_cycles(3, (1, 3))
+    # masks wrap the 6 elements once per chain, and the first draw for v
+    # interns the 6 elements of S_3^v into the map the chain keeps for v:
+    # once per chain without the kept map, once per v with it, and no
+    # attempt wraps anything
+    s3, v = symmetric_group(3), Permutation.from_cycles(3, (1, 3))
+    kept = build_chain(s3)
     made = count_wraps(monkeypatch)
-    tables = engine._tuple_tables(chain, v)
-    assert len(made) == 12
     attempts = []
     for seed in range(20):
         made.clear()
-        gt = random_generating_tuple(chain, 2, random.Random(seed), v)
-        assert len(made) == 6
+        gt = random_generating_tuple(build_chain(s3), 2, random.Random(seed), v)
+        assert len(made) == 12
         made.clear()
-        assert random_generating_tuple(chain, 2, random.Random(seed), v, tables) == gt
-        assert made == []
+        assert random_generating_tuple(kept, 2, random.Random(seed), v) == gt
+        assert len(made) == (12 if seed == 0 else 0)
         attempts.append(gt.attempts)
     assert max(attempts) >= 3
+
+
+def test_conjugate_maps_are_kept_per_v_within_the_search_cap():
+    # S_4 on 1..4 has masks, so a draw for v keeps one map of 24 elements
+    # for v, which the next draw for v reads, until one more map would take
+    # the kept maps over the cap: 416 maps of the 720 v in S_6.  A v drawn
+    # after that gets a map per draw, with the tuples of a chain that keeps
+    # it.  S_5 has no masks, so its chain keeps no map
+    s4 = GeneratingSet(6, (Permutation.from_cycles(6, (1, 2)), Permutation.from_cycles(6, (1, 2, 3, 4))))
+    chain = build_chain(s4)
+    assert chain._maximal_masks is not None
+    for i, v in enumerate(Permutation(p) for p in itertools.permutations(range(1, 7))):
+        gt = random_generating_tuple(chain, 2, random.Random(i), v)
+        kept = dict(chain._maps)
+        assert random_generating_tuple(chain, 2, random.Random(i), v) == gt
+        assert chain._maps == kept and all(chain._maps[x] is m for x, m in kept.items())
+        assert len(kept) == min(i + 1, 416)
+        assert sum(map(len, kept.values())) <= engine.DEFAULT_SEARCH_CAP
+        if i >= 416:
+            assert random_generating_tuple(build_chain(s4), 2, random.Random(i), v) == gt
+    chain = build_chain(symmetric_group(5))
+    assert chain._maximal_masks is None
+    for i, v in enumerate(Permutation(p) for p in itertools.permutations(range(1, 6))):
+        random_generating_tuple(chain, 2, random.Random(i), v)
+    assert chain._maps == {}
 
 
 def test_random_generating_tuple_tests_every_attempt_in_g(monkeypatch):
@@ -836,9 +861,9 @@ def test_random_generating_tuple_tests_every_attempt_in_g(monkeypatch):
         v = Permutation.from_cycles(n, (1, n))
         attempts = []
         for seed in range(20):
-            for tables in (None, engine._tuple_tables(chain, v)):
+            for _ in range(2):  # the second draw for v reads the kept map
                 read.clear()
-                gt = random_generating_tuple(chain, 2, random.Random(seed), v, tables)
+                gt = random_generating_tuple(chain, 2, random.Random(seed), v)
                 assert len(read) == 2 * gt.attempts
                 assert all(chain.contains(Permutation._raw(x)) for x in read)
                 assert not all(map(chain.contains, gt.perms))
@@ -851,8 +876,8 @@ def test_random_generating_tuple_tests_every_attempt_in_g(monkeypatch):
 # A chain of a group G with |G|^2 within the search cap keeps, per element,
 # the bitmask of G's maximal subgroups that hold it, unless walking G's
 # subgroup lattice would read more products than the cap; k elements
-# generate G exactly when their masks AND to 0.  _generation_test(chain)
-# uses the masks where they exist and _generates_images otherwise.
+# generate G exactly when their masks AND to 0.  chain._generates uses the
+# masks where they exist and _generates_images otherwise.
 
 
 def elementary_abelian_2(r: int) -> GeneratingSet:
@@ -869,10 +894,10 @@ def test_lookup_agrees_with_the_chain_test_on_every_short_tuple_of_every_fixture
             assert chain._maximal_masks is None and n == 720
             continue
         assert chain._maximal_masks is not None
-        elems, lookup = [p._img for p in enumerate_elements(chain)], engine._generation_test(chain)
+        elems = [p._img for p in enumerate_elements(chain)]
         for k in (1, 2, 3):
             for imgs in itertools.product(elems, repeat=k):
-                assert lookup(imgs) == _generates_images(chain.degree, imgs, n), imgs
+                assert chain._generates(imgs) == _generates_images(chain.degree, imgs, n), imgs
                 checked += 1
     assert checked == 47_242
 
@@ -895,15 +920,15 @@ def group_and_subgroup_draws(draw):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(group_and_subgroup_draws())
 def test_lookup_agrees_with_the_chain_test_at_k_4m(case):
-    # on G's own draws, which the sampler's tables for v test as they are
-    # and wrap as their conjugates by v
+    # on G's own draws, which the sampler tests as they are and wraps as
+    # their conjugates by v, through the map it makes for v and then keeps
     chain, v, imgs = case
     n = chain.order()
     assert chain._maximal_masks is not None
-    _, generates, wrap = engine._tuple_tables(chain, v)
-    for test in (engine._generation_test(chain), generates):
+    for test in (chain._generates, chain._generated_by):
         assert test(imgs) == _generates_images(chain.degree, imgs, n)
-    assert wrap(imgs) == tuple(Permutation._raw(x).conjugated_by(v) for x in imgs)
+    for _ in range(2):
+        assert chain._conjugates(imgs, v) == tuple(Permutation._raw(x).conjugated_by(v) for x in imgs)
 
 
 def test_random_generating_tuple_keeps_the_chain_paths_draws_and_attempts():
@@ -936,7 +961,7 @@ def test_lattice_walk_stays_within_its_budget_on_elementary_abelian_groups(r, se
     rng = random.Random(seed)
     sub = build_chain(GeneratingSet(2 * r, chain.random_elements(rng, gens)))
     imgs = [x._img for x in sub.random_elements(rng, 8 * r)]
-    assert engine._generation_test(chain)(imgs) == _generates_images(2 * r, imgs, chain.order())
+    assert chain._generates(imgs) == _generates_images(2 * r, imgs, chain.order())
 
 
 def brute_force_subgroups(elems) -> list:

@@ -569,9 +569,9 @@ def test_a_second_exact_check_runs_no_generation_test_and_no_conjugation(fixture
     # prover's randomness as (mask, commit) and conjugates nothing
     ctx = fresh_context(f"fixtures/{fixture}.txt")
     generated, conjugated = [], []
-    real_generates, real_conjugation = conjugacy._generates_images, conjugacy.conjugation
+    real_generates, real_conjugation = engine._generates_images, conjugacy.conjugation
     real_conjugated_by = Permutation.conjugated_by
-    monkeypatch.setattr(conjugacy, "_generates_images", lambda *args: generated.append(args) or real_generates(*args))
+    monkeypatch.setattr(engine, "_generates_images", lambda *args: generated.append(args) or real_generates(*args))
     monkeypatch.setattr(conjugacy, "conjugation", lambda vi: conjugated.append(vi) or real_conjugation(vi))
     monkeypatch.setattr(Permutation, "conjugated_by", lambda p, v: conjugated.append(v) or real_conjugated_by(p, v))
     passes = []
@@ -608,29 +608,6 @@ def test_live_draws_mask_no_commitment_entry_by_entry(instance, monkeypatch):
     assert calls == []
     ctx.masked_commits(1, 2)  # the spies see the calls that are made
     assert calls == ["masked_commits", "_u_conjugations"]
-
-
-def test_mask_tables_are_kept_per_context_within_the_search_cap(monkeypatch):
-    # q2_groups has |<U>| = 2 and sides of order 3: a cap of 6 keeps each
-    # (side, mask) triple of _tuple_tables, made once for at most 2 x 2
-    # pairs, and a cap of 5 keeps none, so each draw makes its own; the
-    # draws are the same.  The spy sits where both the context and the
-    # sampler read _tuple_tables
-    instance = load_instance(Q2_GROUPS)
-    made = []
-    real = engine._tuple_tables
-    for module in (engine, conjugacy):
-        monkeypatch.setattr(module, "_tuple_tables", lambda chain, v: made.append(v) or real(chain, v))
-    views, counts = [], []
-    for cap in (6, 5):
-        ctx = InstanceContext(instance, cap)
-        rng = random.Random(7)
-        made.clear()
-        views.append([(simulate(ctx, honest_verifier(), rng, k=8, replays=Replays(1)).view,
-                       real_view(ctx, honest_verifier(), rng, k=8, replays=Replays(1))) for _ in range(20)])
-        counts.append(len(made))
-    assert views[0] == views[1]
-    assert counts[0] <= 4 and counts[1] >= 40
 
 
 def test_stat_checks_and_the_verifier_build_no_generating_set(monkeypatch):

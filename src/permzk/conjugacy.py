@@ -210,18 +210,12 @@ class InstanceContext:
     def accepts(self, commit, challenge, response) -> bool:
         return response_accepted(self, commit, challenge, response)
 
+    @_per_context
     def accepted_responses(self, commit, challenge) -> tuple:
         """Every w in <U>, in enumeration order, with accepts(commit,
         challenge, w): the live verifier is asked once per w on the first
-        call for a commitment and challenge bit, the only part of the
-        challenge it reads, and the answer is kept for the life of the
-        context."""
-        key = ("accepted_responses", commit, challenge_bit(challenge))
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = tuple([w for w in self.u_elements() if self.accepts(commit, challenge, w)])
-            return value
+        call for a commitment and challenge payload."""
+        return tuple([w for w in self.u_elements() if self.accepts(commit, challenge, w)])
 
     def sample_commit(self, side: int, k: int, rng, mask: Permutation):
         """A uniform generating k-tuple of the side's group conjugated by

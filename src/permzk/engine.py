@@ -30,9 +30,10 @@ index is drawn with the loop of CPython's randrange(n), getrandbits(w) until
 below n, so the draws and the stream's state match one randrange per level
 (test_table_draw_is_cpython_randrange).  A draw takes its indices in level
 order, then composes deepest first: the deepest representative is composed
-with each shallower level's table in turn.  _random_images draws raw images,
-which random_elements wraps.  random_conjugates(rng, k, v) draws from G^v
-on G's draws, from _sampling conjugated by v once per call.
+with each shallower level's table in turn.  _random_images, the chain's one
+draw loop, draws raw images from that one table, which random_elements
+wraps.  random_conjugates(rng, k, v) takes the same draws in G and
+conjugates and wraps each distinct one by v once.
 random_generating_tuple(chain, k, rng, v) draws and tests every attempt in
 G and conjugates only the accepted tuple by v.
 
@@ -103,8 +104,10 @@ def parse_generating_set(text: str, degree: int) -> GeneratingSet:
 
 
 class _Level:
-    """One level of a chain, in raw images.  inv holds the inverse tables
-    of transversal representatives; a sift fills it in the first time it
+    """One level of a chain.  placed holds the strong generators first
+    placed here, each kept once, as the table a composition reads; the
+    representatives are raw images.  inv holds the inverse tables of
+    transversal representatives; a sift fills it in the first time it
     reads a point.  build_chain's rebuild of the orbit empties it;
     membership chains keep every representative once made, and so every
     inverse."""
@@ -113,7 +116,7 @@ class _Level:
 
     def __init__(self, base: int):
         self.base = base          # 0-based point
-        self.placed = []          # generators first placed at this level
+        self.placed = []          # tables of the generators first placed here
         self.transversal = {}     # orbit point -> rep mapping base to it
         self.points = ()
         self.inv = {}
@@ -155,15 +158,13 @@ class StabilizerChain:
         unique.pop(self._ident, None)
         self.gens = tuple(unique)
         self._levels: list = []
-        self._order: Optional[int] = None
         self._maps: dict = {}  # v's raw images -> _conjugates' map for G^v
 
     # -- queries ----------------------------------------------------------
 
     def order(self) -> int:
-        if self._order is None:
-            self._order = self._product()
-        return self._order
+        """|G|, the product of the transversal sizes."""
+        return math.prod(len(lvl.transversal) for lvl in self._levels)
 
     def contains(self, y: Permutation) -> bool:
         if len(y._img) != self.degree:
@@ -182,18 +183,36 @@ class StabilizerChain:
 
     def random_conjugates(self, rng, k: int, v: Permutation) -> tuple:
         """random_elements(rng, k) conjugated by v, on the same draws: k
-        exactly uniform elements of G^v.  Conjugation is a homomorphism, so
-        the draws come from _sampling conjugated by v once per call."""
+        exactly uniform elements of G^v.  The draws come from G's own
+        table, and each distinct one is conjugated and wrapped once."""
         if len(v._img) != self.degree:
             raise ValueError(f"degree mismatch: {v.degree} vs {self.degree}")
-        sizes, deepest, shallower = self._sampling
-        conj, n = conjugation(v._img), self.degree
-        tables = sizes, list(map(conj, deepest)), [[table(conj(t[:n])) for t in reps] for reps in shallower]
-        return tuple(map(Permutation._raw, self._draw(rng, k, tables)))
+        imgs, conj = self._random_images(rng, k), conjugation(v._img)
+        perms = {x: Permutation._raw(conj(x)) for x in set(imgs)}
+        return tuple(map(perms.__getitem__, imgs))
 
     def _random_images(self, rng, k: int) -> tuple:
-        """random_elements(rng, k) as raw images, on the same draws."""
-        return self._draw(rng, k, self._sampling)
+        """random_elements(rng, k) as raw images, on the same draws: the
+        chain's one draw loop, over _sampling."""
+        sizes, deepest, shallower = self._sampling
+        if not sizes:
+            return (self._ident,) * k
+        getrandbits = rng.getrandbits if isinstance(rng, random.Random) else rng.index_draws(k * len(sizes))
+        drawn = []
+        append = drawn.append
+        for n, w in sizes * k:
+            r = getrandbits(w)
+            while r >= n:
+                r = getrandbits(w)
+            append(r)
+        then, out = self._then, []
+        backwards = reversed(drawn)  # each draw's indices, deepest first
+        for r in backwards:
+            acc = deepest[r]
+            for reps in shallower:
+                acc = then(acc, reps[next(backwards)])
+            out.append(acc)
+        return tuple(reversed(out))
 
     @cached_property
     def _sampling(self) -> tuple:
@@ -287,32 +306,7 @@ class StabilizerChain:
                 self._maps[v._img] = perms
         return tuple(map(perms.__getitem__, imgs))
 
-    def _draw(self, rng, k: int, tables: tuple) -> tuple:
-        """k raw images drawn from a table of _sampling's shape."""
-        sizes, deepest, shallower = tables
-        if not sizes:
-            return (self._ident,) * k
-        getrandbits = rng.getrandbits if isinstance(rng, random.Random) else rng.index_draws(k * len(sizes))
-        drawn = []
-        append = drawn.append
-        for n, w in sizes * k:
-            r = getrandbits(w)
-            while r >= n:
-                r = getrandbits(w)
-            append(r)
-        then, out = self._then, []
-        backwards = reversed(drawn)  # each draw's indices, deepest first
-        for r in backwards:
-            acc = deepest[r]
-            for reps in shallower:
-                acc = then(acc, reps[next(backwards)])
-            out.append(acc)
-        return tuple(reversed(out))
-
     # -- construction -----------------------------------------------------
-
-    def _product(self) -> int:
-        return math.prod(len(l.transversal) for l in self._levels)
 
     def _strip(self, y):
         """Sift raw images y: the residue and the index of the level whose
@@ -329,7 +323,7 @@ class StabilizerChain:
 
     def _tables_from(self, idx: int) -> list:
         """The tables of the strong generators placed at levels idx on."""
-        return [table(g) for lvl in self._levels[idx:] for g in lvl.placed]
+        return [g for lvl in self._levels[idx:] for g in lvl.placed]
 
     def _rebuild_orbit(self, idx: int):
         lvl = self._levels[idx]
@@ -346,15 +340,16 @@ class StabilizerChain:
         if idx == len(self._levels):
             base = next(i for i, j in enumerate(residue) if i != j)
             self._levels.append(_Level(base))
-        self._levels[idx].placed.append(residue)
-        self._grow_orbits(idx, residue)
+        strong = table(residue)
+        self._levels[idx].placed.append(strong)
+        self._grow_orbits(idx, strong)
         return True
 
     def _grow_orbits(self, idx: int, g):
-        """Orbits of levels 0..idx once g is placed at level idx, each
-        rebuilt breadth-first from its base, so a level's points order and
-        representatives, which random_element reads, are a function of its
-        strong generators alone."""
+        """Orbits of levels 0..idx once the table g is placed at level
+        idx, each rebuilt breadth-first from its base, so a level's points
+        order and representatives, which random_element reads, are a
+        function of its strong generators alone."""
         for i in range(idx + 1):
             self._rebuild_orbit(i)
 
@@ -374,10 +369,9 @@ class StabilizerChain:
                     for g in tables:
                         s = then(then(rep, g), lvl.inverse(g[p]))
                         if s != ident and self._ingest(s):
-                            if self._product() == target:
+                            if self.order() == target:
                                 return True
                             changed = True
-        self._order = None
         return False
 
 
@@ -390,7 +384,7 @@ class _MembershipChain(StabilizerChain):
     placements, so the chain is not for sampling."""
 
     def _grow_orbits(self, idx: int, g):
-        then, g = self._then, table(g)
+        then = self._then
         for i, lvl in enumerate(self._levels[:idx + 1]):
             trans = lvl.transversal
             if not trans:
@@ -412,7 +406,7 @@ def _fill(chain: StabilizerChain, target: int = 0) -> bool:
     ingesting or closing, brings the transversal product to target, which
     never happens for the default 0."""
     for g in chain.gens:
-        if chain._ingest(g) and chain._product() == target:
+        if chain._ingest(g) and chain.order() == target:
             return True
     return chain._close(target)
 

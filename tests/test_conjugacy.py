@@ -338,11 +338,13 @@ def test_replay_verdict_matches_live_run_under_each_program(name, prover_class):
 
 
 def altered_views(view: View) -> dict:
-    """Four alterations of a recorded P, V, P view, none of which the
-    verifier program's replay on the recorded tape gives."""
+    """Five alterations of a recorded P, V, P view: a commitment the
+    verifier cannot read, and four that the verifier program's replay on
+    the recorded tape does not give."""
     commit, challenge, response = view.messages
     flipped = Message(VERIFIER, bit_payload(1 - challenge_bit(challenge.payload)))
     return {
+        "malformed commitment": View(view.r_prefix, (Message(commit.sender, ("junk",)), challenge, response)),
         "challenge flipped": View(view.r_prefix, (commit, flipped, response)),
         "99 tape draws": View(TapePrefix(view.r_prefix.seed, 99), view.messages),
         "fourth message": View(view.r_prefix, view.messages + (response,)),

@@ -570,6 +570,8 @@ def test_group_equal():
     c3_b = gset(3, "3 1 2")
     assert group_equal(c3_a, c3_b)
     assert not group_equal(c3_a, gset(3, "2 1 3"))
+    with pytest.raises(ValueError, match="degree mismatch"):
+        group_equal(c3_a, gset(4, "2 3 1 4"))
     # different generating sets of S_4
     assert group_equal(gset(4, "2 1 3 4", "2 3 4 1"), gset(4, "2 1 3 4", "1 3 2 4", "1 2 4 3"))
 

@@ -157,6 +157,7 @@ def test_render_payload_forms():
     assert render_payload(Permutation([2, 1, 3])) == "2 1 3"
     assert render_payload(b"1") == "1"
     assert render_payload((Permutation([1, 2]), Permutation([2, 1]))) == "1 2;2 1"
+    assert render_payload(7) == "7"
 
 
 def test_honest_verifier_uses_one_tape_bit():

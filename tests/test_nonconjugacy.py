@@ -5,7 +5,7 @@ import random
 import pytest
 
 from permzk.conjugacy import GroupConjInstance, InstanceContext
-from permzk.engine import StabilizerChain, build_chain, enumerate_elements, group_equal, GeneratingSet
+from permzk.engine import BudgetExceeded, StabilizerChain, build_chain, enumerate_elements, group_equal, GeneratingSet
 from permzk.framework import RandomTape
 from permzk.instances import load_instance, parse_instance_text
 from permzk.nonconjugacy import (
@@ -174,6 +174,16 @@ def test_matched_sides_agrees_with_direct_definition():
         has_tables = [ctx.side_conjugates(side) is not None for side in (0, 1)]
         assert has_tables == ([False, False] if path == S5_SHIFT else [True, True])
     assert matched_sides(klein_ctx(), KLEIN_PAYLOAD) == (1,)
+
+
+def test_candidate_commits_refuse_k_below_1_and_sides_without_tables():
+    # S5_SHIFT's sides are over its cap of 100, so neither has a table of
+    # U-conjugates for the exact check's candidate walk
+    ctx = s5_shift_ctx()
+    with pytest.raises(ValueError, match="^k must be at least 1$"):
+        ctx.candidate_commits(0)
+    with pytest.raises(BudgetExceeded, match="^the sides' U-conjugates exceed cap 100$"):
+        ctx.candidate_commits(2)
 
 
 # StabilizerChain.contains calls that scan_matched_sides makes on the

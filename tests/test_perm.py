@@ -65,8 +65,15 @@ def test_composition_left_factor_acts_first():
 
 
 def test_composition_degree_mismatch():
+    a, b = parse_perm("2 1"), parse_perm("2 1 3")
     with pytest.raises(ValueError):
-        parse_perm("2 1") * parse_perm("2 1 3")
+        a * b
+    with pytest.raises(ValueError, match="degree mismatch"):
+        a.conjugated_by(b)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        conjugator_in_sym(a, b)
+    with pytest.raises(TypeError):
+        a * 3
 
 
 def test_associativity_exhaustive_s3():

@@ -35,21 +35,23 @@ def test_randrange_matches_random_at_every_size():
         assert [tape.randrange(n) for n in SIZES] == [stdlib.randrange(n) for n in SIZES], seed
 
 
+def refusal(draw, arg) -> str:
+    """The message of the ValueError that draw(arg) raises."""
+    try:
+        draw(arg)
+    except ValueError as err:
+        return str(err)
+    raise AssertionError(f"{draw} accepted {arg}")
+
+
 def test_randrange_refuses_what_random_refuses():
     for n in (0, -1, -(2**70)):
-        try:
-            random.Random(0).randrange(n)
-        except ValueError as err:
-            expected = str(err)
-        else:
-            raise AssertionError(f"random.Random accepted randrange({n})")
-        tape = RandomTape(0, Replays(0))
-        try:
-            tape.randrange(n)
-        except ValueError as err:
-            assert str(err) == expected
-        else:
-            raise AssertionError(f"replay tape accepted randrange({n})")
+        assert refusal(RandomTape(0, Replays(0)).randrange, n) == refusal(random.Random(0).randrange, n), n
+
+
+def test_getrandbits_refuses_what_random_refuses():
+    for seed in SEEDS:
+        assert refusal(RandomTape(seed, Replays(seed)).getrandbits, -1) == refusal(random.Random(seed).getrandbits, -1)
 
 
 def test_getrandbits_and_bit_match_random():

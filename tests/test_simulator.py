@@ -765,6 +765,14 @@ def test_compare_stat_mode_report():
     assert 0.0 <= report["tv_distance_upper"] <= 1.0
 
 
+def test_compare_stat_mode_report_on_one_cell():
+    # trivial sides and U under a constant challenge: every view falls in
+    # one cell, where no chi-square is run and p reads 1
+    ctx = InstanceContext(parse_instance_text("degree: 2\nA0:\nA1:\nU:\nwitness: 1 2\n"))
+    report = compare_view_distributions(ctx, constant_verifier(0), tape_seed=0, k=2, samples=20, rng=random.Random(0))
+    assert (report["cells"], report["chi2_p"]) == (1, 1.0)
+
+
 def test_bucket_of_commit_stable():
     commit = (Permutation([2, 1, 3]), Permutation([2, 3, 1]))
     assert bucket_of_commit(commit) == bucket_of_commit(tuple(commit))

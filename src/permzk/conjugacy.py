@@ -31,9 +31,9 @@ from .engine import (
 from .framework import (
     PROVER,
     VERIFIER,
+    Message,
     RandomTape,
     Replays,
-    SessionRecord,
     VerifierProgram,
     View,
     challenge_bit,
@@ -393,22 +393,22 @@ class GuessingProver:
 
 
 def session(ctx: InstanceContext, params: ProtocolParams, prover, program: VerifierProgram, rng_p, tape_v: RandomTape):
-    """One atomic session as a generator; ill-typed prover messages abort
-    with a rejecting outcome.  The prover's state is (mask, attempts)."""
-    record = SessionRecord(tape_v)
+    """One atomic session as a generator of its messages, returning the
+    verdict and the prover's tuple attempts; an ill-typed commitment aborts
+    with a rejection.  The prover's state is (mask, attempts)."""
     state, payload = prover.commit(rng_p)
-    yield record.send(PROVER, payload)
+    yield Message(PROVER, payload)
     commit = ctx.read_commit(payload, params.k)
     if commit is None:
-        return record.outcome(False)
+        return False, {}
 
     challenge = program.challenge(ctx.instance, tape_v, payload)
-    yield record.send(VERIFIER, challenge)
+    yield Message(VERIFIER, challenge)
 
     response = prover.respond(state, challenge)
-    yield record.send(PROVER, response)
+    yield Message(PROVER, response)
 
-    return record.outcome(ctx.accepts(commit, challenge, response), tuple_attempts=state[1])
+    return ctx.accepts(commit, challenge, response), {"tuple_attempts": state[1]}
 
 
 def run_composed(ctx, params, prover, program, rng: random.Random, parallel: bool = False):

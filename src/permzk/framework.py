@@ -3,8 +3,10 @@ deterministic random tapes, views, verifier programs and their replays, and
 the sequential and parallel composition runners.
 
 A session is a generator that yields each Message as it is sent and returns
-a SessionOutcome.  The runners only drive generators and record events, so
-they work for any round schedule.  Every replay of a verifier program, the
+its verdict and its own counters.  The runners drive the generators, so they
+work for any round schedule, and record each session: its events, and its
+SessionOutcome with the view (the verifier tape's prefix and the messages)
+and a wall-clock time per round.  Every replay of a verifier program, the
 simulator's rewinding as much as the re-decision of a recorded view, goes
 through one Replays of the tape seed.
 """
@@ -259,47 +261,51 @@ class CompositeOutcome:
     events: tuple
 
     def transcript(self) -> str:
-        return render_transcript(self.events, self.accepted)
-
-
-def render_transcript(events, accepted: bool) -> str:
-    lines = [
-        f"s{s + 1}.r{r + 1} {msg.sender} {render_payload(msg.payload)}"
-        for s, r, msg in events
-    ]
-    lines.append("ACCEPT" if accepted else "REJECT")
-    return "\n".join(lines) + "\n"
-
-
-def _spawn(rng: random.Random):
-    """The prover's stream and the verifier's tape of one session, both
-    RandomTapes seeded from rng in this order, so a stream that no party
-    draws from is never seeded."""
-    return RandomTape(rng.getrandbits(64)), RandomTape(rng.getrandbits(64))
+        lines = [f"s{s + 1}.r{r + 1} {msg.sender} {render_payload(msg.payload)}" for s, r, msg in self.events]
+        lines.append("ACCEPT" if self.accepted else "REJECT")
+        return "\n".join(lines) + "\n"
 
 
 def _run_batches(make_session, t: int, rng: random.Random, batch: int) -> CompositeOutcome:
     """Drive t sessions in batches of `batch`, advancing the sessions of a
-    batch in lockstep, one message each per round.  A batch spawns its
-    streams from rng when it starts, so a run that raises part-way has drawn
-    only for the batches it began."""
+    batch in lockstep, one message each per round.  Each session's counters
+    get round_ns, the wall-clock time from its spawn to its first message,
+    between its messages, and from its last message to its verdict, so one
+    entry more than its view has messages.  A batch spawns its streams from
+    rng when it starts, so a run that raises part-way has drawn only for the
+    batches it began."""
     if t < 1:
         raise ValueError("t must be at least 1")
+    clock = time.perf_counter_ns
     events = []
     outcomes = [None] * t
     for first in range(0, t, batch):
-        alive = [(s_idx, make_session(*_spawn(rng))) for s_idx in range(first, min(first + batch, t))]
+        alive = []
+        for s_idx in range(first, min(first + batch, t)):
+            # The prover's stream is seeded from rng first, the verifier's
+            # tape second; a RandomTape seeds its stream on its first draw,
+            # so a stream that no party draws from is never seeded.
+            rng_p = RandomTape(rng.getrandbits(64))
+            tape_v = RandomTape(rng.getrandbits(64))
+            alive.append((s_idx, make_session(rng_p, tape_v), tape_v, [], [clock()]))
         r_idx = 0
         while alive:
             still = []
-            for s_idx, gen in alive:
+            for entry in alive:
+                s_idx, gen, tape_v, messages, marks = entry
                 try:
                     msg = next(gen)
                 except StopIteration as stop:
-                    outcomes[s_idx] = stop.value
+                    marks.append(clock())
+                    accepted, counters = stop.value
+                    round_ns = tuple(b - a for a, b in zip(marks, marks[1:]))
+                    view = View(tape_v.prefix(), tuple(messages))
+                    outcomes[s_idx] = SessionOutcome(accepted, view, {"round_ns": round_ns, **counters})
                     continue
+                marks.append(clock())
+                messages.append(msg)
                 events.append((s_idx, r_idx, msg))
-                still.append((s_idx, gen))
+                still.append(entry)
             alive = still
             r_idx += 1
     return CompositeOutcome(all(o.accepted for o in outcomes), tuple(outcomes), tuple(events))
@@ -316,31 +322,3 @@ def run_parallel(make_session, t: int, rng: random.Random) -> CompositeOutcome:
     round; accept iff all accept."""
     return _run_batches(make_session, t, rng, t)
 
-
-class SessionRecord:
-    """The messages of one session and the wall-clock time of each round:
-    send() closes a round with its message, outcome() closes the verdict
-    round, so round_ns always has one entry more than the view has
-    messages."""
-
-    def __init__(self, tape_v: RandomTape):
-        self.tape_v = tape_v
-        self.messages = []
-        self.round_ns = []
-        self._last = time.perf_counter_ns()
-
-    def _mark(self):
-        now = time.perf_counter_ns()
-        self.round_ns.append(now - self._last)
-        self._last = now
-
-    def send(self, sender: str, payload) -> Message:
-        self._mark()
-        msg = Message(sender, payload)
-        self.messages.append(msg)
-        return msg
-
-    def outcome(self, accepted: bool, **counters) -> SessionOutcome:
-        self._mark()
-        view = View(self.tape_v.prefix(), tuple(self.messages))
-        return SessionOutcome(accepted, view, {"round_ns": tuple(self.round_ns), **counters})

@@ -21,8 +21,8 @@ from .engine import GeneratingSet, _generates_images, group_profile, membership_
 from .framework import (
     PROVER,
     VERIFIER,
+    Message,
     RandomTape,
-    SessionRecord,
     bit_payload,
     challenge_bit,
     run_parallel,
@@ -139,16 +139,16 @@ STANDARD_RESPONDERS = {
 
 
 def session(ctx: InstanceContext, params: ProtocolParams, responder: ResponderProgram, rng_p, tape_v: RandomTape):
-    """One atomic session: verifier challenge, prover side claim.  No
-    responder draws, so rng_p goes unread."""
-    record = SessionRecord(tape_v)
+    """One atomic session: verifier challenge, prover side claim; it returns
+    the verdict and the challenged side.  No responder draws, so rng_p goes
+    unread."""
     challenge = draw_challenge(ctx, params.k, tape_v)
-    yield record.send(VERIFIER, challenge.payload)
+    yield Message(VERIFIER, challenge.payload)
 
     reply = responder.respond(ctx, challenge.payload)
-    yield record.send(PROVER, reply)
+    yield Message(PROVER, reply)
 
-    return record.outcome(challenge_matched(challenge.side, reply), side=challenge.side)
+    return challenge_matched(challenge.side, reply), {"side": challenge.side}
 
 
 def run_composed(ctx, params, responder, rng: random.Random, parallel: bool = True):

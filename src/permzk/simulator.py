@@ -4,10 +4,11 @@ randomness: view_from_randomness sends the honest prover's (commit, mask) to
 a view, and simulated_view sends the simulator's (side guess, commit, mask)
 to a view, or to None (a restart) when the challenge misses the side.  The
 commitment is one for the side masked by the mask: simulate and real_view
-draw it from the masked group's own table (ctx.sample_commit), the exact
-checks read every (mask, commit) pair from ctx.masked_commits, made once per
-context.  Both maps replay the verifier with framework.Replays, each replay
-on a fresh tape.  The maps take one call's Replays, which only the two
+draw and test it in the side's group and conjugate only the accepted tuple
+by the mask (ctx.sample_commit); the exact checks read every (mask,
+commit) pair from ctx.masked_commits, made once per context.  Both maps
+replay the verifier with framework.Replays, each replay on a fresh tape.
+The maps take one call's Replays, which only the two
 entry points, compare_view_distributions and verify_view_bijection, build
 from their tape_seed, so all the replays of one public call read one
 Replays, which draws the seed's stream once; an exact check's Replays also

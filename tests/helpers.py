@@ -7,6 +7,7 @@ simulator's integer counts, and planted defects, in the prover, the
 simulator or the verifier, that the zero-knowledge checks must catch."""
 
 import math
+import random
 from fractions import Fraction
 
 from permzk.conjugacy import DEFAULT_SEARCH_CAP, GroupConjInstance, InstanceContext
@@ -19,18 +20,15 @@ from permzk.engine import (
     enumerate_elements,
     membership_chain,
 )
-from permzk.framework import Replays, SessionOutcome, challenge_bit
+from permzk.framework import Replays, SessionOutcome, challenge_bit, run_sequential
 from permzk.perm import Permutation, format_perm
 from permzk.simulator import SimulatedView, simulated_view, view_from_randomness
 
 
-def run_session(session) -> SessionOutcome:
-    """Drive a session generator to completion, discarding the event trace."""
-    while True:
-        try:
-            next(session)
-        except StopIteration as stop:
-            return stop.value
+def run_session(make_session, seed: int = 0) -> SessionOutcome:
+    """The outcome of one session that the sequential runner spawns from
+    random.Random(seed); make_session is as run_sequential takes it."""
+    return run_sequential(make_session, 1, random.Random(seed)).outcomes[0]
 
 
 def format_generating_set(a: GeneratingSet) -> str:

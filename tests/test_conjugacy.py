@@ -24,7 +24,6 @@ from permzk.framework import (
     STANDARD_VERIFIERS,
     VERIFIER,
     Message,
-    RandomTape,
     TapePrefix,
     View,
     bit_payload,
@@ -235,7 +234,7 @@ def test_response_accepted_by_masks_agrees_with_membership_chains(path):
     assert verdicts == {True, False}
 
 def run_once(ctx, params, prover, program, seed):
-    return run_session(session(ctx, params, prover, program, random.Random(seed), RandomTape(seed + 1)))
+    return run_session(lambda rng_p, tape_v: session(ctx, params, prover, program, rng_p, tape_v), seed)
 
 
 @pytest.mark.parametrize("path", [TINY, Q2_GROUPS, S4_PAIR])

@@ -25,7 +25,6 @@ from permzk.conjugacy import DEFAULT_SEARCH_CAP, GuessingProver, HonestProver, P
 from permzk.engine import BudgetExceeded, GeneratingSet, build_chain, parse_generating_set
 from permzk.framework import (
     STANDARD_VERIFIERS,
-    RandomTape,
     Replays,
     VerifierProgram,
     constant_verifier,
@@ -186,7 +185,8 @@ def test_replay_verdict_matches_live_element_sessions(prover_class, name, parall
 
 def test_ill_typed_commit_rejects():
     ctx = ctx_of(EC_YES)
-    out = run_session(session(ctx, params_for(ctx.instance), BrokenProver(), honest_verifier(), random.Random(0), RandomTape(0)))
+    params = params_for(ctx.instance)
+    out = run_session(lambda rng_p, tape_v: session(ctx, params, BrokenProver(), honest_verifier(), rng_p, tape_v))
     assert not out.accepted
     assert len(out.view.messages) == 1
 

@@ -552,6 +552,12 @@ def test_enumerate_elements_counts_and_cap():
     assert els[0] == Permutation.identity(4)
     with pytest.raises(BudgetExceeded):
         enumerate_elements(chain, cap=10)
+    # the closure keeps its own budget: on generators of S_4 that no
+    # sifting has filled, order() reads 1, and the cap still holds
+    unfilled = StabilizerChain(4, [bytes([1, 0, 2, 3]), bytes([1, 2, 3, 0])])
+    assert unfilled.order() == 1
+    with pytest.raises(BudgetExceeded, match="^closure exceeded cap 10$"):
+        enumerate_elements(unfilled, 10)
 
 
 def test_order_equals_enumeration_length():

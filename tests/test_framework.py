@@ -9,12 +9,12 @@ from permzk import nonconjugacy
 from permzk.conjugacy import InstanceContext
 from permzk.element import ElementContext
 from permzk.framework import (
+    CompositeOutcome,
     Message,
     RandomTape,
     SessionOutcome,
     STANDARD_VERIFIERS,
     TapePrefix,
-    View,
     VerifierProgram,
     bit_payload,
     challenge_bit,
@@ -22,7 +22,6 @@ from permzk.framework import (
     honest_verifier,
     parity_verifier,
     render_payload,
-    render_transcript,
     run_parallel,
     run_sequential,
 )
@@ -213,11 +212,11 @@ def _toy_session(rng_p, tape_v):
     yield Message("P", bytes([value]))
     bit = tape_v.bit()
     yield Message("V", bit_payload(bit))
-    return SessionOutcome(bit == 0, View(tape_v.prefix(), ()), {"value": value})
+    return bit == 0, {"value": value}
 
 
 def test_run_session_returns_outcome():
-    outcome = run_session(_toy_session(random.Random(0), RandomTape(0)))
+    outcome = run_session(_toy_session)
     assert isinstance(outcome, SessionOutcome)
     assert outcome.accepted in (True, False)
 
@@ -228,7 +227,9 @@ def test_sequential_and_parallel_agree():
         par = run_parallel(_toy_session, 3, random.Random(seed))
         assert seq.accepted == par.accepted
         assert [o.accepted for o in seq.outcomes] == [o.accepted for o in par.outcomes]
-        assert [o.counters for o in seq.outcomes] == [o.counters for o in par.outcomes]
+        # round_ns holds wall-clock times, which differ from run to run
+        untimed = [[{k: v for k, v in o.counters.items() if k != "round_ns"} for o in run.outcomes] for run in (seq, par)]
+        assert untimed[0] == untimed[1]
         # same multiset of events, different interleaving
         assert sorted(seq.events) == sorted(par.events)
 
@@ -274,7 +275,7 @@ def _counted_sessions(lengths, fail_at=None):
             if (index, r) == fail_at:
                 raise Boom(index)
             yield Message("P", bytes([index, r, rng_p.randrange(256)]))
-        return SessionOutcome(n % 2 == 0, View(tape_v.prefix(), ()), {"rounds": n})
+        return n % 2 == 0, {"rounds": n}
 
     return make, made
 
@@ -307,6 +308,11 @@ def test_uneven_session_lengths(runner, order):
     assert [(s, r) for s, r, _ in out.events] == order
     assert [msg.payload[:2] for _, _, msg in out.events] == [bytes(sr) for sr in order]
     assert [o.counters["rounds"] for o in out.outcomes] == list(UNEVEN)
+    # each outcome's view holds its own session's events, in order, and
+    # round_ns times each message and the verdict
+    for s_idx, o in enumerate(out.outcomes):
+        assert o.view.messages == tuple(msg for s, _, msg in out.events if s == s_idx)
+        assert len(o.counters["round_ns"]) == len(o.view.messages) + 1
     assert out.accepted is False
     assert made == [0, 1, 2, 3]
     assert rng.getstate() == _state_after_spawns(8, len(UNEVEN))
@@ -329,5 +335,5 @@ def test_render_transcript_exact():
         (0, 0, Message("P", Permutation([2, 1]))),
         (0, 1, Message("V", b"1")),
     )
-    assert render_transcript(events, True) == "s1.r1 P 2 1\ns1.r2 V 1\nACCEPT\n"
-    assert render_transcript((), False) == "REJECT\n"
+    assert CompositeOutcome(True, (), events).transcript() == "s1.r1 P 2 1\ns1.r2 V 1\nACCEPT\n"
+    assert CompositeOutcome(False, (), ()).transcript() == "REJECT\n"

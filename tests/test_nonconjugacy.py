@@ -228,7 +228,7 @@ def test_responder_registry():
 def test_session_shape_and_counters():
     ctx = ctx_of(NO_M4)
     params = params_for(ctx.instance)
-    out = run_session(session(ctx, params, brute_force_responder(), random.Random(0), RandomTape(0)))
+    out = run_session(lambda rng_p, tape_v: session(ctx, params, brute_force_responder(), rng_p, tape_v))
     assert [m.sender for m in out.view.messages] == ["V", "P"]
     assert out.counters["side"] in (0, 1)
     assert len(out.counters["round_ns"]) == 3

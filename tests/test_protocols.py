@@ -1,5 +1,6 @@
 """What the protocols share: the context's witness check and chain cache,
-reading wire payloads, the session record, and golden session digests."""
+reading wire payloads, the runner's record of a session, and golden
+session digests."""
 
 import hashlib
 import random
@@ -10,7 +11,7 @@ from permzk import conjugacy, element, nonconjugacy
 from permzk.conjugacy import GroupConjInstance, GuessingProver, HonestProver, InstanceContext, ProtocolParams, _coerce_perm
 from permzk.element import ElemConjInstance, ElementContext, HonestElemProver, params_for
 from permzk.engine import GeneratingSet
-from permzk.framework import RandomTape, honest_verifier
+from permzk.framework import honest_verifier
 from permzk.instances import load_instance
 from permzk.perm import Permutation, parse_perm
 
@@ -132,20 +133,21 @@ def group_session(prover=None):
     ctx = group_ctx()
     params = ProtocolParams.for_instance(ctx.instance)
     prover = prover or HonestProver(ctx, params)
-    return conjugacy.session(ctx, params, prover, honest_verifier(), random.Random(0), RandomTape(1))
+    return lambda rng_p, tape_v: conjugacy.session(ctx, params, prover, honest_verifier(), rng_p, tape_v)
 
 
 def element_session(prover=None):
     ctx = element_ctx()
+    params = params_for(ctx.instance)
     prover = prover or HonestElemProver(ctx)
-    return conjugacy.session(ctx, params_for(ctx.instance), prover, honest_verifier(), random.Random(0), RandomTape(1))
+    return lambda rng_p, tape_v: conjugacy.session(ctx, params, prover, honest_verifier(), rng_p, tape_v)
 
 
 def non_conj_session():
     ctx = InstanceContext(load_instance(NO_M4))
     params = nonconjugacy.params_for(ctx.instance)
     responder = nonconjugacy.brute_force_responder()
-    return nonconjugacy.session(ctx, params, responder, random.Random(0), RandomTape(1))
+    return lambda rng_p, tape_v: nonconjugacy.session(ctx, params, responder, rng_p, tape_v)
 
 
 SESSIONS = {

@@ -621,8 +621,7 @@ def test_stat_checks_and_the_verifier_build_no_generating_set(monkeypatch):
     post_init = GeneratingSet.__post_init__
     monkeypatch.setattr(GeneratingSet, "__post_init__", lambda self: built.append(self) or post_init(self))
     compare_view_distributions(ctx, honest_verifier(), tape_seed=1, k=24, samples=50, rng=random.Random(3))
-    tape = RandomTape(4)
-    assert run_session(session(ctx, params, prover, honest_verifier(), random.Random(4), tape)).accepted
+    assert run_session(lambda rng_p, tape_v: session(ctx, params, prover, honest_verifier(), rng_p, tape_v), 4).accepted
     assert built == []
 
 
@@ -763,6 +762,11 @@ def test_compare_stat_mode_report():
     assert report["attempts_per_restart"] >= 1.0
     assert report["chi2_p"] > 1e-3
     assert 0.0 <= report["tv_distance_upper"] <= 1.0
+    # without an rng, stat mode draws from random.Random(0)
+    ctx = ctx_of(Q2_GROUPS)
+    default = compare_view_distributions(ctx, honest_verifier(), tape_seed=1, k=2, samples=30)
+    assert default == compare_view_distributions(ctx, honest_verifier(), tape_seed=1, k=2, samples=30, rng=random.Random(0))
+    assert default["cells"] == 8
 
 
 def test_compare_stat_mode_report_on_one_cell():

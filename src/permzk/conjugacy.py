@@ -132,19 +132,15 @@ class InstanceContext:
         return self.instance.degree
 
     @cached_property
-    def chain_a0(self) -> StabilizerChain:
-        return build_chain(self.instance.a0)
-
-    @cached_property
-    def chain_a1(self) -> StabilizerChain:
-        return build_chain(self.instance.a1)
-
-    @cached_property
     def chain_u(self) -> StabilizerChain:
         return build_chain(self.instance.u)
 
+    @cached_property
+    def _side_chains(self) -> tuple:
+        return build_chain(self.instance.a0), build_chain(self.instance.a1)
+
     def side_chain(self, bit: int) -> StabilizerChain:
-        return self.chain_a1 if bit else self.chain_a0
+        return self._side_chains[bit]
 
     @_per_context
     def u_elements(self) -> tuple:
@@ -181,8 +177,8 @@ class InstanceContext:
     def conjugates(self, v: Permutation) -> bool:
         """Whether <A0>^v = <A1>: equal orders and A0's generators, conjugated
         by v, in <A1>."""
-        return (self.chain_a0.order() == self.chain_a1.order()
-                and self._conjugates_into(conjugation(v._img), 0, self.chain_a1))
+        return (self.side_chain(0).order() == self.side_chain(1).order()
+                and self._conjugates_into(conjugation(v._img), 0, self.side_chain(1)))
 
     @_per_context
     def _u_conjugations(self) -> tuple:
@@ -199,10 +195,10 @@ class InstanceContext:
         """First v in <U>, in enumeration order, with <A0>^v = <A1>; None
         when no element works, which sides of different orders answer
         before the search budget is checked."""
-        if self.chain_a0.order() != self.chain_a1.order():
+        if self.side_chain(0).order() != self.side_chain(1).order():
             return None
         self._check_search_budget()
-        return next(self.conjugators(0, self.chain_a1), None)
+        return next(self.conjugators(0, self.side_chain(1)), None)
 
     def read_commit(self, payload, k: int) -> Optional[tuple]:
         return coerce_commit(self.degree, k, payload)

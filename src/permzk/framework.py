@@ -6,9 +6,9 @@ A session is a generator that yields each Message as it is sent and returns
 its verdict and its own counters.  The runners drive the generators, so they
 work for any round schedule, and record each session: its events, and its
 SessionOutcome with the view (the verifier tape's prefix and the messages)
-and a wall-clock time per round.  Every replay of a verifier program, the
-simulator's rewinding as much as the re-decision of a recorded view, goes
-through one Replays of the tape seed.
+and a wall-clock time for each of the session's own steps.  Every replay of
+a verifier program, the simulator's rewinding as much as the re-decision of
+a recorded view, goes through one Replays of the tape seed.
 """
 
 from __future__ import annotations
@@ -221,10 +221,9 @@ def honest_verifier() -> VerifierProgram:
     )
 
 
-def constant_verifier(bit) -> VerifierProgram:
-    payload = bit if isinstance(bit, bytes) else bit_payload(int(bit))
-    name = "const" + payload.decode("ascii", errors="backslashreplace")
-    return VerifierProgram(name, lambda inst, tape, commit: payload, tape_budget=0)
+def constant_verifier(bit: int) -> VerifierProgram:
+    payload = bit_payload(int(bit))
+    return VerifierProgram("const" + payload.decode("ascii"), lambda inst, tape, commit: payload, tape_budget=0)
 
 
 def _payload_fixed_points(payload) -> int:
@@ -269,11 +268,10 @@ class CompositeOutcome:
 def _run_batches(make_session, t: int, rng: random.Random, batch: int) -> CompositeOutcome:
     """Drive t sessions in batches of `batch`, advancing the sessions of a
     batch in lockstep, one message each per round.  Each session's counters
-    get round_ns, the wall-clock time from its spawn to its first message,
-    between its messages, and from its last message to its verdict, so one
-    entry more than its view has messages.  A batch spawns its streams from
-    rng when it starts, so a run that raises part-way has drawn only for the
-    batches it began."""
+    get round_ns, the wall-clock time of each of its own steps, the one to
+    each message and the one to its verdict, so one entry more than its
+    view has messages.  A batch spawns its streams from rng when it starts,
+    so a run that raises part-way has drawn only for the batches it began."""
     if t < 1:
         raise ValueError("t must be at least 1")
     clock = time.perf_counter_ns
@@ -287,22 +285,22 @@ def _run_batches(make_session, t: int, rng: random.Random, batch: int) -> Compos
             # so a stream that no party draws from is never seeded.
             rng_p = RandomTape(rng.getrandbits(64))
             tape_v = RandomTape(rng.getrandbits(64))
-            alive.append((s_idx, make_session(rng_p, tape_v), tape_v, [], [clock()]))
+            alive.append((s_idx, make_session(rng_p, tape_v), tape_v, [], []))
         r_idx = 0
         while alive:
             still = []
             for entry in alive:
-                s_idx, gen, tape_v, messages, marks = entry
+                s_idx, gen, tape_v, messages, round_ns = entry
+                start = clock()
                 try:
                     msg = next(gen)
                 except StopIteration as stop:
-                    marks.append(clock())
+                    round_ns.append(clock() - start)
                     accepted, counters = stop.value
-                    round_ns = tuple(b - a for a, b in zip(marks, marks[1:]))
                     view = View(tape_v.prefix(), tuple(messages))
-                    outcomes[s_idx] = SessionOutcome(accepted, view, {"round_ns": round_ns, **counters})
+                    outcomes[s_idx] = SessionOutcome(accepted, view, {"round_ns": tuple(round_ns), **counters})
                     continue
-                marks.append(clock())
+                round_ns.append(clock() - start)
                 messages.append(msg)
                 events.append((s_idx, r_idx, msg))
                 still.append(entry)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .engine import GeneratingSet, _generates_images, group_profile, membership_chain
 from .framework import (
@@ -107,28 +107,21 @@ def scan_matched_sides(ctx: InstanceContext, payload: tuple) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ResponderProgram:
-    """A prover strategy for the side-identification round."""
-
-    name: str
-    respond: Callable[[InstanceContext, tuple], bytes]
-
-
-def brute_force_responder() -> ResponderProgram:
-    """The honest unbounded prover: name the unique matching side; if both
+def brute_force_responder():
+    """The honest unbounded prover as a responder, a function (ctx,
+    payload) -> bytes naming a side: name the unique matching side; if both
     or neither side matches, the batch is uninformative, answer 0."""
 
     def respond(ctx, payload):
         sides = matched_sides(ctx, payload)
         return bit_payload(sides[0] if len(sides) == 1 else 0)
 
-    return ResponderProgram("brute", respond)
+    return respond
 
 
-def constant_responder(bit: int) -> ResponderProgram:
+def constant_responder(bit: int):
     payload = bit_payload(int(bit))
-    return ResponderProgram("const" + payload.decode("ascii"), lambda ctx, p: payload)
+    return lambda ctx, p: payload
 
 
 STANDARD_RESPONDERS = {
@@ -138,14 +131,14 @@ STANDARD_RESPONDERS = {
 }
 
 
-def session(ctx: InstanceContext, params: ProtocolParams, responder: ResponderProgram, rng_p, tape_v: RandomTape):
+def session(ctx: InstanceContext, params: ProtocolParams, responder, rng_p, tape_v: RandomTape):
     """One atomic session: verifier challenge, prover side claim; it returns
     the verdict and the challenged side.  No responder draws, so rng_p goes
     unread."""
     challenge = draw_challenge(ctx, params.k, tape_v)
     yield Message(VERIFIER, challenge.payload)
 
-    reply = responder.respond(ctx, challenge.payload)
+    reply = responder(ctx, challenge.payload)
     yield Message(PROVER, reply)
 
     return challenge_matched(challenge.side, reply), {"side": challenge.side}

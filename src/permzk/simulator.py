@@ -34,11 +34,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .engine import BudgetExceeded
 from .framework import Replays, TapePrefix, VerifierProgram, challenge_bit
-from .conjugacy import InstanceContext, TUPLE_LENGTH_FACTOR
+from .conjugacy import InstanceContext, ProtocolParams
 
 DEFAULT_MAX_RESTARTS = 10 * 64
 
@@ -230,22 +231,12 @@ def bucket_of_commit(commit) -> int:
     exactly): h mod 8 for h = h * 1000003 + image mod 2^32 over the 1-based
     images.  8 divides 2^32, 1000003 = 3 mod 8 and 3^2 = 1 mod 8, so an
     image at distance d from the end weighs 3^d = 1 (d even) or 3 (d odd);
-    summed in C over raw images, 1-based as 0-based sum plus count.  Bytes
-    images are joined and sliced once; tuple images (degree over 256) are
-    sliced entry by entry, an entry's slices trading parity when its offset
-    from the end is odd."""
+    summed in C over the raw images, joined into one sequence and sliced
+    once, 1-based as 0-based sum plus count."""
     perms = commit if isinstance(commit, tuple) else (commit,)
-    if perms and type(perms[0]._img) is bytes:
-        flat = b"".join([p._img for p in perms])
-        even, odd, length = sum(flat[-1::-2]), sum(flat[-2::-2]), len(flat)
-    else:
-        sums, length = [0, 0], 0
-        for p in reversed(perms):
-            img = p._img
-            sums[length & 1] += sum(img[-1::-2])
-            sums[~length & 1] += sum(img[-2::-2])
-            length += len(img)
-        even, odd = sums
+    imgs = [p._img for p in perms]
+    flat = b"".join(imgs) if imgs and type(imgs[0]) is bytes else tuple(chain.from_iterable(imgs))
+    even, odd, length = sum(flat[-1::-2]), sum(flat[-2::-2]), len(flat)
     return (even + (length + 1) // 2 + 3 * (odd + length // 2)) % 8
 
 
@@ -267,7 +258,7 @@ def compare_view_distributions(
     keys are in the order the CLI prints them."""
     if not ctx.is_yes():
         raise ValueError("zero-knowledge comparison applies to yes-instances only")
-    k = k if k is not None else TUPLE_LENGTH_FACTOR * ctx.degree
+    k = k if k is not None else ProtocolParams.for_instance(ctx.instance).k
     if exact:
         replays = Replays(tape_seed, {})
         law_r = exact_real_law(ctx, program, replays, k)

@@ -626,7 +626,7 @@ def bench_sampled_chains():
     group = InstanceContext(parse_instance_text(bench.group_conj_text(bench._stream("group-conj-m16", "instances", 0))))
     elem = ElementContext(parse_instance_text(bench.elem_conj_text(bench._stream("elem-conj-m32", "instances", 0))))
     non = InstanceContext(parse_instance_text(bench.non_conj_text()))
-    return (group.chain_a0, group.chain_a1, elem.chain_u, non.chain_a0, non.chain_a1, non.chain_u)
+    return (group.side_chain(0), group.side_chain(1), elem.chain_u, non.side_chain(0), non.side_chain(1), non.chain_u)
 
 
 def fixture_chains():

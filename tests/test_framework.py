@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permzk import nonconjugacy
+from permzk import framework, nonconjugacy
 from permzk.conjugacy import InstanceContext
 from permzk.element import ElementContext
 from permzk.framework import (
@@ -316,6 +316,27 @@ def test_uneven_session_lengths(runner, order):
     assert out.accepted is False
     assert made == [0, 1, 2, 3]
     assert rng.getstate() == _state_after_spawns(8, len(UNEVEN))
+
+
+@pytest.mark.parametrize("runner", [run_sequential, run_parallel])
+def test_round_ns_times_each_sessions_own_steps(runner, monkeypatch):
+    # a clock that only the sessions advance: each step of a session costs
+    # that session's cost, so its round_ns reads that cost per step, however
+    # the runner interleaves the sessions' steps
+    now = [0]
+    monkeypatch.setattr(framework.time, "perf_counter_ns", lambda: now[0])
+
+    def session(cost):
+        for r in range(3):
+            now[0] += cost
+            yield Message("P", bytes([r]))
+        now[0] += cost
+        return True, {}
+
+    costs = (1, 10, 100)
+    spawned = iter(costs)
+    out = runner(lambda rng_p, tape_v: session(next(spawned)), len(costs), random.Random(0))
+    assert [o.counters["round_ns"] for o in out.outcomes] == [(c, c, c, c) for c in costs]
 
 
 @pytest.mark.parametrize("runner,spawned", [(run_sequential, 3), (run_parallel, 4)])

@@ -6,7 +6,7 @@ import pytest
 
 from permzk.conjugacy import GroupConjInstance, InstanceContext
 from permzk.engine import BudgetExceeded, StabilizerChain, build_chain, enumerate_elements, group_equal, GeneratingSet
-from permzk.framework import RandomTape
+from permzk.framework import RandomTape, bit_payload
 from permzk.instances import load_instance, parse_instance_text
 from permzk.nonconjugacy import (
     NonConjChallenge,
@@ -88,7 +88,7 @@ def test_draw_challenge_builds_no_chain(monkeypatch):
     # the batch comes from the side chain's own sampling table, conjugated
     # by the mask, not from a chain of the masked group
     ctx = ctx_of(NO_M4)
-    ctx.chain_u, ctx.chain_a0, ctx.chain_a1  # the context's own chains, built before the count
+    ctx.chain_u, ctx.side_chain(0), ctx.side_chain(1)  # the context's own chains, built before the count
     made = []
     init = StabilizerChain.__init__
     monkeypatch.setattr(StabilizerChain, "__init__", lambda self, *args: made.append(args) or init(self, *args))
@@ -134,7 +134,7 @@ def test_matched_sides_tie_on_conjugate_groups():
     ctx = ctx_of(TINY)
     ch = draw_challenge(ctx, 24, RandomTape(5))
     assert matched_sides(ctx, ch.payload) == (0, 1)
-    assert brute_force_responder().respond(ctx, ch.payload) == b"0"
+    assert brute_force_responder()(ctx, ch.payload) == b"0"
 
 
 def test_matched_sides_neither_on_small_batch():
@@ -142,7 +142,7 @@ def test_matched_sides_neither_on_small_batch():
     ctx = ctx_of(NO_M4)
     payload = (Permutation.identity(4),) * 3
     assert matched_sides(ctx, payload) == ()
-    assert brute_force_responder().respond(ctx, payload) == b"0"
+    assert brute_force_responder()(ctx, payload) == b"0"
 
 
 AGREEMENT_FIXTURES = ["no_m3", "no_m4", "no_m6", "tiny_cyclic", "q2_groups", "trans_pair", "s4_pair"]
@@ -219,10 +219,23 @@ def test_matched_sides_makes_the_same_contains_calls(path, monkeypatch):
 
 
 def test_responder_registry():
+    # every registered responder is a plain function (ctx, payload) -> bytes;
+    # each answers one composed session on the same challenge
     assert set(STANDARD_RESPONDERS) == {"brute", "const0", "const1"}
+    assert constant_responder(1)(None, ()) == b"1"
+    ctx = ctx_of(NO_M4)
+    params = params_for(ctx.instance, t=1)
     for name, make in STANDARD_RESPONDERS.items():
-        assert make().name == name
-    assert constant_responder(1).respond(None, ()) == b"1"
+        out = run_composed(ctx, params, make(), random.Random(0))
+        (session_out,) = out.outcomes
+        challenge, reply = session_out.view.messages
+        side = session_out.counters["side"]
+        if name == "brute":
+            assert matched_sides(ctx, challenge.payload) == (side,)
+            assert reply.payload == bit_payload(side)
+        else:
+            assert reply.payload == bit_payload(int(name[-1]))
+        assert out.accepted == (reply.payload == bit_payload(side))
 
 
 def test_session_shape_and_counters():

@@ -36,7 +36,7 @@ def element_ctx():
 @pytest.mark.parametrize("path", [Q2_GROUPS, TINY])
 def test_witness_search_runs_on_cached_chains(path, build_chain_calls):
     ctx = InstanceContext(load_instance(path))
-    assert all(chain.order() for chain in (ctx.chain_u, ctx.chain_a0, ctx.chain_a1))
+    assert all(chain.order() for chain in (ctx.chain_u, ctx.side_chain(0), ctx.side_chain(1)))
     build_chain_calls.clear()
     assert ctx.is_yes()
     assert build_chain_calls == []
@@ -252,7 +252,7 @@ def test_sessions_at_degree_1_and_2(m):
     runs, group = small_degree_runs(m)
     u = group.u_elements()
     assert len(u) == m
-    assert list(group.conjugators(0, group.chain_a1)) == list(u)
+    assert list(group.conjugators(0, group.side_chain(1))) == list(u)
     assert group.witness() == Permutation.identity(m)
     rng = random.Random(m)
     h = hashlib.sha256()

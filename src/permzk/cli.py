@@ -182,7 +182,7 @@ def cmd_stats_genlemma(args) -> int:
     chain = build_chain(gset)
     rng = random.Random(_seed_of(args))
     target, generates = chain.order(), chain._generates
-    hits = sum(generates(chain._random_images(rng, args.k)) for _ in range(args.trials))
+    hits = sum(generates(chain._draws(rng, args.k)) for _ in range(args.trials))
     frequency = hits / args.trials
     bound = genlemma_bound(gset.degree, args.k)
     passed = bound is None or frequency > bound

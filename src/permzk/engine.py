@@ -28,25 +28,24 @@ Sampling is table-driven: a chain's first draw derives, per level, the orbit
 size n, w = n.bit_length() and the representatives in points order.  Each
 index is drawn with the loop of CPython's randrange(n), getrandbits(w) until
 below n, so the draws and the stream's state match one randrange per level
-(test_table_draw_is_cpython_randrange).  A draw takes its indices in level
-order, then composes deepest first: the deepest representative is composed
-with each shallower level's table in turn.  _random_images, the chain's one
-draw loop, draws raw images from that one table, which random_elements
-wraps.  random_conjugates(rng, k, v) takes the same draws in G and
-conjugates and wraps each distinct one by v once.
-random_generating_tuple(chain, k, rng, v) draws and tests every attempt in
-G and conjugates only the accepted tuple by v.
+(test_table_draw_is_cpython_randrange).  _draws, the chain's one draw loop,
+takes each element's indices in level order.  Where |G|^2 is within
+DEFAULT_SEARCH_CAP, _radix lists G's raw images in draw order, (r_0, ...,
+r_{L-1}) at position sum r_i * prod_{j>i} n_j, and a draw is its position;
+a larger chain composes each draw, the deepest representative with each
+shallower level's table in turn.  random_generating_tuple(chain, k, rng, v)
+draws and tests every attempt in G and conjugates only the accepted tuple.
 
-The chain alone decides how "generates G" is tested.  When |G|^2 is within
-DEFAULT_SEARCH_CAP and a walk of G's subgroup lattice stays within it too,
-_maximal_masks keeps per element the bitmask of the maximal subgroups
-holding it, and a tuple generates G exactly when its masks AND to 0.
-Otherwise _generates_images(degree, imgs, order) fills a membership chain
-of imgs and stops once the transversal product reaches order.  The chain's
-_generates, chosen once per chain, tests images already in G; its
-_generated_by tests images from anywhere in S_m, as the verifier needs.
-With masks, the chain keeps per v a map from G's raw images to interned
-Permutations of G^v, which _conjugates reads, so an attempt wraps nothing.
+The chain alone decides how "generates G" is tested.  With a radix, and a
+walk of G's subgroup lattice within the cap, _maximal_masks keeps per
+position the bitmask of the maximal subgroups holding it, and a tuple
+generates G exactly when its masks AND to 0.  Otherwise
+_generates_images(degree, imgs, order) fills a membership chain of imgs and
+stops once the transversal product reaches order.  The chain's _generates
+tests draws of G; its _generated_by tests images from anywhere in S_m, as
+the verifier needs.  With a radix, _conjugates reads G^v from one tuple per
+v in draw order, kept on the chain, so a draw for a kept v conjugates and
+wraps nothing.
 """
 
 from __future__ import annotations
@@ -158,7 +157,8 @@ class StabilizerChain:
         unique.pop(self._ident, None)
         self.gens = tuple(unique)
         self._levels: list = []
-        self._maps: dict = {}  # v's raw images -> _conjugates' map for G^v
+        self._maps: dict = {}  # v's raw images -> _conjugates' G^v in draw order
+        self._perms: dict = {}  # G^v's raw images -> the Permutations kept v share
 
     # -- queries ----------------------------------------------------------
 
@@ -177,27 +177,36 @@ class StabilizerChain:
 
     def random_elements(self, rng, k: int) -> tuple:
         """k independent, exactly uniform elements: per element one uniform
-        representative per level, composed deepest first.  rng is a
-        random.Random or a RandomTape, which counts one draw per level."""
+        index per level, as _draws takes them.  rng is a random.Random or a
+        RandomTape, which counts one draw per level."""
         return tuple(map(Permutation._raw, self._random_images(rng, k)))
 
     def random_conjugates(self, rng, k: int, v: Permutation) -> tuple:
         """random_elements(rng, k) conjugated by v, on the same draws: k
-        exactly uniform elements of G^v.  The draws come from G's own
-        table, and each distinct one is conjugated and wrapped once."""
+        exactly uniform elements of G^v, read by _conjugates with a radix;
+        otherwise each distinct draw is conjugated and wrapped once."""
         if len(v._img) != self.degree:
             raise ValueError(f"degree mismatch: {v.degree} vs {self.degree}")
-        imgs, conj = self._random_images(rng, k), conjugation(v._img)
-        perms = {x: Permutation._raw(conj(x)) for x in set(imgs)}
-        return tuple(map(perms.__getitem__, imgs))
+        draws = self._draws(rng, k)
+        if self._radix is not None:
+            return self._conjugates(draws, v)
+        conj = conjugation(v._img)
+        perms = {x: Permutation._raw(conj(x)) for x in set(draws)}
+        return tuple(map(perms.__getitem__, draws))
 
     def _random_images(self, rng, k: int) -> tuple:
-        """random_elements(rng, k) as raw images, on the same draws: the
-        chain's one draw loop, over _sampling."""
-        sizes, deepest, shallower = self._sampling
+        """random_elements(rng, k) as raw images, on the same draws."""
+        draws, radix = self._draws(rng, k), self._radix
+        return draws if radix is None else tuple(map(radix.__getitem__, draws))
+
+    def _draws(self, rng, k: int):
+        """The one draw loop: k uniform elements of G, one index per level
+        each, as positions in _radix, or without one as raw images."""
+        (sizes, deepest, shallower), radix = self._sampling, self._radix
         if not sizes:
-            return (self._ident,) * k
-        getrandbits = rng.getrandbits if isinstance(rng, random.Random) else rng.index_draws(k * len(sizes))
+            return (self._ident,) * k if radix is None else [0] * k
+        levels = len(sizes)
+        getrandbits = rng.getrandbits if isinstance(rng, random.Random) else rng.index_draws(k * levels)
         drawn = []
         append = drawn.append
         for n, w in sizes * k:
@@ -205,6 +214,11 @@ class StabilizerChain:
             while r >= n:
                 r = getrandbits(w)
             append(r)
+        if radix is not None:  # each draw's position, level by level
+            out = drawn[::levels]
+            for i in range(1, levels):
+                out = [p * sizes[i][0] + r for p, r in zip(out, drawn[i::levels])]
+            return out
         then, out = self._then, []
         backwards = reversed(drawn)  # each draw's indices, deepest first
         for r in backwards:
@@ -223,22 +237,36 @@ class StabilizerChain:
         return (sizes, reps[-1], [list(map(table, r)) for r in reps[-2::-1]]) if reps else ((), [], [])
 
     @cached_property
-    def _maximal_masks(self) -> Optional[dict]:
-        """Raw images of each element of G, the chain's group, mapped to the
-        bitmask of G's maximal subgroups that hold it: k elements generate G
-        exactly when their masks AND to 0, since a proper subgroup lies in a
-        maximal one (P. Hall, 1936).  Subgroups are bitmasks over element
-        indices.  From the trivial group on, the walk extends each subgroup H
-        found by one g per right coset Hg outside it, closing <H, g> coset by
-        coset over a table of products (Dimino's method); H is maximal when
-        every such <H, g> is G.  None, and the group keeps _generates_images,
-        when |G|^2, the table's size, or the products the walk reads exceed
-        DEFAULT_SEARCH_CAP: C_2^6 (2,825 subgroups) stops within that budget."""
-        n = self.order()
-        if n * n > DEFAULT_SEARCH_CAP:
+    def _radix(self) -> Optional[list]:
+        """G's raw images in draw order, or None when |G|^2 exceeds
+        DEFAULT_SEARCH_CAP: the level indices (r_0, ..., r_{L-1}) name the
+        element at sum r_i * prod_{j>i} n_j, composed deepest first."""
+        if self.order() ** 2 > DEFAULT_SEARCH_CAP:
             return None
-        elems = [p._img for p in enumerate_elements(self)]
-        index = {x: i for i, x in enumerate(elems)}
+        _, elems, shallower = self._sampling
+        for tables in shallower:
+            elems = [self._then(a, t) for t in tables for a in elems]
+        return elems or [self._ident]
+
+    # G's raw images mapped to their positions in _radix
+    _at = cached_property(lambda self: {x: i for i, x in enumerate(self._radix)})
+
+    @cached_property
+    def _maximal_masks(self) -> Optional[list]:
+        """Per position in _radix, the bitmask of the maximal subgroups of G
+        that hold the element there: k elements generate G exactly when their
+        masks AND to 0, since a proper subgroup lies in a maximal one (P.
+        Hall, 1936).  Subgroups are bitmasks over positions.  From the
+        trivial group on, the walk extends each subgroup H found by one g per
+        right coset Hg outside it, closing <H, g> coset by coset over a table
+        of products (Dimino's method); H is maximal when every such <H, g> is
+        G.  None, and the group keeps _generates_images, without a radix or
+        when the products the walk reads exceed DEFAULT_SEARCH_CAP: C_2^6
+        (2,825 subgroups) stops within that budget."""
+        elems = self._radix
+        if elems is None:
+            return None
+        n, index = len(elems), self._at
         mul = [[index[self._then(a, table(b))] for b in elems] for a in elems]
         full, budget = (1 << n) - 1, DEFAULT_SEARCH_CAP
         queue, seen, maximal = [(1, ())], {1}, []
@@ -266,45 +294,45 @@ class StabilizerChain:
                         queue.append((k, gens_k))
             if top:
                 maximal.append(h)
-        return {x: sum(1 << j for j, m in enumerate(maximal) if m >> i & 1) for i, x in enumerate(elems)}
+        return [sum(1 << j for j, m in enumerate(maximal) if m >> i & 1) for i in range(n)]
 
     @cached_property
     def _generates(self):
-        """imgs -> whether raw images imgs, all in G, generate G: the AND of
-        their masks where _maximal_masks has them, else _generates_images.
-        Chosen once per chain."""
-        masks = self._maximal_masks
-        if masks is None:
-            degree, order = self.degree, self.order()
-            return lambda imgs: _generates_images(degree, imgs, order)
-        return lambda imgs: not reduce(and_, map(masks.__getitem__, imgs))
+        """draws -> whether draws of G, as _draws returns them, generate G:
+        the AND of their masks where _maximal_masks has them, else
+        _generates_images on their raw images.  Chosen once per chain."""
+        masks, radix = self._maximal_masks, self._radix
+        if masks is not None:
+            return lambda draws: not reduce(and_, map(masks.__getitem__, draws))
+        degree, order = self.degree, self.order()
+        return lambda draws: _generates_images(degree, draws if radix is None else [radix[i] for i in draws], order)
 
     def _generated_by(self, imgs) -> bool:
         """Whether raw images imgs, from anywhere in S_m, lie in G and
-        generate it.  With masks one dict read per image tests both;
-        otherwise each image is sifted before _generates builds a chain, so
-        an image outside G costs no chain."""
-        masks = self._maximal_masks
-        if masks is None:
-            ident = self._ident
-            return all(self._strip(x)[0] == ident for x in imgs) and self._generates(imgs)
-        found = list(map(masks.get, imgs))
-        return None not in found and not reduce(and_, found)
+        generate it.  With masks one dict read per image finds its position
+        or shows it is not in G; otherwise each image is sifted before
+        _generates_images builds a chain, so an image outside G costs no chain."""
+        if self._maximal_masks is None:
+            return all(self._strip(x)[0] == self._ident for x in imgs) and _generates_images(self.degree, imgs, self.order())
+        found = list(map(self._at.get, imgs))
+        return None not in found and self._generates(found)
 
-    def _conjugates(self, imgs, v: Permutation) -> tuple:
-        """Raw images imgs of G conjugated by v, as Permutations of G^v.
-        Where G has masks they are read from one map per v, from G's raw
-        images to interned Permutations of G^v, kept on the chain while all
-        kept maps together hold at most DEFAULT_SEARCH_CAP elements."""
+    def _conjugates(self, draws, v: Permutation) -> tuple:
+        """Draws of G, as _draws returns them, conjugated by v, as
+        Permutations of G^v.  With a radix they are read from one tuple per
+        v, G^v in draw order, kept on the chain while all kept tuples
+        together hold at most DEFAULT_SEARCH_CAP entries; v with the same
+        conjugates share one tuple."""
+        radix = self._radix
+        if radix is None:
+            return tuple(map(Permutation._raw, map(conjugation(v._img), draws)))
         perms = self._maps.get(v._img)
         if perms is None:
-            conj, masks = conjugation(v._img), self._maximal_masks
-            if masks is None:
-                return tuple(map(Permutation._raw, map(conj, imgs)))
-            perms = {x: Permutation._raw(conj(x)) for x in masks}
-            if (len(self._maps) + 1) * len(masks) <= DEFAULT_SEARCH_CAP:
-                self._maps[v._img] = perms
-        return tuple(map(perms.__getitem__, imgs))
+            imgs = tuple(map(conjugation(v._img), radix))
+            perms = self._perms.get(imgs) or tuple(map(Permutation._raw, imgs))
+            if (len(self._maps) + 1) * len(radix) <= DEFAULT_SEARCH_CAP:
+                self._maps[v._img] = self._perms.setdefault(imgs, perms)
+        return tuple(map(perms.__getitem__, draws))
 
     # -- construction -----------------------------------------------------
 
@@ -442,8 +470,8 @@ def _generates_images(degree: int, imgs, order: int) -> bool:
 
     Precondition: imgs lie in a group G of that order, so True means they
     generate G.  Each caller meets it: StabilizerChain._generates is asked
-    for images of G (the tuple sampler's draws, generating_tuples' tuples,
-    and the verifier's entries once _generated_by has sifted them), and
+    for draws of G (the tuple sampler's), _generated_by for images it has
+    sifted into G (the verifier's entries, generating_tuples' tuples), and
     nonconjugacy.matched_sides's subset test puts imgs inside a conjugate
     of G.  The test fills a membership chain from imgs, less
     duplicates and identities, and stops as soon as the product of the
@@ -476,9 +504,9 @@ def random_generating_tuple(chain: StabilizerChain, k: int, rng, v: Permutation)
     if len(v._img) != chain.degree:
         raise ValueError(f"degree mismatch: {v.degree} vs {chain.degree}")
     for attempt in range(1, DEFAULT_TUPLE_ATTEMPTS + 1):
-        imgs = chain._random_images(rng, k)
-        if chain._generates(imgs):
-            return GeneratingTuple(chain._conjugates(imgs, v), attempt)
+        draws = chain._draws(rng, k)
+        if chain._generates(draws):
+            return GeneratingTuple(chain._conjugates(draws, v), attempt)
     raise BudgetExceeded(
         f"no generating {k}-tuple found in {DEFAULT_TUPLE_ATTEMPTS} attempts; k may be too small for this group"
     )
@@ -519,7 +547,7 @@ def generating_tuples(chain: StabilizerChain, k: int, cap: int = DEFAULT_SEARCH_
     elems = enumerate_elements(chain, cap)
     if len(elems) ** k > cap:
         raise BudgetExceeded(f"{len(elems)}^{k} candidate tuples exceed cap {cap}")
-    return tuple(tup for tup in itertools.product(elems, repeat=k) if chain._generates([p._img for p in tup]))
+    return tuple(tup for tup in itertools.product(elems, repeat=k) if chain._generated_by([p._img for p in tup]))
 
 
 def group_profile(chain: StabilizerChain, cap: int = DEFAULT_SEARCH_CAP) -> Optional[tuple]:

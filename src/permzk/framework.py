@@ -167,7 +167,9 @@ class RandomTape:
         return self._stream().getrandbits
 
     def bit(self) -> int:
-        return self.randrange(2)
+        """randrange(2), run as CPython's loop on the stream itself."""
+        self.consumed += 1
+        return self._stream()._randbelow(2)
 
     def getrandbits(self, n: int) -> int:
         self.consumed += 1

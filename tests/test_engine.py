@@ -39,7 +39,7 @@ from permzk.engine import (
 from permzk.cli import genlemma_bound
 from permzk.conjugacy import InstanceContext
 from permzk.element import ElementContext
-from permzk.framework import RandomTape
+from permzk.framework import RandomTape, Replays
 from permzk.instances import load_group_file, load_instance, parse_instance_text
 from permzk.perm import Permutation, raw_images
 
@@ -771,6 +771,48 @@ def test_random_elements_wrap_the_raw_draws():
         assert ours.prefix() == theirs.prefix()
 
 
+def test_index_draws_match_the_compose_loop():
+    # every fixture group with a radix, and the trivial group, against a
+    # chain of the same group made to compose each draw by hiding its radix:
+    # the same outputs, a random.Random left in the same state, and a
+    # RandomTape, plain or on a Replays, with the same draw count and stream
+    def attempt(call):
+        try:
+            return call()
+        except BudgetExceeded:
+            return BudgetExceeded
+
+    groups = [GeneratingSet(c.degree, tuple(map(Permutation._raw, c.gens))) for c in fixture_chains()]
+    skipped = []
+    for group in groups + [GeneratingSet(3)]:
+        chain, loop = build_chain(group), build_chain(group)
+        if chain._radix is None:
+            skipped.append(chain.order())
+            continue
+        loop.__dict__["_radix"] = None
+        m = chain.degree
+        v = Permutation(random.Random(m).sample(range(1, m + 1), m))
+        calls = (
+            lambda c, rng: c._random_images(rng, 5),
+            lambda c, rng: c.random_element(rng),
+            lambda c, rng: c.random_elements(rng, 7),
+            lambda c, rng: c.random_conjugates(rng, 9, v),
+            lambda c, rng: attempt(lambda: random_generating_tuple(c, 2, rng, v)),
+        )
+        for seed in range(3):
+            for call in calls:
+                ours, theirs = random.Random(seed), random.Random(seed)
+                assert call(chain, ours) == call(loop, theirs)
+                assert ours.getstate() == theirs.getstate()
+                for words in (None, Replays(seed)):
+                    ours, theirs = RandomTape(seed, words), RandomTape(seed, words)
+                    assert call(chain, ours) == call(loop, theirs)
+                    assert ours.consumed == theirs.consumed
+                    assert ours.getrandbits(64) == theirs.getrandbits(64)
+        assert loop._radix is None and loop._maximal_masks is None and loop._maps == {}
+    assert skipped == [720]  # no_m6's U, S_6
+
+
 def count_wraps(monkeypatch) -> list:
     """Route Permutation._raw through a counter: the raw images it wraps."""
     raw = Permutation._raw.__func__
@@ -802,10 +844,10 @@ def test_random_generating_tuple_wraps_only_the_accepted_attempt(monkeypatch):
 
 def test_random_generating_tuple_wraps_no_attempt_once_a_mask_has_its_map(monkeypatch):
     # S_3 at k=2 rejects half its draws (18 of 36 pairs generate).  Its
-    # masks wrap the 6 elements once per chain, and the first draw for v
-    # interns the 6 elements of S_3^v into the map the chain keeps for v:
-    # once per chain without the kept map, once per v with it, and no
-    # attempt wraps anything
+    # radix and masks are raw images and wrap nothing, and the first draw
+    # for v interns the 6 elements of S_3^v into the list the chain keeps
+    # for v: once per chain without the kept list, once per v with it, and
+    # no attempt wraps anything
     s3, v = symmetric_group(3), Permutation.from_cycles(3, (1, 3))
     kept = build_chain(s3)
     made = count_wraps(monkeypatch)
@@ -813,20 +855,22 @@ def test_random_generating_tuple_wraps_no_attempt_once_a_mask_has_its_map(monkey
     for seed in range(20):
         made.clear()
         gt = random_generating_tuple(build_chain(s3), 2, random.Random(seed), v)
-        assert len(made) == 12
+        assert len(made) == 6
         made.clear()
         assert random_generating_tuple(kept, 2, random.Random(seed), v) == gt
-        assert len(made) == (12 if seed == 0 else 0)
+        assert len(made) == (6 if seed == 0 else 0)
         attempts.append(gt.attempts)
     assert max(attempts) >= 3
 
 
 def test_conjugate_maps_are_kept_per_v_within_the_search_cap():
-    # S_4 on 1..4 has masks, so a draw for v keeps one map of 24 elements
-    # for v, which the next draw for v reads, until one more map would take
-    # the kept maps over the cap: 416 maps of the 720 v in S_6.  A v drawn
-    # after that gets a map per draw, with the tuples of a chain that keeps
-    # it.  S_5 has no masks, so its chain keeps no map
+    # S_4 on 1..4 has a radix, so a draw for v keeps one tuple for v, the
+    # 24 elements of S_4^v in draw order, which the next draw for v reads,
+    # until one more would take the kept tuples over the cap: 416 of the
+    # 720 v in S_6.  A v drawn after that gets a tuple per draw, with the
+    # generating tuples of a chain that keeps it.  v and v(5 6) conjugate
+    # alike and share one kept tuple.  S_5 has no radix, so its chain keeps
+    # no tuple
     s4 = GeneratingSet(6, (Permutation.from_cycles(6, (1, 2)), Permutation.from_cycles(6, (1, 2, 3, 4))))
     chain = build_chain(s4)
     assert chain._maximal_masks is not None
@@ -837,10 +881,13 @@ def test_conjugate_maps_are_kept_per_v_within_the_search_cap():
         assert chain._maps == kept and all(chain._maps[x] is m for x, m in kept.items())
         assert len(kept) == min(i + 1, 416)
         assert sum(map(len, kept.values())) <= engine.DEFAULT_SEARCH_CAP
-        if i >= 416:
+        if i < 416:
+            assert kept[v._img] == tuple(Permutation._raw(x).conjugated_by(v) for x in chain._radix)
+        else:
             assert random_generating_tuple(build_chain(s4), 2, random.Random(i), v) == gt
+    assert len({id(perms) for perms in chain._maps.values()}) == len(chain._perms) == 208
     chain = build_chain(symmetric_group(5))
-    assert chain._maximal_masks is None
+    assert chain._maximal_masks is None and chain._radix is None
     for i, v in enumerate(Permutation(p) for p in itertools.permutations(range(1, 6))):
         random_generating_tuple(chain, 2, random.Random(i), v)
     assert chain._maps == {}
@@ -848,15 +895,16 @@ def test_conjugate_maps_are_kept_per_v_within_the_search_cap():
 
 def test_random_generating_tuple_tests_every_attempt_in_g(monkeypatch):
     # S_3 (masks) and S_5 (no masks) on 1..m inside S_{m+1}, and v = (1 m+1),
-    # which moves G off itself: every image the generation test reads, in
-    # the mask lookups or in _generates_images, lies in G, while the
-    # accepted tuple, which generates G^v, does not
+    # which moves G off itself: per attempt the generation test reads k
+    # elements, the radix's at the positions whose masks it reads or the
+    # images _generates_images reads, and all lie in G, while the accepted
+    # tuple, which generates G^v, does not
     read = []
 
-    class ReadMasks(dict):
-        def __getitem__(self, x):
-            read.append(x)
-            return super().__getitem__(x)
+    class ReadMasks(list):
+        def __getitem__(self, i):
+            read.append(radix[i])
+            return super().__getitem__(i)
 
     real = engine._generates_images
     monkeypatch.setattr(engine, "_generates_images", lambda degree, imgs, order: read.extend(imgs) or real(degree, imgs, order))
@@ -865,11 +913,12 @@ def test_random_generating_tuple_tests_every_attempt_in_g(monkeypatch):
         chain = build_chain(GeneratingSet(n, (Permutation.from_cycles(n, (1, 2)), Permutation.from_cycles(n, tuple(range(1, n))))))
         assert (chain._maximal_masks is not None) == (m == 3)
         if m == 3:
+            radix = chain._radix
             chain.__dict__["_maximal_masks"] = ReadMasks(chain._maximal_masks)
         v = Permutation.from_cycles(n, (1, n))
         attempts = []
         for seed in range(20):
-            for _ in range(2):  # the second draw for v reads the kept map
+            for _ in range(2):  # the second draw for v reads the kept list
                 read.clear()
                 gt = random_generating_tuple(chain, 2, random.Random(seed), v)
                 assert len(read) == 2 * gt.attempts
@@ -894,7 +943,8 @@ def elementary_abelian_2(r: int) -> GeneratingSet:
 
 
 def test_lookup_agrees_with_the_chain_test_on_every_short_tuple_of_every_fixture_group():
-    # every fixture group but no_m6's U (S_6, 720^2 over the cap) has masks
+    # every fixture group but no_m6's U (S_6, 720^2 over the cap) has masks,
+    # read at positions of the radix, which lists each element of G once
     checked = 0
     for chain in fixture_chains():
         n = chain.order()
@@ -902,10 +952,12 @@ def test_lookup_agrees_with_the_chain_test_on_every_short_tuple_of_every_fixture
             assert chain._maximal_masks is None and n == 720
             continue
         assert chain._maximal_masks is not None
-        elems = [p._img for p in enumerate_elements(chain)]
+        radix = chain._radix
+        assert sorted(radix) == sorted(p._img for p in enumerate_elements(chain))
         for k in (1, 2, 3):
-            for imgs in itertools.product(elems, repeat=k):
-                assert chain._generates(imgs) == _generates_images(chain.degree, imgs, n), imgs
+            for draws in itertools.product(range(n), repeat=k):
+                imgs = [radix[i] for i in draws]
+                assert chain._generates(draws) == _generates_images(chain.degree, imgs, n), imgs
                 checked += 1
     assert checked == 47_242
 
@@ -931,12 +983,11 @@ def test_lookup_agrees_with_the_chain_test_at_k_4m(case):
     # on G's own draws, which the sampler tests as they are and wraps as
     # their conjugates by v, through the map it makes for v and then keeps
     chain, v, imgs = case
-    n = chain.order()
+    n, draws = chain.order(), [chain._at[x] for x in imgs]
     assert chain._maximal_masks is not None
-    for test in (chain._generates, chain._generated_by):
-        assert test(imgs) == _generates_images(chain.degree, imgs, n)
+    assert chain._generates(draws) == chain._generated_by(imgs) == _generates_images(chain.degree, imgs, n)
     for _ in range(2):
-        assert chain._conjugates(imgs, v) == tuple(Permutation._raw(x).conjugated_by(v) for x in imgs)
+        assert chain._conjugates(draws, v) == tuple(Permutation._raw(x).conjugated_by(v) for x in imgs)
 
 
 def test_random_generating_tuple_keeps_the_chain_paths_draws_and_attempts():
@@ -965,11 +1016,11 @@ def test_lattice_walk_stays_within_its_budget_on_elementary_abelian_groups(r, se
     assert time.perf_counter() - started < 0.2
     assert (masks is None) == (r == 6)
     if masks is not None:
-        assert functools.reduce(operator.or_, masks.values()) == 2**15 - 1
+        assert functools.reduce(operator.or_, masks) == 2**15 - 1
     rng = random.Random(seed)
     sub = build_chain(GeneratingSet(2 * r, chain.random_elements(rng, gens)))
     imgs = [x._img for x in sub.random_elements(rng, 8 * r)]
-    assert chain._generates(imgs) == _generates_images(2 * r, imgs, chain.order())
+    assert chain._generates([chain._at[x] for x in imgs]) == _generates_images(2 * r, imgs, chain.order())
 
 
 def brute_force_subgroups(elems) -> list:

@@ -65,6 +65,17 @@ def test_getrandbits_and_bit_match_random():
         assert [tape.bit() for _ in range(64)] == [stdlib.randrange(2) for _ in range(64)]
 
 
+def test_bit_is_randrange_2_with_one_draw_each():
+    # bit runs CPython's randrange(2) loop on the stream itself: 200 bits
+    # match random.Random's, count 200 draws and leave the stream where it is
+    for seed in SEEDS:
+        for words in (None, Replays(seed)):
+            tape, stdlib = RandomTape(seed, words), random.Random(seed)
+            assert [tape.bit() for _ in range(200)] == [stdlib.randrange(2) for _ in range(200)], seed
+            assert tape.prefix() == TapePrefix(seed, 200)
+            assert tape.getrandbits(64) == stdlib.getrandbits(64)
+
+
 def test_index_draws_match_random_with_the_same_counts():
     for seed in SEEDS:
         tape, fresh, stdlib = RandomTape(seed, Replays(seed)), RandomTape(seed), random.Random(seed)

@@ -516,6 +516,32 @@ def test_degree_300_instance_golden(tmp_path, capsys, monkeypatch, args, digest)
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
+# stats-genlemma on groups too large for masks (|G|^2 over the search cap),
+# where each trial runs the chain test: S_5 at degree 5 and S_4 wr S_4 on
+# four blocks of four points.  The digests are sha256 of stdout, taken
+# before that test was seeded with G's own chain.
+UNMASKED_GENLEMMA_GOLDEN = [
+    ("5", "2 1 3 4 5;2 3 4 5 1", "--trials 300 --seed 2", "708f7e846a7e8b6d3533926a1081dc3697058cbbd3ecab0c6bb696ea52d38f22"),
+    (
+        "16",
+        "2 1 3 4 5 6 7 8 9 10 11 12 13 14 15 16;2 3 4 1 5 6 7 8 9 10 11 12 13 14 15 16;"
+        "5 6 7 8 1 2 3 4 9 10 11 12 13 14 15 16;5 6 7 8 9 10 11 12 13 14 15 16 1 2 3 4",
+        "",
+        "b4c3540fa2db86cc94d9dc0067d4366f076c86e130879ff60eaef1e1f1e7ac97",
+    ),
+]
+
+
+@pytest.mark.parametrize("degree,gens,rest,digest", UNMASKED_GENLEMMA_GOLDEN, ids=["S5", "S4wrS4"])
+def test_stats_genlemma_without_masks_golden(tmp_path, capsys, monkeypatch, degree, gens, rest, digest):
+    monkeypatch.delenv("PERMZK_SEED", raising=False)
+    path = tmp_path / "group.txt"
+    path.write_text(f"degree: {degree}\nG: {gens}\n")
+    code, out, err = run_main(capsys, "stats-genlemma", "--group", str(path), "--k", "2", *rest.split())
+    assert (code, err) == (EXIT_ACCEPT, "")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
 def test_declared_dependencies_import():
     # the third-party packages that the package and its tests import are
     # the ones pyproject.toml declares, and each of them imports

@@ -16,7 +16,10 @@ that is sampled from is built this way.  membership_chain, and the chain
 inside _generates_images, grow each orbit in place: the new generator is
 applied to the points already there and only the points it adds are
 closed, keeping the representatives and cached inverses already made.
-Such a chain is only asked for its order and for membership.
+Such a chain is only asked for its order and for membership.  Each level
+keeps the tables of the strong generators placed at it or deeper, in level
+order, and the chain keeps its transversal product as the orbits grow; the
+fill loop reads that product against its target after each placement.
 
 Inside a chain everything is raw images in perm's encoding (bytes up to
 degree 256, tuples above), and a * b is the chain's composer applied to a and
@@ -40,12 +43,14 @@ The chain alone decides how "generates G" is tested.  With a radix, and a
 walk of G's subgroup lattice within the cap, _maximal_masks keeps per
 position the bitmask of the maximal subgroups holding it, and a tuple
 generates G exactly when its masks AND to 0.  Otherwise
-_generates_images(degree, imgs, order) fills a membership chain of imgs and
-stops once the transversal product reaches order.  The chain's _generates
-tests draws of G; its _generated_by tests images from anywhere in S_m, as
-the verifier needs.  With a radix, _conjugates reads G^v from one tuple per
-v in draw order, kept on the chain, so a draw for a kept v conjugates and
-wraps nothing.
+_generates_images(degree, imgs, order, frame) fills a membership chain of
+imgs and stops once the transversal product reaches order; the chain passes
+itself as the frame, so the membership chain starts from G's base points
+and skips a level once its orbit has G's size there.  The chain's
+_generates tests draws of G; its _generated_by sifts images from anywhere
+in S_m into G first, as the verifier needs.  With a radix, _conjugates
+reads G^v from one tuple per v in draw order, kept on the chain, so a draw
+for a kept v conjugates and wraps nothing.
 """
 
 from __future__ import annotations
@@ -103,22 +108,24 @@ def parse_generating_set(text: str, degree: int) -> GeneratingSet:
 
 
 class _Level:
-    """One level of a chain.  placed holds the strong generators first
-    placed here, each kept once, as the table a composition reads; the
-    representatives are raw images.  inv holds the inverse tables of
-    transversal representatives; a sift fills it in the first time it
-    reads a point.  build_chain's rebuild of the orbit empties it;
+    """One level of a chain.  tables holds the strong generators placed
+    here or deeper, each kept once, as the table a composition reads, in
+    level order; the representatives are raw images.  inv holds the inverse
+    tables of transversal representatives; a sift fills it in the first
+    time it reads a point.  build_chain's rebuild of the orbit empties it;
     membership chains keep every representative once made, and so every
-    inverse."""
+    inverse.  full is the orbit size of the frame's level at this base, 0
+    without a frame."""
 
-    __slots__ = ("base", "placed", "transversal", "points", "inv")
+    __slots__ = ("base", "tables", "transversal", "points", "inv", "full")
 
-    def __init__(self, base: int):
+    def __init__(self, base: int, full: int = 0):
         self.base = base          # 0-based point
-        self.placed = []          # tables of the generators first placed here
+        self.tables = []          # tables of the generators placed here or deeper
         self.transversal = {}     # orbit point -> rep mapping base to it
         self.points = ()
         self.inv = {}
+        self.full = full
 
     def inverse(self, p: int):
         inv = self.inv.get(p)
@@ -157,6 +164,7 @@ class StabilizerChain:
         unique.pop(self._ident, None)
         self.gens = tuple(unique)
         self._levels: list = []
+        self._size = 1  # the transversal product, an empty level counting 1
         self._maps: dict = {}  # v's raw images -> _conjugates' G^v in draw order
         self._perms: dict = {}  # G^v's raw images -> the Permutations kept v share
 
@@ -305,7 +313,7 @@ class StabilizerChain:
         if masks is not None:
             return lambda draws: not reduce(and_, map(masks.__getitem__, draws))
         degree, order = self.degree, self.order()
-        return lambda draws: _generates_images(degree, draws if radix is None else [radix[i] for i in draws], order)
+        return lambda draws: _generates_images(degree, draws if radix is None else [radix[i] for i in draws], order, self)
 
     def _generated_by(self, imgs) -> bool:
         """Whether raw images imgs, from anywhere in S_m, lie in G and
@@ -313,7 +321,7 @@ class StabilizerChain:
         or shows it is not in G; otherwise each image is sifted before
         _generates_images builds a chain, so an image outside G costs no chain."""
         if self._maximal_masks is None:
-            return all(self._strip(x)[0] == self._ident for x in imgs) and _generates_images(self.degree, imgs, self.order())
+            return all(self._strip(x)[0] == self._ident for x in imgs) and _generates_images(self.degree, imgs, self.order(), self)
         found = list(map(self._at.get, imgs))
         return None not in found and self._generates(found)
 
@@ -349,14 +357,11 @@ class StabilizerChain:
             y = then(y, lvl.inv.get(j) or lvl.inverse(j))
         return y, len(self._levels)
 
-    def _tables_from(self, idx: int) -> list:
-        """The tables of the strong generators placed at levels idx on."""
-        return [g for lvl in self._levels[idx:] for g in lvl.placed]
-
     def _rebuild_orbit(self, idx: int):
         lvl = self._levels[idx]
         trans = {lvl.base: self._ident}
-        _close_orbit(trans, [lvl.base], self._tables_from(idx), self._then)
+        _close_orbit(trans, [lvl.base], lvl.tables, self._then)
+        self._size = self._size // (len(lvl.transversal) or 1) * len(trans)
         lvl.transversal = trans
         lvl.points = tuple(trans)
         lvl.inv = {}
@@ -368,8 +373,10 @@ class StabilizerChain:
         if idx == len(self._levels):
             base = next(i for i, j in enumerate(residue) if i != j)
             self._levels.append(_Level(base))
-        strong = table(residue)
-        self._levels[idx].placed.append(strong)
+        strong, below = table(residue), self._levels[idx + 1:idx + 2]
+        deeper = len(below[0].tables) if below else 0
+        for lvl in self._levels[:idx + 1]:  # after the tables of levels up to idx
+            lvl.tables.insert(len(lvl.tables) - deeper, strong)
         self._grow_orbits(idx, strong)
         return True
 
@@ -390,14 +397,14 @@ class StabilizerChain:
         changed = True
         while changed:
             changed = False
-            for idx, lvl in enumerate(self._levels):  # grows while it is read
-                tables = self._tables_from(idx)
+            for lvl in self._levels:  # grows while it is read
+                tables = lvl.tables[:]  # a placement inserts into lvl.tables
                 for p in lvl.points:
                     rep = lvl.transversal[p]
                     for g in tables:
                         s = then(then(rep, g), lvl.inverse(g[p]))
                         if s != ident and self._ingest(s):
-                            if self.order() == target:
+                            if self._size == target:
                                 return True
                             changed = True
         return False
@@ -409,15 +416,28 @@ class _MembershipChain(StabilizerChain):
     already there, and only the points it adds are closed breadth-first, so
     the representatives already there and their cached inverses are kept.
     Which representative a point gets then depends on the history of
-    placements, so the chain is not for sampling."""
+    placements, so the chain is not for sampling.
+
+    A frame, the complete chain of a group G holding every generator, gives
+    the chain G's base points as its levels, and a new generator skips a
+    level whose orbit has G's size there: it is complete (_generates_images
+    says why).  Without a frame the chain picks its own base."""
+
+    def __init__(self, degree: int, gens=(), frame: Optional[StabilizerChain] = None):
+        super().__init__(degree, gens)
+        if frame is not None:
+            self._levels = [_Level(f.base, len(f.transversal)) for f in frame._levels]
 
     def _grow_orbits(self, idx: int, g):
         then = self._then
-        for i, lvl in enumerate(self._levels[:idx + 1]):
+        for lvl in self._levels[:idx + 1]:
             trans = lvl.transversal
             if not trans:
                 trans[lvl.base] = self._ident
                 lvl.points = (lvl.base,)
+            n = len(trans)
+            if n == lvl.full:
+                continue
             frontier = []
             for p in lvl.points:
                 q = g[p]
@@ -425,8 +445,9 @@ class _MembershipChain(StabilizerChain):
                     trans[q] = then(trans[p], g)
                     frontier.append(q)
             if frontier:
-                _close_orbit(trans, frontier, self._tables_from(i), then)
+                _close_orbit(trans, frontier, lvl.tables, then)
                 lvl.points = tuple(trans)
+                self._size = self._size // n * len(trans)
 
 
 def _fill(chain: StabilizerChain, target: int = 0) -> bool:
@@ -434,7 +455,7 @@ def _fill(chain: StabilizerChain, target: int = 0) -> bool:
     ingesting or closing, brings the transversal product to target, which
     never happens for the default 0."""
     for g in chain.gens:
-        if chain._ingest(g) and chain.order() == target:
+        if chain._ingest(g) and chain._size == target:
             return True
     return chain._close(target)
 
@@ -464,7 +485,7 @@ def group_equal(x: GeneratingSet, y: GeneratingSet) -> bool:
     return all(cx.contains(g) for g in y.gens) and all(cy.contains(g) for g in x.gens)
 
 
-def _generates_images(degree: int, imgs, order: int) -> bool:
+def _generates_images(degree: int, imgs, order: int, frame: Optional[StabilizerChain] = None) -> bool:
     """Whether the raw image tuples imgs, of this degree and checked where
     they entered the program, generate a group of the given order.
 
@@ -473,16 +494,21 @@ def _generates_images(degree: int, imgs, order: int) -> bool:
     for draws of G (the tuple sampler's), _generated_by for images it has
     sifted into G (the verifier's entries, generating_tuples' tuples), and
     nonconjugacy.matched_sides's subset test puts imgs inside a conjugate
-    of G.  The test fills a membership chain from imgs, less
-    duplicates and identities, and stops as soon as the product of the
+    of G.  The first two pass G's chain as the frame; matched_sides passes
+    none, since its conjugate of G has another base.  The test fills one
+    membership chain from imgs, less duplicates and identities, seeded with
+    the frame's base points, and stops as soon as the product of the
     transversal sizes equals order, after a placement during ingestion or
-    while closing.  This is exact, not Monte Carlo: each level's orbit is
-    an orbit of a subgroup of the matching stabilizer in H = <imgs>, so the
-    product never exceeds |H|, and |H| <= |G|.  It draws nothing from any
+    while closing.  This is exact, not Monte Carlo: for any base, each
+    level's orbit is an orbit of a subgroup of the matching stabilizer in
+    H = <imgs>, so the product never exceeds |H|, and |H| <= |G|.  On G's
+    base, H's stabilizer of the earlier base points lies in G's, so its
+    orbit lies in G's orbit there and is complete once it has that size:
+    growing it no further changes nothing.  It draws nothing from any
     random stream, so which representatives the chain picks cannot show in
     a transcript."""
-    chain = _MembershipChain(degree, imgs)
-    return _fill(chain, order) or chain.order() == order
+    chain = _MembershipChain(degree, imgs, frame)
+    return _fill(chain, order) or chain._size == order
 
 
 class GeneratingTuple(NamedTuple):

@@ -43,7 +43,7 @@ from permzk.framework import RandomTape, Replays
 from permzk.instances import load_group_file, load_instance, parse_instance_text
 from permzk.perm import Permutation, raw_images
 
-from helpers import base_points, centralizer_order_in_sym, conjugated_set, format_generating_set, symmetric_group
+from helpers import DEGREE_300_TEXT, base_points, centralizer_order_in_sym, conjugated_set, format_generating_set, symmetric_group
 
 ALPHA = 1e-3
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
@@ -544,6 +544,89 @@ def test_generates_skips_close_when_ingestion_reaches_the_order(monkeypatch):
     assert closes == [((math.factorial(8),), True), ((n,), False)]
 
 
+# -- the chain test seeded with G's own chain -------------------------------
+#
+# Without masks, chain._generates and chain._generated_by fill one membership
+# chain of the images that starts from G's base points and skips a level once
+# its orbit has G's size there.  The oracle is the images' membership chain
+# built from nothing, and its order against |G|.
+
+
+def without_masks(chain):
+    """The chain with its generation test on the chain test, as groups over
+    the mask cap have it."""
+    chain.__dict__["_maximal_masks"] = None
+    chain.__dict__.pop("_generates", None)
+    return chain
+
+
+def seeded_test_groups():
+    """(G's chain, the chain of a proper subgroup or None): the wreath
+    products, S_5..S_8, A_6, A_8, the benchmark's sampled chains and the
+    first side of the degree-300 instance, whose raw images are tuples."""
+    yield build_chain(S4_WR_S4), build_chain(S4_WR_A4)
+    yield build_chain(S4_WR_A4), None
+    for gens in [symmetric_group(m) for m in range(5, 9)] + [alternating_group(6), alternating_group(8)]:
+        yield build_chain(gens), None
+    for chain in bench_sampled_chains():
+        yield chain, None
+    yield build_chain(parse_instance_text(DEGREE_300_TEXT).a0), None
+
+
+def seeded_test_tuples(chain, sub, rng):
+    """Raw-image k-tuples of G for k = 1, 2, 3 and 64: drawn from G, from the
+    stabilizer of G's first base point (G's draws that fix it) and from sub,
+    all-identity, and with repeated entries."""
+    base = chain._levels[0].base
+    for k in (1, 2, 3, 64):
+        fixing = []
+        while len(fixing) < k:
+            fixing += [x for x in chain._random_images(rng, 8 * k) if x[base] == base]
+        drawn = list(chain._random_images(rng, k))
+        yield from (drawn, fixing[:k], [chain._ident] * k, (drawn[:1 + k // 3] * 3)[:k])
+        if sub is not None:
+            yield list(sub._random_images(rng, k))
+
+
+def test_seeded_chain_test_agrees_with_the_unseeded_order(monkeypatch):
+    fills, closes = [], []
+    fill, close = engine._fill, StabilizerChain._close
+
+    def filled(chain, target=0):
+        fills.append([(lvl.base, lvl.full) for lvl in chain._levels])
+        return fill(chain, target)
+
+    def closed(self, target=0):
+        answer = close(self, target)
+        closes.append(([(lvl.base, lvl.full) for lvl in self._levels], answer))
+        return answer
+
+    monkeypatch.setattr(engine, "_fill", filled)
+    monkeypatch.setattr(StabilizerChain, "_close", closed)
+    rng, answers, seeded_closes = random.Random(37), collections.Counter(), set()
+    for chain, sub in seeded_test_groups():
+        chain, m, n = without_masks(chain), chain.degree, chain.order()
+        seeds = [(lvl.base, len(lvl.transversal)) for lvl in chain._levels]
+        outside = [x._img for x in (Permutation.from_cycles(m, (1, 2)), Permutation.from_cycles(m, (1, m))) if not chain.contains(x)]
+        for imgs in seeded_test_tuples(chain, sub, rng):
+            oracle = membership_chain(GeneratingSet(m, tuple(map(Permutation._raw, imgs)))).order() == n
+            fills.clear()
+            closes.clear()
+            draws = imgs if chain._radix is None else [chain._at[x] for x in imgs]
+            assert chain._generates(draws) == chain._generated_by(imgs) == oracle
+            # one chain per test, seeded with G's base and orbit sizes, and
+            # closed, where it is, on that chain
+            assert fills == [seeds, seeds]
+            assert all(levels == seeds for levels, _ in closes)
+            seeded_closes.update(answer for _, answer in closes)
+            answers[oracle] += 1
+            for x in outside:
+                assert not chain._generated_by(imgs[:-1] + [x])
+            assert len(fills) == 2  # an image outside G costs no chain
+    assert min(answers[True], answers[False]) >= 50
+    assert seeded_closes == {True, False}
+
+
 def test_enumerate_elements_counts_and_cap():
     assert len(enumerate_elements(build_chain(gset(3, "2 3 1")))) == 3
     chain = build_chain(gset(4, "2 1 3 4", "2 3 4 1"))
@@ -907,7 +990,7 @@ def test_random_generating_tuple_tests_every_attempt_in_g(monkeypatch):
             return super().__getitem__(i)
 
     real = engine._generates_images
-    monkeypatch.setattr(engine, "_generates_images", lambda degree, imgs, order: read.extend(imgs) or real(degree, imgs, order))
+    monkeypatch.setattr(engine, "_generates_images", lambda degree, imgs, order, frame=None: read.extend(imgs) or real(degree, imgs, order, frame))
     for m in (3, 5):
         n = m + 1
         chain = build_chain(GeneratingSet(n, (Permutation.from_cycles(n, (1, 2)), Permutation.from_cycles(n, tuple(range(1, n))))))

@@ -571,7 +571,7 @@ def test_a_second_exact_check_runs_no_generation_test_and_no_conjugation(fixture
     generated, conjugated = [], []
     real_generates, real_conjugation = engine._generates_images, conjugacy.conjugation
     real_conjugated_by = Permutation.conjugated_by
-    monkeypatch.setattr(engine, "_generates_images", lambda *args: generated.append(args) or real_generates(*args))
+    monkeypatch.setattr(engine, "_generates_images", lambda *args, **kw: generated.append(args) or real_generates(*args, **kw))
     monkeypatch.setattr(conjugacy, "conjugation", lambda vi: conjugated.append(vi) or real_conjugation(vi))
     monkeypatch.setattr(Permutation, "conjugated_by", lambda p, v: conjugated.append(v) or real_conjugated_by(p, v))
     passes = []

@@ -16,10 +16,9 @@ that is sampled from is built this way.  membership_chain, and the chain
 inside _generates_images, grow each orbit in place: the new generator is
 applied to the points already there and only the points it adds are
 closed, keeping the representatives and cached inverses already made.
-Such a chain is only asked for its order and for membership.  Each level
-keeps the tables of the strong generators placed at it or deeper, in level
-order, and the chain keeps its transversal product as the orbits grow; the
-fill loop reads that product against its target after each placement.
+Such a chain is only asked for its order and for membership.  A level
+keeps the tables placed at it or deeper, in level order, and the fill loop
+reads the transversal product, which the chain keeps as its orbits grow.
 
 Inside a chain everything is raw images in perm's encoding (bytes up to
 degree 256, tuples above), and a * b is the chain's composer applied to a and
@@ -114,8 +113,7 @@ class _Level:
     tables of transversal representatives; a sift fills it in the first
     time it reads a point.  build_chain's rebuild of the orbit empties it;
     membership chains keep every representative once made, and so every
-    inverse.  full is the orbit size of the frame's level at this base, 0
-    without a frame."""
+    inverse."""
 
     __slots__ = ("base", "tables", "transversal", "points", "inv", "full")
 
@@ -125,7 +123,7 @@ class _Level:
         self.transversal = {}     # orbit point -> rep mapping base to it
         self.points = ()
         self.inv = {}
-        self.full = full
+        self.full = full          # the frame's orbit size at this base, 0 without one
 
     def inverse(self, p: int):
         inv = self.inv.get(p)
@@ -352,9 +350,12 @@ class StabilizerChain:
             j = y[lvl.base]
             if j == lvl.base:
                 continue
-            if j not in lvl.transversal:
-                return y, idx
-            y = then(y, lvl.inv.get(j) or lvl.inverse(j))
+            inv = lvl.inv.get(j)
+            if inv is None:
+                if j not in lvl.transversal:
+                    return y, idx
+                inv = lvl.inverse(j)
+            y = then(y, inv)
         return y, len(self._levels)
 
     def _rebuild_orbit(self, idx: int):
@@ -370,22 +371,22 @@ class StabilizerChain:
         residue, idx = self._strip(g)
         if residue == self._ident:
             return False
-        if idx == len(self._levels):
+        levels = self._levels
+        if idx == len(levels):
             base = next(i for i, j in enumerate(residue) if i != j)
-            self._levels.append(_Level(base))
-        strong, below = table(residue), self._levels[idx + 1:idx + 2]
-        deeper = len(below[0].tables) if below else 0
-        for lvl in self._levels[:idx + 1]:  # after the tables of levels up to idx
-            lvl.tables.insert(len(lvl.tables) - deeper, strong)
-        self._grow_orbits(idx, strong)
+            levels.append(_Level(base))
+        deeper = len(levels[idx + 1].tables) if idx + 1 < len(levels) else 0
+        self._grow_orbits(idx, table(residue), deeper)
         return True
 
-    def _grow_orbits(self, idx: int, g):
-        """Orbits of levels 0..idx once the table g is placed at level
-        idx, each rebuilt breadth-first from its base, so a level's points
-        order and representatives, which random_element reads, are a
-        function of its strong generators alone."""
-        for i in range(idx + 1):
+    def _grow_orbits(self, idx: int, g, deeper: int):
+        """Place the table g at level idx: each level 0..idx lists it before
+        its last deeper tables, those placed below idx, and rebuilds its
+        orbit breadth-first from its base, so a level's points order and
+        representatives, which random_element reads, are a function of its
+        strong generators alone."""
+        for i, lvl in enumerate(self._levels[:idx + 1]):
+            lvl.tables.insert(len(lvl.tables) - deeper, g)
             self._rebuild_orbit(i)
 
     def _close(self, target: int = 0) -> bool:
@@ -428,9 +429,11 @@ class _MembershipChain(StabilizerChain):
         if frame is not None:
             self._levels = [_Level(f.base, len(f.transversal)) for f in frame._levels]
 
-    def _grow_orbits(self, idx: int, g):
+    def _grow_orbits(self, idx: int, g, deeper: int):
         then = self._then
         for lvl in self._levels[:idx + 1]:
+            tables = lvl.tables
+            tables.insert(len(tables) - deeper, g)
             trans = lvl.transversal
             if not trans:
                 trans[lvl.base] = self._ident
@@ -445,7 +448,7 @@ class _MembershipChain(StabilizerChain):
                     trans[q] = then(trans[p], g)
                     frontier.append(q)
             if frontier:
-                _close_orbit(trans, frontier, lvl.tables, then)
+                _close_orbit(trans, frontier, tables, then)
                 lvl.points = tuple(trans)
                 self._size = self._size // n * len(trans)
 
